@@ -4,9 +4,11 @@ stability multiplier.
 The alignment of z against z1, given the remaining training rows, is
     F(z, z1) = phi(z) . P_perp phi(z1) / ||P_perp phi(z1)||^2
 with P_perp the projector orthogonal to the span of the remaining feature
-rows. Everything is evaluated in kernel space:
-    phi(a) . P_perp phi(b) = K(a, b) - k_a^T K_-1^{-1} k_b,
-so tangent features never need materializing.
+rows. It is evaluated in kernel space against the KernelSystem of those rows:
+    phi(a) . P_perp phi(z1) = K(a, z1) - k_a^T K_-1^{-1} k_{z1},
+so one solve K_-1^{-1} k_{z1} serves numerator and denominator. Queries are
+rows, and a single query is a batch of one; tangent features are never
+materialized outside the desk-scale decomposition.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .hermite import (
     hermite_coefficients,
     series_tail_bound,
 )
-from .linops import KernelSolveCache
+from .linops import KernelSystem
 from .seeding import ROLE_DATA, ROLE_MAP, ROLE_QUERY, derive_seed
 from .trainer import fit_leave_one_out, fit_min_norm, stability_eval
 
@@ -37,45 +39,37 @@ DENOMINATOR_GUARD = 1e-10
 
 
 class AlignmentSolver:
-    """Fixed (map, remaining rows) context for repeated alignment queries."""
+    """Repeated alignment queries against one factored background system."""
 
-    def __init__(self, fmap, rows: np.ndarray):
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        self.map = fmap
-        self.rows = rows
-        if rows.shape[0] > 0:
-            self.prepared = fmap.prepare(rows)
-            self.cache = KernelSolveCache.factor(self.prepared.gram(), p=fmap.n_params)
-        else:
-            self.prepared = None
-            self.cache = None
+    def __init__(self, system: KernelSystem):
+        self.system = system
 
-    def residual_dot(self, za: np.ndarray, zb: np.ndarray) -> float:
-        """phi(za) . P_perp phi(zb) in kernel space."""
-        base = self.map.kernel(za, zb)
-        if self.cache is None:
-            return base
-        ka = self.prepared.kernel_vector(za)
-        kb = self.prepared.kernel_vector(zb)
-        return base - float(ka @ self.cache.solve(kb))
+    @property
+    def map(self):
+        return self.system.map
 
     def alignment(self, z: np.ndarray, z1: np.ndarray) -> float:
         num, den = self.alignment_parts(z, z1)
         return num / den
 
     def alignment_parts(self, z: np.ndarray, z1: np.ndarray) -> tuple[float, float]:
-        den = self.residual_dot(z1, z1)
-        scale = self.map.kernel(z1, z1)
+        """phi(z) . P_perp phi(z1) and ||P_perp phi(z1)||^2 for single rows."""
+        own = self.map.prepare(z1)
+        scale = float(own.cross(z1)[0, 0])
+        k1 = self.system.cross(z1)[0]
+        solved = self.system.solve(k1)
+        den = scale - float(k1 @ solved)
         if den <= DENOMINATOR_GUARD * scale:
             raise DegenerateDenominator(
                 f"projected norm {den:.3e} below {DENOMINATOR_GUARD:.0e} * {scale:.3e}"
             )
-        return self.residual_dot(z, z1), den
+        num = float(own.cross(z)[0, 0]) - float(self.system.cross(z)[0] @ solved)
+        return num, den
 
 
 def feature_alignment(fmap, z_minus1: np.ndarray, z: np.ndarray, z1: np.ndarray) -> float:
     """Alignment of a query z with training sample z1 given the other rows."""
-    return AlignmentSolver(fmap, z_minus1).alignment(z, z1)
+    return AlignmentSolver(KernelSystem.build(fmap, z_minus1)).alignment(z, z1)
 
 
 def feature_alignment_from_vectors(
@@ -106,7 +100,8 @@ def verify_stability_identity(
     full = fit_min_norm(fmap, dataset, theta0=theta0)
     loo = fit_leave_one_out(fmap, dataset, 0, theta0=theta0)
     lhs = stability_eval(full, loo, z)
-    alignment = feature_alignment(fmap, dataset.z[1:], z, dataset.z[0])
+    # the leave-one-out system is the background system of z1
+    alignment = AlignmentSolver(loo.system).alignment(z, dataset.z[0])
     rhs = alignment * stability_eval(full, loo, dataset.z[0])
     return lhs, rhs
 
@@ -222,7 +217,7 @@ def estimate_gamma(
     background = generate_synthetic(
         n - 1, d_x, d_y, sample_teacher(d_x, data_seed), data_seed
     )
-    solver = AlignmentSolver(fmap, background.z)
+    solver = AlignmentSolver(KernelSystem.build(fmap, background.z))
     values, nums, dens = _sample_alignments(solver, d_x, d_y, trials, query_seed)
 
     if kind == "ntk":
@@ -255,7 +250,7 @@ def estimate_gamma_on_instance(
 ) -> tuple[float, float]:
     """Mean/std of the masked-query alignment on one fixed instance."""
     rows = np.atleast_2d(z_minus1)
-    solver = AlignmentSolver(fmap, rows)
+    solver = AlignmentSolver(KernelSystem.build(fmap, rows))
     d_y = rows.shape[1] - d_x
     values, _, _ = _sample_alignments(solver, d_x, d_y, trials, seed)
     return float(np.mean(values)), float(np.std(values, ddof=1))
@@ -323,14 +318,9 @@ def alignment_decomposition(
     if rows.shape[0] * fmap.n_params > max_entries:
         raise ValueError("instance too large to materialize; reduce sizes")
     phi_rest = fmap.feature_matrix(rows)
-
-    def _vec(feat):
-        return feat if isinstance(feat, np.ndarray) else feat.materialize()
-
-    phi1 = _vec(fmap.features(z1))
-    phim = _vec(fmap.features(z1m))
-    cphi1 = _vec(fmap.centered_features(z1))
-    cphim = _vec(fmap.centered_features(z1m))
+    pair = np.stack([z1, z1m])
+    phi1, phim = fmap.feature_matrix(pair)
+    cphi1, cphim = fmap.centered_feature_matrix(pair)
 
     raw = feature_alignment_from_vectors(phim, phi1, phi_rest)
     centered = feature_alignment_from_vectors(cphim, cphi1, phi_rest)

@@ -72,12 +72,13 @@ def run_attack(
             f"batch of {batch.n} rows does not match model fitted on "
             f"{model.n_train} samples with {labels.shape[0]} labels"
         )
-    outputs = model.predict_many(batch.rows)
+    if readout == "argmax" and labels.ndim != 2:
+        raise ValueError("the argmax readout needs one-hot labels, got 1-D labels")
+    outputs = model.predict(batch.rows)
     if readout == "sign":
         hits = sign_readout(outputs) == labels
     elif readout == "argmax":
-        truth = np.argmax(labels, axis=1) if labels.ndim == 2 else labels.astype(int)
-        hits = argmax_readout(outputs) == truth
+        hits = argmax_readout(outputs) == np.argmax(labels, axis=1)
     else:
         raise ValueError(f"unknown readout {readout!r}")
     return AttackReport(
@@ -166,8 +167,9 @@ def covariance_diagnostic(
     g_rest = np.asarray([label_fn(x) for x in background.x_block()])
     background = LabeledDataset(z=background.z, g=g_rest, d_x=d_x, d_y=d_y)
 
+    # one background system serves the leave-one-out model and the alignment
     loo_model = fit_min_norm(fmap, background, theta0=theta0)
-    solver = AlignmentSolver(fmap, background.z)
+    solver = AlignmentSolver(loo_model.system)
 
     attack_out = np.empty(trials)
     stability = np.empty(trials)

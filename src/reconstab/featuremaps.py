@@ -1,9 +1,14 @@
-"""Random-feature and tangent-kernel feature maps with kernel-space evaluation.
+"""Random-feature and tangent-kernel feature maps, evaluated in kernel space.
 
-Tangent features z (x) act'(W0 z) live in dimension k*d and are kept lazy as
-the pair (z, act'(W0 z)); every downstream computation (kernels, Gram
-matrices, projections) needs only inner products, which factorize as
-(z . z') * (act'(W0 z) . act'(W0 z')).
+Every entry point takes rows: an (n, d) array, where a 1-D row of length d is
+a batch of one. ``feature_matrix`` and ``centered_feature_matrix`` return the
+(n, p) features, ``init_outputs`` the n model outputs at the initialization,
+and ``prepare`` holds training rows whose ``gram`` and ``cross`` give the
+kernel against them. ``kernel(z, zp)`` is the one-row cross kernel.
+
+Tangent features z (x) act'(W0 z) have dimension k*d. Prepared tangent rows
+keep the two factors and never materialize them, because every kernel entry
+factorizes as (z . z') * (act'(W0 z) . act'(W0 z')).
 """
 
 from __future__ import annotations
@@ -16,31 +21,17 @@ from .errors import DimensionMismatch
 from .hermite import DEFAULT_TRUNCATION, ActivationSpec, HermiteSpectrum, hermite_coefficients
 
 
-def _check_dim(z: np.ndarray, d: int) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (d,):
-        raise DimensionMismatch(f"expected vector of length {d}, got shape {z.shape}")
-    return z
+def _as_rows(rows: np.ndarray, d: int) -> np.ndarray:
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if rows.ndim != 2 or rows.shape[1] != d:
+        raise DimensionMismatch(f"rows have shape {rows.shape}, expected width {d}")
+    return rows
 
 
-@dataclass
-class LazyKronFeature:
-    """Tangent feature z (x) w without materializing the k*d vector."""
-
-    z: np.ndarray
-    w: np.ndarray
-
-    def materialize(self) -> np.ndarray:
-        return np.kron(self.z, self.w)
-
-    def dot(self, other: "LazyKronFeature") -> float:
-        return float(self.z @ other.z) * float(self.w @ other.w)
-
-    def norm_sq(self) -> float:
-        return float(self.z @ self.z) * float(self.w @ self.w)
-
-    def __len__(self) -> int:
-        return self.z.size * self.w.size
+def _kron_rows(rows: np.ndarray, derivs: np.ndarray) -> np.ndarray:
+    """Row-wise z (x) w, laid out as z_i * w_j at index i*k + j."""
+    n, d = rows.shape
+    return np.einsum("ni,nj->nij", rows, derivs).reshape(n, d * derivs.shape[1])
 
 
 @dataclass(eq=False)
@@ -75,31 +66,22 @@ class RFMap:
     def mean_coefficient(self) -> float:
         return float(self.spectrum().coefficients[0])
 
-    def features(self, z: np.ndarray) -> np.ndarray:
-        z = _check_dim(z, self.d)
-        return self.activation(self.v @ z)
-
     def feature_matrix(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.shape[1] != self.d:
-            raise DimensionMismatch(f"rows have width {rows.shape[1]}, expected {self.d}")
-        return self.activation(rows @ self.v.T)
+        return self.activation(_as_rows(rows, self.d) @ self.v.T)
 
-    def centered_features(self, z: np.ndarray) -> np.ndarray:
-        return self.features(z) - self.mean_coefficient
+    def centered_feature_matrix(self, rows: np.ndarray) -> np.ndarray:
+        return self.feature_matrix(rows) - self.mean_coefficient
 
     def kernel(self, z: np.ndarray, zp: np.ndarray) -> float:
-        return float(self.features(z) @ self.features(zp))
+        return float(self.prepare(zp).cross(z)[0, 0])
 
     def prepare(self, rows: np.ndarray) -> "_PreparedRF":
-        return _PreparedRF(self, self.feature_matrix(rows))
-
-    def init_output(self, z: np.ndarray) -> float:
-        """Model output at the zero parameter vector."""
-        return 0.0
+        rows = _as_rows(rows, self.d)
+        return _PreparedRF(self, rows, self.feature_matrix(rows))
 
     def init_outputs(self, rows: np.ndarray) -> np.ndarray:
-        return np.zeros(np.atleast_2d(rows).shape[0])
+        """Model outputs at the zero parameter vector."""
+        return np.zeros(_as_rows(rows, self.d).shape[0])
 
 
 @dataclass(eq=False)
@@ -138,48 +120,39 @@ class NTKMap:
     def mean_coefficient(self) -> float:
         return float(self.spectrum().coefficients[0])
 
-    def features(self, z: np.ndarray) -> LazyKronFeature:
-        z = _check_dim(z, self.d)
-        return LazyKronFeature(z=z, w=self.activation_derivative(self.w0 @ z))
+    def _derivs(self, rows: np.ndarray) -> np.ndarray:
+        """act'(W0 z) for each of the (already checked) rows."""
+        return self.activation_derivative(rows @ self.w0.T)
 
     def feature_matrix(self, rows: np.ndarray) -> np.ndarray:
         """Materialized N x (k d) feature matrix; desk-scale sizes only."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.shape[1] != self.d:
-            raise DimensionMismatch(f"rows have width {rows.shape[1]}, expected {self.d}")
-        b = self.activation_derivative(rows @ self.w0.T)
-        return np.einsum("ni,nj->nij", rows, b).reshape(rows.shape[0], self.d * self.k)
+        rows = _as_rows(rows, self.d)
+        return _kron_rows(rows, self._derivs(rows))
 
-    def centered_features(self, z: np.ndarray) -> LazyKronFeature:
-        feat = self.features(z)
-        return LazyKronFeature(z=feat.z, w=feat.w - self.mean_coefficient)
+    def centered_feature_matrix(self, rows: np.ndarray) -> np.ndarray:
+        """Features with the mean coefficient removed inside the act' factor."""
+        rows = _as_rows(rows, self.d)
+        return _kron_rows(rows, self._derivs(rows) - self.mean_coefficient)
 
     def kernel(self, z: np.ndarray, zp: np.ndarray) -> float:
-        return self.features(z).dot(self.features(zp))
+        return float(self.prepare(zp).cross(z)[0, 0])
 
     def prepare(self, rows: np.ndarray) -> "_PreparedNTK":
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.shape[1] != self.d:
-            raise DimensionMismatch(f"rows have width {rows.shape[1]}, expected {self.d}")
-        return _PreparedNTK(self, rows, self.activation_derivative(rows @ self.w0.T))
-
-    def init_output(self, z: np.ndarray) -> float:
-        """Linearized model output at the initialization parameters vec(W0)."""
-        z = _check_dim(z, self.d)
-        pre = self.w0 @ z
-        return float(self.activation_derivative(pre) @ pre)
+        rows = _as_rows(rows, self.d)
+        return _PreparedNTK(self, rows, self._derivs(rows))
 
     def init_outputs(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        pre = rows @ self.w0.T
+        """Linearized model outputs at the initialization parameters vec(W0)."""
+        pre = _as_rows(rows, self.d) @ self.w0.T
         return np.einsum("nk,nk->n", self.activation_derivative(pre), pre)
 
 
 class _PreparedRF:
     """RF training rows with their feature matrix precomputed."""
 
-    def __init__(self, fmap: RFMap, phi: np.ndarray):
+    def __init__(self, fmap: RFMap, rows: np.ndarray, phi: np.ndarray):
         self.map = fmap
+        self.rows = rows
         self.phi = phi
 
     @property
@@ -189,9 +162,6 @@ class _PreparedRF:
     def gram(self) -> np.ndarray:
         k = self.phi @ self.phi.T
         return 0.5 * (k + k.T)
-
-    def kernel_vector(self, z: np.ndarray) -> np.ndarray:
-        return self.phi @ self.map.features(z)
 
     def cross(self, queries: np.ndarray) -> np.ndarray:
         """Kernel evaluations of each query row against each training row."""
@@ -214,14 +184,10 @@ class _PreparedNTK:
         k = (self.rows @ self.rows.T) * (self.derivs @ self.derivs.T)
         return 0.5 * (k + k.T)
 
-    def kernel_vector(self, z: np.ndarray) -> np.ndarray:
-        feat = self.map.features(z)
-        return (self.rows @ feat.z) * (self.derivs @ feat.w)
-
     def cross(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        bq = self.map.activation_derivative(queries @ self.map.w0.T)
-        return (queries @ self.rows.T) * (bq @ self.derivs.T)
+        """Kernel evaluations of each query row against each training row."""
+        queries = _as_rows(queries, self.map.d)
+        return (queries @ self.rows.T) * (self.map._derivs(queries) @ self.derivs.T)
 
 
 def sample_rf_map(k: int, d: int, activation: ActivationSpec, seed: int) -> RFMap:
@@ -240,19 +206,3 @@ def sample_ntk_map(k: int, d: int, activation_derivative: ActivationSpec, seed: 
     rng = np.random.default_rng(seed)
     w0 = rng.standard_normal((k, d)) / np.sqrt(d)
     return NTKMap(w0=w0, activation_derivative=activation_derivative, seed=seed)
-
-
-def rf_features(fmap: RFMap, z: np.ndarray) -> np.ndarray:
-    return fmap.features(z)
-
-
-def ntk_features(fmap: NTKMap, z: np.ndarray) -> LazyKronFeature:
-    return fmap.features(z)
-
-
-def kernel_eval(fmap, z: np.ndarray, zp: np.ndarray) -> float:
-    return fmap.kernel(z, zp)
-
-
-def centered_features(fmap, z: np.ndarray):
-    return fmap.centered_features(z)

@@ -92,8 +92,9 @@ class ExperimentConfig:
         self.n_grid = grid
         if self.mask not in ("resample", "zero"):
             raise ConfigError(f"mask must be 'resample' or 'zero', got {self.mask!r}")
-        if self.readout not in ("sign", "argmax"):
-            raise ConfigError(f"readout must be 'sign' or 'argmax', got {self.readout!r}")
+        if self.readout != "sign":
+            # sweep labels are +-1 by construction; argmax needs one-hot labels
+            raise ConfigError(f"readout must be 'sign' for sweeps, got {self.readout!r}")
         if not self.theta0:
             self.theta0 = "zero" if self.model == "rf" else "init"
         if self.theta0 not in ("zero", "init"):
@@ -163,7 +164,6 @@ class ResultRow:
     gamma_mean: float | None
     gamma_std: float | None
     lambda_min_over_scale: float | None
-    runtime_ms: int
     error: str = ""
 
 
@@ -234,7 +234,6 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
             gamma_mean=None,
             gamma_std=None,
             lambda_min_over_scale=None,
-            runtime_ms=0,
             error=f"{type(exc).__name__}: {exc}",
         )
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -243,7 +242,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
         file=sys.stderr,
     )
     # wall time is reported on stderr only; the CSV must be a pure function
-    # of the config bytes, so the runtime column carries a fixed value
+    # of the config bytes
     return ResultRow(
         model=config.model,
         n=n,
@@ -256,7 +255,6 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
         gamma_mean=gamma_mean,
         gamma_std=gamma_std,
         lambda_min_over_scale=model.report.min_eig / scale,
-        runtime_ms=0,
         error="",
     )
 

@@ -21,28 +21,10 @@ MAX_NODES = 640
 CONVERGENCE_TOL = 1e-8
 
 
-def hermite_polynomial(l: int, rho):
-    """Value of the orthonormal Hermite polynomial h_l at rho.
-
-    Uses the stable three-term recurrence
-    h_{l+1} = (rho * h_l - sqrt(l) * h_{l-1}) / sqrt(l+1).
-    Accepts scalars or arrays.
-    """
-    if l < 0:
-        raise ValueError("polynomial index must be >= 0")
-    rho = np.asarray(rho, dtype=float)
-    h_prev = np.ones_like(rho)
-    if l == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h_cur = rho.copy()
-    for j in range(1, l):
-        h_next = (rho * h_cur - math.sqrt(j) * h_prev) / math.sqrt(j + 1)
-        h_prev, h_cur = h_cur, h_next
-    return h_cur if h_cur.ndim else float(h_cur)
-
-
 def _hermite_matrix(max_l: int, rho: np.ndarray) -> np.ndarray:
-    """Rows 0..max_l of the orthonormal Hermite basis evaluated at rho."""
+    """Rows 0..max_l of the orthonormal Hermite basis evaluated at rho, by the
+    stable recurrence h_{l+1} = (rho h_l - sqrt(l) h_{l-1}) / sqrt(l+1).
+    """
     rho = np.asarray(rho, dtype=float)
     out = np.empty((max_l + 1, rho.size))
     out[0] = 1.0
@@ -57,23 +39,19 @@ def _hermite_matrix(max_l: int, rho: np.ndarray) -> np.ndarray:
 class ActivationSpec:
     """Scalar activation, either an explicit Hermite combination or a callable.
 
-    For callables a Lipschitz constant can be declared (metadata only) and
-    split_at_zero requests the half-range quadrature rule for kinked functions
-    like ReLU.
+    For callables split_at_zero requests the half-range quadrature rule for
+    kinked functions like ReLU.
     """
 
     name: str
     coeffs: tuple[float, ...] | None = None
     fn: Callable[[np.ndarray], np.ndarray] | None = None
     derivative_spec: "ActivationSpec | None" = field(default=None, repr=False)
-    lipschitz: float | None = None
     split_at_zero: bool = False
 
     def __post_init__(self) -> None:
         if (self.coeffs is None) == (self.fn is None):
             raise ValueError("exactly one of coeffs or fn must be given")
-        if self.lipschitz is not None and self.lipschitz <= 0:
-            raise ValueError("declared Lipschitz constant must be > 0")
 
     @property
     def kind(self) -> str:
@@ -117,13 +95,6 @@ class HermiteSpectrum:
     tail_power: float = 0.0
     exact: bool = True
     nodes: int = 0
-
-    @property
-    def total_power(self) -> float:
-        return float(np.sum(self.coefficients**2)) + self.tail_power
-
-    def power_from(self, start: int) -> float:
-        return float(np.sum(self.coefficients[start:] ** 2)) + self.tail_power
 
 
 def _gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,14 +245,7 @@ def _register(spec: ActivationSpec) -> ActivationSpec:
 # Named activations usable from the CLI and sweep configs. For NTK models the
 # relevant object is the derivative of the activation; the h0+h1 / h0+h3
 # entries below are meant to be used directly as derivative specs.
-RELU = _register(
-    ActivationSpec(
-        name="relu",
-        fn=_relu,
-        lipschitz=1.0,
-        split_at_zero=True,
-    )
-)
+RELU = _register(ActivationSpec(name="relu", fn=_relu, split_at_zero=True))
 H1_PLUS_H2 = _register(ActivationSpec(name="h1+h2", coeffs=(0.0, 1.0, 1.0)))
 H1_PLUS_H4 = _register(ActivationSpec(name="h1+h4", coeffs=(0.0, 1.0, 0.0, 0.0, 1.0)))
 H0_PLUS_H1 = _register(ActivationSpec(name="h0+h1", coeffs=(1.0, 1.0)))
@@ -291,8 +255,7 @@ TANH = _register(
     ActivationSpec(
         name="tanh",
         fn=np.tanh,
-        derivative_spec=ActivationSpec(name="d(tanh)", fn=_tanh_prime, lipschitz=1.0),
-        lipschitz=1.0,
+        derivative_spec=ActivationSpec(name="d(tanh)", fn=_tanh_prime),
     )
 )
 

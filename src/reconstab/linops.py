@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetric, SingularGram
+from .errors import NotSymmetric, SingularGram, SingularKernel
 
 # "Invertible" means the smallest eigenvalue of A A^T clears this multiple of
 # the largest one (scaled by max matrix dimension). Below it we raise instead
@@ -69,6 +69,9 @@ class KernelSolveCache:
 
     @property
     def condition(self) -> float:
+        """lambda_max / lambda_min; 1.0 for the empty system."""
+        if self.n == 0:
+            return 1.0
         return self.max_eig / self.min_eig if self.min_eig > 0 else np.inf
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -83,6 +86,41 @@ class KernelSolveCache:
     def _chol_solve(self, b: np.ndarray) -> np.ndarray:
         y = np.linalg.solve(self.chol, b)
         return np.linalg.solve(self.chol.T, y)
+
+
+@dataclass(eq=False)
+class KernelSystem:
+    """Training rows prepared by a feature map, with their Gram factored once.
+
+    Fits, predictions, alignments and attacks all query this one object:
+    ``cross`` gives the kernel rows of queries against the training rows and
+    ``solve`` applies the inverse Gram. A singular Gram raises SingularKernel
+    here and nowhere else; no ridge term is ever added.
+    """
+
+    map: object
+    prepared: object
+    cache: KernelSolveCache
+
+    @classmethod
+    def build(cls, fmap, rows: np.ndarray) -> "KernelSystem":
+        prepared = fmap.prepare(rows)
+        try:
+            cache = KernelSolveCache.factor(prepared.gram(), p=fmap.n_params)
+        except SingularGram as exc:
+            raise SingularKernel(str(exc)) from exc
+        return cls(map=fmap, prepared=prepared, cache=cache)
+
+    @property
+    def n(self) -> int:
+        return self.prepared.n
+
+    def cross(self, rows: np.ndarray) -> np.ndarray:
+        """Kernel rows, one per query row, against the training rows."""
+        return self.prepared.cross(rows)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.cache.solve(b)
 
 
 def project_rowspace(a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Min-norm interpolation in kernel space, leave-one-out refits, evaluation.
 
-The fitted correction lives in the row span of the feature matrix, so the
-model is stored through its dual coefficients c = K^{-1}(G - f(Z, theta0)) and
-predictions are kernel evaluations; explicit parameter vectors are
-materialized only on demand at desk scale. No ridge term is ever added: a
-singular kernel is a hard error because every downstream identity presumes
-exact interpolation.
+Predictions take rows: an (n, d) array, where a 1-D row is a batch of one.
+The fitted correction lives in the row span of the training features, so
+a model is its KernelSystem (prepared training rows and their one factored
+Gram) plus the dual coefficients c = K^{-1}(G - f(Z, theta0)); predictions
+are cross-kernel rows times c. Explicit parameter vectors are materialized
+only on demand at desk scale. No ridge term is ever added: a singular kernel
+is a hard error because every downstream identity presumes exact
+interpolation.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import MapMismatch, SingularGram, SingularKernel
-from .linops import KernelSolveCache
+from .errors import MapMismatch
+from .linops import KernelSystem
 
 
 @dataclass
@@ -48,51 +50,37 @@ class TrainedModel:
     accepted for desk-scale experiments).
     """
 
-    map: object
-    prepared: object
+    system: KernelSystem
     targets: np.ndarray
     dual_coefs: np.ndarray
     f0_train: np.ndarray
     theta0_policy: str
     theta0_vector: np.ndarray | None
-    cache: KernelSolveCache | None
     report: FitReport
 
     @property
+    def map(self):
+        return self.system.map
+
+    @property
     def n_train(self) -> int:
-        return self.prepared.n
+        return self.system.n
 
-    def _f0(self, z: np.ndarray) -> float:
-        if self.theta0_policy == "zero":
-            return 0.0
-        if self.theta0_policy == "init":
-            return self.map.init_output(z)
-        return float(self.map.features(z) @ self.theta0_vector)
-
-    def _f0_many(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(rows)
-        if self.theta0_policy == "zero":
-            return np.zeros(rows.shape[0])
-        if self.theta0_policy == "init":
-            return self.map.init_outputs(rows)
-        return self.map.feature_matrix(rows) @ self.theta0_vector
-
-    def predict(self, z: np.ndarray):
-        out = self._f0(z) + self.prepared.kernel_vector(z) @ self.dual_coefs
-        return float(out) if np.ndim(out) == 0 else out
-
-    def predict_many(self, rows: np.ndarray) -> np.ndarray:
-        cross = self.prepared.cross(rows)
-        out = cross @ self.dual_coefs
-        f0 = self._f0_many(rows)
-        return out + (f0[:, None] if out.ndim == 2 else f0)
+    def predict(self, rows: np.ndarray):
+        """Model outputs, one per row; a 1-D row gives one output (a float
+        for +-1 targets, a vector of class outputs for one-hot targets).
+        """
+        out = self.system.cross(rows) @ self.dual_coefs
+        f0 = _init_outputs(self.map, self.theta0_policy, self.theta0_vector, rows)
+        out = out + (f0[:, None] if out.ndim == 2 else f0)
+        if np.ndim(rows) == 1:
+            out = out[0]
+            return float(out) if np.ndim(out) == 0 else out
+        return out
 
     def materialize_theta(self) -> np.ndarray:
         """Explicit parameter vector theta* (desk scale only for tangent maps)."""
-        if hasattr(self.prepared, "phi"):
-            phi = self.prepared.phi
-        else:
-            phi = self.map.feature_matrix(self.prepared.rows)
+        phi = self.map.feature_matrix(self.system.prepared.rows)
         correction = phi.T @ self.dual_coefs
         if self.theta0_policy == "zero":
             return correction
@@ -115,28 +103,29 @@ def _resolve_theta0(fmap, theta0) -> tuple[str, np.ndarray | None]:
     return "vector", vec
 
 
-def fit_min_norm(fmap, dataset: LabeledDataset, theta0="zero") -> TrainedModel:
-    """Interpolating fit closest to the initialization in parameter norm."""
-    policy, vec = _resolve_theta0(fmap, theta0)
-    prepared = fmap.prepare(dataset.z)
-    kernel = prepared.gram()
-    try:
-        cache = KernelSolveCache.factor(kernel, p=fmap.n_params)
-    except SingularGram as exc:
-        raise SingularKernel(str(exc)) from exc
-
+def _init_outputs(fmap, policy: str, vec: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """f(z, theta0) for each row, under a resolved theta0 policy."""
     if policy == "zero":
-        f0 = np.zeros(dataset.n)
-    elif policy == "init":
-        f0 = fmap.init_outputs(dataset.z)
-    else:
-        f0 = fmap.feature_matrix(dataset.z) @ vec
+        return np.zeros(np.atleast_2d(rows).shape[0])
+    if policy == "init":
+        return fmap.init_outputs(rows)
+    return fmap.feature_matrix(rows) @ vec
 
+
+def fit_min_norm(fmap, dataset: LabeledDataset, theta0="zero") -> TrainedModel:
+    """Interpolating fit closest to the initialization in parameter norm.
+
+    An empty dataset gives the pure initialization model.
+    """
+    policy, vec = _resolve_theta0(fmap, theta0)
+    system = KernelSystem.build(fmap, dataset.z)
+    f0 = _init_outputs(fmap, policy, vec, dataset.z)
     targets = np.asarray(dataset.g, dtype=float)
     rhs = targets - (f0[:, None] if targets.ndim == 2 else f0)
-    coefs = cache.solve(rhs)
+    coefs = system.solve(rhs)
 
-    residuals = kernel @ coefs - rhs
+    cache = system.cache
+    residuals = cache.matrix @ coefs - rhs
     report = FitReport(
         residual_norm=float(np.linalg.norm(residuals)),
         max_residual=float(np.max(np.abs(residuals))) if residuals.size else 0.0,
@@ -146,31 +135,12 @@ def fit_min_norm(fmap, dataset: LabeledDataset, theta0="zero") -> TrainedModel:
         theta0_policy=policy,
     )
     return TrainedModel(
-        map=fmap,
-        prepared=prepared,
+        system=system,
         targets=targets,
         dual_coefs=coefs,
         f0_train=f0,
         theta0_policy=policy,
         theta0_vector=vec,
-        cache=cache,
-        report=report,
-    )
-
-
-def _empty_model(fmap, dataset: LabeledDataset, policy: str, vec) -> TrainedModel:
-    prepared = fmap.prepare(dataset.z.reshape(0, dataset.d))
-    targets = np.asarray(dataset.g, dtype=float)[:0]
-    report = FitReport(0.0, 0.0, 0.0, 0.0, 1.0, policy)
-    return TrainedModel(
-        map=fmap,
-        prepared=prepared,
-        targets=targets,
-        dual_coefs=np.zeros(0) if targets.ndim == 1 else np.zeros((0, targets.shape[1])),
-        f0_train=np.zeros(0),
-        theta0_policy=policy,
-        theta0_vector=vec,
-        cache=None,
         report=report,
     )
 
@@ -182,11 +152,7 @@ def fit_leave_one_out(fmap, dataset: LabeledDataset, i: int, theta0="zero") -> T
     """
     if not 0 <= i < dataset.n:
         raise IndexError(f"row {i} out of range for n={dataset.n}")
-    reduced = dataset.drop_row(i)
-    if reduced.n == 0:
-        policy, vec = _resolve_theta0(fmap, theta0)
-        return _empty_model(fmap, reduced, policy, vec)
-    return fit_min_norm(fmap, reduced, theta0=theta0)
+    return fit_min_norm(fmap, dataset.drop_row(i), theta0=theta0)
 
 
 def stability_eval(full: TrainedModel, loo: TrainedModel, z: np.ndarray):
@@ -211,7 +177,7 @@ def generalization_error(model: TrainedModel, test: LabeledDataset) -> EvalRepor
     """Mean squared residual on an independent test draw, with its standard
     error and the readout accuracy (sign for +-1 labels, argmax for one-hot).
     """
-    outputs = model.predict_many(test.z)
+    outputs = model.predict(test.z)
     labels = np.asarray(test.g, dtype=float)
     sq = (outputs - labels) ** 2
     if sq.ndim == 2:

@@ -149,7 +149,7 @@ def check_interpolation(seed: int = 106) -> CheckResult:
     for kind_idx, kind in enumerate(("rf", "ntk")):
         fmap, dataset, theta0 = _desk_instance(kind, derive_seed(seed, [kind_idx]))
         model = fit_min_norm(fmap, dataset, theta0=theta0)
-        preds = model.predict_many(dataset.z)
+        preds = model.predict(dataset.z)
         resid = float(np.max(np.abs(preds - dataset.g)))
         bound = 1e-8 * (1.0 + float(np.max(np.abs(dataset.g))))
         theta = model.materialize_theta()

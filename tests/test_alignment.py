@@ -51,8 +51,8 @@ class TestFeatureAlignment:
         kernel_space = feature_alignment(fmap, dataset.z[1:], probe, dataset.z[0])
         phi_rest = fmap.feature_matrix(dataset.z[1:])
         _, _, vt = np.linalg.svd(phi_rest, full_matrices=False)
-        phi1 = fmap.features(dataset.z[0])
-        phiq = fmap.features(probe)
+        phi1 = fmap.feature_matrix(dataset.z[0])[0]
+        phiq = fmap.feature_matrix(probe)[0]
         resid = phi1 - vt.T @ (vt @ phi1)
         oracle = float(phiq @ resid) / float(resid @ resid)
         assert abs(kernel_space - oracle) <= 1e-8 * (1 + abs(oracle))
@@ -65,8 +65,8 @@ class TestFeatureAlignment:
         z = rng.standard_normal(10)
         kernel_space = feature_alignment(fmap, rows, z, z1)
         materialized = feature_alignment_from_vectors(
-            fmap.features(z).materialize(),
-            fmap.features(z1).materialize(),
+            fmap.feature_matrix(z)[0],
+            fmap.feature_matrix(z1)[0],
             fmap.feature_matrix(rows),
         )
         assert abs(kernel_space - materialized) <= 1e-8 * (1 + abs(materialized))
@@ -88,8 +88,8 @@ class TestFeatureAlignment:
         rng = np.random.default_rng(5)
         fmap, dataset, _ = _rf_instance(n=10)
         phi_rest = fmap.feature_matrix(dataset.z[1:])
-        phi1 = fmap.features(dataset.z[0])
-        phiq = fmap.features(dataset.z[0] * 0.9 + 0.1 * rng.standard_normal(dataset.d))
+        phi1 = fmap.feature_matrix(dataset.z[0])[0]
+        phiq = fmap.feature_matrix(dataset.z[0] * 0.9 + 0.1 * rng.standard_normal(dataset.d))[0]
         base = feature_alignment_from_vectors(phiq, phi1, phi_rest)
         for c in (0.5, 2.0, 7.5):
             scaled = feature_alignment_from_vectors(c * phiq, phi1, phi_rest)

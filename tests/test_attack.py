@@ -113,6 +113,12 @@ class TestRunAttack:
         report = run_attack(model, identity_batch, ds.g, "argmax")
         assert report.attack_accuracy == 1.0
 
+    def test_argmax_readout_rejects_sign_labels(self):
+        _, dataset, model = _fitted_instance()
+        batch = QueryBatch(rows=dataset.z.copy(), kind="none", seed=0)
+        with pytest.raises(ValueError, match="one-hot"):
+            run_attack(model, batch, dataset.g, "argmax")
+
     def test_size_mismatch_raises(self):
         _, dataset, model = _fitted_instance()
         batch = QueryBatch(rows=dataset.z[:5].copy(), kind="none", seed=0)

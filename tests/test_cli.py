@@ -58,9 +58,9 @@ def test_sweep_writes_csv(tmp_path, capsys):
     config_path.write_text(json.dumps(SWEEP_CONFIG))
     out_path = tmp_path / "rows.csv"
     assert main(["sweep", "--config", str(config_path), "--out", str(out_path)]) == 0
-    text = out_path.read_text()
-    assert text.startswith("model,n,alpha,activation,trial,seed,")
-    assert text.count("\r\n") == 1 + 4
+    payload = out_path.read_bytes()
+    assert payload.startswith(b"model,n,alpha,activation,trial,seed,")
+    assert payload.count(b"\r\n") == 1 + 4
 
 
 def test_sweep_bad_config_exits_2(tmp_path):

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from reconstab.errors import DimensionMismatch
-from reconstab.featuremaps import (
-    centered_features,
-    kernel_eval,
-    ntk_features,
-    rf_features,
-    sample_ntk_map,
-    sample_rf_map,
-)
-from reconstab.hermite import ActivationSpec, get_activation, hermite_polynomial
+from reconstab.featuremaps import sample_ntk_map, sample_rf_map
+from reconstab.hermite import ActivationSpec, _hermite_matrix, get_activation
+
+
+def _features(fmap, z):
+    """Features of one row: the first row of a batch of one."""
+    return fmap.feature_matrix(z)[0]
 
 
 class TestSampleRfMap:
@@ -35,33 +33,33 @@ class TestRfFeatures:
     def test_identity_activation_gives_preactivations(self):
         m = sample_rf_map(6, 4, get_activation("identity"), seed=2)
         z = np.arange(4.0)
-        assert np.allclose(rf_features(m, z), m.v @ z, atol=0)
+        assert np.allclose(_features(m, z), m.v @ z, atol=0)
 
     def test_relu_of_zero_input(self):
         m = sample_rf_map(5, 3, get_activation("relu"), seed=3)
-        assert np.array_equal(rf_features(m, np.zeros(3)), np.zeros(5))
+        assert np.array_equal(_features(m, np.zeros(3)), np.zeros(5))
 
     def test_matches_scalar_loop(self):
         m = sample_rf_map(7, 5, get_activation("h1+h2"), seed=4)
         rng = np.random.default_rng(0)
         z = rng.standard_normal(5)
-        feats = rf_features(m, z)
+        feats = _features(m, z)
         for i in range(7):
             u = float(m.v[i] @ z)
-            expected = hermite_polynomial(1, u) + hermite_polynomial(2, u)
+            expected = _hermite_matrix(1, u)[1] + _hermite_matrix(2, u)[2]
             assert feats[i] == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         m = sample_rf_map(3, 4, get_activation("relu"), seed=5)
         with pytest.raises(DimensionMismatch):
-            rf_features(m, np.zeros(5))
+            _features(m, np.zeros(5))
 
 
 class TestNtkFeatures:
     def test_sparse_input_pattern(self):
         m = sample_ntk_map(1, 3, get_activation("h0+h1"), seed=6)
         z = np.eye(3)[0]
-        vec = ntk_features(m, z).materialize()
+        vec = _features(m, z)
         w = m.activation_derivative(m.w0 @ z)
         assert np.allclose(vec[:1], w, atol=0)
         assert np.array_equal(vec[1:], np.zeros(2))
@@ -71,15 +69,14 @@ class TestNtkFeatures:
         rng = np.random.default_rng(1)
         for _ in range(5):
             z = rng.standard_normal(6)
-            feat = ntk_features(m, z)
-            expected = float(z @ z) * float(feat.w @ feat.w)
-            assert abs(feat.norm_sq() - expected) <= 1e-10 * expected
+            w = m.activation_derivative(m.w0 @ z)
+            expected = float(z @ z) * float(w @ w)
+            assert abs(m.kernel(z, z) - expected) <= 1e-10 * expected
 
     def test_matches_double_loop_kronecker(self):
         m = sample_ntk_map(2, 3, get_activation("h0+h1"), seed=8)
         z = np.array([0.3, -1.2, 2.0])
-        feat = ntk_features(m, z)
-        vec = feat.materialize()
+        vec = _features(m, z)
         w = m.activation_derivative(m.w0 @ z)
         expected = np.empty(6)
         for i in range(3):
@@ -92,28 +89,28 @@ class TestNtkFeatures:
         rows = np.random.default_rng(2).standard_normal((5, 4))
         mat = m.feature_matrix(rows)
         for i, row in enumerate(rows):
-            assert np.allclose(mat[i], ntk_features(m, row).materialize(), atol=0)
+            assert np.allclose(mat[i], _features(m, row), atol=0)
 
 
 class TestKernelEval:
     def test_ntk_orthogonal_inputs(self):
         m = sample_ntk_map(4, 4, get_activation("h0+h1"), seed=10)
-        assert kernel_eval(m, np.eye(4)[0], np.eye(4)[1]) == 0.0
+        assert m.kernel(np.eye(4)[0], np.eye(4)[1]) == 0.0
 
     def test_self_kernel_is_norm(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal(5)
         rf = sample_rf_map(6, 5, get_activation("h1+h2"), seed=11)
-        assert kernel_eval(rf, z, z) == pytest.approx(float(rf_features(rf, z) @ rf_features(rf, z)))
+        assert rf.kernel(z, z) == pytest.approx(float(_features(rf, z) @ _features(rf, z)))
         ntk = sample_ntk_map(3, 5, get_activation("h0+h1"), seed=12)
-        assert kernel_eval(ntk, z, z) == pytest.approx(ntk_features(ntk, z).norm_sq())
+        assert ntk.kernel(z, z) == pytest.approx(float(_features(ntk, z) @ _features(ntk, z)))
 
     def test_matches_materialized_dot(self):
         m = sample_ntk_map(3, 4, get_activation("h0+h3"), seed=13)
         rng = np.random.default_rng(4)
         z, zp = rng.standard_normal(4), rng.standard_normal(4)
-        explicit = float(ntk_features(m, z).materialize() @ ntk_features(m, zp).materialize())
-        assert abs(kernel_eval(m, z, zp) - explicit) <= 1e-12 * max(abs(explicit), 1.0)
+        explicit = float(_features(m, z) @ _features(m, zp))
+        assert abs(m.kernel(z, zp) - explicit) <= 1e-12 * max(abs(explicit), 1.0)
 
     def test_feature_kernel_consistency_50_pairs(self):
         rng = np.random.default_rng(5)
@@ -121,12 +118,10 @@ class TestKernelEval:
         ntk = sample_ntk_map(5, 8, get_activation("h0+h1"), seed=15)
         for _ in range(50):
             z, zp = rng.standard_normal(8), rng.standard_normal(8)
-            rf_explicit = float(rf_features(rf, z) @ rf_features(rf, zp))
-            assert abs(kernel_eval(rf, z, zp) - rf_explicit) <= 1e-9 * max(abs(rf_explicit), 1.0)
-            ntk_explicit = float(
-                ntk_features(ntk, z).materialize() @ ntk_features(ntk, zp).materialize()
-            )
-            assert abs(kernel_eval(ntk, z, zp) - ntk_explicit) <= 1e-9 * max(abs(ntk_explicit), 1.0)
+            rf_explicit = float(_features(rf, z) @ _features(rf, zp))
+            assert abs(rf.kernel(z, zp) - rf_explicit) <= 1e-9 * max(abs(rf_explicit), 1.0)
+            ntk_explicit = float(_features(ntk, z) @ _features(ntk, zp))
+            assert abs(ntk.kernel(z, zp) - ntk_explicit) <= 1e-9 * max(abs(ntk_explicit), 1.0)
 
 
 class TestGramAssembly:
@@ -154,33 +149,32 @@ class TestGramAssembly:
         cross = m.prepare(rows).cross(queries)
         for i, q in enumerate(queries):
             for j, r in enumerate(rows):
-                assert cross[i, j] == pytest.approx(kernel_eval(m, q, r), rel=1e-12)
+                assert cross[i, j] == pytest.approx(m.kernel(q, r), rel=1e-12)
 
 
 class TestCenteredFeatures:
     def test_zero_mean_activation_is_identity(self):
         m = sample_rf_map(8, 5, get_activation("h1+h2"), seed=19)
         z = np.random.default_rng(9).standard_normal(5)
-        assert np.array_equal(centered_features(m, z), rf_features(m, z))
+        assert np.array_equal(m.centered_feature_matrix(z), m.feature_matrix(z))
 
     def test_constant_activation_gives_zero(self):
         const = ActivationSpec(name="const2", coeffs=(2.0,))
         m = sample_rf_map(6, 4, const, seed=20)
         z = np.random.default_rng(10).standard_normal(4)
-        assert np.allclose(centered_features(m, z), 0.0, atol=1e-12)
+        assert np.allclose(m.centered_feature_matrix(z), 0.0, atol=1e-12)
 
     def test_h0_plus_h1_centering_strips_constant(self):
         combo = ActivationSpec(name="h0+h1-test", coeffs=(1.0, 1.0))
         m = sample_rf_map(7, 5, combo, seed=21)
         z = np.random.default_rng(11).standard_normal(5)
-        assert np.allclose(centered_features(m, z), m.v @ z, atol=1e-12)
+        assert np.allclose(m.centered_feature_matrix(z)[0], m.v @ z, atol=1e-12)
 
     def test_ntk_centering_inside_kron_factor(self):
         m = sample_ntk_map(4, 5, get_activation("h0+h1"), seed=22)
         z = np.random.default_rng(12).standard_normal(5)
-        cf = centered_features(m, z)
-        assert np.allclose(cf.w, m.activation_derivative(m.w0 @ z) - 1.0, atol=1e-12)
-        assert np.allclose(cf.materialize(), np.kron(z, cf.w), atol=0)
+        w = m.activation_derivative(m.w0 @ z) - 1.0
+        assert np.allclose(m.centered_feature_matrix(z)[0], np.kron(z, w), atol=1e-12)
 
 
 class TestNtkExpectedKernel:
@@ -194,7 +188,7 @@ class TestNtkExpectedKernel:
         zp *= np.sqrt(d) / np.linalg.norm(zp)
         vals = np.array(
             [
-                kernel_eval(sample_ntk_map(k, d, get_activation("h0+h1"), seed=s), z, zp)
+                sample_ntk_map(k, d, get_activation("h0+h1"), seed=s).kernel(z, zp)
                 for s in range(200)
             ]
         )
@@ -207,12 +201,12 @@ class TestNtkExpectedKernel:
 class TestInitOutputs:
     def test_rf_zero_init(self):
         m = sample_rf_map(5, 4, get_activation("relu"), seed=23)
-        assert m.init_output(np.ones(4)) == 0.0
+        assert m.init_outputs(np.ones(4))[0] == 0.0
 
     def test_ntk_init_output_is_feature_dot_initialization(self):
         m = sample_ntk_map(3, 4, get_activation("h0+h1"), seed=24)
         z = np.random.default_rng(14).standard_normal(4)
         theta0 = m.w0.T.ravel()
-        explicit = float(ntk_features(m, z).materialize() @ theta0)
-        assert m.init_output(z) == pytest.approx(explicit, rel=1e-12)
+        explicit = float(_features(m, z) @ theta0)
+        assert m.init_outputs(z)[0] == pytest.approx(explicit, rel=1e-12)
         assert m.init_outputs(z[None, :])[0] == pytest.approx(explicit, rel=1e-12)

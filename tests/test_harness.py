@@ -81,6 +81,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(dict(SMALL_CONFIG, theta0="init"))
 
+    def test_argmax_readout_rejected(self):
+        # sweep labels are +-1, so an argmax readout could only report 0.0
+        with pytest.raises(ConfigError, match="readout"):
+            parse_config(dict(SMALL_CONFIG, readout="argmax"))
+
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(SMALL_CONFIG))

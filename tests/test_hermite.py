@@ -10,21 +10,21 @@ from reconstab.hermite import (
     gamma_ntk_closed_form,
     gamma_rf_lower_bound,
     get_activation,
+    _hermite_matrix,
     hermite_coefficients,
-    hermite_polynomial,
     series_tail_bound,
 )
 
 
 class TestHermitePolynomial:
     def test_h1(self):
-        assert hermite_polynomial(1, 2.0) == pytest.approx(2.0)
+        assert _hermite_matrix(1, 2.0)[1] == pytest.approx(2.0)
 
     def test_h2_at_zero(self):
-        assert hermite_polynomial(2, 0.0) == pytest.approx(-1.0 / math.sqrt(2.0))
+        assert _hermite_matrix(2, 0.0)[2] == pytest.approx(-1.0 / math.sqrt(2.0))
 
     def test_h4_at_zero(self):
-        assert hermite_polynomial(4, 0.0) == pytest.approx(3.0 / math.sqrt(24.0))
+        assert _hermite_matrix(4, 0.0)[4] == pytest.approx(3.0 / math.sqrt(24.0))
 
     def test_first_five_closed_forms(self):
         rho = np.linspace(-3, 3, 31)
@@ -36,7 +36,7 @@ class TestHermitePolynomial:
             (rho**4 - 6 * rho**2 + 3) / math.sqrt(24),
         ]
         for l, expected in enumerate(closed):
-            assert np.allclose(hermite_polynomial(l, rho), expected, atol=1e-12)
+            assert np.allclose(_hermite_matrix(l, rho)[l], expected, atol=1e-12)
 
     def test_orthonormality_under_quadrature(self):
         x, w = hermite._gauss_hermite_nodes(120)
@@ -67,11 +67,11 @@ class TestHermiteCoefficients:
         relu = np.maximum(rho, 0.0)
         spec = hermite_coefficients(get_activation("relu"))
         for l in range(3):
-            mc = float(np.mean(relu * hermite_polynomial(l, rho)))
+            mc = float(np.mean(relu * _hermite_matrix(l, rho)[l]))
             assert abs(spec.coefficients[l] - mc) <= 5e-3
 
     def test_callable_identity_matches_combo(self):
-        callable_spec = ActivationSpec(name="lin", fn=lambda u: u, lipschitz=1.0)
+        callable_spec = ActivationSpec(name="lin", fn=lambda u: u)
         spec = hermite_coefficients(callable_spec, order=8)
         assert abs(spec.coefficients[1] - 1.0) <= 1e-10
         assert np.max(np.abs(np.delete(spec.coefficients, 1))) <= 1e-10
@@ -88,7 +88,7 @@ class TestHermiteCoefficients:
 
     def test_nonconvergent_quadrature_raises(self):
         square_wave = ActivationSpec(
-            name="square-wave", fn=lambda u: np.sign(np.sin(10.0 * u)), lipschitz=10.0
+            name="square-wave", fn=lambda u: np.sign(np.sin(10.0 * u))
         )
         with pytest.raises(QuadratureNonconvergent):
             hermite_coefficients(square_wave, order=10)

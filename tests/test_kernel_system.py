@@ -1,0 +1,75 @@
+"""A single row is a batch of one: every single-row result is the first row of
+the batched result, bitwise, and agrees with the multi-row batch."""
+
+import numpy as np
+import pytest
+
+from reconstab.alignment import AlignmentSolver
+from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
+from reconstab.featuremaps import sample_ntk_map, sample_rf_map
+from reconstab.hermite import get_activation
+from reconstab.linops import KernelSystem
+from reconstab.trainer import FitReport, fit_leave_one_out, fit_min_norm
+
+D_X = D_Y = 5
+
+
+def _instance(kind: str, n: int = 12):
+    teacher = sample_teacher(D_X, 0)
+    dataset = generate_synthetic(n, D_X, D_Y, teacher, 1)
+    probes = generate_synthetic(4, D_X, D_Y, teacher, 2).z
+    if kind == "rf":
+        fmap = sample_rf_map(60, D_X + D_Y, get_activation("h1+h2"), 3)
+    else:
+        fmap = sample_ntk_map(4, D_X + D_Y, get_activation("h0+h1"), 3)
+    return fmap, dataset, probes
+
+
+def _theta0(fmap, policy: str):
+    if policy == "vector":
+        return np.random.default_rng(4).standard_normal(fmap.n_params) * 0.1
+    return policy
+
+
+@pytest.mark.parametrize(
+    "kind,policy",
+    [("rf", "zero"), ("rf", "vector"), ("ntk", "zero"), ("ntk", "init"), ("ntk", "vector")],
+)
+def test_batch_of_one_equals_batch(kind, policy):
+    fmap, dataset, probes = _instance(kind)
+    theta0 = _theta0(fmap, policy)
+    model = fit_min_norm(fmap, dataset, theta0=theta0)
+
+    batch = model.predict(probes)
+    for i, z in enumerate(probes):
+        single = model.predict(z)
+        assert isinstance(single, float)
+        assert single == model.predict(z[None])[0]
+        assert single == pytest.approx(batch[i], rel=1e-12, abs=1e-12)
+
+    z, zp = probes[0], probes[1]
+    assert fmap.kernel(z, zp) == fmap.prepare(zp).cross(z)[0, 0]
+    assert fmap.kernel(z, zp) == pytest.approx(fmap.prepare(probes).cross(z)[0, 1], rel=1e-12)
+
+    # one solve of K^{-1} k(z1) against the explicit two-solve residual formula
+    system = KernelSystem.build(fmap, dataset.z[1:])
+    z1 = dataset.z[0]
+    k1, kz = system.cross(z1)[0], system.cross(z)[0]
+    den = fmap.kernel(z1, z1) - float(k1 @ system.solve(k1))
+    num = fmap.kernel(z, z1) - float(kz @ system.solve(k1))
+    got_num, got_den = AlignmentSolver(system).alignment_parts(z, z1)
+    assert abs(got_num - num) <= 1e-12 * (1.0 + abs(num))
+    assert abs(got_den - den) <= 1e-12 * (1.0 + abs(den))
+
+    # a one-row leave-one-out fit is the initialization model, perfectly conditioned
+    one = LabeledDataset(z=dataset.z[:1], g=dataset.g[:1], d_x=D_X, d_y=D_Y)
+    loo = fit_leave_one_out(fmap, one, 0, theta0=theta0)
+    assert loo.n_train == 0
+    assert loo.report == FitReport(0.0, 0.0, 0.0, 0.0, 1.0, policy)
+    if policy == "zero":
+        f0 = 0.0
+    elif policy == "init":
+        f0 = fmap.init_outputs(z)[0]
+    else:
+        f0 = float(fmap.feature_matrix(z)[0] @ theta0)
+    assert loo.predict(z) == pytest.approx(f0, abs=1e-12)

@@ -56,7 +56,7 @@ class TestFitMinNorm:
         for builder, theta0 in [(_rf_instance, "zero"), (_ntk_instance, "init")]:
             fmap, dataset, _ = builder()
             model = fit_min_norm(fmap, dataset, theta0=theta0)
-            resid = np.max(np.abs(model.predict_many(dataset.z) - dataset.g))
+            resid = np.max(np.abs(model.predict(dataset.z) - dataset.g))
             assert resid <= 1e-8 * (1.0 + np.max(np.abs(dataset.g)))
 
     def test_min_norm_property(self):
@@ -80,7 +80,7 @@ class TestFitMinNorm:
         model = fit_min_norm(fmap, dataset)
         theta = model.materialize_theta()
         probes = generate_synthetic(10, dataset.d_x, dataset.d_y, teacher, 77)
-        via_dual = model.predict_many(probes.z)
+        via_dual = model.predict(probes.z)
         via_theta = fmap.feature_matrix(probes.z) @ theta
         assert np.allclose(via_dual, via_theta, atol=1e-9 * (1 + np.max(np.abs(via_theta))))
 
@@ -90,7 +90,7 @@ class TestFitMinNorm:
         onehot[np.arange(12), np.arange(12) % 3] = 1.0
         ds = LabeledDataset(z=dataset.z, g=onehot, d_x=dataset.d_x, d_y=dataset.d_y)
         model = fit_min_norm(fmap, ds)
-        preds = model.predict_many(ds.z)
+        preds = model.predict(ds.z)
         assert preds.shape == (12, 3)
         assert np.max(np.abs(preds - onehot)) <= 1e-8 * 2
 
@@ -116,8 +116,8 @@ class TestFitLeaveOneOut:
         )
         a = fit_min_norm(fmap, dataset)
         b = fit_min_norm(fmap, reordered)
-        preds_a = a.predict_many(dataset.z)
-        preds_b = b.predict_many(dataset.z)
+        preds_a = a.predict(dataset.z)
+        preds_b = b.predict(dataset.z)
         assert np.allclose(preds_a, preds_b, atol=1e-8)
         assert np.max(np.abs(preds_b - dataset.g)) <= 1e-8 * 2
 
@@ -135,7 +135,7 @@ class TestFitLeaveOneOut:
         fmap, dataset, _ = _ntk_instance(n=1)
         loo = fit_leave_one_out(fmap, dataset, 0, theta0="init")
         probe = np.random.default_rng(4).standard_normal(dataset.d)
-        assert loo.predict(probe) == pytest.approx(fmap.init_output(probe), abs=1e-12)
+        assert loo.predict(probe) == pytest.approx(fmap.init_outputs(probe)[0], abs=1e-12)
 
 
 class TestStabilityEval:
@@ -198,7 +198,7 @@ class TestGeneralizationError:
         fmap, dataset, teacher = _rf_instance(n=40, d_x=15, d_y=15, k=120, seed=21)
         loo = fit_leave_one_out(fmap, dataset, 0)
         draws = generate_synthetic(200, 15, 15, teacher, 45)
-        stab_sq = (draws.g - loo.predict_many(draws.z)) ** 2
+        stab_sq = (draws.g - loo.predict(draws.z)) ** 2
         risk_draws = generate_synthetic(200, 15, 15, teacher, 46)
         report = generalization_error(loo, risk_draws)
         se_stab = np.std(stab_sq, ddof=1) / np.sqrt(len(stab_sq))
