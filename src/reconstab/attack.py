@@ -89,6 +89,16 @@ def run_attack(
     )
 
 
+def _attacked_sample(
+    query_seed: int, t: int, d_x: int, d_y: int, mask: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trial t's attacked sample z1 = [x1, y1] and its masked query."""
+    rng = np.random.default_rng([query_seed, t])
+    z1 = np.concatenate([_sphere_rows(rng, 1, d_x)[0], _sphere_rows(rng, 1, d_y)[0]])
+    z1m = mask_sample(z1, d_x, MaskStrategy(mask, seed=derive_seed(query_seed, [t])))
+    return z1, z1m
+
+
 def _covariance(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Empirical covariance and a delta-method standard error."""
     products = (a - a.mean()) * (b - b.mean())
@@ -101,10 +111,14 @@ def _covariance(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 class CovarianceDiagnostic:
     """Joint statistics of the attack output and the hidden label.
 
-    The proportionality between cov_attack and gamma_mean * cov_stability is
-    the testable equality; the two bound fields are reported in both plausible
-    readings (product of variances as written, and with the square root from a
-    literal Cauchy-Schwarz application) and asserted by neither.
+    Per trial, the attack output at the masked query z1m is the fit on
+    [z1; background], which the stability identity writes as
+    f_-1(z1m) + F(z1m, z1) * S(z1) with S(z1) = g1 - f_-1(z1); stability is
+    S(z1) and gamma_mean averages F(z1m, z1). The proportionality between
+    cov_attack and gamma_mean * cov_stability is the testable equality; the
+    two bound fields are reported in both plausible readings (product of
+    variances as written, and with the square root from a literal
+    Cauchy-Schwarz application) and asserted by neither.
     """
 
     trials: int
@@ -139,13 +153,19 @@ def covariance_diagnostic(
 ) -> CovarianceDiagnostic:
     """Estimate Cov(attack output, label) and its stability-side counterpart.
 
-    The background rows, their labels, and the feature map stay fixed; each
-    trial redraws the attacked sample, refits the interpolator on the full set,
-    and queries it with the masked sample. label_fn overrides the teacher
-    labeling (e.g. to force constant labels); fmap injects a prebuilt feature
-    map (bypassing sampling and the nonlinearity screen) for constructed
-    scenarios such as feature maps that ignore the noise block.
+    The background rows, their labels, and the feature map stay fixed and are
+    fitted once; each trial redraws the attacked sample z1. The fit on
+    [z1; background] is never formed: by S(z) = F(z, z1) * S(z1) its output
+    at the masked query is the background fit's output plus the alignment
+    times the stability at z1, so the whole diagnostic runs on one factored
+    background system. label_fn overrides the teacher labeling (e.g. to force
+    constant labels); fmap injects a prebuilt feature map (bypassing sampling
+    and the nonlinearity screen) for constructed scenarios such as feature
+    maps that ignore the noise block. An attacked sample whose features lie
+    in the background span raises DegenerateDenominator.
     """
+    if kind not in ("rf", "ntk"):
+        raise ValueError(f"unknown map kind {kind!r}")
     if trials < 10:
         raise ValueError("need at least 10 trials")
     d = d_x + d_y
@@ -176,23 +196,12 @@ def covariance_diagnostic(
     labels = np.empty(trials)
     alignments = np.empty(trials)
     for t in range(trials):
-        rng = np.random.default_rng([query_seed, t])
-        x1 = _sphere_rows(rng, 1, d_x)[0]
-        y1 = _sphere_rows(rng, 1, d_y)[0]
-        z1 = np.concatenate([x1, y1])
-        g1 = float(label_fn(x1))
-        full = LabeledDataset(
-            z=np.vstack([z1[None, :], background.z]),
-            g=np.concatenate([[g1], g_rest]),
-            d_x=d_x,
-            d_y=d_y,
-        )
-        model = fit_min_norm(fmap, full, theta0=theta0)
-        z1m = mask_sample(z1, d_x, MaskStrategy(mask, seed=derive_seed(query_seed, [t])))
-        attack_out[t] = model.predict(z1m)
-        stability[t] = g1 - loo_model.predict(z1)
-        labels[t] = g1
+        z1, z1m = _attacked_sample(query_seed, t, d_x, d_y, mask)
+        labels[t] = float(label_fn(z1[:d_x]))
+        # the fit on [z1; background] interpolates g1
+        stability[t] = labels[t] - loo_model.predict(z1)
         alignments[t] = solver.alignment(z1m, z1)
+        attack_out[t] = loo_model.predict(z1m) + alignments[t] * stability[t]
 
     gamma_mean = float(np.mean(alignments))
     cov_attack, se_attack = _covariance(attack_out, labels)

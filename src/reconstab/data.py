@@ -1,4 +1,4 @@
-"""Synthetic two-block datasets, sample masking, noise-frame images, file I/O.
+"""Synthetic two-block datasets, sample masking, matrix and metadata file I/O.
 
 Samples are rows z = [x, y]: x carries the label information, y is noise the
 attacker knows. Both blocks are drawn uniformly on their spheres (Gaussian
@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagic, DimensionOverflow, TruncatedFile, ZeroBlock
+from .errors import BadMagic, DimensionOverflow, TruncatedFile
 
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 MATRIX_MAGIC = b"GLMA"
 
 _ROLE_X = 0
@@ -150,106 +148,6 @@ def mask_sample(z: np.ndarray, d_x: int, strategy: MaskStrategy, index: int = 0)
         rng = np.random.default_rng([strategy.seed, index])
         out[:d_x] = _sphere_rows(rng, 1, d_x)[0]
     return out
-
-
-def add_noise_frame(
-    image: np.ndarray, frame_width: int, seed: int
-) -> tuple[np.ndarray, int, int]:
-    """Surround an H x W x C image with a frame of uniform noise pixels.
-
-    Returns (z, d_x, d_y) with z laid out block-wise: the original pixels
-    (x-block, bit-exact) followed by the frame pixels (y-block), so masking
-    the first d_x entries blanks exactly the picture content.
-    """
-    if frame_width < 1:
-        raise ValueError("frame_width must be >= 1")
-    image = np.asarray(image, dtype=float)
-    if image.ndim == 2:
-        image = image[:, :, None]
-    h, w, c = image.shape
-    d_x = h * w * c
-    hp, wp = h + 2 * frame_width, w + 2 * frame_width
-    d_y = hp * wp * c - d_x
-    rng = np.random.default_rng([seed, 0xF7A3])
-    padded = rng.uniform(0.0, 1.0, size=(hp, wp, c))
-    interior = np.zeros((hp, wp), dtype=bool)
-    interior[frame_width : frame_width + h, frame_width : frame_width + w] = True
-    frame_vals = padded[~interior].ravel()
-    return np.concatenate([image.ravel(), frame_vals]), d_x, d_y
-
-
-def normalize_split(z: np.ndarray, d_x: int) -> np.ndarray:
-    """Rescale the two blocks to their exact sphere radii sqrt(d_x), sqrt(d_y)."""
-    z = np.asarray(z, dtype=float)
-    d_y = z.size - d_x
-    x, y = z[:d_x], z[d_x:]
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if nx < 1e-12 or ny < 1e-12:
-        raise ZeroBlock("cannot normalize a block with near-zero norm")
-    return np.concatenate([x * (np.sqrt(d_x) / nx), y * (np.sqrt(d_y) / ny)])
-
-
-def frame_dataset(
-    images: np.ndarray,
-    labels: np.ndarray,
-    frame_width: int,
-    seed: int,
-    n_classes: int | None = None,
-) -> LabeledDataset:
-    """Noise-framed image dataset: center blocks by the set-wide block means,
-    normalize each block per row, and one-hot encode the labels.
-
-    Real images satisfy the normalization assumptions only approximately; the
-    residual pre-normalization spread is recorded on the result as
-    normalization_residual instead of rejecting the data.
-    """
-    rows = []
-    d_x = d_y = 0
-    for i, img in enumerate(images):
-        z, d_x, d_y = add_noise_frame(img, frame_width, seed=seed + i)
-        rows.append(z)
-    z_all = np.asarray(rows)
-    z_all -= z_all.mean(axis=0, keepdims=True)
-    pre_norms = np.linalg.norm(z_all[:, :d_x], axis=1)
-    residual = float(np.std(pre_norms) / max(np.mean(pre_norms), 1e-12))
-    z_all = np.asarray([normalize_split(z, d_x) for z in z_all])
-    labels = np.asarray(labels, dtype=int)
-    c = int(n_classes if n_classes is not None else labels.max() + 1)
-    onehot = np.zeros((labels.size, c))
-    onehot[np.arange(labels.size), labels] = 1.0
-    ds = LabeledDataset(z=z_all, g=onehot, d_x=d_x, d_y=d_y)
-    ds.normalization_residual = residual
-    return ds
-
-
-def _read_be_i32(f, what: str) -> int:
-    raw = f.read(4)
-    if len(raw) < 4:
-        raise TruncatedFile(f"file ended while reading {what}")
-    return struct.unpack(">i", raw)[0]
-
-
-def load_idx(path) -> np.ndarray:
-    """Load an IDX file: images (count x rows x cols) or labels (count,)."""
-    with open(path, "rb") as f:
-        magic = _read_be_i32(f, "magic")
-        if magic == IDX_LABELS_MAGIC:
-            dims = [_read_be_i32(f, "count")]
-        elif magic == IDX_IMAGES_MAGIC:
-            dims = [_read_be_i32(f, name) for name in ("count", "rows", "cols")]
-        else:
-            raise BadMagic(f"unexpected magic 0x{magic & 0xFFFFFFFF:08x}")
-        total = 1
-        for dim in dims:
-            if dim < 0:
-                raise DimensionOverflow(f"negative dimension {dim}")
-            total *= dim
-        if total > 2**31:
-            raise DimensionOverflow(f"{total} entries exceed the supported size")
-        payload = f.read(total)
-        if len(payload) < total:
-            raise TruncatedFile(f"expected {total} bytes, got {len(payload)}")
-        return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
 def save_matrix(path, matrix: np.ndarray) -> None:

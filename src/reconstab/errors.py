@@ -37,10 +37,6 @@ class QuadratureNonconvergent(ReconstabError):
     """Coefficient estimates kept moving after the node-count cap."""
 
 
-class ZeroBlock(ReconstabError):
-    """A sample block has (near-)zero norm and cannot be normalized."""
-
-
 class BadMagic(ReconstabError):
     """File magic number does not match the expected format."""
 

@@ -36,22 +36,6 @@ from .trainer import fit_min_norm, generalization_error
 
 WORKERS_ENV = "RECONSTAB_WORKERS"
 
-_CONFIG_FIELDS = {
-    "model": str,
-    "k": int,
-    "d_x": int,
-    "d_y": int,
-    "activation": str,
-    "n_grid": list,
-    "trials": int,
-    "mask": str,
-    "readout": str,
-    "master_seed": int,
-    "theta0": str,
-    "test_size": int,
-    "gamma_trials": int,
-    "output": str,
-}
 _REQUIRED = ("model", "k", "d_x", "d_y", "activation", "n_grid", "trials", "master_seed")
 
 
@@ -139,7 +123,7 @@ def parse_config(source) -> ExperimentConfig:
             doc = json.load(f)
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(doc) - set(_CONFIG_FIELDS)
+    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     missing = [key for key in _REQUIRED if key not in doc]

@@ -51,9 +51,7 @@ class TrainedModel:
     """
 
     system: KernelSystem
-    targets: np.ndarray
     dual_coefs: np.ndarray
-    f0_train: np.ndarray
     theta0_policy: str
     theta0_vector: np.ndarray | None
     report: FitReport
@@ -136,9 +134,7 @@ def fit_min_norm(fmap, dataset: LabeledDataset, theta0="zero") -> TrainedModel:
     )
     return TrainedModel(
         system=system,
-        targets=targets,
         dual_coefs=coefs,
-        f0_train=f0,
         theta0_policy=policy,
         theta0_vector=vec,
         report=report,

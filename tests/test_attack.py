@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from reconstab import attack
 from reconstab.alignment import feature_alignment
 from reconstab.attack import (
     QueryBatch,
+    _attacked_sample,
+    _covariance,
     argmax_readout,
     build_query_batch,
     covariance_diagnostic,
@@ -11,10 +14,25 @@ from reconstab.attack import (
     sign_readout,
 )
 from reconstab.data import LabeledDataset, MaskStrategy, generate_synthetic, sample_teacher
-from reconstab.errors import MapMismatch
+from reconstab.errors import DegenerateDenominator, MapMismatch
 from reconstab.featuremaps import RFMap, sample_rf_map
 from reconstab.hermite import get_activation
+from reconstab.seeding import ROLE_DATA, ROLE_QUERY, derive_seed
 from reconstab.trainer import fit_min_norm
+
+
+def _record_fits(monkeypatch) -> list:
+    """(fmap, dataset, model) of every fit the attack module makes."""
+    calls = []
+    real = attack.fit_min_norm
+
+    def recording(fmap, dataset, theta0="zero"):
+        model = real(fmap, dataset, theta0=theta0)
+        calls.append((fmap, dataset, model))
+        return model
+
+    monkeypatch.setattr(attack, "fit_min_norm", recording)
+    return calls
 
 
 def _fitted_instance(n=30, d_x=12, d_y=12, k=150, seed=0):
@@ -168,3 +186,65 @@ class TestCovarianceDiagnostic:
         assert diag.bound_sqrt == pytest.approx(
             diag.gamma_mean * np.sqrt(diag.var_stability * diag.var_labels)
         )
+
+    @pytest.mark.parametrize("mask", ["resample", "zero"])
+    @pytest.mark.parametrize(
+        "kind, activation, k, theta0",
+        [("rf", "h1+h2", 120, "zero"), ("ntk", "h0+h1", 8, "init")],
+    )
+    def test_matches_explicit_refits(self, monkeypatch, kind, activation, k, theta0, mask):
+        # oracle: each trial's attack output from an explicit fit on [z1; background]
+        d_x, d_y, n, trials, seed = 6, 6, 16, 12, 4
+        calls = _record_fits(monkeypatch)
+        diag = covariance_diagnostic(
+            kind, get_activation(activation), k=k, n=n, d_x=d_x, d_y=d_y,
+            trials=trials, master_seed=seed, mask=mask, theta0=theta0,
+        )
+        ((fmap, background, loo),) = calls
+        teacher = sample_teacher(d_x, derive_seed(seed, [ROLE_DATA]))
+        query_seed = derive_seed(seed, [ROLE_QUERY])
+        outputs, stability, labels = [], [], []
+        for t in range(trials):
+            z1, z1m = _attacked_sample(query_seed, t, d_x, d_y, mask)
+            g1 = teacher.label(z1[:d_x])
+            full = LabeledDataset(
+                z=np.vstack([z1, background.z]),
+                g=np.concatenate([[g1], background.g]),
+                d_x=d_x,
+                d_y=d_y,
+            )
+            outputs.append(fit_min_norm(fmap, full, theta0=theta0).predict(z1m))
+            stability.append(g1 - loo.predict(z1))
+            labels.append(g1)
+        cov_attack, _ = _covariance(np.array(outputs), np.array(labels))
+        cov_stability, _ = _covariance(np.array(stability), np.array(labels))
+        gap = abs(cov_attack - diag.gamma_mean * cov_stability)
+        assert diag.cov_attack == pytest.approx(cov_attack, rel=1e-10)
+        assert diag.first_equality_gap == pytest.approx(gap, rel=1e-10)
+
+    def test_one_fit_per_diagnostic(self, monkeypatch):
+        calls = _record_fits(monkeypatch)
+        covariance_diagnostic(
+            "rf", get_activation("h1+h2"), k=80, n=16, d_x=8, d_y=8,
+            trials=30, master_seed=5,
+        )
+        assert len(calls) == 1
+
+    def test_attacked_sample_in_background_span_rejected(self):
+        # label-blind features span R^{d_x} with the d_x background rows, so
+        # every attacked sample's feature lies in the background span
+        d_x, d_y = 8, 4
+        v = np.hstack([np.eye(d_x), np.zeros((d_x, d_y))])
+        fmap = RFMap(v=v, activation=get_activation("identity"), seed=0)
+        with pytest.raises(DegenerateDenominator):
+            covariance_diagnostic(
+                "rf", get_activation("identity"), k=d_x, n=d_x + 1, d_x=d_x, d_y=d_y,
+                trials=10, master_seed=6, fmap=fmap,
+            )
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            covariance_diagnostic(
+                "foo", get_activation("h1+h2"), k=80, n=16, d_x=8, d_y=8,
+                trials=12, master_seed=0,
+            )

@@ -6,16 +6,13 @@ import pytest
 from reconstab import data as datamod
 from reconstab.data import (
     MaskStrategy,
-    add_noise_frame,
     generate_synthetic,
-    load_idx,
     load_matrix,
     mask_sample,
-    normalize_split,
     sample_teacher,
     save_matrix,
 )
-from reconstab.errors import BadMagic, DimensionOverflow, TruncatedFile, ZeroBlock
+from reconstab.errors import BadMagic, DimensionOverflow, TruncatedFile
 
 
 @pytest.fixture
@@ -100,82 +97,6 @@ class TestMaskSample:
         assert not np.allclose(a[:5], b[:5])
 
 
-class TestAddNoiseFrame:
-    def test_tiny_image_dimensions(self):
-        z, d_x, d_y = add_noise_frame(np.ones((2, 2)), frame_width=1, seed=0)
-        assert (d_x, d_y) == (4, 12)
-        assert z.size == 16
-
-    def test_mnist_geometry(self):
-        z, d_x, d_y = add_noise_frame(np.zeros((28, 28)), frame_width=10, seed=1)
-        assert (d_x, d_y) == (784, 48**2 - 28**2)
-
-    def test_interior_preserved_bit_exactly(self):
-        rng = np.random.default_rng(2)
-        img = rng.uniform(size=(5, 4, 2))
-        z, d_x, _ = add_noise_frame(img, frame_width=2, seed=3)
-        assert np.array_equal(z[:d_x], img.ravel())
-
-    def test_seed_changes_frame_only(self):
-        img = np.arange(12.0).reshape(3, 4)
-        za, d_x, _ = add_noise_frame(img, 1, seed=4)
-        zb, _, _ = add_noise_frame(img, 1, seed=5)
-        assert np.array_equal(za[:d_x], zb[:d_x])
-        assert not np.allclose(za[d_x:], zb[d_x:])
-
-
-class TestNormalizeSplit:
-    def test_rescales_blocks(self):
-        out = normalize_split(np.array([3.0, 4.0, 1.0]), 2)
-        assert np.allclose(out[:2], np.array([3.0, 4.0]) / 5.0 * np.sqrt(2))
-        assert np.linalg.norm(out[:2]) == pytest.approx(np.sqrt(2), abs=1e-12)
-        assert np.linalg.norm(out[2:]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_idempotent(self):
-        z = normalize_split(np.array([1.0, -2.0, 0.5, 3.0]), 2)
-        again = normalize_split(z, 2)
-        assert np.allclose(again, z, atol=1e-12)
-
-    def test_zero_block_raises(self):
-        with pytest.raises(ZeroBlock):
-            normalize_split(np.array([0.0, 0.0, 1.0]), 2)
-
-
-class TestIdx:
-    def test_empty_label_file(self, tmp_path):
-        path = tmp_path / "labels.idx"
-        path.write_bytes(struct.pack(">ii", 0x00000801, 0))
-        assert load_idx(path).shape == (0,)
-
-    def test_handwritten_image_fixture(self, tmp_path):
-        # two 2x2 images with enumerated pixel bytes
-        path = tmp_path / "imgs.idx"
-        pixels = bytes([0, 1, 2, 3, 250, 251, 252, 253])
-        path.write_bytes(struct.pack(">iiii", 0x00000803, 2, 2, 2) + pixels)
-        images = load_idx(path)
-        assert images.shape == (2, 2, 2)
-        assert images[0].tolist() == [[0, 1], [2, 3]]
-        assert images[1].tolist() == [[250, 251], [252, 253]]
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.idx"
-        path.write_bytes(struct.pack(">ii", 0x00000999, 3))
-        with pytest.raises(BadMagic):
-            load_idx(path)
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "short.idx"
-        path.write_bytes(struct.pack(">ii", 0x00000801, 10) + b"\x01\x02")
-        with pytest.raises(TruncatedFile):
-            load_idx(path)
-
-    def test_negative_dimension(self, tmp_path):
-        path = tmp_path / "neg.idx"
-        path.write_bytes(struct.pack(">ii", 0x00000801, -5))
-        with pytest.raises(DimensionOverflow):
-            load_idx(path)
-
-
 class TestMatrixFormat:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -200,6 +121,12 @@ class TestMatrixFormat:
         with pytest.raises(BadMagic):
             load_matrix(path)
 
+    def test_oversized_header(self, tmp_path):
+        path = tmp_path / "huge.glma"
+        path.write_bytes(b"GLMA" + struct.pack("<II", 2**20, 2**20))
+        with pytest.raises(DimensionOverflow):
+            load_matrix(path)
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.glma"
         path.write_bytes(b"GLMA" + struct.pack("<II", 2, 2) + b"\0" * 8)
@@ -215,15 +142,3 @@ class TestMetadata:
         back = datamod.read_metadata(path)
         assert back == {k: str(v) for k, v in meta.items()}
 
-
-class TestFrameDataset:
-    def test_builds_onehot_normalized_rows(self):
-        rng = np.random.default_rng(4)
-        images = rng.uniform(size=(6, 4, 4))
-        labels = np.array([0, 1, 2, 0, 1, 2])
-        ds = datamod.frame_dataset(images, labels, frame_width=1, seed=5)
-        assert ds.g.shape == (6, 3)
-        assert np.array_equal(ds.g.sum(axis=1), np.ones(6))
-        assert ds.label_mode == "argmax"
-        assert np.allclose(np.linalg.norm(ds.x_block(), axis=1), np.sqrt(ds.d_x), atol=1e-9)
-        assert ds.normalization_residual >= 0.0
