@@ -246,12 +246,13 @@ def estimate_gamma(
 
 
 def estimate_gamma_on_instance(
-    fmap, z_minus1: np.ndarray, d_x: int, trials: int, seed: int
+    background: KernelSystem, d_x: int, trials: int, seed: int
 ) -> tuple[float, float]:
-    """Mean/std of the masked-query alignment on one fixed instance."""
-    rows = np.atleast_2d(z_minus1)
-    solver = AlignmentSolver(KernelSystem.build(fmap, rows))
-    d_y = rows.shape[1] - d_x
+    """Mean/std of the masked-query alignment against one fixed background
+    system (its map and factored rows).
+    """
+    solver = AlignmentSolver(background)
+    d_y = background.map.d - d_x
     values, _, _ = _sample_alignments(solver, d_x, d_y, trials, seed)
     return float(np.mean(values)), float(np.std(values, ddof=1))
 

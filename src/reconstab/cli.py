@@ -166,7 +166,6 @@ def _cmd_gen_data(args) -> int:
             "d_y": dataset.d_y,
             "seed": args.seed,
             "label_mode": dataset.label_mode,
-            "frame_width": 0,
         },
     )
     print(f"wrote {args.out}.z.glma, {args.out}.g.glma, {args.out}.meta", file=sys.stderr)

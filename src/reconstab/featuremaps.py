@@ -4,7 +4,9 @@ Every entry point takes rows: an (n, d) array, where a 1-D row of length d is
 a batch of one. ``feature_matrix`` and ``centered_feature_matrix`` return the
 (n, p) features, ``init_outputs`` the n model outputs at the initialization,
 and ``prepare`` holds training rows whose ``gram`` and ``cross`` give the
-kernel against them. ``kernel(z, zp)`` is the one-row cross kernel.
+kernel against them and whose ``feature_matrix()`` gives their features;
+``head(m)`` is the first m of them, without copying. ``kernel(z, zp)`` is the
+one-row cross kernel.
 
 Tangent features z (x) act'(W0 z) have dimension k*d. Prepared tangent rows
 keep the two factors and never materialize them, because every kernel entry
@@ -77,7 +79,7 @@ class RFMap:
 
     def prepare(self, rows: np.ndarray) -> "_PreparedRF":
         rows = _as_rows(rows, self.d)
-        return _PreparedRF(self, rows, self.feature_matrix(rows))
+        return _PreparedRF(self, self.feature_matrix(rows))
 
     def init_outputs(self, rows: np.ndarray) -> np.ndarray:
         """Model outputs at the zero parameter vector."""
@@ -148,16 +150,22 @@ class NTKMap:
 
 
 class _PreparedRF:
-    """RF training rows with their feature matrix precomputed."""
+    """RF training rows, kept as their feature matrix only."""
 
-    def __init__(self, fmap: RFMap, rows: np.ndarray, phi: np.ndarray):
+    def __init__(self, fmap: RFMap, phi: np.ndarray):
         self.map = fmap
-        self.rows = rows
         self.phi = phi
 
     @property
     def n(self) -> int:
         return self.phi.shape[0]
+
+    def head(self, m: int) -> "_PreparedRF":
+        """The first m training rows, sharing this object's arrays."""
+        return _PreparedRF(self.map, self.phi[:m])
+
+    def feature_matrix(self) -> np.ndarray:
+        return self.phi
 
     def gram(self) -> np.ndarray:
         k = self.phi @ self.phi.T
@@ -179,6 +187,14 @@ class _PreparedNTK:
     @property
     def n(self) -> int:
         return self.rows.shape[0]
+
+    def head(self, m: int) -> "_PreparedNTK":
+        """The first m training rows, sharing this object's arrays."""
+        return _PreparedNTK(self.map, self.rows[:m], self.derivs[:m])
+
+    def feature_matrix(self) -> np.ndarray:
+        """Materialized N x (k d) features of the rows; desk-scale sizes only."""
+        return _kron_rows(self.rows, self.derivs)
 
     def gram(self) -> np.ndarray:
         k = (self.rows @ self.rows.T) * (self.derivs @ self.derivs.T)

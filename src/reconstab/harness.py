@@ -4,6 +4,12 @@ Every row is a pure function of (config, master seed): data, map, test draw,
 mask, and alignment trials all get independent derived seeds. Rows may be
 computed concurrently but are always emitted in (N, trial) order, so the CSV
 bytes do not depend on the worker count.
+
+A row factors one Gram. The fit sees the training rows in the order
+[z_2..z_N; z_1], so the background system of the alignment trials (every row
+but z_1) is the leading block of the fit's system; the fit itself does not
+depend on the row order beyond roundoff. Test and attack queries, and the
+attack's labels, keep the dataset's order.
 """
 
 from __future__ import annotations
@@ -17,9 +23,11 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .alignment import estimate_gamma_on_instance
 from .attack import build_query_batch, run_attack
-from .data import MaskStrategy, generate_synthetic, sample_teacher
+from .data import LabeledDataset, MaskStrategy, generate_synthetic, sample_teacher
 from .errors import ConfigError, ReconstabError
 from .featuremaps import sample_ntk_map, sample_rf_map
 from .hermite import get_activation
@@ -176,6 +184,14 @@ def rows_to_csv_bytes(rows) -> bytes:
     return buf.getvalue().encode()
 
 
+def _first_row_last(dataset: LabeledDataset) -> LabeledDataset:
+    """The dataset with its first row moved to the end."""
+    return LabeledDataset(
+        z=np.roll(dataset.z, -1, axis=0), g=np.roll(dataset.g, -1, axis=0),
+        d_x=dataset.d_x, d_y=dataset.d_y,
+    )
+
+
 def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
     master = config.master_seed
     teacher = sample_teacher(config.d_x, derive_seed(master, [ROLE_TEACHER]))
@@ -195,7 +211,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
             fmap = sample_rf_map(config.k, config.d, activation, map_seed)
         else:
             fmap = sample_ntk_map(config.k, config.d, activation, map_seed)
-        model = fit_min_norm(fmap, dataset, theta0=config.theta0)
+        model = fit_min_norm(fmap, _first_row_last(dataset), theta0=config.theta0)
         test = generate_synthetic(
             config.test_size, config.d_x, config.d_y, teacher, test_seed
         )
@@ -203,7 +219,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
         batch = build_query_batch(dataset, MaskStrategy(config.mask, seed=mask_seed))
         attack = run_attack(model, batch, dataset.g, config.readout)
         gamma_mean, gamma_std = estimate_gamma_on_instance(
-            fmap, dataset.z[1:], config.d_x, config.gamma_trials, gamma_seed
+            model.system.leading(n - 1), config.d_x, config.gamma_trials, gamma_seed
         )
     except ReconstabError as exc:
         return ResultRow(

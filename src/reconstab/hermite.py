@@ -97,6 +97,19 @@ class HermiteSpectrum:
     nodes: int = 0
 
 
+def _jacobi_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the n x n Jacobi matrix of the orthonormal basis.
+
+    The eigenvalues are the Gauss-Hermite nodes x_i, and eigenvector i holds
+    sqrt(w_i) h_l(x_i) at entry l, up to one sign per eigenvector.
+    """
+    jacobi = np.zeros((n, n))
+    off = np.sqrt(np.arange(1, n))
+    jacobi[np.arange(n - 1), np.arange(1, n)] = off
+    jacobi[np.arange(1, n), np.arange(n - 1)] = off
+    return np.linalg.eigh(jacobi)
+
+
 def _gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Probabilists' Gauss-Hermite rule: E[f(rho)] ~= sum w_i f(x_i).
 
@@ -104,11 +117,7 @@ def _gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     library routine this stays finite at large node counts (extreme-node
     weights underflow harmlessly to zero).
     """
-    jacobi = np.zeros((n, n))
-    off = np.sqrt(np.arange(1, n))
-    jacobi[np.arange(n - 1), np.arange(1, n)] = off
-    jacobi[np.arange(1, n), np.arange(n - 1)] = off
-    nodes, vectors = np.linalg.eigh(jacobi)
+    nodes, vectors = _jacobi_eigh(n)
     return nodes, vectors[0] ** 2
 
 
@@ -128,10 +137,12 @@ def _half_range_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _quadrature_coeffs(act: ActivationSpec, order: int, nodes: int) -> np.ndarray:
     if act.split_at_zero:
         x, w = _half_range_nodes(nodes)
-    else:
-        x, w = _gauss_hermite_nodes(nodes)
-    basis = _hermite_matrix(order, x)
-    return basis @ (w * act(x))
+        return _hermite_matrix(order, x) @ (w * act(x))
+    # w_i h_l(x_i) = v[l, i] v[0, i] straight from the eigenvectors: forming
+    # w_i and h_l(x_i) apart multiplies the roundoff of a tiny outer weight
+    # by a huge h_l(x_i), and high orders stop converging
+    x, vectors = _jacobi_eigh(nodes)
+    return vectors[: order + 1] @ (vectors[0] * act(x))
 
 
 def hermite_coefficients(

@@ -3,6 +3,13 @@
 All projections go through the Gram form  P_A v = A^T (A A^T)^{-1} A v, so only
 N x N systems are ever factored (the feature dimension p can be much larger
 than N and the explicit p x p projector is never materialized).
+
+Each Gram is factored once, by Cholesky. Solves against the factor are blocked
+triangular substitutions: off-diagonal blocks are BLAS matrix products and
+only the small diagonal blocks go through a direct solve, so no N x N system
+is ever handed to a general LU. The factor of a leading principal block is the
+leading block of the factor, so the system on the first m training rows is a
+view of the full system (``KernelSystem.leading``), not a second factorization.
 """
 
 from __future__ import annotations
@@ -17,6 +24,12 @@ from .errors import NotSymmetric, SingularGram, SingularKernel
 # the largest one (scaled by max matrix dimension). Below it we raise instead
 # of regularizing: a ridge term would silently break exact interpolation.
 RANK_TOL_FACTOR = 1e-10
+
+# Width of the diagonal blocks of the triangular solves. The direct solves of
+# the diagonal blocks cost O(N * SOLVE_BLOCK^2) per call. On a 2-core Xeon with
+# 2 BLAS threads, at N = 1500 and 3000 with 1 and 20 right-hand sides, widths
+# 32 and 64 were within 15% of each other and 128 to 512 were slower.
+SOLVE_BLOCK = 64
 
 
 def gram(a: np.ndarray) -> np.ndarray:
@@ -35,8 +48,11 @@ def rank_tolerance(max_eig: float, n: int, p: int) -> float:
 class KernelSolveCache:
     """Cholesky factorization of an SPD Gram/kernel matrix plus spectrum metadata.
 
-    Solves apply one iterative-refinement pass: the alignment ratio divides two
-    small quantities and benefits from the extra digit of accuracy.
+    Solves run blocked forward substitution on L and back substitution on L^T,
+    then one iterative-refinement pass: the alignment ratio divides two small
+    quantities and benefits from the extra digit of accuracy. A leading view
+    (``leading``) shares the factor's memory and has no spectrum of its own:
+    its eigenvalue fields are NaN.
     """
 
     chol: np.ndarray
@@ -67,12 +83,26 @@ class KernelSolveCache:
     def n(self) -> int:
         return self.chol.shape[0]
 
+    def leading(self, m: int) -> "KernelSolveCache":
+        """The factor of the leading m x m block, as a view of this one.
+
+        By interlacing, lambda_min of the block is at least this matrix's, so
+        the block clears the rank tolerance whenever this matrix does.
+        """
+        if not 0 <= m <= self.n:
+            raise ValueError(f"leading block of {m} rows out of range for n={self.n}")
+        nan = float("nan")
+        return KernelSolveCache(
+            chol=self.chol[:m, :m], matrix=self.matrix[:m, :m],
+            min_eig=nan, max_eig=nan, tol=nan,
+        )
+
     @property
     def condition(self) -> float:
-        """lambda_max / lambda_min; 1.0 for the empty system."""
+        """lambda_max / lambda_min; 1.0 for the empty system, NaN for a view."""
         if self.n == 0:
             return 1.0
-        return self.max_eig / self.min_eig if self.min_eig > 0 else np.inf
+        return np.inf if self.min_eig <= 0 else self.max_eig / self.min_eig
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve K x = b with one refinement pass."""
@@ -84,8 +114,22 @@ class KernelSolveCache:
         return x + self._chol_solve(r)
 
     def _chol_solve(self, b: np.ndarray) -> np.ndarray:
-        y = np.linalg.solve(self.chol, b)
-        return np.linalg.solve(self.chol.T, y)
+        """(L L^T)^{-1} b by forward then back substitution over diagonal blocks."""
+        l = self.chol
+        n = self.n
+        starts = range(0, n, SOLVE_BLOCK)
+        y = np.array(b, dtype=float)
+        for s in starts:
+            e = min(s + SOLVE_BLOCK, n)
+            if s:
+                y[s:e] -= l[s:e, :s] @ y[:s]
+            y[s:e] = np.linalg.solve(l[s:e, s:e], y[s:e])
+        for s in reversed(starts):
+            e = min(s + SOLVE_BLOCK, n)
+            if e < n:
+                y[s:e] -= l[e:, s:e].T @ y[e:]
+            y[s:e] = np.linalg.solve(l[s:e, s:e].T, y[s:e])
+        return y
 
 
 @dataclass(eq=False)
@@ -121,6 +165,14 @@ class KernelSystem:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self.cache.solve(b)
+
+    def leading(self, m: int) -> "KernelSystem":
+        """The system on the first m training rows, sharing this one's
+        prepared rows and factor: no second Gram or factorization.
+        """
+        return KernelSystem(
+            map=self.map, prepared=self.prepared.head(m), cache=self.cache.leading(m)
+        )
 
 
 def project_rowspace(a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -78,7 +78,7 @@ class TrainedModel:
 
     def materialize_theta(self) -> np.ndarray:
         """Explicit parameter vector theta* (desk scale only for tangent maps)."""
-        phi = self.map.feature_matrix(self.system.prepared.rows)
+        phi = self.system.prepared.feature_matrix()
         correction = phi.T @ self.dual_coefs
         if self.theta0_policy == "zero":
             return correction

@@ -172,11 +172,23 @@ def check_hermite_engine() -> CheckResult:
     basis = _hermite_matrix(8, x)
     gram_matrix = (basis * w) @ basis.T
     ortho_err = float(np.max(np.abs(gram_matrix - np.eye(9))))
-    ok = mu0_err <= 1e-6 and mu1_err <= 1e-6 and ortho_err <= 1e-10
+    # tanh and d(tanh) by Gauss-Hermite quadrature, tied by Stein's identity
+    # E[f h_l] = E[f' h_{l-1}] / sqrt(l); tanh is odd, so mu_0 = 0
+    tanh = get_activation("tanh")
+    mu = hermite_coefficients(tanh).coefficients
+    dmu = hermite_coefficients(tanh.derivative()).coefficients
+    orders = np.arange(1, mu.size)
+    stein_err = float(np.max(np.abs(np.sqrt(orders) * mu[1:] - dmu[:-1])))
+    tanh_mu0_err = abs(float(mu[0]))
+    ok = (
+        mu0_err <= 1e-6 and mu1_err <= 1e-6 and ortho_err <= 1e-10
+        and stein_err <= 1e-10 and tanh_mu0_err <= 1e-12
+    )
     return CheckResult(
         "hermite-engine",
         ok,
-        f"mu0 err {mu0_err:.2e}, mu1 err {mu1_err:.2e}, ortho err {ortho_err:.2e}",
+        f"mu0 err {mu0_err:.2e}, mu1 err {mu1_err:.2e}, ortho err {ortho_err:.2e}, "
+        f"tanh Stein err {stein_err:.2e}, tanh mu0 {tanh_mu0_err:.2e}",
     )
 
 

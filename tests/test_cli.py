@@ -32,6 +32,16 @@ def test_hermite_table(capsys):
     assert abs(float(first[1]) - 1.0 / np.sqrt(2 * np.pi)) < 1e-6
 
 
+@pytest.mark.parametrize("model", ["rf", "ntk"])
+def test_tanh_commands_exit_zero(model, capsys):
+    assert main(["hermite", "--activation", "tanh"]) == 0
+    assert main([
+        "gamma", "--model", model, "--activation", "tanh",
+        "--k", "40", "--dx", "8", "--dy", "8", "--n", "20", "--trials", "3", "--seed", "1",
+    ]) == 0
+    assert "verdict=" in capsys.readouterr().out
+
+
 def test_gamma_row(capsys):
     code = main([
         "gamma", "--model", "ntk", "--activation", "h0+h1",
@@ -83,6 +93,7 @@ def test_gen_data_round_trip(tmp_path):
     assert z.shape == (9, 7)
     assert set(np.unique(g)) <= {-1.0, 1.0}
     assert meta["n"] == "9" and meta["d_x"] == "4" and meta["label_mode"] == "sign"
+    assert "frame_width" not in meta
 
 
 def test_eigs_reports_scaled_eigenvalue(capsys):

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from reconstab import harness, linops, verify
+from reconstab.alignment import estimate_gamma_on_instance
+from reconstab.data import generate_synthetic, sample_teacher
 from reconstab.errors import ConfigError
+from reconstab.featuremaps import sample_ntk_map, sample_rf_map
 from reconstab.harness import (
     RESULT_COLUMNS,
     ExperimentConfig,
@@ -14,7 +17,8 @@ from reconstab.harness import (
     rows_to_csv_bytes,
     run_sweep,
 )
-from reconstab.seeding import ROLE_DATA, ROLE_MAP, derive_seed
+from reconstab.hermite import get_activation
+from reconstab.seeding import ROLE_DATA, ROLE_GAMMA, ROLE_MAP, ROLE_TEACHER, derive_seed
 
 SMALL_CONFIG = {
     "model": "rf",
@@ -141,6 +145,45 @@ class TestRunSweep:
         assert parsed[0] == RESULT_COLUMNS
         assert len(parsed) == 1 + len(config.n_grid) * config.trials
         float(parsed[1][RESULT_COLUMNS.index("test_acc")])
+
+
+NTK_CONFIG = dict(SMALL_CONFIG, model="ntk", k=8, activation="h0+h1")
+
+
+class TestOneFactorPerRow:
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
+    def test_gamma_matches_a_separately_factored_background(self, doc):
+        config = parse_config(dict(doc))
+        teacher = sample_teacher(config.d_x, derive_seed(config.master_seed, [ROLE_TEACHER]))
+        sample_map = sample_rf_map if config.model == "rf" else sample_ntk_map
+        for row in run_sweep(config):
+            n_idx = config.n_grid.index(row.n)
+            seed = {
+                role: derive_seed(config.master_seed, [n_idx, row.trial, role])
+                for role in (ROLE_DATA, ROLE_MAP, ROLE_GAMMA)
+            }
+            dataset = generate_synthetic(row.n, config.d_x, config.d_y, teacher, seed[ROLE_DATA])
+            fmap = sample_map(config.k, config.d, get_activation(config.activation), seed[ROLE_MAP])
+            background = linops.KernelSystem.build(fmap, dataset.z[1:])
+            mean, std = estimate_gamma_on_instance(
+                background, config.d_x, config.gamma_trials, seed[ROLE_GAMMA]
+            )
+            assert row.gamma_mean == pytest.approx(mean, rel=1e-12, abs=0)
+            assert row.gamma_std == pytest.approx(std, rel=1e-12, abs=0)
+
+    def test_one_factorization_per_row(self, monkeypatch):
+        calls = []
+        real = linops.KernelSolveCache.factor.__func__
+
+        def counting(cls, k, p=None):
+            calls.append(np.shape(k))
+            return real(cls, k, p)
+
+        monkeypatch.setattr(linops.KernelSolveCache, "factor", classmethod(counting))
+        config = parse_config(dict(SMALL_CONFIG))
+        rows = run_sweep(config)
+        assert all(row.error == "" for row in rows)
+        assert calls == [(row.n, row.n) for row in rows]
 
 
 class TestVerifySuites:

@@ -86,6 +86,20 @@ class TestHermiteCoefficients:
         assert captured_40 >= captured_10
         assert second_moment - captured_40 <= 2e-4
 
+    def test_tanh_converges_and_matches_trapezoid_oracle(self):
+        tanh = get_activation("tanh")
+        spec = hermite_coefficients(tanh)
+        dspec = hermite_coefficients(tanh.derivative())
+        assert spec.nodes <= hermite.MAX_NODES and dspec.nodes <= hermite.MAX_NODES
+        # Stein's identity: E[f h_l] = E[f' h_{l-1}] / sqrt(l)
+        orders = np.arange(1, spec.coefficients.size)
+        stein = np.sqrt(orders) * spec.coefficients[1:] - dspec.coefficients[:-1]
+        assert np.max(np.abs(stein)) <= 1e-10
+        rho = np.linspace(-20.0, 20.0, 40001)
+        weights = np.exp(-0.5 * rho**2) / math.sqrt(2 * math.pi) * (rho[1] - rho[0])
+        oracle = _hermite_matrix(spec.truncation, rho) @ (weights * np.tanh(rho))
+        assert np.max(np.abs(spec.coefficients - oracle)) <= 1e-10
+
     def test_nonconvergent_quadrature_raises(self):
         square_wave = ActivationSpec(
             name="square-wave", fn=lambda u: np.sign(np.sin(10.0 * u))

@@ -8,7 +8,7 @@ from reconstab.alignment import AlignmentSolver
 from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
 from reconstab.featuremaps import sample_ntk_map, sample_rf_map
 from reconstab.hermite import get_activation
-from reconstab.linops import KernelSystem
+from reconstab.linops import KernelSolveCache, KernelSystem
 from reconstab.trainer import FitReport, fit_leave_one_out, fit_min_norm
 
 D_X = D_Y = 5
@@ -73,3 +73,38 @@ def test_batch_of_one_equals_batch(kind, policy):
     else:
         f0 = float(fmap.feature_matrix(z)[0] @ theta0)
     assert loo.predict(z) == pytest.approx(f0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["rf", "ntk"])
+@pytest.mark.parametrize("m", [0, 1, 11])
+def test_leading_view_equals_system_on_leading_rows(kind, m, monkeypatch):
+    fmap, dataset, probes = _instance(kind)
+    full = KernelSystem.build(fmap, dataset.z)
+    direct = KernelSystem.build(fmap, dataset.z[:m])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a leading view must not prepare or factor again")
+
+    monkeypatch.setattr(type(fmap), "prepare", forbidden)
+    monkeypatch.setattr(KernelSolveCache, "factor", forbidden)
+    view = full.leading(m)
+    assert view.n == m and view.map is fmap
+    assert np.shares_memory(view.cache.chol, full.cache.chol) or m == 0
+    # the view has no spectrum of its own
+    assert np.isnan(view.cache.min_eig) and np.isnan(view.cache.max_eig)
+
+    cross, expected = view.cross(probes), direct.cross(probes)
+    assert cross.shape == expected.shape == (len(probes), m)
+    assert np.allclose(cross, expected, rtol=1e-12, atol=1e-12)
+    b = np.random.default_rng(m).standard_normal((m, 2))
+    for rhs in (b, b[:, 0]):
+        x, oracle = view.solve(rhs), direct.solve(rhs)
+        assert np.linalg.norm(x - oracle) <= 1e-12 * (1.0 + np.linalg.norm(oracle))
+
+
+def test_leading_rejects_out_of_range():
+    fmap, dataset, _ = _instance("rf")
+    system = KernelSystem.build(fmap, dataset.z)
+    for m in (-1, dataset.n + 1):
+        with pytest.raises(ValueError):
+            system.leading(m)

@@ -4,6 +4,8 @@ import scipy.linalg
 
 from reconstab import linops
 from reconstab.errors import NotSymmetric, SingularGram
+from reconstab.featuremaps import sample_rf_map
+from reconstab.hermite import get_activation
 
 
 def _instance(seed, n=None, p=None):
@@ -181,6 +183,44 @@ class TestKernelSolveCache:
         b = rng.standard_normal(8)
         x = cache.solve(b)
         assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+B = linops.SOLVE_BLOCK
+
+
+class TestBlockedSolve:
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_matches_dense_solve(self, n, width):
+        rng = np.random.default_rng(n)
+        k = linops.gram(rng.standard_normal((n, n + 20)))
+        b = rng.standard_normal(n if width is None else (n, width))
+        cache = linops.KernelSolveCache.factor(k)
+        x = cache.solve(b)
+        oracle = np.linalg.solve(k, b) if n else np.zeros_like(b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - oracle) <= 1e-10 * (1.0 + np.linalg.norm(oracle))
+        # the unrefined substitution against the triangular solves it replaced
+        if n:
+            chol = cache.chol
+            ref = np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+            got = cache._chol_solve(b)
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_ill_conditioned_rf_gram(self):
+        # k = N + 5 random features put the condition number near 3e7
+        n, d = 300, 30
+        rng = np.random.default_rng(0)
+        fmap = sample_rf_map(n + 5, d, get_activation("h1+h2"), 0)
+        z = rng.standard_normal((n, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        k = fmap.prepare(z).gram()
+        cache = linops.KernelSolveCache.factor(k, p=fmap.n_params)
+        assert cache.condition > 1e7
+        b = rng.standard_normal(n)
+        resid = np.linalg.norm(k @ cache.solve(b) - b)
+        oracle_resid = np.linalg.norm(k @ np.linalg.solve(k, b) - b)
+        assert resid <= oracle_resid
 
 
 class TestResidualNormBound:
