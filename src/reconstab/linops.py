@@ -4,12 +4,16 @@ All projections go through the Gram form  P_A v = A^T (A A^T)^{-1} A v, so only
 N x N systems are ever factored (the feature dimension p can be much larger
 than N and the explicit p x p projector is never materialized).
 
-Each Gram is factored once, by Cholesky. Solves against the factor are blocked
-triangular substitutions: off-diagonal blocks are BLAS matrix products and
-only the small diagonal blocks go through a direct solve, so no N x N system
-is ever handed to a general LU. The factor of a leading principal block is the
-leading block of the factor, so the system on the first m training rows is a
-view of the full system (``KernelSystem.leading``), not a second factorization.
+Each Gram is factored once, by Cholesky, and that is the only O(N^3) step.
+The extreme eigenvalues come from Lanczos on the factored matrix (matrix-vector
+products for lambda_max, solves against the factor for lambda_min), not from a
+dense eigensolver. Solves against the factor are blocked triangular
+substitutions: off-diagonal blocks are BLAS matrix products and the small
+diagonal blocks are multiplied by their inverses, computed once per factor, so
+no N x N system is ever handed to a general LU. The factor of a leading
+principal block is the leading block of the factor, so the system on the first
+m training rows is a view of the full system (``KernelSystem.leading``), not a
+second factorization.
 """
 
 from __future__ import annotations
@@ -25,11 +29,21 @@ from .errors import NotSymmetric, SingularGram, SingularKernel
 # of regularizing: a ridge term would silently break exact interpolation.
 RANK_TOL_FACTOR = 1e-10
 
-# Width of the diagonal blocks of the triangular solves. The direct solves of
-# the diagonal blocks cost O(N * SOLVE_BLOCK^2) per call. On a 2-core Xeon with
-# 2 BLAS threads, at N = 1500 and 3000 with 1 and 20 right-hand sides, widths
-# 32 and 64 were within 15% of each other and 128 to 512 were slower.
+# Width of the diagonal blocks of the triangular solves. Inverting the diagonal
+# blocks costs O(N * SOLVE_BLOCK^2) once per factor and holds N * SOLVE_BLOCK
+# floats; applying them costs O(N * SOLVE_BLOCK) per right-hand side, against
+# O(N^2) for the off-diagonal products. On a 2-core Xeon with 2 BLAS threads,
+# at N = 1500 and 3000 with 1 and 20 right-hand sides, 128 was 1-11% faster
+# than 64 on one right-hand side and tied on 20, but costs twice as much to
+# invert (18 against 9 ms at N = 3000); 32 was slower in every case.
 SOLVE_BLOCK = 64
+
+# Lanczos stops once a bound on the distance from its top Ritz value to an
+# eigenvalue falls below this fraction of that Ritz value.
+LANCZOS_TOL = 1e-10
+# Seed of the Lanczos start vector: a fixed generator, not the global one, so
+# an estimate (and the sweep CSV that reports it) depends on the matrix alone.
+LANCZOS_SEED = 0
 
 
 def gram(a: np.ndarray) -> np.ndarray:
@@ -44,9 +58,79 @@ def rank_tolerance(max_eig: float, n: int, p: int) -> float:
     return RANK_TOL_FACTOR * max(n, p) * max(max_eig, 0.0)
 
 
+def _top_eigenvalue(apply, n: int) -> float:
+    """Largest eigenvalue of the symmetric positive definite operator ``apply``
+    on R^n, by Lanczos with full reorthogonalization.
+
+    Let theta be the top Ritz value of the j-step tridiagonal T_j, s its unit
+    eigenvector and beta the next off-diagonal. Then r = beta |s_j| bounds the
+    distance from theta to an eigenvalue, and so does r^2 / gap, with gap the
+    distance from theta to the next Ritz value (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998, sections 11-13). The gap form needs two Ritz
+    values, so it is used from step 2 on. Iteration stops at breakdown
+    (beta <= LANCZOS_TOL * theta: the Krylov space is invariant), after n
+    steps, or when the smaller bound is at most LANCZOS_TOL * theta at two
+    consecutive steps. The bounds place theta near some eigenvalue, not
+    necessarily the largest: when the start vector barely touches the top
+    eigenvector and the rest of the spectrum is a few distinct points, one
+    step can meet the bound on the second eigenvalue just before the Krylov
+    space is exhausted and the top one surfaces. In exact arithmetic theta
+    never exceeds the largest eigenvalue.
+    """
+    q = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    basis = [q / np.linalg.norm(q)]
+    alphas: list[float] = []
+    betas: list[float] = []
+    settled = False
+    while True:
+        q = basis[-1]
+        w = apply(q)
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        if betas:
+            w -= betas[-1] * basis[-2]
+        stacked = np.array(basis)
+        w -= stacked.T @ (stacked @ w)
+        beta = float(np.linalg.norm(w))
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta = float(ritz[-1])
+        r = beta * abs(float(vecs[-1, -1]))
+        gap = theta - float(ritz[-2]) if len(ritz) > 1 else 0.0
+        bound = min(r, r * r / gap) if gap > 0.0 else r
+        converged = bound <= LANCZOS_TOL * theta
+        if beta <= LANCZOS_TOL * theta or len(basis) == n or (converged and settled):
+            return theta
+        settled = converged
+        betas.append(beta)
+        basis.append(w / beta)
+
+
+def _diagonal_inverses(chol: np.ndarray) -> np.ndarray:
+    """Inverses of the SOLVE_BLOCK-wide diagonal blocks of a lower-triangular
+    factor, stacked. The last, partial block is padded with the identity, so
+    block i of the inverse of the leading r x r block is ``[i, :r, :r]``.
+    """
+    n = chol.shape[0]
+    starts = range(0, n, SOLVE_BLOCK)
+    blocks = np.tile(np.eye(SOLVE_BLOCK), (len(starts), 1, 1))
+    for i, s in enumerate(starts):
+        e = min(s + SOLVE_BLOCK, n)
+        blocks[i, : e - s, : e - s] = chol[s:e, s:e]
+    return np.linalg.inv(blocks)
+
+
 @dataclass
 class KernelSolveCache:
     """Cholesky factorization of an SPD Gram/kernel matrix plus spectrum metadata.
+
+    ``min_eig`` and ``max_eig`` are Lanczos estimates (``_top_eigenvalue``),
+    each within about LANCZOS_TOL relative of the exact eigenvalue. lambda_min
+    also carries the factorization's roundoff, at most of order
+    n * eps * lambda_max, because its Lanczos runs on (L L^T)^{-1}; on an RF
+    Gram of condition 3e7 it differs from a dense eigensolver's by 2e-10
+    relative. In exact arithmetic Ritz values never exceed the top
+    eigenvalue, so max_eig is a lower bound and min_eig, the reciprocal of the
+    top eigenvalue of K^{-1}, an upper bound (1/theta >= lambda_min).
 
     Solves run blocked forward substitution on L and back substitution on L^T,
     then one iterative-refinement pass: the alignment ratio divides two small
@@ -56,6 +140,7 @@ class KernelSolveCache:
     """
 
     chol: np.ndarray
+    diag_inv: np.ndarray
     matrix: np.ndarray
     min_eig: float
     max_eig: float
@@ -68,16 +153,27 @@ class KernelSolveCache:
         if k.shape != (n, n):
             raise SingularGram(f"expected square matrix, got {k.shape}")
         if n == 0:
-            return cls(chol=np.zeros((0, 0)), matrix=k, min_eig=0.0, max_eig=0.0, tol=0.0)
-        eigs = np.linalg.eigvalsh(k)
-        min_eig, max_eig = float(eigs[0]), float(eigs[-1])
-        tol = rank_tolerance(max_eig, n, p if p is not None else n)
-        if min_eig <= tol:
-            raise SingularGram(
-                f"smallest eigenvalue {min_eig:.3e} below tolerance {tol:.3e}"
+            return cls(
+                chol=np.zeros((0, 0)), diag_inv=_diagonal_inverses(np.zeros((0, 0))),
+                matrix=k, min_eig=0.0, max_eig=0.0, tol=0.0,
             )
-        chol = np.linalg.cholesky(k)
-        return cls(chol=chol, matrix=k, min_eig=min_eig, max_eig=max_eig, tol=tol)
+        try:
+            chol = np.linalg.cholesky(k)
+        except np.linalg.LinAlgError as exc:
+            raise SingularGram("Gram matrix is not positive definite") from exc
+        nan = float("nan")
+        cache = cls(
+            chol=chol, diag_inv=_diagonal_inverses(chol), matrix=k,
+            min_eig=nan, max_eig=nan, tol=nan,
+        )
+        cache.max_eig = _top_eigenvalue(lambda v: k @ v, n)
+        cache.tol = rank_tolerance(cache.max_eig, n, p if p is not None else n)
+        cache.min_eig = 1.0 / _top_eigenvalue(cache._chol_solve, n)
+        if cache.min_eig <= cache.tol:
+            raise SingularGram(
+                f"smallest eigenvalue {cache.min_eig:.3e} below tolerance {cache.tol:.3e}"
+            )
+        return cache
 
     @property
     def n(self) -> int:
@@ -87,14 +183,17 @@ class KernelSolveCache:
         """The factor of the leading m x m block, as a view of this one.
 
         By interlacing, lambda_min of the block is at least this matrix's, so
-        the block clears the rank tolerance whenever this matrix does.
+        the block clears the rank tolerance whenever this matrix does. The
+        inverse of a leading block of a lower-triangular matrix is the leading
+        block of its inverse, so the stored diagonal-block inverses serve the
+        view as they are.
         """
         if not 0 <= m <= self.n:
             raise ValueError(f"leading block of {m} rows out of range for n={self.n}")
         nan = float("nan")
         return KernelSolveCache(
-            chol=self.chol[:m, :m], matrix=self.matrix[:m, :m],
-            min_eig=nan, max_eig=nan, tol=nan,
+            chol=self.chol[:m, :m], diag_inv=self.diag_inv[: (m + SOLVE_BLOCK - 1) // SOLVE_BLOCK],
+            matrix=self.matrix[:m, :m], min_eig=nan, max_eig=nan, tol=nan,
         )
 
     @property
@@ -114,21 +213,24 @@ class KernelSolveCache:
         return x + self._chol_solve(r)
 
     def _chol_solve(self, b: np.ndarray) -> np.ndarray:
-        """(L L^T)^{-1} b by forward then back substitution over diagonal blocks."""
-        l = self.chol
-        n = self.n
-        starts = range(0, n, SOLVE_BLOCK)
+        """(L L^T)^{-1} b by forward then back substitution over diagonal blocks.
+
+        Both passes read L by row panels L[s:e, :s], the faster access for a
+        row-major factor: the back substitution subtracts each solved block's
+        contribution from the rows above it instead of gathering the columns
+        below.
+        """
+        l, inv, n = self.chol, self.diag_inv, self.n
+        blocks = [(s, min(s + SOLVE_BLOCK, n)) for s in range(0, n, SOLVE_BLOCK)]
         y = np.array(b, dtype=float)
-        for s in starts:
-            e = min(s + SOLVE_BLOCK, n)
+        for i, (s, e) in enumerate(blocks):
             if s:
                 y[s:e] -= l[s:e, :s] @ y[:s]
-            y[s:e] = np.linalg.solve(l[s:e, s:e], y[s:e])
-        for s in reversed(starts):
-            e = min(s + SOLVE_BLOCK, n)
-            if e < n:
-                y[s:e] -= l[e:, s:e].T @ y[e:]
-            y[s:e] = np.linalg.solve(l[s:e, s:e].T, y[s:e])
+            y[s:e] = inv[i, : e - s, : e - s] @ y[s:e]
+        for i, (s, e) in reversed(list(enumerate(blocks))):
+            y[s:e] = inv[i, : e - s, : e - s].T @ y[s:e]
+            if s:
+                y[:s] -= l[s:e, :s].T @ y[s:e]
         return y
 
 

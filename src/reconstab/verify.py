@@ -1,8 +1,9 @@
 """Executable identity and theory checks, runnable from the CLI.
 
-quick: exact projector identities, interpolation contracts, the stability
-multiplier identity, and the Hermite engine. full: adds the Monte-Carlo
-alignment limits compared against their theoretical references at desk scale.
+quick: exact projector identities, the factor's spectrum estimates against a
+dense eigensolver, interpolation contracts, the stability multiplier identity,
+and the Hermite engine. full: adds the Monte-Carlo alignment limits compared
+against their theoretical references at desk scale.
 """
 
 from __future__ import annotations
@@ -124,6 +125,23 @@ def _desk_instance(kind: str, seed: int, n=30, d=40, k=None):
     return fmap, dataset, theta0
 
 
+def check_spectrum_estimate(seed: int = 109, tol: float = 1e-9) -> CheckResult:
+    """The factor's Lanczos lambda_min/lambda_max against the dense eigensolver."""
+    worst = 0.0
+    for kind_idx, kind in enumerate(("rf", "ntk")):
+        fmap, dataset, _ = _desk_instance(kind, derive_seed(seed, [kind_idx]))
+        kernel = fmap.prepare(dataset.z).gram()
+        cache = linops.KernelSolveCache.factor(kernel, p=fmap.n_params)
+        exact_min = linops.min_eigenvalue(kernel)
+        exact_max = float(np.linalg.eigvalsh(kernel)[-1])
+        worst = max(
+            worst,
+            abs(cache.min_eig - exact_min) / exact_min,
+            abs(cache.max_eig - exact_max) / exact_max,
+        )
+    return CheckResult("spectrum-estimate", worst <= tol, f"max relative gap {worst:.2e}")
+
+
 def check_stability_identity(
     per_kind: int = 20, seed: int = 105, tol: float = 1e-6
 ) -> CheckResult:
@@ -231,6 +249,7 @@ def quick_checks() -> list[CheckResult]:
         check_gram_schmidt_update(),
         check_leave_one_out_trick(),
         check_residual_norm_bound(),
+        check_spectrum_estimate(),
         check_interpolation(),
         check_stability_identity(),
         check_hermite_engine(),

@@ -137,6 +137,24 @@ class TestRunSweep:
         assert all(r.error == "" for r in small)
         assert all(r.error != "" and r.test_acc is None for r in large)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [dict(SMALL_CONFIG, k=4), dict(SMALL_CONFIG, k=12, n_grid=[16])],
+        ids=["k=4", "k=12,N=16"],
+    )
+    def test_singular_rows_record_the_error_and_no_numbers(self, doc):
+        with pytest.warns(UserWarning, match="singular"):
+            config = parse_config(dict(doc))
+        rows = run_sweep(config)
+        assert len(rows) == len(config.n_grid) * config.trials
+        numeric = ("test_acc", "attack_acc", "gamma_mean", "gamma_std", "lambda_min_over_scale")
+        for row in rows:
+            assert row.error.startswith("SingularKernel: ")
+            assert all(getattr(row, name) is None for name in numeric)
+        parsed = list(csv.reader(io.StringIO(rows_to_csv_bytes(rows).decode())))
+        for cells in parsed[1:]:
+            assert all(cells[RESULT_COLUMNS.index(name)] == "" for name in numeric)
+
     def test_csv_parses_back_with_rfc4180_reader(self):
         config = parse_config(dict(SMALL_CONFIG))
         payload = rows_to_csv_bytes(run_sweep(config))
@@ -184,6 +202,19 @@ class TestOneFactorPerRow:
         rows = run_sweep(config)
         assert all(row.error == "" for row in rows)
         assert calls == [(row.n, row.n) for row in rows]
+
+
+class TestNoDenseEigensolverOrLU:
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
+    def test_sweep_row_runs_without_eigvalsh_or_solve(self, doc, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sweep row must not call eigvalsh or solve")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        rows = run_sweep(parse_config(dict(doc, n_grid=[16], trials=1)))
+        assert len(rows) == 1
+        assert all(row.error == "" for row in rows)
 
 
 class TestVerifySuites:

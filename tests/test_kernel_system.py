@@ -8,20 +8,28 @@ from reconstab.alignment import AlignmentSolver
 from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
 from reconstab.featuremaps import sample_ntk_map, sample_rf_map
 from reconstab.hermite import get_activation
-from reconstab.linops import KernelSolveCache, KernelSystem
+from reconstab.linops import SOLVE_BLOCK, KernelSolveCache, KernelSystem
 from reconstab.trainer import FitReport, fit_leave_one_out, fit_min_norm
 
 D_X = D_Y = 5
+# rows of the large instance, whose leading views cut the factor's diagonal
+# blocks at and around a block edge; its wider rows and feature counts keep
+# the Gram nonsingular
+N_LARGE = 2 * SOLVE_BLOCK + 22
+LARGE = {"d_x": 20, "rf": 2 * N_LARGE, "ntk": 40}
+SMALL = {"d_x": D_X, "rf": 60, "ntk": 4}
 
 
 def _instance(kind: str, n: int = 12):
-    teacher = sample_teacher(D_X, 0)
-    dataset = generate_synthetic(n, D_X, D_Y, teacher, 1)
-    probes = generate_synthetic(4, D_X, D_Y, teacher, 2).z
+    size = LARGE if n == N_LARGE else SMALL
+    d_x = d_y = size["d_x"]
+    teacher = sample_teacher(d_x, 0)
+    dataset = generate_synthetic(n, d_x, d_y, teacher, 1)
+    probes = generate_synthetic(4, d_x, d_y, teacher, 2).z
     if kind == "rf":
-        fmap = sample_rf_map(60, D_X + D_Y, get_activation("h1+h2"), 3)
+        fmap = sample_rf_map(size["rf"], d_x + d_y, get_activation("h1+h2"), 3)
     else:
-        fmap = sample_ntk_map(4, D_X + D_Y, get_activation("h0+h1"), 3)
+        fmap = sample_ntk_map(size["ntk"], d_x + d_y, get_activation("h0+h1"), 3)
     return fmap, dataset, probes
 
 
@@ -75,10 +83,14 @@ def test_batch_of_one_equals_batch(kind, policy):
     assert loo.predict(z) == pytest.approx(f0, abs=1e-12)
 
 
+B = SOLVE_BLOCK
+
+
 @pytest.mark.parametrize("kind", ["rf", "ntk"])
-@pytest.mark.parametrize("m", [0, 1, 11])
+@pytest.mark.parametrize("m", [0, 1, 11, B - 1, B, B + 1, N_LARGE - 1])
 def test_leading_view_equals_system_on_leading_rows(kind, m, monkeypatch):
-    fmap, dataset, probes = _instance(kind)
+    # views of up to 11 rows come from the 12-row instance
+    fmap, dataset, probes = _instance(kind, 12 if m < 12 else N_LARGE)
     full = KernelSystem.build(fmap, dataset.z)
     direct = KernelSystem.build(fmap, dataset.z[:m])
 
@@ -90,6 +102,7 @@ def test_leading_view_equals_system_on_leading_rows(kind, m, monkeypatch):
     view = full.leading(m)
     assert view.n == m and view.map is fmap
     assert np.shares_memory(view.cache.chol, full.cache.chol) or m == 0
+    assert np.shares_memory(view.cache.diag_inv, full.cache.diag_inv) or m == 0
     # the view has no spectrum of its own
     assert np.isnan(view.cache.min_eig) and np.isnan(view.cache.max_eig)
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconstab import linops
 from reconstab.errors import NotSymmetric, SingularGram
-from reconstab.featuremaps import sample_rf_map
+from reconstab.featuremaps import sample_ntk_map, sample_rf_map
 from reconstab.hermite import get_activation
 
 
@@ -231,3 +233,126 @@ class TestResidualNormBound:
             resid = linops.residual_projection(phi[1:], phi[0])
             bound = linops.min_eigenvalue(k) - 1e-8 * np.max(np.abs(k))
             assert float(resid @ resid) >= bound
+
+
+def _kernel_gram(kind, n, seed=0):
+    """Gram of n unit-norm rows under an RF (k = 2n + 40) or NTK (k*d = 1200) map."""
+    d = 40
+    z = np.random.default_rng(seed).standard_normal((n, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    if kind == "rf":
+        fmap = sample_rf_map(2 * n + 40, d, get_activation("h1+h2"), seed + 1)
+    else:
+        fmap = sample_ntk_map(30, d, get_activation("h0+h1"), seed + 1)
+    return fmap, fmap.prepare(z).gram()
+
+
+def _with_spectrum(eigs, seed=0):
+    """Q diag(eigs) Q^T for a random orthogonal Q."""
+    n = len(eigs)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    k = (q * eigs) @ q.T
+    return 0.5 * (k + k.T)
+
+
+def _assert_spectrum_close(cache, k, rel=1e-9, eig_err=0.0):
+    """Estimates within ``rel`` relative of eigvalsh; ``eig_err`` * lambda_max
+    allows for eigvalsh's own error on an ill-conditioned matrix."""
+    exact = np.linalg.eigvalsh(k)
+    slack = eig_err * exact[-1]
+    assert abs(cache.min_eig - exact[0]) <= rel * exact[0] + slack
+    assert abs(cache.max_eig - exact[-1]) <= rel * exact[-1] + slack
+
+
+class TestSpectrumEstimate:
+    @pytest.mark.parametrize("kind", ["rf", "ntk"])
+    @pytest.mark.parametrize("n", [1, 2, 3, B - 1, B, B + 1, 300])
+    def test_matches_eigvalsh_on_kernel_grams(self, kind, n):
+        fmap, k = _kernel_gram(kind, n)
+        _assert_spectrum_close(linops.KernelSolveCache.factor(k, p=fmap.n_params), k)
+
+    def test_ill_conditioned_rf_gram(self):
+        # the Gram of TestBlockedSolve.test_ill_conditioned_rf_gram: k = N + 5
+        n, d = 300, 30
+        fmap = sample_rf_map(n + 5, d, get_activation("h1+h2"), 0)
+        z = np.random.default_rng(0).standard_normal((n, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        k = fmap.prepare(z).gram()
+        cache = linops.KernelSolveCache.factor(k, p=fmap.n_params)
+        assert cache.condition > 1e7
+        _assert_spectrum_close(cache, k, eig_err=1e-12)
+
+    def test_identity_breaks_down_at_step_one(self):
+        calls = []
+
+        def apply(v):
+            calls.append(v)
+            return v.copy()
+
+        assert linops._top_eigenvalue(apply, 50) == pytest.approx(1.0, rel=1e-15)
+        assert len(calls) == 1
+        cache = linops.KernelSolveCache.factor(np.eye(50))
+        assert cache.min_eig == pytest.approx(1.0, rel=1e-15)
+        assert cache.max_eig == pytest.approx(1.0, rel=1e-15)
+
+    def test_two_factors_give_the_same_bits(self):
+        fmap, k = _kernel_gram("ntk", 200)
+        a = linops.KernelSolveCache.factor(k, p=fmap.n_params)
+        b = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
+        assert (a.min_eig, a.max_eig, a.tol) == (b.min_eig, b.max_eig, b.tol)
+        assert np.array_equal(a.chol, b.chol) and np.array_equal(a.diag_inv, b.diag_inv)
+
+    def test_below_tolerance_raises_on_the_lanczos_path(self):
+        n = 80
+        tol = linops.rank_tolerance(1.0, n, n)
+        eigs = np.linspace(0.5 * tol, 1.0, n)
+        k = _with_spectrum(eigs, seed=1)
+        np.linalg.cholesky(k)  # positive definite: only the estimate can reject it
+        with pytest.raises(SingularGram, match="below tolerance"):
+            linops.KernelSolveCache.factor(k)
+
+    def test_indefinite_raises_on_the_cholesky_path(self):
+        k = _with_spectrum(np.linspace(-1.0, 1.0, 40), seed=2)
+        with pytest.raises(SingularGram, match="not positive definite"):
+            linops.KernelSolveCache.factor(k)
+
+    def test_lands_inside_a_cluster_of_smallest_eigenvalues(self):
+        n = 120
+        cluster = 1.0 + 1e-7 * np.linspace(0.0, 1.0, 5)
+        eigs = np.concatenate([cluster, np.linspace(2.0, 50.0, n - 5)])
+        cache = linops.KernelSolveCache.factor(_with_spectrum(eigs, seed=3))
+        # roundoff of the factored matrix: eps * condition, far inside the cluster
+        slack = 1e-12
+        assert cluster[0] * (1 - slack) <= cache.min_eig <= cluster[-1] * (1 + slack)
+        assert cache.max_eig == pytest.approx(50.0, rel=1e-9)
+
+    def test_finds_an_extreme_eigenvector_the_start_vector_barely_touches(self):
+        # three distinct eigenvalues, and a start vector whose component along
+        # the lambda = 1 eigenvector is 3e-4: the bound on the second
+        # eigenvalue holds one step before the Krylov space is exhausted
+        n = 110
+        eigs = np.concatenate([[1.0, 2.03125], np.full(n - 2, 1.015625)])
+        k = _with_spectrum(eigs, seed=263)
+        _assert_spectrum_close(linops.KernelSolveCache.factor(k), k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 150),
+        log_cond=st.floats(0.0, 6.0),
+        gaps=st.tuples(st.floats(1e-3, 0.5), st.floats(1e-3, 0.5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_estimates_on_random_spectra(self, n, log_cond, gaps, seed):
+        # lambda_2 >= lambda_1 (1 + gap_lo) and lambda_{n-1} <= lambda_n (1 - gap_hi)
+        rng = np.random.default_rng(seed)
+        top = max(10.0**log_cond, (1 + gaps[0]) / (1 - gaps[1]))
+        lo = 1.0 + gaps[0]
+        hi = max(lo, top * (1.0 - gaps[1]))
+        if n == 1:
+            eigs = np.array([top])
+        elif n == 2:
+            eigs = np.array([1.0, top])
+        else:
+            eigs = np.concatenate([[1.0, top], rng.uniform(lo, hi, n - 2)])
+        k = _with_spectrum(eigs, seed)
+        _assert_spectrum_close(linops.KernelSolveCache.factor(k), k, eig_err=1e-12)
