@@ -8,7 +8,7 @@ rows. It is evaluated in kernel space against the KernelSystem of those rows:
     phi(a) . P_perp phi(z1) = K(a, z1) - k_a^T K_-1^{-1} k_{z1},
 so one solve K_-1^{-1} k_{z1} serves numerator and denominator. Queries are
 rows, and a single query is a batch of one; tangent features are never
-materialized outside the desk-scale decomposition.
+materialized.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linops
 from .data import generate_synthetic, sample_teacher, _sphere_rows
 from .errors import DegenerateDenominator, DegenerateSpectrum
 from .featuremaps import sample_ntk_map, sample_rf_map
@@ -65,28 +64,6 @@ class AlignmentSolver:
             )
         num = float(own.cross(z)[0, 0]) - float(self.system.cross(z)[0] @ solved)
         return num, den
-
-
-def feature_alignment(fmap, z_minus1: np.ndarray, z: np.ndarray, z1: np.ndarray) -> float:
-    """Alignment of a query z with training sample z1 given the other rows."""
-    return AlignmentSolver(KernelSystem.build(fmap, z_minus1)).alignment(z, z1)
-
-
-def feature_alignment_from_vectors(
-    phi_z: np.ndarray, phi_z1: np.ndarray, phi_minus1: np.ndarray
-) -> float:
-    """Materialized-projector route; used where features fit in memory."""
-    phi_z = np.asarray(phi_z, dtype=float)
-    phi_z1 = np.asarray(phi_z1, dtype=float)
-    if phi_minus1.shape[0] > 0:
-        resid = linops.residual_projection(phi_minus1, phi_z1)
-    else:
-        resid = phi_z1
-    den = float(resid @ resid)
-    scale = float(phi_z1 @ phi_z1)
-    if den <= DENOMINATOR_GUARD * scale:
-        raise DegenerateDenominator(f"projected norm {den:.3e} too small")
-    return float(phi_z @ resid) / den
 
 
 def verify_stability_identity(
@@ -291,66 +268,3 @@ def compare_gamma_theory(
         closed_form=est.closed_form,
     )
 
-
-@dataclass
-class AlignmentDecomposition:
-    """Diagnostic split of one alignment value into its analysis stages.
-
-    raw = centered + centering_correction and (for RF)
-    centered = linearized + linearization_correction, both exactly;
-    noise_ratio is the squared fraction of the centered target feature lying
-    inside the span of the background rows.
-    """
-
-    raw: float
-    centered: float
-    centering_correction: float
-    linearized: float | None
-    linearization_correction: float | None
-    noise_ratio: float
-
-
-def alignment_decomposition(
-    fmap, z_minus1: np.ndarray, z1: np.ndarray, z1m: np.ndarray,
-    max_entries: int = 20_000_000,
-) -> AlignmentDecomposition:
-    """Stage-by-stage view of F(z1m, z1); materializes features (desk scale)."""
-    rows = np.atleast_2d(np.asarray(z_minus1, dtype=float))
-    if rows.shape[0] * fmap.n_params > max_entries:
-        raise ValueError("instance too large to materialize; reduce sizes")
-    phi_rest = fmap.feature_matrix(rows)
-    pair = np.stack([z1, z1m])
-    phi1, phim = fmap.feature_matrix(pair)
-    cphi1, cphim = fmap.centered_feature_matrix(pair)
-
-    raw = feature_alignment_from_vectors(phim, phi1, phi_rest)
-    centered = feature_alignment_from_vectors(cphim, cphi1, phi_rest)
-
-    if rows.shape[0] > 0:
-        proj_c1 = linops.project_rowspace(phi_rest, cphi1)
-    else:
-        proj_c1 = np.zeros_like(cphi1)
-    resid_c1 = cphi1 - proj_c1
-    noise_ratio = float(proj_c1 @ proj_c1) / float(cphi1 @ cphi1)
-
-    linearized = None
-    lin_corr = None
-    if fmap.kind == "rf":
-        mu1 = float(fmap.spectrum().coefficients[1])
-        v1 = fmap.v @ z1
-        vm = fmap.v @ z1m
-        if rows.shape[0] > 0:
-            cross = float(vm @ linops.project_rowspace(phi_rest, v1))
-        else:
-            cross = 0.0
-        den = float(resid_c1 @ resid_c1)
-        linearized = (float(cphim @ cphi1) - mu1**2 * cross) / den
-        lin_corr = centered - linearized
-    return AlignmentDecomposition(
-        raw=raw,
-        centered=centered,
-        centering_correction=raw - centered,
-        linearized=linearized,
-        linearization_correction=lin_corr,
-        noise_ratio=noise_ratio,
-    )

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: fit, attack, gamma, hermite, sweep, verify, gen-data, eigs.
+Subcommands: fit, attack, gamma, hermite, sweep, verify, eigs.
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 """
 
@@ -10,9 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import data as datamod
 from . import verify as verifymod
 from .alignment import compare_gamma_theory, estimate_gamma
 from .attack import build_query_batch, run_attack
@@ -54,18 +51,14 @@ def _build_instance(args):
     dataset = generate_synthetic(
         args.n, args.dx, args.dy, teacher, derive_seed(args.seed, [ROLE_DATA])
     )
-    if args.model == "rf":
-        fmap = sample_rf_map(args.k, d, activation, derive_seed(args.seed, [ROLE_MAP]))
-        theta0 = "zero"
-    else:
-        fmap = sample_ntk_map(args.k, d, activation, derive_seed(args.seed, [ROLE_MAP]))
-        theta0 = "init"
-    return fmap, dataset, teacher, theta0
+    sample_map = sample_rf_map if args.model == "rf" else sample_ntk_map
+    fmap = sample_map(args.k, d, activation, derive_seed(args.seed, [ROLE_MAP]))
+    return fmap, dataset, teacher
 
 
 def _cmd_fit(args) -> int:
-    fmap, dataset, teacher, theta0 = _build_instance(args)
-    model = fit_min_norm(fmap, dataset, theta0=theta0)
+    fmap, dataset, teacher = _build_instance(args)
+    model = fit_min_norm(fmap, dataset)
     test = generate_synthetic(
         args.test_size, args.dx, args.dy, teacher, derive_seed(args.seed, [ROLE_TEST])
     )
@@ -81,8 +74,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    fmap, dataset, teacher, theta0 = _build_instance(args)
-    model = fit_min_norm(fmap, dataset, theta0=theta0)
+    fmap, dataset, teacher = _build_instance(args)
+    model = fit_min_norm(fmap, dataset)
     test = generate_synthetic(
         args.test_size, args.dx, args.dy, teacher, derive_seed(args.seed, [ROLE_TEST])
     )
@@ -151,29 +144,8 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_gen_data(args) -> int:
-    teacher = sample_teacher(args.dx, derive_seed(args.seed, [ROLE_TEACHER]))
-    dataset = generate_synthetic(
-        args.n, args.dx, args.dy, teacher, derive_seed(args.seed, [ROLE_DATA])
-    )
-    datamod.save_matrix(args.out + ".z.glma", dataset.z)
-    datamod.save_matrix(args.out + ".g.glma", dataset.g.reshape(-1, 1))
-    datamod.write_metadata(
-        args.out + ".meta",
-        {
-            "n": dataset.n,
-            "d_x": dataset.d_x,
-            "d_y": dataset.d_y,
-            "seed": args.seed,
-            "label_mode": dataset.label_mode,
-        },
-    )
-    print(f"wrote {args.out}.z.glma, {args.out}.g.glma, {args.out}.meta", file=sys.stderr)
-    return 0
-
-
 def _cmd_eigs(args) -> int:
-    fmap, dataset, _, _ = _build_instance(args)
+    fmap, dataset, _ = _build_instance(args)
     kernel = fmap.prepare(dataset.z).gram()
     scale = args.k if args.model == "rf" else args.k * (args.dx + args.dy)
     lam = min_eigenvalue(kernel)
@@ -224,14 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the identity/theory suites")
     p_verify.add_argument("--level", choices=["quick", "full"], default="quick")
     p_verify.set_defaults(fn=_cmd_verify)
-
-    p_gen = sub.add_parser("gen-data", help="write a synthetic dataset to disk")
-    p_gen.add_argument("--n", type=int, default=200)
-    p_gen.add_argument("--dx", type=int, default=100)
-    p_gen.add_argument("--dy", type=int, default=100)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(fn=_cmd_gen_data)
 
     p_eigs = sub.add_parser("eigs", help="smallest kernel eigenvalue of an instance")
     _add_instance_args(p_eigs)

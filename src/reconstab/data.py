@@ -1,4 +1,4 @@
-"""Synthetic two-block datasets, sample masking, matrix and metadata file I/O.
+"""Synthetic two-block datasets and sample masking.
 
 Samples are rows z = [x, y]: x carries the label information, y is noise the
 attacker knows. Both blocks are drawn uniformly on their spheres (Gaussian
@@ -8,14 +8,9 @@ concentration requirements exactly rather than approximately.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import BadMagic, DimensionOverflow, TruncatedFile
-
-MATRIX_MAGIC = b"GLMA"
 
 _ROLE_X = 0
 _ROLE_Y = 1
@@ -46,15 +41,8 @@ class LabeledDataset:
     def alpha(self) -> float:
         return self.d_y / self.d
 
-    @property
-    def label_mode(self) -> str:
-        return "argmax" if self.g.ndim == 2 else "sign"
-
     def x_block(self) -> np.ndarray:
         return self.z[:, : self.d_x]
-
-    def y_block(self) -> np.ndarray:
-        return self.z[:, self.d_x :]
 
     def drop_row(self, i: int) -> "LabeledDataset":
         keep = np.arange(self.n) != i
@@ -149,49 +137,3 @@ def mask_sample(z: np.ndarray, d_x: int, strategy: MaskStrategy, index: int = 0)
         out[:d_x] = _sphere_rows(rng, 1, d_x)[0]
     return out
 
-
-def save_matrix(path, matrix: np.ndarray) -> None:
-    """Write the internal matrix format: GLMA magic, u32 LE rows/cols, f64 LE row-major."""
-    matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype="<f8")
-    rows, cols = matrix.shape
-    with open(path, "wb") as f:
-        f.write(MATRIX_MAGIC)
-        f.write(struct.pack("<II", rows, cols))
-        f.write(matrix.tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if len(magic) < 4:
-            raise TruncatedFile("file shorter than its magic")
-        if magic != MATRIX_MAGIC:
-            raise BadMagic(f"expected {MATRIX_MAGIC!r}, got {magic!r}")
-        header = f.read(8)
-        if len(header) < 8:
-            raise TruncatedFile("file ended inside the header")
-        rows, cols = struct.unpack("<II", header)
-        if rows * cols > 2**31:
-            raise DimensionOverflow(f"{rows}x{cols} exceeds the supported size")
-        payload = f.read(rows * cols * 8)
-        if len(payload) < rows * cols * 8:
-            raise TruncatedFile(f"expected {rows * cols * 8} payload bytes")
-        return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-
-
-def write_metadata(path, meta: dict) -> None:
-    """Plain-text key=value sidecar."""
-    with open(path, "w") as f:
-        for key, value in meta.items():
-            f.write(f"{key}={value}\n")
-
-
-def read_metadata(path) -> dict:
-    meta = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                meta[key] = value
-    return meta

@@ -37,17 +37,5 @@ class QuadratureNonconvergent(ReconstabError):
     """Coefficient estimates kept moving after the node-count cap."""
 
 
-class BadMagic(ReconstabError):
-    """File magic number does not match the expected format."""
-
-
-class TruncatedFile(ReconstabError):
-    """File payload is shorter than its header promises."""
-
-
-class DimensionOverflow(ReconstabError):
-    """Header dimensions are negative or unreasonably large."""
-
-
 class ConfigError(ReconstabError):
     """Experiment configuration is invalid."""

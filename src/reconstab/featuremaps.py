@@ -1,12 +1,11 @@
 """Random-feature and tangent-kernel feature maps, evaluated in kernel space.
 
 Every entry point takes rows: an (n, d) array, where a 1-D row of length d is
-a batch of one. ``feature_matrix`` and ``centered_feature_matrix`` return the
-(n, p) features, ``init_outputs`` the n model outputs at the initialization,
-and ``prepare`` holds training rows whose ``gram`` and ``cross`` give the
-kernel against them and whose ``feature_matrix()`` gives their features;
-``head(m)`` is the first m of them, without copying. ``kernel(z, zp)`` is the
-one-row cross kernel.
+a batch of one. ``feature_matrix`` returns the (n, p) features,
+``init_outputs`` the n model outputs at the initialization, and ``prepare``
+holds training rows whose ``gram`` and ``cross`` give the kernel against them
+and whose ``feature_matrix()`` gives their features; ``head(m)`` is the first
+m of them, without copying. ``kernel(z, zp)`` is the one-row cross kernel.
 
 Tangent features z (x) act'(W0 z) have dimension k*d. Prepared tangent rows
 keep the two factors and never materialize them, because every kernel entry
@@ -15,12 +14,13 @@ factorizes as (z . z') * (act'(W0 z) . act'(W0 z')).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hermite import DEFAULT_TRUNCATION, ActivationSpec, HermiteSpectrum, hermite_coefficients
+from .hermite import ActivationSpec
+from .linops import gram
 
 
 def _as_rows(rows: np.ndarray, d: int) -> np.ndarray:
@@ -43,7 +43,6 @@ class RFMap:
     v: np.ndarray
     activation: ActivationSpec
     seed: int
-    _spectrum: HermiteSpectrum | None = field(default=None, repr=False)
 
     kind = "rf"
 
@@ -59,20 +58,8 @@ class RFMap:
     def n_params(self) -> int:
         return self.k
 
-    def spectrum(self, order: int = DEFAULT_TRUNCATION) -> HermiteSpectrum:
-        if self._spectrum is None or self._spectrum.truncation < order:
-            self._spectrum = hermite_coefficients(self.activation, order)
-        return self._spectrum
-
-    @property
-    def mean_coefficient(self) -> float:
-        return float(self.spectrum().coefficients[0])
-
     def feature_matrix(self, rows: np.ndarray) -> np.ndarray:
         return self.activation(_as_rows(rows, self.d) @ self.v.T)
-
-    def centered_feature_matrix(self, rows: np.ndarray) -> np.ndarray:
-        return self.feature_matrix(rows) - self.mean_coefficient
 
     def kernel(self, z: np.ndarray, zp: np.ndarray) -> float:
         return float(self.prepare(zp).cross(z)[0, 0])
@@ -97,7 +84,6 @@ class NTKMap:
     w0: np.ndarray
     activation_derivative: ActivationSpec
     seed: int
-    _spectrum: HermiteSpectrum | None = field(default=None, repr=False)
 
     kind = "ntk"
 
@@ -113,15 +99,6 @@ class NTKMap:
     def n_params(self) -> int:
         return self.k * self.d
 
-    def spectrum(self, order: int = DEFAULT_TRUNCATION) -> HermiteSpectrum:
-        if self._spectrum is None or self._spectrum.truncation < order:
-            self._spectrum = hermite_coefficients(self.activation_derivative, order)
-        return self._spectrum
-
-    @property
-    def mean_coefficient(self) -> float:
-        return float(self.spectrum().coefficients[0])
-
     def _derivs(self, rows: np.ndarray) -> np.ndarray:
         """act'(W0 z) for each of the (already checked) rows."""
         return self.activation_derivative(rows @ self.w0.T)
@@ -130,11 +107,6 @@ class NTKMap:
         """Materialized N x (k d) feature matrix; desk-scale sizes only."""
         rows = _as_rows(rows, self.d)
         return _kron_rows(rows, self._derivs(rows))
-
-    def centered_feature_matrix(self, rows: np.ndarray) -> np.ndarray:
-        """Features with the mean coefficient removed inside the act' factor."""
-        rows = _as_rows(rows, self.d)
-        return _kron_rows(rows, self._derivs(rows) - self.mean_coefficient)
 
     def kernel(self, z: np.ndarray, zp: np.ndarray) -> float:
         return float(self.prepare(zp).cross(z)[0, 0])
@@ -168,8 +140,7 @@ class _PreparedRF:
         return self.phi
 
     def gram(self) -> np.ndarray:
-        k = self.phi @ self.phi.T
-        return 0.5 * (k + k.T)
+        return gram(self.phi)
 
     def cross(self, queries: np.ndarray) -> np.ndarray:
         """Kernel evaluations of each query row against each training row."""

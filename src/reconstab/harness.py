@@ -15,7 +15,6 @@ attack's labels, keep the dataset's order.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 import time
@@ -88,7 +87,7 @@ class ExperimentConfig:
             # sweep labels are +-1 by construction; argmax needs one-hot labels
             raise ConfigError(f"readout must be 'sign' for sweeps, got {self.readout!r}")
         if not self.theta0:
-            self.theta0 = "zero" if self.model == "rf" else "init"
+            self.theta0 = "zero"
         if self.theta0 not in ("zero", "init"):
             raise ConfigError(f"theta0 must be 'zero' or 'init', got {self.theta0!r}")
         if self.theta0 == "init" and self.model == "rf":
@@ -176,12 +175,6 @@ def write_rows(rows, stream) -> None:
     writer.writerow(RESULT_COLUMNS)
     for row in rows:
         writer.writerow([_format_cell(getattr(row, name)) for name in RESULT_COLUMNS])
-
-
-def rows_to_csv_bytes(rows) -> bytes:
-    buf = io.StringIO()
-    write_rows(rows, buf)
-    return buf.getvalue().encode()
 
 
 def _first_row_last(dataset: LabeledDataset) -> LabeledDataset:

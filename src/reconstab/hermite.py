@@ -245,30 +245,25 @@ def _tanh_prime(u: np.ndarray) -> np.ndarray:
     return 1.0 - np.tanh(u) ** 2
 
 
-_REGISTRY: dict[str, ActivationSpec] = {}
-
-
-def _register(spec: ActivationSpec) -> ActivationSpec:
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
 # Named activations usable from the CLI and sweep configs. For NTK models the
 # relevant object is the derivative of the activation; the h0+h1 / h0+h3
 # entries below are meant to be used directly as derivative specs.
-RELU = _register(ActivationSpec(name="relu", fn=_relu, split_at_zero=True))
-H1_PLUS_H2 = _register(ActivationSpec(name="h1+h2", coeffs=(0.0, 1.0, 1.0)))
-H1_PLUS_H4 = _register(ActivationSpec(name="h1+h4", coeffs=(0.0, 1.0, 0.0, 0.0, 1.0)))
-H0_PLUS_H1 = _register(ActivationSpec(name="h0+h1", coeffs=(1.0, 1.0)))
-H0_PLUS_H3 = _register(ActivationSpec(name="h0+h3", coeffs=(1.0, 0.0, 0.0, 1.0)))
-IDENTITY = _register(ActivationSpec(name="identity", coeffs=(0.0, 1.0)))
-TANH = _register(
-    ActivationSpec(
-        name="tanh",
-        fn=np.tanh,
-        derivative_spec=ActivationSpec(name="d(tanh)", fn=_tanh_prime),
+_REGISTRY: dict[str, ActivationSpec] = {
+    spec.name: spec
+    for spec in (
+        ActivationSpec(name="relu", fn=_relu, split_at_zero=True),
+        ActivationSpec(name="h1+h2", coeffs=(0.0, 1.0, 1.0)),
+        ActivationSpec(name="h1+h4", coeffs=(0.0, 1.0, 0.0, 0.0, 1.0)),
+        ActivationSpec(name="h0+h1", coeffs=(1.0, 1.0)),
+        ActivationSpec(name="h0+h3", coeffs=(1.0, 0.0, 0.0, 1.0)),
+        ActivationSpec(name="identity", coeffs=(0.0, 1.0)),
+        ActivationSpec(
+            name="tanh",
+            fn=np.tanh,
+            derivative_spec=ActivationSpec(name="d(tanh)", fn=_tanh_prime),
+        ),
     )
-)
+}
 
 
 def get_activation(name: str) -> ActivationSpec:

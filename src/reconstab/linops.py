@@ -1,8 +1,8 @@
-"""Dense linear algebra: Gram matrices, row-space projections, min-norm solves.
+"""Dense linear algebra: Gram matrices, their factorization, min-norm solves.
 
-All projections go through the Gram form  P_A v = A^T (A A^T)^{-1} A v, so only
-N x N systems are ever factored (the feature dimension p can be much larger
-than N and the explicit p x p projector is never materialized).
+Everything runs in kernel space: only the N x N Gram A A^T of the N training
+rows is ever factored (the feature dimension p can be much larger than N, and
+no p x p matrix is ever formed).
 
 Each Gram is factored once, by Cholesky, and that is the only O(N^3) step.
 The extreme eigenvalues come from Lanczos on the factored matrix (matrix-vector
@@ -275,56 +275,6 @@ class KernelSystem:
         return KernelSystem(
             map=self.map, prepared=self.prepared.head(m), cache=self.cache.leading(m)
         )
-
-
-def project_rowspace(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project v onto the span of the rows of A (Gram form, kernel space)."""
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if a.shape[0] == 0:
-        return np.zeros_like(v)
-    cache = KernelSolveCache.factor(gram(a), p=a.shape[1])
-    return a.T @ cache.solve(a @ v)
-
-
-def residual_projection(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Component of v orthogonal to the row span of A."""
-    return np.asarray(v, dtype=float) - project_rowspace(a, v)
-
-
-def gram_schmidt_projector_update(phi: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the rank-one projector update.
-
-    lhs is the projection of v onto the rows of Phi; rhs rebuilds it from the
-    projector onto the last N-1 rows plus the rank-one term along
-    u = (residual of the first row). The caller asserts lhs == rhs.
-    """
-    phi = np.asarray(phi, dtype=float)
-    v = np.asarray(v, dtype=float)
-    lhs = project_rowspace(phi, v)
-    phi_rest = phi[1:]
-    u = residual_projection(phi_rest, phi[0])
-    u_norm_sq = float(u @ u)
-    if u_norm_sq <= RANK_TOL_FACTOR * max(float(phi[0] @ phi[0]), 1.0):
-        raise SingularGram("first-row residual is numerically zero")
-    rhs = project_rowspace(phi_rest, v) + u * (u @ v) / u_norm_sq
-    return lhs, rhs
-
-
-def leave_one_out_project(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the identity  P_{A_-1} A^+ v = A_-1^+ v_-1.
-
-    v lives in R^N (coefficient space); v_-1 drops its first entry.
-    """
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    cache = KernelSolveCache.factor(gram(a), p=a.shape[1])
-    a_plus_v = a.T @ cache.solve(v)
-    lhs = project_rowspace(a[1:], a_plus_v)
-    rest = a[1:]
-    cache_rest = KernelSolveCache.factor(gram(rest), p=rest.shape[1])
-    rhs = rest.T @ cache_rest.solve(v[1:])
-    return lhs, rhs
 
 
 def min_eigenvalue(k: np.ndarray) -> float:

@@ -45,15 +45,20 @@ class EvalReport:
 class TrainedModel:
     """Interpolating fit: predictions are f(z) = f0(z) + k_z . c.
 
-    f0 is the model output at the initialization theta0 ("zero" makes it
-    vanish; "init" uses the map's native initialization; an explicit vector is
-    accepted for desk-scale experiments).
+    f0 is the model output at the initialization theta0: "zero" makes it
+    vanish; "init" (tangent maps only) uses the network's own initialization
+    vec(W0). "zero" is the default for both map kinds, by the doubling argument
+    (Chizat, Oyallon & Bach, arXiv:1812.07956): pairing each neuron (w, a) with
+    an antithetic twin (w, -a) makes f(., theta0) vanish identically and
+    doubles the tangent kernel to 2K, so the min-norm predictor
+    2K(z, Z) (2K)^{-1} g of the doubled network is exactly the "zero"
+    predictor. Under "init" at k=64, d=256 the linearized initial output has
+    mean about 62 against +-1 labels, and the readouts fall to chance.
     """
 
     system: KernelSystem
     dual_coefs: np.ndarray
     theta0_policy: str
-    theta0_vector: np.ndarray | None
     report: FitReport
 
     @property
@@ -69,7 +74,7 @@ class TrainedModel:
         for +-1 targets, a vector of class outputs for one-hot targets).
         """
         out = self.system.cross(rows) @ self.dual_coefs
-        f0 = _init_outputs(self.map, self.theta0_policy, self.theta0_vector, rows)
+        f0 = _init_outputs(self.map, self.theta0_policy, rows)
         out = out + (f0[:, None] if out.ndim == 2 else f0)
         if np.ndim(rows) == 1:
             out = out[0]
@@ -82,42 +87,32 @@ class TrainedModel:
         correction = phi.T @ self.dual_coefs
         if self.theta0_policy == "zero":
             return correction
-        if self.theta0_policy == "init":
-            # vec(W0) in the same layout as the z (x) w feature entries
-            return correction + self.map.w0.T.ravel()
-        return correction + self.theta0_vector
+        # vec(W0) in the same layout as the z (x) w feature entries
+        return correction + self.map.w0.T.ravel()
 
 
-def _resolve_theta0(fmap, theta0) -> tuple[str, np.ndarray | None]:
-    if isinstance(theta0, str):
-        if theta0 not in ("zero", "init"):
-            raise ValueError(f"unknown theta0 policy {theta0!r}")
-        if theta0 == "init" and fmap.kind != "ntk":
-            raise ValueError("the 'init' policy applies to tangent maps")
-        return theta0, None
-    vec = np.asarray(theta0, dtype=float)
-    if vec.shape != (fmap.n_params,):
-        raise ValueError(f"theta0 vector must have length {fmap.n_params}")
-    return "vector", vec
+def _check_theta0(fmap, theta0: str) -> None:
+    if theta0 not in ("zero", "init"):
+        raise ValueError(f"unknown theta0 policy {theta0!r}")
+    if theta0 == "init" and fmap.kind != "ntk":
+        raise ValueError("the 'init' policy applies to tangent maps")
 
 
-def _init_outputs(fmap, policy: str, vec: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
-    """f(z, theta0) for each row, under a resolved theta0 policy."""
+def _init_outputs(fmap, policy: str, rows: np.ndarray) -> np.ndarray:
+    """f(z, theta0) for each row, under a theta0 policy."""
     if policy == "zero":
         return np.zeros(np.atleast_2d(rows).shape[0])
-    if policy == "init":
-        return fmap.init_outputs(rows)
-    return fmap.feature_matrix(rows) @ vec
+    return fmap.init_outputs(rows)
 
 
-def fit_min_norm(fmap, dataset: LabeledDataset, theta0="zero") -> TrainedModel:
+def fit_min_norm(fmap, dataset: LabeledDataset, theta0: str = "zero") -> TrainedModel:
     """Interpolating fit closest to the initialization in parameter norm.
 
     An empty dataset gives the pure initialization model.
     """
-    policy, vec = _resolve_theta0(fmap, theta0)
+    _check_theta0(fmap, theta0)
     system = KernelSystem.build(fmap, dataset.z)
-    f0 = _init_outputs(fmap, policy, vec, dataset.z)
+    f0 = _init_outputs(fmap, theta0, dataset.z)
     targets = np.asarray(dataset.g, dtype=float)
     rhs = targets - (f0[:, None] if targets.ndim == 2 else f0)
     coefs = system.solve(rhs)
@@ -130,18 +125,14 @@ def fit_min_norm(fmap, dataset: LabeledDataset, theta0="zero") -> TrainedModel:
         min_eig=cache.min_eig,
         max_eig=cache.max_eig,
         condition=cache.condition,
-        theta0_policy=policy,
+        theta0_policy=theta0,
     )
-    return TrainedModel(
-        system=system,
-        dual_coefs=coefs,
-        theta0_policy=policy,
-        theta0_vector=vec,
-        report=report,
-    )
+    return TrainedModel(system=system, dual_coefs=coefs, theta0_policy=theta0, report=report)
 
 
-def fit_leave_one_out(fmap, dataset: LabeledDataset, i: int, theta0="zero") -> TrainedModel:
+def fit_leave_one_out(
+    fmap, dataset: LabeledDataset, i: int, theta0: str = "zero"
+) -> TrainedModel:
     """Min-norm fit on the dataset with row i removed.
 
     With a single-row dataset the result is the pure initialization model.

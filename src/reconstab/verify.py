@@ -1,9 +1,11 @@
 """Executable identity and theory checks, runnable from the CLI.
 
-quick: exact projector identities, the factor's spectrum estimates against a
-dense eigensolver, interpolation contracts, the stability multiplier identity,
-and the Hermite engine. full: adds the Monte-Carlo alignment limits compared
-against their theoretical references at desk scale.
+quick: the kernel-system path that fits, alignments and attacks run, checked
+against explicit oracles (SVD projectors, leave-one-out refits, the min-norm
+least-squares solution, a dense eigensolver), plus the stability multiplier
+identity and the Hermite engine. full: adds the covariance form of the attack
+at the benchmark's sizes and the Monte-Carlo alignment limits compared against
+their theoretical references at desk scale.
 """
 
 from __future__ import annotations
@@ -14,8 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .alignment import compare_gamma_theory, estimate_gamma, verify_stability_identity
-from .data import generate_synthetic, sample_teacher
+from .alignment import (
+    AlignmentSolver,
+    compare_gamma_theory,
+    estimate_gamma,
+    verify_stability_identity,
+)
+from .attack import build_query_batch, covariance_diagnostic
+from .data import MaskStrategy, generate_synthetic, sample_teacher
 from .featuremaps import sample_ntk_map, sample_rf_map
 from .hermite import (
     _gauss_hermite_nodes,
@@ -24,7 +32,7 @@ from .hermite import (
     hermite_coefficients,
 )
 from .seeding import derive_seed
-from .trainer import fit_min_norm
+from .trainer import fit_leave_one_out, fit_min_norm, stability_eval
 
 
 @dataclass
@@ -47,69 +55,6 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _random_wide(rng, n, p):
-    return rng.standard_normal((n, p))
-
-
-def check_projector_form(instances: int = 100, seed: int = 101) -> CheckResult:
-    """Gram-form projection against an SVD orthonormal-basis projection."""
-    worst = 0.0
-    for i in range(instances):
-        rng = np.random.default_rng([seed, i])
-        n, p = int(rng.integers(3, 8)), int(rng.integers(9, 16))
-        a = _random_wide(rng, n, p)
-        v = rng.standard_normal(p)
-        via_gram = linops.project_rowspace(a, v)
-        _, _, vt = np.linalg.svd(a, full_matrices=False)
-        via_svd = vt.T @ (vt @ v)
-        worst = max(worst, float(np.linalg.norm(via_gram - via_svd) / np.linalg.norm(v)))
-    return CheckResult("projector-form", worst <= 1e-9, f"max gap {worst:.2e}")
-
-
-def check_gram_schmidt_update(instances: int = 100, seed: int = 102) -> CheckResult:
-    worst = 0.0
-    for i in range(instances):
-        rng = np.random.default_rng([seed, i])
-        n, p = int(rng.integers(3, 8)), int(rng.integers(9, 16))
-        phi = _random_wide(rng, n, p)
-        v = rng.standard_normal(p)
-        lhs, rhs = linops.gram_schmidt_projector_update(phi, v)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(v)))
-    return CheckResult("gram-schmidt-update", worst <= 1e-9, f"max gap {worst:.2e}")
-
-
-def check_leave_one_out_trick(instances: int = 100, seed: int = 103) -> CheckResult:
-    worst = 0.0
-    for i in range(instances):
-        rng = np.random.default_rng([seed, i])
-        n, p = int(rng.integers(3, 8)), int(rng.integers(9, 16))
-        a = _random_wide(rng, n, p)
-        v = rng.standard_normal(n)
-        lhs, rhs = linops.leave_one_out_project(a, v)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(v)))
-    return CheckResult("leave-one-out-trick", worst <= 1e-9, f"max gap {worst:.2e}")
-
-
-def check_residual_norm_bound(instances: int = 100, seed: int = 104) -> CheckResult:
-    """The projected-out first feature row keeps at least the kernel's
-    smallest eigenvalue as squared norm.
-    """
-    worst = -np.inf
-    ok = True
-    for i in range(instances):
-        rng = np.random.default_rng([seed, i])
-        n, p = int(rng.integers(3, 8)), int(rng.integers(9, 16))
-        phi = _random_wide(rng, n, p)
-        kernel = linops.gram(phi)
-        min_eig = linops.min_eigenvalue(kernel)
-        resid = linops.residual_projection(phi[1:], phi[0])
-        gap = min_eig - float(resid @ resid)
-        slack = 1e-8 * float(np.max(np.abs(kernel)))
-        ok = ok and gap <= slack
-        worst = max(worst, gap)
-    return CheckResult("first-row-residual-bound", ok, f"max violation {worst:.2e}")
-
-
 def _desk_instance(kind: str, seed: int, n=30, d=40, k=None):
     if kind == "rf":
         k = 300 if k is None else k
@@ -123,6 +68,93 @@ def _desk_instance(kind: str, seed: int, n=30, d=40, k=None):
     teacher = sample_teacher(d_x, derive_seed(seed, [2]))
     dataset = generate_synthetic(n, d_x, d - d_x, teacher, derive_seed(seed, [3]))
     return fmap, dataset, theta0
+
+
+def _masked_queries(dataset, seed: int) -> np.ndarray:
+    """The attack's masked query of every training row."""
+    return build_query_batch(dataset, MaskStrategy("resample", seed=seed)).rows
+
+
+def check_alignment_projector(
+    instances: int = 5, seed: int = 101, tol: float = 1e-9
+) -> CheckResult:
+    """AlignmentSolver's kernel-space numerator and denominator of F(q_1, z_1)
+    against the SVD projector of the materialized background features.
+    """
+    worst = 0.0
+    for kind_idx, kind in enumerate(("rf", "ntk")):
+        for i in range(instances):
+            inst_seed = derive_seed(seed, [kind_idx, i])
+            fmap, dataset, _ = _desk_instance(kind, inst_seed)
+            z1 = dataset.z[0]
+            query = _masked_queries(dataset, derive_seed(inst_seed, [1]))[0]
+            background = linops.KernelSystem.build(fmap, dataset.z[1:])
+            num, den = AlignmentSolver(background).alignment_parts(query, z1)
+            _, _, vt = np.linalg.svd(fmap.feature_matrix(dataset.z[1:]), full_matrices=False)
+            phi1, phiq = fmap.feature_matrix(np.stack([z1, query]))
+            resid = phi1 - vt.T @ (vt @ phi1)
+            scale = float(phi1 @ phi1)
+            worst = max(
+                worst,
+                abs(num - float(phiq @ resid)) / scale,
+                abs(den - float(resid @ resid)) / scale,
+            )
+    return CheckResult("alignment-projector", worst <= tol, f"max gap {worst:.2e}")
+
+
+def closed_form_loo(model, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-one-out stability and alignment of every training row, read off
+    the full fit's factor (Rifkin & Lippert, Notes on Regularized Least
+    Squares, MIT-CSAIL-TR-2007-025).
+
+    With c = K^{-1}(g - f0) and queries[i] the masked query q_i of z_i,
+        S_i = g_i - f_-i(z_i) = c_i / (K^{-1})_ii,
+        F(q_i, z_i | Z_-i) = [K^{-1} k(q_i)]_i.
+    """
+    k_inv = model.system.solve(np.eye(model.n_train))
+    stability = model.dual_coefs / np.diag(k_inv)
+    alignment = np.einsum("ij,ij->i", k_inv, model.system.cross(queries))
+    return stability, alignment
+
+
+def check_closed_form_loo(seed: int = 102, tol: float = 1e-8) -> CheckResult:
+    """closed_form_loo against explicit leave-one-out refits of every row."""
+    worst_s = worst_f = 0.0
+    for kind_idx, kind in enumerate(("rf", "ntk")):
+        inst_seed = derive_seed(seed, [kind_idx])
+        fmap, dataset, theta0 = _desk_instance(kind, inst_seed)
+        full = fit_min_norm(fmap, dataset, theta0=theta0)
+        queries = _masked_queries(dataset, derive_seed(inst_seed, [1]))
+        stability, alignment = closed_form_loo(full, queries)
+        for i, (s_i, f_i) in enumerate(zip(stability.tolist(), alignment.tolist())):
+            loo = fit_leave_one_out(fmap, dataset, i, theta0=theta0)
+            refit_s = stability_eval(full, loo, dataset.z[i])
+            refit_f = AlignmentSolver(loo.system).alignment(queries[i], dataset.z[i])
+            worst_s = max(worst_s, abs(s_i - refit_s) / (1.0 + abs(refit_s)))
+            worst_f = max(worst_f, abs(f_i - refit_f) / (1.0 + abs(refit_f)))
+    return CheckResult(
+        "closed-form-loo",
+        max(worst_s, worst_f) <= tol,
+        f"max relative gap: stability {worst_s:.2e}, alignment {worst_f:.2e}",
+    )
+
+
+def check_loo_denominator_bound(instances: int = 5, seed: int = 104) -> CheckResult:
+    """Every leave-one-out alignment denominator ||P_perp phi(z_i)||^2 =
+    1/(K^{-1})_ii, a Schur complement of K, keeps at least lambda_min(K).
+    """
+    worst = -np.inf
+    ok = True
+    for kind_idx, kind in enumerate(("rf", "ntk")):
+        for i in range(instances):
+            fmap, dataset, _ = _desk_instance(kind, derive_seed(seed, [kind_idx, i]))
+            system = linops.KernelSystem.build(fmap, dataset.z)
+            kernel = system.cache.matrix
+            denominators = 1.0 / np.diag(system.solve(np.eye(dataset.n)))
+            gap = linops.min_eigenvalue(kernel) - float(np.min(denominators))
+            ok = ok and gap <= 1e-8 * float(np.max(np.abs(kernel)))
+            worst = max(worst, gap)
+    return CheckResult("loo-denominator-bound", ok, f"max violation {worst:.2e}")
 
 
 def check_spectrum_estimate(seed: int = 109, tol: float = 1e-9) -> CheckResult:
@@ -160,8 +192,12 @@ def check_stability_identity(
     return CheckResult("stability-identity", worst <= tol, f"max relative gap {worst:.2e}")
 
 
+
+
 def check_interpolation(seed: int = 106) -> CheckResult:
-    """Exact-fit contract: training residuals and the row-span property."""
+    """Exact-fit contract: training residuals, and theta* - theta0 against the
+    min-norm least-squares solution of Phi theta = g - Phi theta0.
+    """
     ok = True
     details = []
     for kind_idx, kind in enumerate(("rf", "ntk")):
@@ -170,15 +206,14 @@ def check_interpolation(seed: int = 106) -> CheckResult:
         preds = model.predict(dataset.z)
         resid = float(np.max(np.abs(preds - dataset.g)))
         bound = 1e-8 * (1.0 + float(np.max(np.abs(dataset.g))))
-        theta = model.materialize_theta()
-        correction = theta if theta0 == "zero" else theta - (
-            model.map.w0.T.ravel() if theta0 == "init" else model.theta0_vector
-        )
         phi = fmap.feature_matrix(dataset.z)
-        span_resid = linops.residual_projection(phi, correction)
-        rel = float(np.linalg.norm(span_resid) / max(np.linalg.norm(correction), 1e-300))
-        ok = ok and resid <= bound and rel <= 1e-9
-        details.append(f"{kind}: resid {resid:.2e}, span {rel:.2e}")
+        start = fmap.w0.T.ravel() if theta0 == "init" else np.zeros(fmap.n_params)
+        oracle = np.linalg.lstsq(phi, dataset.g - phi @ start, rcond=None)[0]
+        gap = float(
+            np.linalg.norm(model.materialize_theta() - start - oracle) / np.linalg.norm(oracle)
+        )
+        ok = ok and resid <= bound and gap <= 1e-9
+        details.append(f"{kind}: resid {resid:.2e}, min-norm gap {gap:.2e}")
     return CheckResult("interpolation", ok, "; ".join(details))
 
 
@@ -208,6 +243,22 @@ def check_hermite_engine() -> CheckResult:
         f"mu0 err {mu0_err:.2e}, mu1 err {mu1_err:.2e}, ortho err {ortho_err:.2e}, "
         f"tanh Stein err {stein_err:.2e}, tanh mu0 {tanh_mu0_err:.2e}",
     )
+
+
+def check_covariance_first_equality(seed: int = 110, trials: int = 300) -> CheckResult:
+    """Cov(attack output, label) = gamma * Cov(S, label) within three combined
+    standard errors, for RF (k=600) and NTK (k=16) at N=200, d_x = d_y = 100.
+    """
+    ok = True
+    details = []
+    for kind, activation, k in (("rf", "h1+h2", 600), ("ntk", "h0+h1", 16)):
+        diag = covariance_diagnostic(
+            kind, get_activation(activation), k=k, n=200, d_x=100, d_y=100,
+            trials=trials, master_seed=seed,
+        )
+        ok = ok and diag.first_equality_gap <= 3.0 * diag.combined_se
+        details.append(f"{kind}: gap {diag.first_equality_gap / diag.combined_se:.2f} SE")
+    return CheckResult("covariance-first-equality", ok, "; ".join(details))
 
 
 def check_gamma_ntk(alpha: float, seed: int = 107, trials: int = 50) -> CheckResult:
@@ -245,10 +296,9 @@ def check_gamma_rf(alpha: float, seed: int = 108, trials: int = 50) -> CheckResu
 
 def quick_checks() -> list[CheckResult]:
     return [
-        check_projector_form(),
-        check_gram_schmidt_update(),
-        check_leave_one_out_trick(),
-        check_residual_norm_bound(),
+        check_alignment_projector(),
+        check_closed_form_loo(),
+        check_loo_denominator_bound(),
         check_spectrum_estimate(),
         check_interpolation(),
         check_stability_identity(),
@@ -258,11 +308,14 @@ def quick_checks() -> list[CheckResult]:
 
 def full_checks() -> list[CheckResult]:
     return quick_checks() + [
+        check_covariance_first_equality(),
         check_gamma_ntk(0.5),
         check_gamma_ntk(0.25),
         check_gamma_rf(0.5),
         check_gamma_rf(0.25),
     ]
+
+
 
 
 def run_verify(level: str = "quick") -> VerifyReport:

@@ -1,25 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconstab.alignment import (
     AlignmentEstimate,
     AlignmentSolver,
-    alignment_decomposition,
+    check_nonlinearity,
     compare_gamma_theory,
     estimate_gamma,
-    feature_alignment,
-    feature_alignment_from_vectors,
     verify_stability_identity,
 )
-from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
+from reconstab.attack import build_query_batch
+from reconstab.data import LabeledDataset, MaskStrategy, generate_synthetic, sample_teacher
 from reconstab.errors import DegenerateDenominator, DegenerateSpectrum
 from reconstab.featuremaps import sample_ntk_map, sample_rf_map
 from reconstab.hermite import (
     ActivationSpec,
+    activation_names,
     gamma_ntk_closed_form,
     get_activation,
     hermite_coefficients,
 )
+from reconstab.linops import KernelSystem
+from reconstab.trainer import fit_leave_one_out, fit_min_norm
+from reconstab.verify import closed_form_loo
 
 
 def _rf_instance(n=20, d_x=15, d_y=15, k=200, seed=0, activation="h1+h2"):
@@ -29,10 +34,23 @@ def _rf_instance(n=20, d_x=15, d_y=15, k=200, seed=0, activation="h1+h2"):
     return fmap, dataset, teacher
 
 
+def _alignment(fmap, rows, z, z1):
+    """F(z, z1) against the background system of the given rows."""
+    return AlignmentSolver(KernelSystem.build(fmap, rows)).alignment(z, z1)
+
+
+def _svd_alignment(fmap, rows, z, z1):
+    """F(z, z1) from the SVD projector of the materialized background features."""
+    _, _, vt = np.linalg.svd(fmap.feature_matrix(rows), full_matrices=False)
+    phi1, phiq = fmap.feature_matrix(np.stack([z1, z]))
+    resid = phi1 - vt.T @ (vt @ phi1)
+    return float(phiq @ resid) / float(resid @ resid)
+
+
 class TestFeatureAlignment:
     def test_self_alignment_is_one(self):
         fmap, dataset, _ = _rf_instance()
-        value = feature_alignment(fmap, dataset.z[1:], dataset.z[0], dataset.z[0])
+        value = _alignment(fmap, dataset.z[1:], dataset.z[0], dataset.z[0])
         assert abs(value - 1.0) <= 1e-12
 
     def test_orthogonal_query_gives_zero(self):
@@ -43,18 +61,13 @@ class TestFeatureAlignment:
         rows = np.hstack([rng.standard_normal((5, 5)), np.zeros((5, 3))])
         z1 = np.concatenate([rng.standard_normal(5), np.zeros(3)])
         z = np.concatenate([np.zeros(5), rng.standard_normal(3)])
-        assert feature_alignment(fmap, rows, z, z1) == 0.0
+        assert _alignment(fmap, rows, z, z1) == 0.0
 
     def test_matches_materialized_svd_projector_oracle(self):
         fmap, dataset, teacher = _rf_instance(n=20, d_x=15, d_y=15, k=200)
         probe = generate_synthetic(1, 15, 15, teacher, 99).z[0]
-        kernel_space = feature_alignment(fmap, dataset.z[1:], probe, dataset.z[0])
-        phi_rest = fmap.feature_matrix(dataset.z[1:])
-        _, _, vt = np.linalg.svd(phi_rest, full_matrices=False)
-        phi1 = fmap.feature_matrix(dataset.z[0])[0]
-        phiq = fmap.feature_matrix(probe)[0]
-        resid = phi1 - vt.T @ (vt @ phi1)
-        oracle = float(phiq @ resid) / float(resid @ resid)
+        kernel_space = _alignment(fmap, dataset.z[1:], probe, dataset.z[0])
+        oracle = _svd_alignment(fmap, dataset.z[1:], probe, dataset.z[0])
         assert abs(kernel_space - oracle) <= 1e-8 * (1 + abs(oracle))
 
     def test_kernel_space_matches_materialized_route_ntk(self):
@@ -63,37 +76,22 @@ class TestFeatureAlignment:
         rows = rng.standard_normal((7, 10))
         z1 = rng.standard_normal(10)
         z = rng.standard_normal(10)
-        kernel_space = feature_alignment(fmap, rows, z, z1)
-        materialized = feature_alignment_from_vectors(
-            fmap.feature_matrix(z)[0],
-            fmap.feature_matrix(z1)[0],
-            fmap.feature_matrix(rows),
-        )
+        kernel_space = _alignment(fmap, rows, z, z1)
+        materialized = _svd_alignment(fmap, rows, z, z1)
         assert abs(kernel_space - materialized) <= 1e-8 * (1 + abs(materialized))
 
     def test_degenerate_denominator(self):
         fmap, dataset, _ = _rf_instance(n=6)
         rows_including_z1 = dataset.z  # z1 lies inside the background span
         with pytest.raises(DegenerateDenominator):
-            feature_alignment(fmap, rows_including_z1, dataset.z[2], dataset.z[0])
+            _alignment(fmap, rows_including_z1, dataset.z[2], dataset.z[0])
 
     def test_empty_background_is_plain_cosine_ratio(self):
         fmap, dataset, _ = _rf_instance(n=2)
         z, z1 = dataset.z[1], dataset.z[0]
-        value = feature_alignment(fmap, dataset.z[:0], z, z1)
+        value = _alignment(fmap, dataset.z[:0], z, z1)
         expected = fmap.kernel(z, z1) / fmap.kernel(z1, z1)
         assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_scale_proportional_in_query_features(self):
-        rng = np.random.default_rng(5)
-        fmap, dataset, _ = _rf_instance(n=10)
-        phi_rest = fmap.feature_matrix(dataset.z[1:])
-        phi1 = fmap.feature_matrix(dataset.z[0])[0]
-        phiq = fmap.feature_matrix(dataset.z[0] * 0.9 + 0.1 * rng.standard_normal(dataset.d))[0]
-        base = feature_alignment_from_vectors(phiq, phi1, phi_rest)
-        for c in (0.5, 2.0, 7.5):
-            scaled = feature_alignment_from_vectors(c * phiq, phi1, phi_rest)
-            assert scaled == pytest.approx(c * base, rel=1e-12)
 
 
 class TestVerifyStabilityIdentity:
@@ -212,51 +210,56 @@ class TestCompareGammaTheory:
         assert not compare_gamma_theory(est).passed
 
 
-class TestAlignmentDecomposition:
-    def test_zero_mean_activation_keeps_raw_equal_centered(self):
-        fmap, dataset, teacher = _rf_instance(activation="h1+h2")
-        z1 = dataset.z[0]
-        z1m = generate_synthetic(1, 15, 15, teacher, 321).z[0]
-        dec = alignment_decomposition(fmap, dataset.z[1:], z1, z1m)
-        assert dec.raw == pytest.approx(dec.centered, abs=1e-12)
-        assert dec.centering_correction == pytest.approx(0.0, abs=1e-12)
+def _accepted_activations(kind):
+    names = []
+    for name in activation_names():
+        spec = get_activation(name)
+        try:
+            check_nonlinearity(kind, hermite_coefficients(spec), name)
+        except DegenerateSpectrum:
+            continue
+        names.append(name)
+    return names
 
-    def test_linear_activation_centered_equals_linearized(self):
-        fmap, dataset, teacher = _rf_instance(activation="identity")
-        z1 = dataset.z[0]
-        z1m = generate_synthetic(1, 15, 15, teacher, 322).z[0]
-        dec = alignment_decomposition(fmap, dataset.z[1:], z1, z1m)
-        assert dec.linearized == pytest.approx(dec.centered, abs=1e-8)
 
-    def test_components_recombine(self):
-        fmap, dataset, teacher = _rf_instance(activation="relu")
-        z1 = dataset.z[0]
-        z1m = generate_synthetic(1, 15, 15, teacher, 323).z[0]
-        dec = alignment_decomposition(fmap, dataset.z[1:], z1, z1m)
-        assert dec.raw == pytest.approx(dec.centered + dec.centering_correction, abs=1e-12)
-        assert dec.centered == pytest.approx(
-            dec.linearized + dec.linearization_correction, abs=1e-12
-        )
-        assert 0.0 <= dec.noise_ratio <= 1.0
+@st.composite
+def _loo_instances(draw):
+    """Sizes with k >= 2n (RF) or k * d >= 2n (NTK), an activation the limit
+    theory accepts, and a theta0 policy of the map kind.
 
-    def test_ntk_noise_ratio_shrinks_with_dimension(self):
-        # mirrors the vanishing projected-noise trend at growing width/dimension;
-        # each (seed, d) point averages a handful of query draws
-        wins = 0
-        for seed in range(10):
-            ratios = []
-            for d in (64, 128, 256):
-                fmap = sample_ntk_map(16, d, get_activation("h0+h1"), seed=seed + 7 * d)
-                teacher = sample_teacher(d // 2, seed)
-                rows = generate_synthetic(40, d // 2, d // 2, teacher, seed + d).z
-                draws = []
-                for q in range(6):
-                    pair = generate_synthetic(2, d // 2, d // 2, teacher, 1000 + 13 * seed + 31 * d + q)
-                    z1 = pair.z[0]
-                    z1m = np.concatenate([pair.z[1][: d // 2], z1[d // 2 :]])
-                    dec = alignment_decomposition(fmap, rows, z1, z1m)
-                    draws.append(dec.noise_ratio)
-                ratios.append(float(np.mean(draws)))
-            if ratios[0] > ratios[1] > ratios[2]:
-                wins += 1
-        assert wins >= 8
+    At least 24 neurons more than that: with ReLU all k features of a row
+    vanish with probability 2^-k, and the row's kernel with it.
+    """
+    kind = draw(st.sampled_from(["rf", "ntk"]))
+    n = draw(st.integers(2, 40))
+    d_x = d_y = 10
+    if kind == "rf":
+        k = draw(st.integers(2 * n + 24, 2 * n + 64))
+        theta0 = "zero"
+    else:
+        least = -(-2 * n // (d_x + d_y))
+        k = draw(st.integers(least + 24, least + 32))
+        theta0 = draw(st.sampled_from(["zero", "init"]))
+    activation = draw(st.sampled_from(_accepted_activations(kind)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return kind, n, d_x, d_y, k, activation, theta0, seed
+
+
+class TestClosedFormLeaveOneOut:
+    @settings(max_examples=30, deadline=None)
+    @given(_loo_instances())
+    def test_matches_explicit_refits(self, instance):
+        kind, n, d_x, d_y, k, activation, theta0, seed = instance
+        teacher = sample_teacher(d_x, seed)
+        dataset = generate_synthetic(n, d_x, d_y, teacher, seed + 1)
+        sample_map = sample_rf_map if kind == "rf" else sample_ntk_map
+        fmap = sample_map(k, d_x + d_y, get_activation(activation), seed + 2)
+        full = fit_min_norm(fmap, dataset, theta0=theta0)
+        queries = build_query_batch(dataset, MaskStrategy("resample", seed=seed + 3)).rows
+        stability, alignment = closed_form_loo(full, queries)
+        for i in range(n):
+            loo = fit_leave_one_out(fmap, dataset, i, theta0=theta0)
+            refit_s = dataset.g[i] - loo.predict(dataset.z[i])
+            refit_f = AlignmentSolver(loo.system).alignment(queries[i], dataset.z[i])
+            assert abs(stability[i] - refit_s) <= 1e-8 * (1.0 + abs(refit_s))
+            assert abs(alignment[i] - refit_f) <= 1e-8 * (1.0 + abs(refit_f))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reconstab import attack
-from reconstab.alignment import feature_alignment
+from reconstab.alignment import AlignmentSolver
 from reconstab.attack import (
     QueryBatch,
     _attacked_sample,
@@ -17,6 +17,7 @@ from reconstab.data import LabeledDataset, MaskStrategy, generate_synthetic, sam
 from reconstab.errors import DegenerateDenominator, MapMismatch
 from reconstab.featuremaps import RFMap, sample_rf_map
 from reconstab.hermite import get_activation
+from reconstab.linops import KernelSystem
 from reconstab.seeding import ROLE_DATA, ROLE_QUERY, derive_seed
 from reconstab.trainer import fit_min_norm
 
@@ -66,7 +67,7 @@ class TestBuildQueryBatch:
     def test_y_blocks_preserved_bit_exactly(self):
         _, dataset, _ = _fitted_instance()
         batch = build_query_batch(dataset, MaskStrategy("resample", seed=6))
-        assert np.array_equal(batch.rows[:, dataset.d_x :], dataset.y_block())
+        assert np.array_equal(batch.rows[:, dataset.d_x :], dataset.z[:, dataset.d_x :])
 
     def test_rows_get_distinct_masks(self):
         _, dataset, _ = _fitted_instance()
@@ -92,7 +93,8 @@ class TestRunAttack:
         model = fit_min_norm(fmap, dataset)
         batch = build_query_batch(dataset, MaskStrategy("resample", seed=10))
         report = run_attack(model, batch, dataset.g, "sign")
-        alignment = feature_alignment(fmap, dataset.z[:0], batch.rows[0], dataset.z[0])
+        empty = KernelSystem.build(fmap, dataset.z[:0])
+        alignment = AlignmentSolver(empty).alignment(batch.rows[0], dataset.z[0])
         assert report.outputs[0] == pytest.approx(alignment * dataset.g[0], rel=1e-10)
         if alignment > 0:
             assert report.attack_accuracy == 1.0

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from reconstab import data as datamod
 from reconstab.cli import main
 
 
@@ -81,19 +80,6 @@ def test_sweep_bad_config_exits_2(tmp_path):
 
 def test_unknown_activation_exits_1():
     assert main(["hermite", "--activation", "not-a-thing"]) == 1
-
-
-def test_gen_data_round_trip(tmp_path):
-    out = tmp_path / "ds"
-    assert main(["gen-data", "--n", "9", "--dx", "4", "--dy", "3",
-                 "--seed", "5", "--out", str(out)]) == 0
-    z = datamod.load_matrix(str(out) + ".z.glma")
-    g = datamod.load_matrix(str(out) + ".g.glma")
-    meta = datamod.read_metadata(str(out) + ".meta")
-    assert z.shape == (9, 7)
-    assert set(np.unique(g)) <= {-1.0, 1.0}
-    assert meta["n"] == "9" and meta["d_x"] == "4" and meta["label_mode"] == "sign"
-    assert "frame_width" not in meta
 
 
 def test_eigs_reports_scaled_eigenvalue(capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from reconstab.errors import DimensionMismatch
 from reconstab.featuremaps import sample_ntk_map, sample_rf_map
-from reconstab.hermite import ActivationSpec, _hermite_matrix, get_activation
+from reconstab.hermite import _hermite_matrix, get_activation
 
 
 def _features(fmap, z):
@@ -150,31 +150,6 @@ class TestGramAssembly:
         for i, q in enumerate(queries):
             for j, r in enumerate(rows):
                 assert cross[i, j] == pytest.approx(m.kernel(q, r), rel=1e-12)
-
-
-class TestCenteredFeatures:
-    def test_zero_mean_activation_is_identity(self):
-        m = sample_rf_map(8, 5, get_activation("h1+h2"), seed=19)
-        z = np.random.default_rng(9).standard_normal(5)
-        assert np.array_equal(m.centered_feature_matrix(z), m.feature_matrix(z))
-
-    def test_constant_activation_gives_zero(self):
-        const = ActivationSpec(name="const2", coeffs=(2.0,))
-        m = sample_rf_map(6, 4, const, seed=20)
-        z = np.random.default_rng(10).standard_normal(4)
-        assert np.allclose(m.centered_feature_matrix(z), 0.0, atol=1e-12)
-
-    def test_h0_plus_h1_centering_strips_constant(self):
-        combo = ActivationSpec(name="h0+h1-test", coeffs=(1.0, 1.0))
-        m = sample_rf_map(7, 5, combo, seed=21)
-        z = np.random.default_rng(11).standard_normal(5)
-        assert np.allclose(m.centered_feature_matrix(z)[0], m.v @ z, atol=1e-12)
-
-    def test_ntk_centering_inside_kron_factor(self):
-        m = sample_ntk_map(4, 5, get_activation("h0+h1"), seed=22)
-        z = np.random.default_rng(12).standard_normal(5)
-        w = m.activation_derivative(m.w0 @ z) - 1.0
-        assert np.allclose(m.centered_feature_matrix(z)[0], np.kron(z, w), atol=1e-12)
 
 
 class TestNtkExpectedKernel:

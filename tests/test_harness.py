@@ -5,18 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from reconstab import harness, linops, verify
+from reconstab import linops, verify
 from reconstab.alignment import estimate_gamma_on_instance
 from reconstab.data import generate_synthetic, sample_teacher
 from reconstab.errors import ConfigError
 from reconstab.featuremaps import sample_ntk_map, sample_rf_map
-from reconstab.harness import (
-    RESULT_COLUMNS,
-    ExperimentConfig,
-    parse_config,
-    rows_to_csv_bytes,
-    run_sweep,
-)
+from reconstab.harness import RESULT_COLUMNS, ExperimentConfig, parse_config, run_sweep, write_rows
 from reconstab.hermite import get_activation
 from reconstab.seeding import ROLE_DATA, ROLE_GAMMA, ROLE_MAP, ROLE_TEACHER, derive_seed
 
@@ -34,6 +28,12 @@ SMALL_CONFIG = {
     "test_size": 50,
     "gamma_trials": 4,
 }
+
+
+def rows_to_csv_bytes(rows) -> bytes:
+    buf = io.StringIO()
+    write_rows(rows, buf)
+    return buf.getvalue().encode()
 
 
 class TestDeriveSeed:
@@ -79,7 +79,7 @@ class TestConfig:
 
     def test_ntk_default_theta0(self):
         config = parse_config(dict(SMALL_CONFIG, model="ntk", k=8, activation="h0+h1"))
-        assert config.theta0 == "init"
+        assert config.theta0 == "zero"
 
     def test_init_policy_rejected_for_rf(self):
         with pytest.raises(ConfigError):
@@ -223,25 +223,26 @@ class TestVerifySuites:
         for check in report.checks:
             assert check.passed, f"{check.name}: {check.detail}"
 
-    def test_corrupted_projector_fails_gram_schmidt_suite(self, monkeypatch):
-        original = linops.project_rowspace
+    def test_corrupted_solve_fails_closed_form_loo(self, monkeypatch):
+        original = linops.KernelSolveCache.solve
 
-        def corrupted(a, v):
-            out = original(a, v)
-            return out + 1e-4 * np.ones_like(out)
+        def corrupted(self, b):
+            return original(self, b) + 1e-4
 
-        monkeypatch.setattr(linops, "project_rowspace", corrupted)
-        assert not verify.check_gram_schmidt_update().passed
+        monkeypatch.setattr(linops.KernelSolveCache, "solve", corrupted)
+        assert not verify.check_closed_form_loo().passed
 
     def test_full_level_includes_gamma_checks(self, monkeypatch):
-        # enumeration only: stub the expensive estimators
+        # stub the expensive gamma estimators; every other check runs
         monkeypatch.setattr(
             verify, "check_gamma_ntk", lambda alpha: verify.CheckResult(f"gamma-ntk-alpha={alpha}", True, "")
         )
         monkeypatch.setattr(
             verify, "check_gamma_rf", lambda alpha: verify.CheckResult(f"gamma-rf-alpha={alpha}", True, "")
         )
-        names = [c.name for c in verify.full_checks()]
+        checks = {c.name: c for c in verify.full_checks()}
+        assert checks["covariance-first-equality"].passed
+        names = list(checks)
         assert "gamma-ntk-alpha=0.5" in names
         assert "gamma-ntk-alpha=0.25" in names
         assert "gamma-rf-alpha=0.5" in names
