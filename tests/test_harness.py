@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reconstab import linops, verify
-from reconstab.alignment import estimate_gamma_on_instance
+from reconstab.alignment import AlignmentSolver, estimate_gamma_on_instance
 from reconstab.data import generate_synthetic, sample_teacher
 from reconstab.errors import ConfigError
 from reconstab.featuremaps import sample_ntk_map, sample_rf_map
@@ -231,6 +231,20 @@ class TestVerifySuites:
 
         monkeypatch.setattr(linops.KernelSolveCache, "solve", corrupted)
         assert not verify.check_closed_form_loo().passed
+
+    def test_corrupted_projector_fails_gram_schmidt_suite(self, monkeypatch):
+        # the projector is the alignment solver's kernel-space P_perp; the
+        # closed-form leave-one-out check took over the Gram-Schmidt update's
+        # identity and must see a shifted numerator through the explicit refits
+        original = AlignmentSolver.alignment_parts
+
+        def corrupted(self, z, z1):
+            num, den = original(self, z, z1)
+            return num + 1e-4 * den, den
+
+        monkeypatch.setattr(AlignmentSolver, "alignment_parts", corrupted)
+        assert not verify.check_closed_form_loo().passed
+        assert not verify.check_alignment_projector().passed
 
     def test_full_level_includes_gamma_checks(self, monkeypatch):
         # stub the expensive gamma estimators; every other check runs

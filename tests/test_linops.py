@@ -39,6 +39,78 @@ class TestGram:
         assert np.linalg.eigvalsh(k)[0] > -1e-12
 
 
+def _project_rowspace(a, v):
+    """P_A v = A^T (A A^T)^{-1} A v through the factored Gram: the kernel-space
+    projector the alignment solver applies to the background rows."""
+    cache = linops.KernelSolveCache.factor(linops.gram(a), p=a.shape[1])
+    return a.T @ cache.solve(a @ v)
+
+
+def _residual_projection(a, v):
+    return v - _project_rowspace(a, v)
+
+
+class TestProjectRowspace:
+    def test_row_is_fixed_point(self):
+        _, a = _instance(2)
+        assert np.allclose(_project_rowspace(a, a[0]), a[0], atol=1e-10)
+
+    def test_orthogonal_vector_maps_to_zero(self):
+        rng = np.random.default_rng(3)
+        a = np.hstack([rng.standard_normal((4, 6)), np.zeros((4, 4))])
+        v = np.concatenate([np.zeros(6), rng.standard_normal(4)])
+        assert np.allclose(_project_rowspace(a, v), 0.0, atol=1e-12)
+
+    def test_matches_svd_oracle(self):
+        rng, a = _instance(4, n=4, p=10)
+        v = rng.standard_normal(10)
+        _, _, vt = np.linalg.svd(a, full_matrices=False)
+        oracle = vt.T @ (vt @ v)
+        assert np.allclose(_project_rowspace(a, v), oracle, atol=1e-9)
+
+    def test_idempotent(self):
+        for seed in range(20):
+            rng, a = _instance(seed)
+            v = rng.standard_normal(a.shape[1])
+            once = _project_rowspace(a, v)
+            twice = _project_rowspace(a, once)
+            assert np.linalg.norm(twice - once) <= 1e-10 * (1 + np.linalg.norm(once))
+
+    def test_pythagoras(self):
+        for seed in range(20):
+            rng, a = _instance(seed + 100)
+            v = rng.standard_normal(a.shape[1])
+            p = _project_rowspace(a, v)
+            r = _residual_projection(a, v)
+            lhs = float(v @ v)
+            assert abs(lhs - (p @ p + r @ r)) <= 1e-9 * lhs
+
+    def test_singular_gram_raises(self):
+        a = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        with pytest.raises(SingularGram):
+            _project_rowspace(a, np.ones(3))
+
+
+class TestResidualProjection:
+    def test_vector_in_span_gives_zero(self):
+        rng, a = _instance(5)
+        v = a.T @ rng.standard_normal(a.shape[0])
+        assert np.allclose(_residual_projection(a, v), 0.0, atol=1e-9 * np.linalg.norm(v))
+
+    def test_orthogonal_vector_unchanged(self):
+        rng = np.random.default_rng(6)
+        a = np.hstack([rng.standard_normal((4, 6)), np.zeros((4, 4))])
+        v = np.concatenate([np.zeros(6), rng.standard_normal(4)])
+        assert np.allclose(_residual_projection(a, v), v, atol=1e-12)
+
+    def test_orthogonality_and_complement(self):
+        rng, a = _instance(7)
+        v = rng.standard_normal(a.shape[1])
+        r = _residual_projection(a, v)
+        assert np.max(np.abs(a @ r)) <= 1e-9 * np.linalg.norm(v)
+        assert np.allclose(r + _project_rowspace(a, v), v, atol=1e-13 * np.linalg.norm(v))
+
+
 class TestMinEigenvalue:
     def test_identity(self):
         assert linops.min_eigenvalue(np.eye(3)) == pytest.approx(1.0)
