@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import generate_synthetic, sample_teacher, _sphere_rows
+from .data import attacked_pairs, generate_synthetic, sample_teacher
 from .errors import DegenerateDenominator, DegenerateSpectrum
 from .featuremaps import sample_ntk_map, sample_rf_map
 from .hermite import (
@@ -131,28 +131,18 @@ def check_nonlinearity(kind: str, spectrum: HermiteSpectrum, name: str = "") -> 
         )
 
 
-def _sample_alignments(
-    solver: AlignmentSolver, d_x: int, d_y: int, trials: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial alignment of a fresh masked pair (z1m, z1); fixed context."""
-    values = np.empty(trials)
-    nums = np.empty(trials)
-    dens = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        x1 = _sphere_rows(rng, 1, d_x)[0]
-        y1 = _sphere_rows(rng, 1, d_y)[0]
-        x_fresh = _sphere_rows(rng, 1, d_x)[0]
-        z1 = np.concatenate([x1, y1])
-        z1m = np.concatenate([x_fresh, y1])
+def sample_alignments(
+    solver: AlignmentSolver, z1: np.ndarray, z1m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators and denominators of F(z1m[t], z1[t]), one pair per row."""
+    nums = np.empty(len(z1))
+    dens = np.empty(len(z1))
+    for t, (row, query) in enumerate(zip(z1, z1m)):
         try:
-            num, den = solver.alignment_parts(z1m, z1)
+            nums[t], dens[t] = solver.alignment_parts(query, row)
         except DegenerateDenominator as exc:
             raise DegenerateDenominator(f"trial {t}: {exc}") from exc
-        values[t] = num / den
-        nums[t] = num
-        dens[t] = den
-    return values, nums, dens
+    return nums, dens
 
 
 def estimate_gamma(
@@ -169,9 +159,10 @@ def estimate_gamma(
     """Monte-Carlo estimate of the limiting masked-query alignment.
 
     The feature map and the n-1 background rows are sampled once from the
-    master seed and held fixed; each trial redraws the attacked sample
-    z1 = [x1, y1] and its resampled mask z1m = [x, y1]. For tangent maps the
-    activation argument is the spec of the activation derivative.
+    master seed and held fixed; each trial draws an attacked sample
+    z1 = [x1, y1] and its resampled mask z1m = [x, y1] from
+    ``data.attacked_pairs``. For tangent maps the activation argument is the
+    spec of the activation derivative.
     """
     if kind not in ("rf", "ntk"):
         raise ValueError(f"unknown map kind {kind!r}")
@@ -195,7 +186,9 @@ def estimate_gamma(
         n - 1, d_x, d_y, sample_teacher(d_x, data_seed), data_seed
     )
     solver = AlignmentSolver(KernelSystem.build(fmap, background.z))
-    values, nums, dens = _sample_alignments(solver, d_x, d_y, trials, query_seed)
+    z1, z1m = attacked_pairs(query_seed, trials, d_x, d_y, "resample")
+    nums, dens = sample_alignments(solver, z1, z1m)
+    values = nums / dens
 
     if kind == "ntk":
         ref = gamma_ntk_closed_form(spectrum, alpha)
@@ -223,14 +216,14 @@ def estimate_gamma(
 
 
 def estimate_gamma_on_instance(
-    background: KernelSystem, d_x: int, trials: int, seed: int
+    background: KernelSystem, d_x: int, trials: int, seed: int, mask: str
 ) -> tuple[float, float]:
-    """Mean/std of the masked-query alignment against one fixed background
-    system (its map and factored rows).
+    """Mean/std of the alignment of masked queries against their attacked
+    samples, on one fixed background system (its map and factored rows).
     """
-    solver = AlignmentSolver(background)
-    d_y = background.map.d - d_x
-    values, _, _ = _sample_alignments(solver, d_x, d_y, trials, seed)
+    z1, z1m = attacked_pairs(seed, trials, d_x, background.map.d - d_x, mask)
+    nums, dens = sample_alignments(AlignmentSolver(background), z1, z1m)
+    values = nums / dens
     return float(np.mean(values)), float(np.std(values, ddof=1))
 
 

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import AlignmentSolver, check_nonlinearity
-from .data import LabeledDataset, MaskStrategy, generate_synthetic, mask_sample, sample_teacher, _sphere_rows
+from .alignment import AlignmentSolver, check_nonlinearity, sample_alignments
+from .data import (
+    LabeledDataset, MaskStrategy, attacked_pairs, generate_synthetic, mask_sample, sample_teacher,
+)
 from .errors import MapMismatch
 from .featuremaps import sample_ntk_map, sample_rf_map
 from .hermite import ActivationSpec, hermite_coefficients
@@ -89,16 +91,6 @@ def run_attack(
     )
 
 
-def _attacked_sample(
-    query_seed: int, t: int, d_x: int, d_y: int, mask: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Trial t's attacked sample z1 = [x1, y1] and its masked query."""
-    rng = np.random.default_rng([query_seed, t])
-    z1 = np.concatenate([_sphere_rows(rng, 1, d_x)[0], _sphere_rows(rng, 1, d_y)[0]])
-    z1m = mask_sample(z1, d_x, MaskStrategy(mask, seed=derive_seed(query_seed, [t])))
-    return z1, z1m
-
-
 def _covariance(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Empirical covariance and a delta-method standard error."""
     products = (a - a.mean()) * (b - b.mean())
@@ -111,8 +103,9 @@ def _covariance(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 class CovarianceDiagnostic:
     """Joint statistics of the attack output and the hidden label.
 
-    Per trial, the attack output at the masked query z1m is the fit on
-    [z1; background], which the stability identity writes as
+    Per trial (one attacked pair from ``data.attacked_pairs``), the attack
+    output at the masked query z1m is the fit on [z1; background], which the
+    stability identity writes as
     f_-1(z1m) + F(z1m, z1) * S(z1) with S(z1) = g1 - f_-1(z1); stability is
     S(z1) and gamma_mean averages F(z1m, z1). The proportionality between
     cov_attack and gamma_mean * cov_stability is the testable equality; the
@@ -154,11 +147,14 @@ def covariance_diagnostic(
     """Estimate Cov(attack output, label) and its stability-side counterpart.
 
     The background rows, their labels, and the feature map stay fixed and are
-    fitted once; each trial redraws the attacked sample z1. The fit on
-    [z1; background] is never formed: by S(z) = F(z, z1) * S(z1) its output
-    at the masked query is the background fit's output plus the alignment
-    times the stability at z1, so the whole diagnostic runs on one factored
-    background system. label_fn overrides the teacher labeling (e.g. to force
+    fitted once; each trial draws an attacked sample z1 and its masked query
+    from the same stream as ``alignment.estimate_gamma``, so for the same
+    arguments gamma_mean is that estimate's mean. The fit on [z1; background]
+    is never formed: by S(z) = F(z, z1) * S(z1) its output at the masked
+    query is the background fit's output plus the alignment times the
+    stability at z1, so the whole diagnostic runs on one factored background
+    system, with one batched prediction on all z1 and one on all z1m.
+    label_fn overrides the teacher labeling (e.g. to force
     constant labels); fmap injects a prebuilt feature map (bypassing sampling
     and the nonlinearity screen) for constructed scenarios such as feature
     maps that ignore the noise block. An attacked sample whose features lie
@@ -189,19 +185,13 @@ def covariance_diagnostic(
 
     # one background system serves the leave-one-out model and the alignment
     loo_model = fit_min_norm(fmap, background, theta0=theta0)
-    solver = AlignmentSolver(loo_model.system)
-
-    attack_out = np.empty(trials)
-    stability = np.empty(trials)
-    labels = np.empty(trials)
-    alignments = np.empty(trials)
-    for t in range(trials):
-        z1, z1m = _attacked_sample(query_seed, t, d_x, d_y, mask)
-        labels[t] = float(label_fn(z1[:d_x]))
-        # the fit on [z1; background] interpolates g1
-        stability[t] = labels[t] - loo_model.predict(z1)
-        alignments[t] = solver.alignment(z1m, z1)
-        attack_out[t] = loo_model.predict(z1m) + alignments[t] * stability[t]
+    z1, z1m = attacked_pairs(query_seed, trials, d_x, d_y, mask)
+    labels = np.asarray([float(label_fn(x)) for x in z1[:, :d_x]])
+    # the fit on [z1; background] interpolates g1
+    stability = labels - loo_model.predict(z1)
+    nums, dens = sample_alignments(AlignmentSolver(loo_model.system), z1, z1m)
+    alignments = nums / dens
+    attack_out = loo_model.predict(z1m) + alignments * stability
 
     gamma_mean = float(np.mean(alignments))
     cov_attack, se_attack = _covariance(attack_out, labels)

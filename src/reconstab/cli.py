@@ -18,7 +18,7 @@ from .errors import ConfigError, ReconstabError
 from .featuremaps import sample_ntk_map, sample_rf_map
 from .harness import WORKERS_ENV, parse_config, run_sweep, write_rows
 from .hermite import activation_names, get_activation, hermite_coefficients
-from .linops import min_eigenvalue
+from .linops import KernelSystem
 from .seeding import ROLE_DATA, ROLE_MAP, ROLE_MASK, ROLE_TEACHER, ROLE_TEST, derive_seed
 from .trainer import fit_min_norm, generalization_error
 
@@ -63,10 +63,9 @@ def _cmd_fit(args) -> int:
         args.test_size, args.dx, args.dy, teacher, derive_seed(args.seed, [ROLE_TEST])
     )
     evaluation = generalization_error(model, test)
-    scale = args.k if args.model == "rf" else args.k * (args.dx + args.dy)
     print(
         f"n={dataset.n} alpha={dataset.alpha:.4g} max_residual={model.report.max_residual:.3e} "
-        f"lambda_min_over_scale={model.report.min_eig / scale:.4g} "
+        f"lambda_min_over_scale={model.report.min_eig / fmap.n_params:.4g} "
         f"condition={model.report.condition:.3e} "
         f"test_error={evaluation.error:.4g} test_acc={evaluation.accuracy:.4f}"
     )
@@ -146,12 +145,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_eigs(args) -> int:
     fmap, dataset, _ = _build_instance(args)
-    kernel = fmap.prepare(dataset.z).gram()
-    scale = args.k if args.model == "rf" else args.k * (args.dx + args.dy)
-    lam = min_eigenvalue(kernel)
+    lam = KernelSystem.build(fmap, dataset.z).cache.min_eig
     print(
         f"model={args.model} n={dataset.n} d={dataset.d} k={args.k} "
-        f"lambda_min={lam:.6g} lambda_min_over_scale={lam / scale:.6g}"
+        f"lambda_min={lam:.6g} lambda_min_over_scale={lam / fmap.n_params:.6g}"
     )
     return 0
 

@@ -120,6 +120,27 @@ def generate_synthetic(
     return LabeledDataset(z=np.hstack([x, y]), g=teacher.labels(x), d_x=d_x, d_y=d_y)
 
 
+def attacked_pairs(
+    seed: int, trials: int, d_x: int, d_y: int, mask: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo attacked samples z1 = [x1, y1] and their masked queries
+    z1m = [x, y1], one pair per row.
+
+    Trial t draws x1, then y1, then the fresh x from the substream [seed, t];
+    the "zero" mask writes zeros in place of the fresh x.
+    """
+    MaskStrategy(mask)  # rejects an unknown mask kind
+    z1 = np.empty((trials, d_x + d_y))
+    z1m = np.empty_like(z1)
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        z1[t, :d_x] = _sphere_rows(rng, 1, d_x)[0]
+        z1[t, d_x:] = _sphere_rows(rng, 1, d_y)[0]
+        z1m[t, :d_x] = _sphere_rows(rng, 1, d_x)[0] if mask == "resample" else 0.0
+    z1m[:, d_x:] = z1[:, d_x:]
+    return z1, z1m
+
+
 def mask_sample(z: np.ndarray, d_x: int, strategy: MaskStrategy, index: int = 0) -> np.ndarray:
     """Masked copy of one row: y-block kept bit-exactly, x-block replaced.
 

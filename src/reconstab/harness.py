@@ -9,7 +9,9 @@ A row factors one Gram. The fit sees the training rows in the order
 [z_2..z_N; z_1], so the background system of the alignment trials (every row
 but z_1) is the leading block of the fit's system; the fit itself does not
 depend on the row order beyond roundoff. Test and attack queries, and the
-attack's labels, keep the dataset's order.
+attack's labels, keep the dataset's order. The alignment trials mask their
+attacked samples with the config's mask, as the attack does, so gamma and
+attack_acc describe the same query.
 """
 
 from __future__ import annotations
@@ -197,7 +199,6 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
 
     started = time.perf_counter()
     activation = get_activation(config.activation)
-    scale = config.k if config.model == "rf" else config.k * config.d
     try:
         dataset = generate_synthetic(n, config.d_x, config.d_y, teacher, data_seed)
         if config.model == "rf":
@@ -212,7 +213,8 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
         batch = build_query_batch(dataset, MaskStrategy(config.mask, seed=mask_seed))
         attack = run_attack(model, batch, dataset.g, config.readout)
         gamma_mean, gamma_std = estimate_gamma_on_instance(
-            model.system.leading(n - 1), config.d_x, config.gamma_trials, gamma_seed
+            model.system.leading(n - 1), config.d_x, config.gamma_trials, gamma_seed,
+            config.mask,
         )
     except ReconstabError as exc:
         return ResultRow(
@@ -247,7 +249,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
         attack_acc=attack.attack_accuracy,
         gamma_mean=gamma_mean,
         gamma_std=gamma_std,
-        lambda_min_over_scale=model.report.min_eig / scale,
+        lambda_min_over_scale=model.report.min_eig / fmap.n_params,
         error="",
     )
 

@@ -19,6 +19,9 @@ DEFAULT_TRUNCATION = 40
 DEFAULT_NODES = 80
 MAX_NODES = 640
 CONVERGENCE_TOL = 1e-8
+# Hermite combinations are evaluated this many entries at a time, so the
+# (L+1)-row basis stays small however large the pre-activation matrix is.
+ACTIVATION_CHUNK = 16384
 
 
 def _hermite_matrix(max_l: int, rho: np.ndarray) -> np.ndarray:
@@ -59,11 +62,13 @@ class ActivationSpec:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        if self.coeffs is not None:
-            basis = _hermite_matrix(len(self.coeffs) - 1, u.ravel())
-            vals = np.asarray(self.coeffs) @ basis
-            return vals.reshape(u.shape)
-        return self.fn(u)
+        if self.coeffs is None:
+            return self.fn(u)
+        flat, vals = u.ravel(), np.empty(u.size)
+        for s in range(0, u.size, ACTIVATION_CHUNK):
+            basis = _hermite_matrix(len(self.coeffs) - 1, flat[s : s + ACTIVATION_CHUNK])
+            vals[s : s + ACTIVATION_CHUNK] = np.asarray(self.coeffs) @ basis
+        return vals.reshape(u.shape)
 
     def derivative(self) -> "ActivationSpec":
         """Spec of the first derivative.

@@ -192,8 +192,6 @@ def check_stability_identity(
     return CheckResult("stability-identity", worst <= tol, f"max relative gap {worst:.2e}")
 
 
-
-
 def check_interpolation(seed: int = 106) -> CheckResult:
     """Exact-fit contract: training residuals, and theta* - theta0 against the
     min-norm least-squares solution of Phi theta = g - Phi theta0.
@@ -314,8 +312,6 @@ def full_checks() -> list[CheckResult]:
         check_gamma_rf(0.5),
         check_gamma_rf(0.25),
     ]
-
-
 
 
 def run_verify(level: str = "quick") -> VerifyReport:

@@ -64,11 +64,13 @@ class TestFeatureAlignment:
         assert _alignment(fmap, rows, z, z1) == 0.0
 
     def test_matches_materialized_svd_projector_oracle(self):
-        fmap, dataset, teacher = _rf_instance(n=20, d_x=15, d_y=15, k=200)
-        probe = generate_synthetic(1, 15, 15, teacher, 99).z[0]
-        kernel_space = _alignment(fmap, dataset.z[1:], probe, dataset.z[0])
-        oracle = _svd_alignment(fmap, dataset.z[1:], probe, dataset.z[0])
-        assert abs(kernel_space - oracle) <= 1e-8 * (1 + abs(oracle))
+        # k = N + 5 puts the background Gram's condition number near 6e5
+        for n, k in ((20, 200), (300, 305)):
+            fmap, dataset, teacher = _rf_instance(n=n, d_x=15, d_y=15, k=k)
+            probe = generate_synthetic(1, 15, 15, teacher, 99).z[0]
+            kernel_space = _alignment(fmap, dataset.z[1:], probe, dataset.z[0])
+            oracle = _svd_alignment(fmap, dataset.z[1:], probe, dataset.z[0])
+            assert abs(kernel_space - oracle) <= 1e-8 * (1 + abs(oracle))
 
     def test_kernel_space_matches_materialized_route_ntk(self):
         rng = np.random.default_rng(3)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from reconstab import attack
-from reconstab.alignment import AlignmentSolver
+from reconstab.alignment import AlignmentSolver, estimate_gamma
 from reconstab.attack import (
     QueryBatch,
-    _attacked_sample,
     _covariance,
     argmax_readout,
     build_query_batch,
@@ -13,7 +12,13 @@ from reconstab.attack import (
     run_attack,
     sign_readout,
 )
-from reconstab.data import LabeledDataset, MaskStrategy, generate_synthetic, sample_teacher
+from reconstab.data import (
+    LabeledDataset,
+    MaskStrategy,
+    attacked_pairs,
+    generate_synthetic,
+    sample_teacher,
+)
 from reconstab.errors import DegenerateDenominator, MapMismatch
 from reconstab.featuremaps import RFMap, sample_rf_map
 from reconstab.hermite import get_activation
@@ -206,8 +211,7 @@ class TestCovarianceDiagnostic:
         teacher = sample_teacher(d_x, derive_seed(seed, [ROLE_DATA]))
         query_seed = derive_seed(seed, [ROLE_QUERY])
         outputs, stability, labels = [], [], []
-        for t in range(trials):
-            z1, z1m = _attacked_sample(query_seed, t, d_x, d_y, mask)
+        for z1, z1m in zip(*attacked_pairs(query_seed, trials, d_x, d_y, mask)):
             g1 = teacher.label(z1[:d_x])
             full = LabeledDataset(
                 z=np.vstack([z1, background.z]),
@@ -223,6 +227,16 @@ class TestCovarianceDiagnostic:
         gap = abs(cov_attack - diag.gamma_mean * cov_stability)
         assert diag.cov_attack == pytest.approx(cov_attack, rel=1e-10)
         assert diag.first_equality_gap == pytest.approx(gap, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "kind, activation, k", [("rf", "h1+h2", 80), ("ntk", "h0+h1", 8)]
+    )
+    def test_gamma_mean_is_estimate_gamma_mean(self, kind, activation, k):
+        # both draw the attacked pairs from the same stream and align them
+        # against the same background rows
+        args = dict(k=k, n=16, d_x=8, d_y=8, trials=12, master_seed=7)
+        diag = covariance_diagnostic(kind, get_activation(activation), **args)
+        assert diag.gamma_mean == estimate_gamma(kind, get_activation(activation), **args).mean
 
     def test_one_fit_per_diagnostic(self, monkeypatch):
         calls = _record_fits(monkeypatch)

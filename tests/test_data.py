@@ -4,6 +4,8 @@ import pytest
 from reconstab.data import (
     MaskStrategy,
     TeacherVector,
+    _sphere_rows,
+    attacked_pairs,
     generate_synthetic,
     mask_sample,
     sample_teacher,
@@ -91,3 +93,24 @@ class TestMaskSample:
         b = mask_sample(z, 5, MaskStrategy("resample", seed=4), index=1)
         assert not np.allclose(a[:5], b[:5])
 
+
+
+class TestAttackedPairs:
+    def test_trial_draws_x1_y1_then_fresh_x(self):
+        z1, z1m = attacked_pairs(5, 3, 4, 2, "resample")
+        for t in range(3):
+            rng = np.random.default_rng([5, t])
+            x1, y1, x = (_sphere_rows(rng, 1, dim)[0] for dim in (4, 2, 4))
+            assert np.array_equal(z1[t], np.concatenate([x1, y1]))
+            assert np.array_equal(z1m[t], np.concatenate([x, y1]))
+
+    def test_zero_mask_keeps_attacked_samples(self):
+        z1, _ = attacked_pairs(6, 4, 3, 5, "resample")
+        zero_z1, zero_z1m = attacked_pairs(6, 4, 3, 5, "zero")
+        assert np.array_equal(zero_z1, z1)
+        assert np.array_equal(zero_z1m[:, :3], np.zeros((4, 3)))
+        assert np.array_equal(zero_z1m[:, 3:], z1[:, 3:])
+
+    def test_unknown_mask_rejected(self):
+        with pytest.raises(ValueError, match="mask"):
+            attacked_pairs(0, 2, 3, 3, "blur")

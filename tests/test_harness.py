@@ -7,6 +7,7 @@ import pytest
 
 from reconstab import linops, verify
 from reconstab.alignment import AlignmentSolver, estimate_gamma_on_instance
+from reconstab.cli import main
 from reconstab.data import generate_synthetic, sample_teacher
 from reconstab.errors import ConfigError
 from reconstab.featuremaps import sample_ntk_map, sample_rf_map
@@ -169,7 +170,11 @@ NTK_CONFIG = dict(SMALL_CONFIG, model="ntk", k=8, activation="h0+h1")
 
 
 class TestOneFactorPerRow:
-    @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
+    @pytest.mark.parametrize(
+        "doc",
+        [SMALL_CONFIG, NTK_CONFIG, dict(SMALL_CONFIG, mask="zero")],
+        ids=["rf", "ntk", "rf-zero-mask"],
+    )
     def test_gamma_matches_a_separately_factored_background(self, doc):
         config = parse_config(dict(doc))
         teacher = sample_teacher(config.d_x, derive_seed(config.master_seed, [ROLE_TEACHER]))
@@ -184,7 +189,7 @@ class TestOneFactorPerRow:
             fmap = sample_map(config.k, config.d, get_activation(config.activation), seed[ROLE_MAP])
             background = linops.KernelSystem.build(fmap, dataset.z[1:])
             mean, std = estimate_gamma_on_instance(
-                background, config.d_x, config.gamma_trials, seed[ROLE_GAMMA]
+                background, config.d_x, config.gamma_trials, seed[ROLE_GAMMA], config.mask
             )
             assert row.gamma_mean == pytest.approx(mean, rel=1e-12, abs=0)
             assert row.gamma_std == pytest.approx(std, rel=1e-12, abs=0)
@@ -205,16 +210,26 @@ class TestOneFactorPerRow:
 
 
 class TestNoDenseEigensolverOrLU:
-    @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
-    def test_sweep_row_runs_without_eigvalsh_or_solve(self, doc, monkeypatch):
+    @pytest.fixture
+    def forbid_dense(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a sweep row must not call eigvalsh or solve")
+            raise AssertionError("the factor must serve without eigvalsh or solve")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         monkeypatch.setattr(np.linalg, "solve", forbidden)
+
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
+    def test_sweep_row_runs_without_eigvalsh_or_solve(self, doc, forbid_dense):
         rows = run_sweep(parse_config(dict(doc, n_grid=[16], trials=1)))
         assert len(rows) == 1
         assert all(row.error == "" for row in rows)
+
+    @pytest.mark.parametrize("model", ["rf", "ntk"])
+    def test_eigs_command_runs_without_eigvalsh_or_solve(self, model, forbid_dense, capsys):
+        k = "60" if model == "rf" else "8"
+        assert main(["eigs", "--model", model, "--k", k, "--dx", "8", "--dy", "8",
+                     "--n", "16", "--activation", "h1+h2", "--seed", "4"]) == 0
+        assert "lambda_min_over_scale=" in capsys.readouterr().out
 
 
 class TestVerifySuites:

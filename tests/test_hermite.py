@@ -201,6 +201,13 @@ class TestActivationSpec:
         fd = (act(u + eps) - act(u - eps)) / (2 * eps)
         assert np.allclose(deriv(u), fd, atol=1e-9)
 
+    def test_chunked_evaluation_matches_one_basis(self):
+        # a shape spanning several chunks, with a partial last one
+        act = get_activation("h1+h4")
+        u = np.random.default_rng(0).standard_normal((3, hermite.ACTIVATION_CHUNK + 7))
+        whole = np.asarray(act.coeffs) @ _hermite_matrix(len(act.coeffs) - 1, u.ravel())
+        assert np.array_equal(act(u), whole.reshape(u.shape))
+
     def test_rejects_both_kinds(self):
         with pytest.raises(ValueError):
             ActivationSpec(name="bad", coeffs=(1.0,), fn=lambda u: u)
