@@ -2,8 +2,8 @@
 
 The attacker queries the trained model with each training row's mask
 z_i^m = [x, y_i] (the informative block replaced, the noise block kept
-bit-exactly) and reads the label off the output: sign for binary targets,
-argmax for one-hot targets, ties broken toward the lowest class index.
+bit-exactly) and reads the +-1 label off the sign of the scalar output, a
+0 output read as +1.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .alignment import AlignmentSolver, check_nonlinearity, sample_alignments
 from .data import (
-    LabeledDataset, MaskStrategy, attacked_pairs, generate_synthetic, mask_sample, sample_teacher,
+    LabeledDataset, attacked_pairs, generate_synthetic, mask_rows, sample_teacher, sign_readout,
 )
 from .errors import MapMismatch
 from .featuremaps import sample_ntk_map, sample_rf_map
@@ -24,70 +24,29 @@ from .seeding import ROLE_DATA, ROLE_MAP, ROLE_QUERY, derive_seed
 from .trainer import TrainedModel, fit_min_norm
 
 
-def sign_readout(values: np.ndarray) -> np.ndarray:
-    """Binary readout with the 0-output tie mapped to +1."""
-    return np.where(np.asarray(values) >= 0.0, 1.0, -1.0)
-
-
-def argmax_readout(values: np.ndarray) -> np.ndarray:
-    """Multi-class readout; np.argmax already prefers the lowest index on ties."""
-    return np.argmax(np.atleast_2d(values), axis=1)
-
-
-@dataclass
-class QueryBatch:
-    """One masked row per training sample."""
-
-    rows: np.ndarray
-    kind: str
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-
 @dataclass
 class AttackReport:
     attack_accuracy: float
     outputs: np.ndarray
-    readout: str
-    n: int
-    test_accuracy: float | None = None
 
 
-def build_query_batch(dataset: LabeledDataset, strategy: MaskStrategy) -> QueryBatch:
-    """Mask every training row; resampled x-blocks get per-row substreams."""
-    rows = np.asarray(
-        [mask_sample(z, dataset.d_x, strategy, index=i) for i, z in enumerate(dataset.z)]
-    )
-    return QueryBatch(rows=rows, kind=strategy.kind, seed=strategy.seed)
+def build_query_batch(dataset: LabeledDataset, mask: str, seed: int) -> np.ndarray:
+    """The masked query of every training row, one row each."""
+    return mask_rows(dataset.z, dataset.d_x, mask, seed)
 
 
-def run_attack(
-    model: TrainedModel, batch: QueryBatch, labels: np.ndarray, readout: str
-) -> AttackReport:
-    """Fraction of training labels recovered from the masked queries."""
+def run_attack(model: TrainedModel, queries: np.ndarray, labels: np.ndarray) -> AttackReport:
+    """Fraction of the +-1 training labels recovered from the masked queries."""
     labels = np.asarray(labels)
-    if batch.n != model.n_train or batch.n != labels.shape[0]:
+    n = len(queries)
+    if n != model.n_train or n != len(labels):
         raise MapMismatch(
-            f"batch of {batch.n} rows does not match model fitted on "
-            f"{model.n_train} samples with {labels.shape[0]} labels"
+            f"batch of {n} rows does not match model fitted on "
+            f"{model.n_train} samples with {len(labels)} labels"
         )
-    if readout == "argmax" and labels.ndim != 2:
-        raise ValueError("the argmax readout needs one-hot labels, got 1-D labels")
-    outputs = model.predict(batch.rows)
-    if readout == "sign":
-        hits = sign_readout(outputs) == labels
-    elif readout == "argmax":
-        hits = argmax_readout(outputs) == np.argmax(labels, axis=1)
-    else:
-        raise ValueError(f"unknown readout {readout!r}")
+    outputs = model.predict(queries)
     return AttackReport(
-        attack_accuracy=float(np.mean(hits)),
-        outputs=outputs,
-        readout=readout,
-        n=batch.n,
+        attack_accuracy=float(np.mean(sign_readout(outputs) == labels)), outputs=outputs
     )
 
 

@@ -7,28 +7,19 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import verify as verifymod
 from .alignment import compare_gamma_theory, estimate_gamma
 from .attack import build_query_batch, run_attack
-from .data import MaskStrategy, generate_synthetic, sample_teacher
+from .data import MASKS, generate_synthetic, sample_teacher
 from .errors import ConfigError, ReconstabError
 from .featuremaps import sample_ntk_map, sample_rf_map
-from .harness import WORKERS_ENV, parse_config, run_sweep, write_rows
+from .harness import parse_config, run_sweep, write_rows
 from .hermite import activation_names, get_activation, hermite_coefficients
 from .linops import KernelSystem
 from .seeding import ROLE_DATA, ROLE_MAP, ROLE_MASK, ROLE_TEACHER, ROLE_TEST, derive_seed
 from .trainer import fit_min_norm, generalization_error
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _add_instance_args(parser, model_kind=True):
@@ -79,13 +70,11 @@ def _cmd_attack(args) -> int:
         args.test_size, args.dx, args.dy, teacher, derive_seed(args.seed, [ROLE_TEST])
     )
     evaluation = generalization_error(model, test)
-    strategy = MaskStrategy(args.mask, seed=derive_seed(args.seed, [ROLE_MASK]))
-    report = run_attack(
-        model, build_query_batch(dataset, strategy), dataset.g, args.readout
-    )
+    queries = build_query_batch(dataset, args.mask, derive_seed(args.seed, [ROLE_MASK]))
+    report = run_attack(model, queries, dataset.g)
     print(
         f"n={dataset.n} alpha={dataset.alpha:.4g} activation={args.activation} "
-        f"readout={args.readout} test_acc={evaluation.accuracy:.4f} "
+        f"test_acc={evaluation.accuracy:.4f} "
         f"attack_acc={report.attack_accuracy:.4f}"
     )
     return 0
@@ -123,9 +112,10 @@ def _cmd_hermite(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     config = parse_config(args.config)
-    workers = args.workers if args.workers else _default_workers()
-    rows = run_sweep(config, workers=workers)
+    rows = run_sweep(config, workers=args.workers)
     out = args.out or config.output
     if out:
         with open(out, "w", newline="") as f:
@@ -168,8 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack = sub.add_parser("attack", help="run the masked-query attack")
     _add_instance_args(p_attack)
     p_attack.add_argument("--test-size", type=int, default=1000)
-    p_attack.add_argument("--mask", choices=["resample", "zero"], default="resample")
-    p_attack.add_argument("--readout", choices=["sign", "argmax"], default="sign")
+    p_attack.add_argument("--mask", choices=MASKS, default="resample")
     p_attack.set_defaults(fn=_cmd_attack)
 
     p_gamma = sub.add_parser("gamma", help="Monte-Carlo alignment vs theory")
@@ -186,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a configured (N, trial) sweep")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default="")
-    p_sweep.add_argument("--workers", type=int, default=0,
-                         help=f"0 means use ${WORKERS_ENV} (default 1)")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="threads computing rows; the CSV does not depend on it")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the identity/theory suites")

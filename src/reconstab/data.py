@@ -1,9 +1,11 @@
-"""Synthetic two-block datasets and sample masking.
+"""Synthetic two-block datasets with +-1 labels, and sample masking.
 
 Samples are rows z = [x, y]: x carries the label information, y is noise the
 attacker knows. Both blocks are drawn uniformly on their spheres (Gaussian
 rescaled to exact radius), which satisfies the normalized-norm, centered, and
-concentration requirements exactly rather than approximately.
+concentration requirements exactly rather than approximately. Labels are the
+sign readout of a teacher direction, g = sign(u . x) with 0 mapped to +1; a
+mask replaces the x-block of a row and keeps its y-block bit-exactly.
 """
 
 from __future__ import annotations
@@ -15,14 +17,24 @@ import numpy as np
 _ROLE_X = 0
 _ROLE_Y = 1
 
+# "resample" replaces the x-block with a fresh draw from its sphere; "zero"
+# writes zeros
+MASKS = ("resample", "zero")
+
+
+def sign_readout(values: np.ndarray) -> np.ndarray:
+    """+-1 labels read off outputs, with the 0-output tie mapped to +1."""
+    return np.where(np.asarray(values) >= 0.0, 1.0, -1.0)
+
+
+def _check_mask(mask: str) -> None:
+    if mask not in MASKS:
+        raise ValueError(f"unknown mask kind {mask!r}")
+
 
 @dataclass(eq=False)
 class LabeledDataset:
-    """Training rows with labels and the x/y block split.
-
-    g is a vector of +-1 labels (sign readout) or an N x c one-hot matrix
-    (argmax readout).
-    """
+    """Training rows, their vector of +-1 labels g, and the x/y block split."""
 
     z: np.ndarray
     g: np.ndarray
@@ -60,24 +72,7 @@ class TeacherVector:
         return 1.0 if float(self.u @ x) >= 0.0 else -1.0
 
     def labels(self, x_rows: np.ndarray) -> np.ndarray:
-        vals = np.atleast_2d(x_rows) @ self.u
-        return np.where(vals >= 0.0, 1.0, -1.0)
-
-
-@dataclass(frozen=True)
-class MaskStrategy:
-    """How the informative x-block is removed from a query.
-
-    "resample" replaces x with a fresh draw from the same sphere; "zero"
-    writes zeros. The y-block is always preserved bit-exactly.
-    """
-
-    kind: str
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("resample", "zero"):
-            raise ValueError(f"unknown mask kind {self.kind!r}")
+        return sign_readout(np.atleast_2d(x_rows) @ self.u)
 
 
 def sample_teacher(d_x: int, seed: int) -> TeacherVector:
@@ -129,7 +124,7 @@ def attacked_pairs(
     Trial t draws x1, then y1, then the fresh x from the substream [seed, t];
     the "zero" mask writes zeros in place of the fresh x.
     """
-    MaskStrategy(mask)  # rejects an unknown mask kind
+    _check_mask(mask)
     z1 = np.empty((trials, d_x + d_y))
     z1m = np.empty_like(z1)
     for t in range(trials):
@@ -141,20 +136,17 @@ def attacked_pairs(
     return z1, z1m
 
 
-def mask_sample(z: np.ndarray, d_x: int, strategy: MaskStrategy, index: int = 0) -> np.ndarray:
-    """Masked copy of one row: y-block kept bit-exactly, x-block replaced.
-
-    index salts the resampling stream so distinct rows of a batch get
-    independent fresh x draws while staying reproducible.
+def mask_rows(z: np.ndarray, d_x: int, mask: str, seed: int) -> np.ndarray:
+    """Masked copies of the rows of z: the y-blocks kept bit-exactly, the
+    x-blocks zeroed or resampled, all rows from one generator seeded by seed.
     """
+    _check_mask(mask)
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < d_x:
-        raise ValueError("z must be a row of length >= d_x")
+    if z.ndim != 2 or z.shape[1] < d_x:
+        raise ValueError(f"z must be rows of length >= d_x={d_x}, got shape {z.shape}")
     out = z.copy()
-    if strategy.kind == "zero":
-        out[:d_x] = 0.0
+    if mask == "zero":
+        out[:, :d_x] = 0.0
     else:
-        rng = np.random.default_rng([strategy.seed, index])
-        out[:d_x] = _sphere_rows(rng, 1, d_x)[0]
+        out[:, :d_x] = _sphere_rows(np.random.default_rng(seed), len(z), d_x)
     return out
-

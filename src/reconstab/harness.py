@@ -28,7 +28,7 @@ import numpy as np
 
 from .alignment import estimate_gamma_on_instance
 from .attack import build_query_batch, run_attack
-from .data import LabeledDataset, MaskStrategy, generate_synthetic, sample_teacher
+from .data import MASKS, LabeledDataset, generate_synthetic, sample_teacher
 from .errors import ConfigError, ReconstabError
 from .featuremaps import sample_ntk_map, sample_rf_map
 from .hermite import get_activation
@@ -43,9 +43,13 @@ from .seeding import (
 )
 from .trainer import fit_min_norm, generalization_error
 
-WORKERS_ENV = "RECONSTAB_WORKERS"
-
 _REQUIRED = ("model", "k", "d_x", "d_y", "activation", "n_grid", "trials", "master_seed")
+_INTEGERS = ("k", "d_x", "d_y", "trials", "test_size", "gamma_trials", "master_seed")
+
+
+def _is_integer(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -64,7 +68,6 @@ class ExperimentConfig:
     n_grid: tuple[int, ...]
     trials: int
     mask: str = "resample"
-    readout: str = "sign"
     master_seed: int = 0
     theta0: str = ""
     test_size: int = 1000
@@ -74,20 +77,24 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.model not in ("rf", "ntk"):
             raise ConfigError(f"model must be 'rf' or 'ntk', got {self.model!r}")
-        for name in ("k", "d_x", "d_y", "trials", "test_size", "gamma_trials"):
-            if int(getattr(self, name)) < 1:
+        for name in _INTEGERS:
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if name != "master_seed" and value < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        grid = tuple(int(n) for n in self.n_grid)
+        if not isinstance(self.n_grid, (list, tuple)) or not all(
+            _is_integer(n) for n in self.n_grid
+        ):
+            raise ConfigError(f"n_grid must be a list of integers, got {self.n_grid!r}")
+        grid = tuple(self.n_grid)
         if any(n < 1 for n in grid):
             raise ConfigError("n_grid entries must be >= 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
         self.n_grid = grid
-        if self.mask not in ("resample", "zero"):
-            raise ConfigError(f"mask must be 'resample' or 'zero', got {self.mask!r}")
-        if self.readout != "sign":
-            # sweep labels are +-1 by construction; argmax needs one-hot labels
-            raise ConfigError(f"readout must be 'sign' for sweeps, got {self.readout!r}")
+        if self.mask not in MASKS:
+            raise ConfigError(f"mask must be one of {MASKS}, got {self.mask!r}")
         if not self.theta0:
             self.theta0 = "zero"
         if self.theta0 not in ("zero", "init"):
@@ -210,8 +217,8 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
             config.test_size, config.d_x, config.d_y, teacher, test_seed
         )
         evaluation = generalization_error(model, test)
-        batch = build_query_batch(dataset, MaskStrategy(config.mask, seed=mask_seed))
-        attack = run_attack(model, batch, dataset.g, config.readout)
+        queries = build_query_batch(dataset, config.mask, mask_seed)
+        attack = run_attack(model, queries, dataset.g)
         gamma_mean, gamma_std = estimate_gamma_on_instance(
             model.system.leading(n - 1), config.d_x, config.gamma_trials, gamma_seed,
             config.mask,

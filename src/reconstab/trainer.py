@@ -1,6 +1,9 @@
-"""Min-norm interpolation in kernel space, leave-one-out refits, evaluation.
+"""Min-norm interpolation of +-1 labels in kernel space, leave-one-out
+refits, evaluation.
 
+Targets are a length-N vector and a model has one scalar output per row.
 Predictions take rows: an (n, d) array, where a 1-D row is a batch of one.
+Test accuracy is the sign readout of those outputs, a 0 output read as +1.
 The fitted correction lives in the row span of the training features, so
 a model is its KernelSystem (prepared training rows and their one factored
 Gram) plus the dual coefficients c = K^{-1}(G - f(Z, theta0)); predictions
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
-from .errors import MapMismatch
+from .data import LabeledDataset, sign_readout
+from .errors import DimensionMismatch, MapMismatch
 from .linops import KernelSystem
 
 
@@ -33,7 +36,7 @@ class FitReport:
 
 @dataclass
 class EvalReport:
-    """Monte-Carlo estimate of the squared-residual risk plus readout accuracy."""
+    """Monte-Carlo estimate of the squared-residual risk plus sign-readout accuracy."""
 
     error: float
     std_error: float
@@ -70,16 +73,10 @@ class TrainedModel:
         return self.system.n
 
     def predict(self, rows: np.ndarray):
-        """Model outputs, one per row; a 1-D row gives one output (a float
-        for +-1 targets, a vector of class outputs for one-hot targets).
-        """
+        """Model outputs, one per row; a 1-D row gives one float."""
         out = self.system.cross(rows) @ self.dual_coefs
-        f0 = _init_outputs(self.map, self.theta0_policy, rows)
-        out = out + (f0[:, None] if out.ndim == 2 else f0)
-        if np.ndim(rows) == 1:
-            out = out[0]
-            return float(out) if np.ndim(out) == 0 else out
-        return out
+        out = out + _init_outputs(self.map, self.theta0_policy, rows)
+        return float(out[0]) if np.ndim(rows) == 1 else out
 
     def materialize_theta(self) -> np.ndarray:
         """Explicit parameter vector theta* (desk scale only for tangent maps)."""
@@ -108,13 +105,17 @@ def _init_outputs(fmap, policy: str, rows: np.ndarray) -> np.ndarray:
 def fit_min_norm(fmap, dataset: LabeledDataset, theta0: str = "zero") -> TrainedModel:
     """Interpolating fit closest to the initialization in parameter norm.
 
-    An empty dataset gives the pure initialization model.
+    An empty dataset gives the pure initialization model. The targets must
+    be a vector of one label per row.
     """
     _check_theta0(fmap, theta0)
-    system = KernelSystem.build(fmap, dataset.z)
-    f0 = _init_outputs(fmap, theta0, dataset.z)
     targets = np.asarray(dataset.g, dtype=float)
-    rhs = targets - (f0[:, None] if targets.ndim == 2 else f0)
+    if targets.shape != (dataset.n,):
+        raise DimensionMismatch(
+            f"targets of shape {targets.shape} are not a vector of {dataset.n} labels"
+        )
+    system = KernelSystem.build(fmap, dataset.z)
+    rhs = targets - _init_outputs(fmap, theta0, dataset.z)
     coefs = system.solve(rhs)
 
     cache = system.cache
@@ -151,29 +152,18 @@ def stability_eval(full: TrainedModel, loo: TrainedModel, z: np.ndarray):
     return full.predict(z) - loo.predict(z)
 
 
-def _readout_accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
-    if labels.ndim == 2:
-        predicted = np.argmax(outputs, axis=1)
-        truth = np.argmax(labels, axis=1)
-        return float(np.mean(predicted == truth))
-    predicted = np.where(outputs >= 0.0, 1.0, -1.0)
-    return float(np.mean(predicted == labels))
-
-
 def generalization_error(model: TrainedModel, test: LabeledDataset) -> EvalReport:
     """Mean squared residual on an independent test draw, with its standard
-    error and the readout accuracy (sign for +-1 labels, argmax for one-hot).
+    error and the sign-readout accuracy.
     """
     outputs = model.predict(test.z)
     labels = np.asarray(test.g, dtype=float)
     sq = (outputs - labels) ** 2
-    if sq.ndim == 2:
-        sq = sq.sum(axis=1)
     error = float(np.mean(sq))
     std_error = float(np.std(sq, ddof=1) / np.sqrt(test.n)) if test.n > 1 else 0.0
     return EvalReport(
         error=error,
         std_error=std_error,
-        accuracy=_readout_accuracy(outputs, labels),
+        accuracy=float(np.mean(sign_readout(outputs) == labels)),
         n_test=test.n,
     )

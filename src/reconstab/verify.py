@@ -4,8 +4,8 @@ quick: the kernel-system path that fits, alignments and attacks run, checked
 against explicit oracles (SVD projectors, leave-one-out refits, the min-norm
 least-squares solution, a dense eigensolver), plus the stability multiplier
 identity and the Hermite engine. full: adds the covariance form of the attack
-at the benchmark's sizes and the Monte-Carlo alignment limits compared against
-their theoretical references at desk scale.
+at the benchmark's sizes, the Monte-Carlo alignment limits compared against
+their theoretical references, and the tangent-kernel limit's convergence in N.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .alignment import (
     verify_stability_identity,
 )
 from .attack import build_query_batch, covariance_diagnostic
-from .data import MaskStrategy, generate_synthetic, sample_teacher
+from .data import generate_synthetic, sample_teacher
 from .featuremaps import sample_ntk_map, sample_rf_map
 from .hermite import (
     _gauss_hermite_nodes,
@@ -70,11 +70,6 @@ def _desk_instance(kind: str, seed: int, n=30, d=40, k=None):
     return fmap, dataset, theta0
 
 
-def _masked_queries(dataset, seed: int) -> np.ndarray:
-    """The attack's masked query of every training row."""
-    return build_query_batch(dataset, MaskStrategy("resample", seed=seed)).rows
-
-
 def check_alignment_projector(
     instances: int = 5, seed: int = 101, tol: float = 1e-9
 ) -> CheckResult:
@@ -87,7 +82,7 @@ def check_alignment_projector(
             inst_seed = derive_seed(seed, [kind_idx, i])
             fmap, dataset, _ = _desk_instance(kind, inst_seed)
             z1 = dataset.z[0]
-            query = _masked_queries(dataset, derive_seed(inst_seed, [1]))[0]
+            query = build_query_batch(dataset, "resample", derive_seed(inst_seed, [1]))[0]
             background = linops.KernelSystem.build(fmap, dataset.z[1:])
             num, den = AlignmentSolver(background).alignment_parts(query, z1)
             _, _, vt = np.linalg.svd(fmap.feature_matrix(dataset.z[1:]), full_matrices=False)
@@ -124,7 +119,7 @@ def check_closed_form_loo(seed: int = 102, tol: float = 1e-8) -> CheckResult:
         inst_seed = derive_seed(seed, [kind_idx])
         fmap, dataset, theta0 = _desk_instance(kind, inst_seed)
         full = fit_min_norm(fmap, dataset, theta0=theta0)
-        queries = _masked_queries(dataset, derive_seed(inst_seed, [1]))
+        queries = build_query_batch(dataset, "resample", derive_seed(inst_seed, [1]))
         stability, alignment = closed_form_loo(full, queries)
         for i, (s_i, f_i) in enumerate(zip(stability.tolist(), alignment.tolist())):
             loo = fit_leave_one_out(fmap, dataset, i, theta0=theta0)
@@ -259,19 +254,46 @@ def check_covariance_first_equality(seed: int = 110, trials: int = 300) -> Check
     return CheckResult("covariance-first-equality", ok, "; ".join(details))
 
 
-def check_gamma_ntk(alpha: float, seed: int = 107, trials: int = 50) -> CheckResult:
-    """Closed-form alignment limit at desk scale (d=256, k=64, N=300)."""
+def _estimate_gamma_ntk(alpha: float, n: int, seed: int, trials: int):
     d = 256
     d_y = int(round(alpha * d))
-    est = estimate_gamma(
-        "ntk", get_activation("h0+h1"), k=64, n=300, d_x=d - d_y, d_y=d_y,
+    return estimate_gamma(
+        "ntk", get_activation("h0+h1"), k=64, n=n, d_x=d - d_y, d_y=d_y,
         trials=trials, master_seed=seed,
     )
+
+
+def check_gamma_ntk(alpha: float, seed: int = 107, trials: int = 50) -> CheckResult:
+    """Closed-form alignment limit inside the theorem's regime: d=256, k=64,
+    N=3000, so N >> d and N << kd = 16,384.
+    """
+    est = _estimate_gamma_ntk(alpha, 3000, seed, trials)
     verdict = compare_gamma_theory(est, tolerance=0.05)
     return CheckResult(
         f"gamma-ntk-alpha={alpha}",
         verdict.passed,
         f"mean {est.mean:.4f} vs {verdict.lower:.4f} (slack {verdict.slack:.4f})",
+    )
+
+
+def check_gamma_ntk_convergence(seed: int = 107, trials: int = 50) -> CheckResult:
+    """The finite-size gap |mean - closed form| at alpha=0.5 falls with N: at
+    N=3000 it is below half the gap at N=375, and the drop exceeds three
+    combined standard errors.
+    """
+    sizes = (375, 750, 1500, 3000)
+    gaps, errors = [], []
+    for n in sizes:
+        est = _estimate_gamma_ntk(0.5, n, seed, trials)
+        gaps.append(abs(est.mean - est.lower))
+        errors.append(est.std / math.sqrt(est.trials))
+    drop = gaps[0] - gaps[-1]
+    combined = math.hypot(errors[0], errors[-1])
+    return CheckResult(
+        "gamma-ntk-convergence",
+        gaps[-1] < 0.5 * gaps[0] and drop > 3.0 * combined,
+        f"gap {', '.join(f'{g:.4f}' for g in gaps)} at N={list(sizes)}; "
+        f"drop {drop / combined:.1f} SE",
     )
 
 
@@ -309,6 +331,7 @@ def full_checks() -> list[CheckResult]:
         check_covariance_first_equality(),
         check_gamma_ntk(0.5),
         check_gamma_ntk(0.25),
+        check_gamma_ntk_convergence(),
         check_gamma_rf(0.5),
         check_gamma_rf(0.25),
     ]

@@ -12,7 +12,7 @@ from reconstab.alignment import (
     verify_stability_identity,
 )
 from reconstab.attack import build_query_batch
-from reconstab.data import LabeledDataset, MaskStrategy, generate_synthetic, sample_teacher
+from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
 from reconstab.errors import DegenerateDenominator, DegenerateSpectrum
 from reconstab.featuremaps import sample_ntk_map, sample_rf_map
 from reconstab.hermite import (
@@ -257,7 +257,7 @@ class TestClosedFormLeaveOneOut:
         sample_map = sample_rf_map if kind == "rf" else sample_ntk_map
         fmap = sample_map(k, d_x + d_y, get_activation(activation), seed + 2)
         full = fit_min_norm(fmap, dataset, theta0=theta0)
-        queries = build_query_batch(dataset, MaskStrategy("resample", seed=seed + 3)).rows
+        queries = build_query_batch(dataset, "resample", seed + 3)
         stability, alignment = closed_form_loo(full, queries)
         for i in range(n):
             loo = fit_leave_one_out(fmap, dataset, i, theta0=theta0)

@@ -3,21 +3,13 @@ import pytest
 
 from reconstab import attack
 from reconstab.alignment import AlignmentSolver, estimate_gamma
-from reconstab.attack import (
-    QueryBatch,
-    _covariance,
-    argmax_readout,
-    build_query_batch,
-    covariance_diagnostic,
-    run_attack,
-    sign_readout,
-)
+from reconstab.attack import _covariance, build_query_batch, covariance_diagnostic, run_attack
 from reconstab.data import (
     LabeledDataset,
-    MaskStrategy,
     attacked_pairs,
     generate_synthetic,
     sample_teacher,
+    sign_readout,
 )
 from reconstab.errors import DegenerateDenominator, MapMismatch
 from reconstab.featuremaps import RFMap, sample_rf_map
@@ -52,41 +44,37 @@ class TestReadouts:
     def test_sign_maps_zero_to_plus_one(self):
         assert np.array_equal(sign_readout(np.array([-1.5, 0.0, 2.0])), [-1, 1, 1])
 
-    def test_argmax_breaks_ties_toward_lowest_index(self):
-        out = argmax_readout(np.array([[0.2, 0.2, 0.1], [0.0, 1.0, 1.0]]))
-        assert out.tolist() == [0, 1]
-
 
 class TestBuildQueryBatch:
     def test_zero_strategy_blanks_every_x_block(self):
         _, dataset, _ = _fitted_instance()
-        batch = build_query_batch(dataset, MaskStrategy("zero"))
-        assert np.array_equal(batch.rows[:, : dataset.d_x], np.zeros((dataset.n, dataset.d_x)))
+        queries = build_query_batch(dataset, "zero", 0)
+        assert np.array_equal(queries[:, : dataset.d_x], np.zeros((dataset.n, dataset.d_x)))
 
     def test_resample_deterministic(self):
         _, dataset, _ = _fitted_instance()
-        a = build_query_batch(dataset, MaskStrategy("resample", seed=5))
-        b = build_query_batch(dataset, MaskStrategy("resample", seed=5))
-        assert np.array_equal(a.rows, b.rows)
+        a = build_query_batch(dataset, "resample", 5)
+        b = build_query_batch(dataset, "resample", 5)
+        assert np.array_equal(a, b)
 
     def test_y_blocks_preserved_bit_exactly(self):
         _, dataset, _ = _fitted_instance()
-        batch = build_query_batch(dataset, MaskStrategy("resample", seed=6))
-        assert np.array_equal(batch.rows[:, dataset.d_x :], dataset.z[:, dataset.d_x :])
+        queries = build_query_batch(dataset, "resample", 6)
+        assert np.array_equal(queries[:, dataset.d_x :], dataset.z[:, dataset.d_x :])
 
     def test_rows_get_distinct_masks(self):
         _, dataset, _ = _fitted_instance()
-        batch = build_query_batch(dataset, MaskStrategy("resample", seed=7))
-        assert not np.allclose(batch.rows[0, : dataset.d_x], batch.rows[1, : dataset.d_x])
+        queries = build_query_batch(dataset, "resample", 7)
+        assert not np.allclose(queries[0, : dataset.d_x], queries[1, : dataset.d_x])
 
 
 class TestRunAttack:
     def test_shuffled_labels_give_chance_accuracy(self):
         fmap, dataset, model = _fitted_instance(n=400, d_x=50, d_y=50, k=500, seed=3)
-        batch = build_query_batch(dataset, MaskStrategy("resample", seed=8))
+        queries = build_query_batch(dataset, "resample", 8)
         rng = np.random.default_rng(9)
         shuffled = rng.permutation(dataset.g)
-        report = run_attack(model, batch, shuffled, "sign")
+        report = run_attack(model, queries, shuffled)
         assert abs(report.attack_accuracy - 0.5) <= 4.0 / np.sqrt(dataset.n)
 
     def test_single_sample_closed_form(self):
@@ -96,10 +84,10 @@ class TestRunAttack:
         dataset = generate_synthetic(1, 10, 10, teacher, 5)
         fmap = sample_rf_map(80, 20, get_activation("h1+h2"), 6)
         model = fit_min_norm(fmap, dataset)
-        batch = build_query_batch(dataset, MaskStrategy("resample", seed=10))
-        report = run_attack(model, batch, dataset.g, "sign")
+        queries = build_query_batch(dataset, "resample", 10)
+        report = run_attack(model, queries, dataset.g)
         empty = KernelSystem.build(fmap, dataset.z[:0])
-        alignment = AlignmentSolver(empty).alignment(batch.rows[0], dataset.z[0])
+        alignment = AlignmentSolver(empty).alignment(queries[0], dataset.z[0])
         assert report.outputs[0] == pytest.approx(alignment * dataset.g[0], rel=1e-10)
         if alignment > 0:
             assert report.attack_accuracy == 1.0
@@ -110,45 +98,27 @@ class TestRunAttack:
             fmap,
             LabeledDataset(z=dataset.z, g=np.zeros(dataset.n), d_x=dataset.d_x, d_y=dataset.d_y),
         )
-        batch = build_query_batch(dataset, MaskStrategy("zero"))
-        report = run_attack(zero_model, batch, dataset.g, "sign")
+        queries = build_query_batch(dataset, "zero", 0)
+        report = run_attack(zero_model, queries, dataset.g)
         assert report.attack_accuracy == pytest.approx(float(np.mean(dataset.g == 1.0)))
 
     def test_unmasked_batch_recovers_everything(self):
         _, dataset, model = _fitted_instance()
-        identity_batch = QueryBatch(rows=dataset.z.copy(), kind="none", seed=0)
-        report = run_attack(model, identity_batch, dataset.g, "sign")
+        report = run_attack(model, dataset.z.copy(), dataset.g)
         assert report.attack_accuracy == 1.0
 
     def test_deterministic_reports(self):
         _, dataset, model = _fitted_instance()
-        batch = build_query_batch(dataset, MaskStrategy("resample", seed=11))
-        a = run_attack(model, batch, dataset.g, "sign")
-        b = run_attack(model, batch, dataset.g, "sign")
+        queries = build_query_batch(dataset, "resample", 11)
+        a = run_attack(model, queries, dataset.g)
+        b = run_attack(model, queries, dataset.g)
         assert np.array_equal(a.outputs, b.outputs)
         assert a.attack_accuracy == b.attack_accuracy
 
-    def test_argmax_readout_on_onehot(self):
-        fmap, dataset, _ = _fitted_instance(n=18)
-        onehot = np.zeros((18, 3))
-        onehot[np.arange(18), np.arange(18) % 3] = 1.0
-        ds = LabeledDataset(z=dataset.z, g=onehot, d_x=dataset.d_x, d_y=dataset.d_y)
-        model = fit_min_norm(fmap, ds)
-        identity_batch = QueryBatch(rows=ds.z.copy(), kind="none", seed=0)
-        report = run_attack(model, identity_batch, ds.g, "argmax")
-        assert report.attack_accuracy == 1.0
-
-    def test_argmax_readout_rejects_sign_labels(self):
-        _, dataset, model = _fitted_instance()
-        batch = QueryBatch(rows=dataset.z.copy(), kind="none", seed=0)
-        with pytest.raises(ValueError, match="one-hot"):
-            run_attack(model, batch, dataset.g, "argmax")
-
     def test_size_mismatch_raises(self):
         _, dataset, model = _fitted_instance()
-        batch = QueryBatch(rows=dataset.z[:5].copy(), kind="none", seed=0)
         with pytest.raises(MapMismatch):
-            run_attack(model, batch, dataset.g[:5], "sign")
+            run_attack(model, dataset.z[:5].copy(), dataset.g[:5])
 
 
 class TestCovarianceDiagnostic:

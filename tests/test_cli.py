@@ -59,7 +59,7 @@ def test_fit_and_attack(capsys):
     assert "test_acc=" in capsys.readouterr().out
     assert main(["attack", *args, "--mask", "zero"]) == 0
     out = capsys.readouterr().out
-    assert "attack_acc=" in out and "readout=sign" in out
+    assert "attack_acc=" in out
 
 
 def test_sweep_writes_csv(tmp_path, capsys):
@@ -76,6 +76,13 @@ def test_sweep_bad_config_exits_2(tmp_path):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(dict(SWEEP_CONFIG, bogus=1)))
     assert main(["sweep", "--config", str(config_path)]) == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_workers_below_one_exits_2(tmp_path, workers):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(SWEEP_CONFIG))
+    assert main(["sweep", "--config", str(config_path), "--workers", workers]) == 2
 
 
 def test_unknown_activation_exits_1():

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from reconstab.data import (
-    MaskStrategy,
     TeacherVector,
     _sphere_rows,
     attacked_pairs,
     generate_synthetic,
-    mask_sample,
+    mask_rows,
     sample_teacher,
 )
 
@@ -65,34 +64,37 @@ class TestGenerateSynthetic:
 
 class TestMaskSample:
     def test_zero_strategy(self):
-        out = mask_sample(np.array([1.0, 2, 3, 4, 5]), 3, MaskStrategy("zero"))
-        assert np.array_equal(out, [0, 0, 0, 4, 5])
+        out = mask_rows(np.array([[1.0, 2, 3, 4, 5]]), 3, "zero", 0)
+        assert np.array_equal(out, [[0, 0, 0, 4, 5]])
 
     def test_zero_idempotent(self):
-        z = np.arange(6.0)
-        strategy = MaskStrategy("zero")
-        once = mask_sample(z, 2, strategy)
-        assert np.array_equal(mask_sample(once, 2, strategy), once)
+        z = np.arange(12.0).reshape(2, 6)
+        once = mask_rows(z, 2, "zero", 0)
+        assert np.array_equal(mask_rows(once, 2, "zero", 0), once)
 
     def test_resample_preserves_y_block(self):
-        z = np.arange(8.0)
-        out = mask_sample(z, 5, MaskStrategy("resample", seed=3))
-        assert np.array_equal(out[5:], z[5:])
-        assert not np.allclose(out[:5], z[:5])
-        assert np.linalg.norm(out[:5]) == pytest.approx(np.sqrt(5))
+        z = np.arange(16.0).reshape(2, 8)
+        out = mask_rows(z, 5, "resample", 3)
+        assert np.array_equal(out[:, 5:], z[:, 5:])
+        assert not np.allclose(out[:, :5], z[:, :5])
+        assert np.linalg.norm(out[:, :5], axis=1) == pytest.approx(np.sqrt(5))
 
     def test_resample_deterministic(self):
-        z = np.arange(8.0)
-        a = mask_sample(z, 5, MaskStrategy("resample", seed=4))
-        b = mask_sample(z, 5, MaskStrategy("resample", seed=4))
-        assert np.array_equal(a, b)
+        z = np.arange(16.0).reshape(2, 8)
+        assert np.array_equal(mask_rows(z, 5, "resample", 4), mask_rows(z, 5, "resample", 4))
 
-    def test_resample_distinct_per_index(self):
-        z = np.arange(8.0)
-        a = mask_sample(z, 5, MaskStrategy("resample", seed=4), index=0)
-        b = mask_sample(z, 5, MaskStrategy("resample", seed=4), index=1)
-        assert not np.allclose(a[:5], b[:5])
+    def test_one_generator_for_all_rows(self):
+        z = np.arange(24.0).reshape(3, 8)
+        rng = np.random.default_rng(4)
+        assert np.array_equal(mask_rows(z, 5, "resample", 4)[:, :5], _sphere_rows(rng, 3, 5))
 
+    def test_unknown_mask_rejected(self):
+        with pytest.raises(ValueError, match="mask"):
+            mask_rows(np.zeros((2, 4)), 2, "blur", 0)
+
+    def test_rows_shorter_than_the_x_block_rejected(self):
+        with pytest.raises(ValueError, match="d_x"):
+            mask_rows(np.zeros((2, 4)), 5, "zero", 0)
 
 
 class TestAttackedPairs:

@@ -24,7 +24,6 @@ SMALL_CONFIG = {
     "n_grid": [8, 16],
     "trials": 2,
     "mask": "resample",
-    "readout": "sign",
     "master_seed": 42,
     "test_size": 50,
     "gamma_trials": 4,
@@ -87,9 +86,20 @@ class TestConfig:
             parse_config(dict(SMALL_CONFIG, theta0="init"))
 
     def test_argmax_readout_rejected(self):
-        # sweep labels are +-1, so an argmax readout could only report 0.0
+        # labels are +-1 and read by their sign, so no config key names a readout
         with pytest.raises(ConfigError, match="readout"):
             parse_config(dict(SMALL_CONFIG, readout="argmax"))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k", 60.7), ("k", True), ("k", "80"), ("d_x", 10.0), ("d_y", False),
+         ("trials", 2.5), ("test_size", "50"), ("gamma_trials", True),
+         ("master_seed", "x"), ("master_seed", 4.0), ("n_grid", [8, 20.9]),
+         ("n_grid", [True, 16]), ("n_grid", 16)],
+    )
+    def test_non_integer_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(dict(SMALL_CONFIG, **{key: value}))
 
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -261,10 +271,30 @@ class TestVerifySuites:
         assert not verify.check_closed_form_loo().passed
         assert not verify.check_alignment_projector().passed
 
+    def test_gamma_ntk_checks_pass(self):
+        for check in (verify.check_gamma_ntk(0.5), verify.check_gamma_ntk_convergence()):
+            assert check.passed, f"{check.name}: {check.detail}"
+
+    def test_biased_alignment_fails_gamma_ntk_checks(self, monkeypatch):
+        # every alignment F = num / den shifted by +0.1
+        original = AlignmentSolver.alignment_parts
+
+        def biased(self, z, z1):
+            num, den = original(self, z, z1)
+            return num + 0.1 * den, den
+
+        monkeypatch.setattr(AlignmentSolver, "alignment_parts", biased)
+        assert not verify.check_gamma_ntk(0.5).passed
+        assert not verify.check_gamma_ntk_convergence().passed
+
     def test_full_level_includes_gamma_checks(self, monkeypatch):
         # stub the expensive gamma estimators; every other check runs
         monkeypatch.setattr(
             verify, "check_gamma_ntk", lambda alpha: verify.CheckResult(f"gamma-ntk-alpha={alpha}", True, "")
+        )
+        monkeypatch.setattr(
+            verify, "check_gamma_ntk_convergence",
+            lambda: verify.CheckResult("gamma-ntk-convergence", True, ""),
         )
         monkeypatch.setattr(
             verify, "check_gamma_rf", lambda alpha: verify.CheckResult(f"gamma-rf-alpha={alpha}", True, "")
@@ -274,5 +304,6 @@ class TestVerifySuites:
         names = list(checks)
         assert "gamma-ntk-alpha=0.5" in names
         assert "gamma-ntk-alpha=0.25" in names
+        assert "gamma-ntk-convergence" in names
         assert "gamma-rf-alpha=0.5" in names
         assert "gamma-rf-alpha=0.25" in names

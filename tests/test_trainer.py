@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
-from reconstab.errors import MapMismatch, SingularKernel
+from reconstab.errors import DimensionMismatch, MapMismatch, SingularKernel
 from reconstab.featuremaps import sample_ntk_map, sample_rf_map
 from reconstab.hermite import get_activation
 from reconstab.trainer import (
@@ -83,15 +83,12 @@ class TestFitMinNorm:
         via_theta = fmap.feature_matrix(probes.z) @ theta
         assert np.allclose(via_dual, via_theta, atol=1e-9 * (1 + np.max(np.abs(via_theta))))
 
-    def test_multiclass_shares_factorization(self):
+    @pytest.mark.parametrize("shape", [(12, 3), (12, 1), (11,)], ids=["one-hot", "column", "short"])
+    def test_targets_must_be_one_label_per_row(self, shape):
         fmap, dataset, _ = _rf_instance(n=12)
-        onehot = np.zeros((12, 3))
-        onehot[np.arange(12), np.arange(12) % 3] = 1.0
-        ds = LabeledDataset(z=dataset.z, g=onehot, d_x=dataset.d_x, d_y=dataset.d_y)
-        model = fit_min_norm(fmap, ds)
-        preds = model.predict(ds.z)
-        assert preds.shape == (12, 3)
-        assert np.max(np.abs(preds - onehot)) <= 1e-8 * 2
+        ds = LabeledDataset(z=dataset.z, g=np.ones(shape), d_x=dataset.d_x, d_y=dataset.d_y)
+        with pytest.raises(DimensionMismatch, match="vector of 12 labels"):
+            fit_min_norm(fmap, ds)
 
 
 class TestFitLeaveOneOut:
