@@ -52,17 +52,20 @@ class AlignmentSolver:
         return num / den
 
     def alignment_parts(self, z: np.ndarray, z1: np.ndarray) -> tuple[float, float]:
-        """phi(z) . P_perp phi(z1) and ||P_perp phi(z1)||^2 for single rows."""
-        own = self.map.prepare(z1)
-        scale = float(own.cross(z1)[0, 0])
-        k1 = self.system.cross(z1)[0]
+        """phi(z) . P_perp phi(z1) and ||P_perp phi(z1)||^2 for single rows,
+        from the Gram of the pair [z1; z] and one cross call on it.
+        """
+        pair = np.vstack([z1, z])
+        own = self.map.prepare(pair).gram()
+        scale = float(own[0, 0])
+        k1, kz = self.system.cross(pair)
         solved = self.system.solve(k1)
         den = scale - float(k1 @ solved)
         if den <= DENOMINATOR_GUARD * scale:
             raise DegenerateDenominator(
                 f"projected norm {den:.3e} below {DENOMINATOR_GUARD:.0e} * {scale:.3e}"
             )
-        num = float(own.cross(z)[0, 0]) - float(self.system.cross(z)[0] @ solved)
+        num = float(own[0, 1]) - float(kz @ solved)
         return num, den
 
 

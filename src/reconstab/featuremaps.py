@@ -1,15 +1,19 @@
-"""Random-feature and tangent-kernel feature maps, evaluated in kernel space.
+"""Random-feature and tangent-kernel feature maps: kernels for fits and
+alignments, primal weights for model outputs.
 
 Every entry point takes rows: an (n, d) array, where a 1-D row of length d is
-a batch of one. ``feature_matrix`` returns the (n, p) features,
-``init_outputs`` the n model outputs at the initialization, and ``prepare``
-holds training rows whose ``gram`` and ``cross`` give the kernel against them
-and whose ``feature_matrix()`` gives their features; ``head(m)`` is the first
-m of them, without copying. ``kernel(z, zp)`` is the one-row cross kernel.
+a batch of one. ``feature_matrix`` returns the (n, p) features, and
+``outputs(rows, weights)`` the n outputs phi(z) . theta of a parameter given in
+the map's weight layout. ``prepare`` holds training rows whose ``gram`` and
+``cross`` give the kernel against them and whose ``weights(c)`` turn dual
+coefficients into that layout, Phi^T c, at O(N p) once; outputs then cost
+O(n p), without an n x N cross kernel. ``head(m)`` is the first m training
+rows, without copying. ``kernel(z, zp)`` is the one-row cross kernel.
 
 Tangent features z (x) act'(W0 z) have dimension k*d. Prepared tangent rows
 keep the two factors and never materialize them, because every kernel entry
-factorizes as (z . z') * (act'(W0 z) . act'(W0 z')).
+factorizes as (z . z') * (act'(W0 z) . act'(W0 z')); their weights are the
+d x k matrix Z^T (c * act'(Z W0^T)), entry (i, j) at feature index i*k + j.
 """
 
 from __future__ import annotations
@@ -28,12 +32,6 @@ def _as_rows(rows: np.ndarray, d: int) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != d:
         raise DimensionMismatch(f"rows have shape {rows.shape}, expected width {d}")
     return rows
-
-
-def _kron_rows(rows: np.ndarray, derivs: np.ndarray) -> np.ndarray:
-    """Row-wise z (x) w, laid out as z_i * w_j at index i*k + j."""
-    n, d = rows.shape
-    return np.einsum("ni,nj->nij", rows, derivs).reshape(n, d * derivs.shape[1])
 
 
 @dataclass(eq=False)
@@ -68,9 +66,9 @@ class RFMap:
         rows = _as_rows(rows, self.d)
         return _PreparedRF(self, self.feature_matrix(rows))
 
-    def init_outputs(self, rows: np.ndarray) -> np.ndarray:
-        """Model outputs at the zero parameter vector."""
-        return np.zeros(_as_rows(rows, self.d).shape[0])
+    def outputs(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """phi(z) . w for each row, with w of length k."""
+        return self.feature_matrix(rows) @ weights
 
 
 @dataclass(eq=False)
@@ -104,9 +102,9 @@ class NTKMap:
         return self.activation_derivative(rows @ self.w0.T)
 
     def feature_matrix(self, rows: np.ndarray) -> np.ndarray:
-        """Materialized N x (k d) feature matrix; desk-scale sizes only."""
+        """Materialized N x (k d) features, index i*k + j; desk-scale sizes only."""
         rows = _as_rows(rows, self.d)
-        return _kron_rows(rows, self._derivs(rows))
+        return np.einsum("ni,nj->nij", rows, self._derivs(rows)).reshape(len(rows), self.n_params)
 
     def kernel(self, z: np.ndarray, zp: np.ndarray) -> float:
         return float(self.prepare(zp).cross(z)[0, 0])
@@ -115,10 +113,12 @@ class NTKMap:
         rows = _as_rows(rows, self.d)
         return _PreparedNTK(self, rows, self._derivs(rows))
 
-    def init_outputs(self, rows: np.ndarray) -> np.ndarray:
-        """Linearized model outputs at the initialization parameters vec(W0)."""
-        pre = _as_rows(rows, self.d) @ self.w0.T
-        return np.einsum("nk,nk->n", self.activation_derivative(pre), pre)
+    def outputs(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """phi(z) . vec(W) for each row, with W of shape d x k; W = W0^T gives
+        the linearized outputs at the initialization.
+        """
+        rows = _as_rows(rows, self.d)
+        return np.einsum("nk,nk->n", self._derivs(rows), rows @ weights)
 
 
 class _PreparedRF:
@@ -136,8 +136,9 @@ class _PreparedRF:
         """The first m training rows, sharing this object's arrays."""
         return _PreparedRF(self.map, self.phi[:m])
 
-    def feature_matrix(self) -> np.ndarray:
-        return self.phi
+    def weights(self, coefs: np.ndarray) -> np.ndarray:
+        """Phi^T c, of length k."""
+        return self.phi.T @ coefs
 
     def gram(self) -> np.ndarray:
         return gram(self.phi)
@@ -163,13 +164,15 @@ class _PreparedNTK:
         """The first m training rows, sharing this object's arrays."""
         return _PreparedNTK(self.map, self.rows[:m], self.derivs[:m])
 
-    def feature_matrix(self) -> np.ndarray:
-        """Materialized N x (k d) features of the rows; desk-scale sizes only."""
-        return _kron_rows(self.rows, self.derivs)
+    def weights(self, coefs: np.ndarray) -> np.ndarray:
+        """Phi^T c as the d x k matrix Z^T (c * D), D = act'(Z W0^T)."""
+        return self.rows.T @ (coefs[:, None] * self.derivs)
 
     def gram(self) -> np.ndarray:
-        k = (self.rows @ self.rows.T) * (self.derivs @ self.derivs.T)
-        return 0.5 * (k + k.T)
+        # both factors are syrk products, exactly symmetric, and so is theirs
+        k = self.rows @ self.rows.T
+        k *= self.derivs @ self.derivs.T
+        return k
 
     def cross(self, queries: np.ndarray) -> np.ndarray:
         """Kernel evaluations of each query row against each training row."""

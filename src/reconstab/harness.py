@@ -81,8 +81,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if name != "master_seed" and value < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            low = 2 if name == "gamma_trials" else 1  # gamma_std needs two trials
+            if name != "master_seed" and value < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if not isinstance(self.n_grid, (list, tuple)) or not all(
             _is_integer(n) for n in self.n_grid
         ):
@@ -101,7 +102,10 @@ class ExperimentConfig:
             raise ConfigError(f"theta0 must be 'zero' or 'init', got {self.theta0!r}")
         if self.theta0 == "init" and self.model == "rf":
             raise ConfigError("theta0='init' applies to ntk models only")
-        get_activation(self.activation)
+        try:
+            get_activation(self.activation)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
         n_max = max(grid) if grid else 0
         if self.model == "rf" and self.k < n_max:
             warnings.warn(

@@ -47,11 +47,14 @@ LANCZOS_SEED = 0
 
 
 def gram(a: np.ndarray) -> np.ndarray:
-    """Return A A^T for a matrix with samples on its rows."""
+    """Return A A^T for a matrix with samples on its rows.
+
+    numpy computes ``a @ a.T`` by a BLAS syrk, which fills one triangle and
+    mirrors it, so the result is exactly symmetric and needs no symmetrizing
+    pass.
+    """
     a = np.asarray(a, dtype=float)
-    k = a @ a.T
-    # roundoff can leave k very slightly asymmetric; symmetrize once
-    return 0.5 * (k + k.T)
+    return a @ a.T
 
 
 def rank_tolerance(max_eig: float, n: int, p: int) -> float:

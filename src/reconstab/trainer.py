@@ -6,11 +6,13 @@ Predictions take rows: an (n, d) array, where a 1-D row is a batch of one.
 Test accuracy is the sign readout of those outputs, a 0 output read as +1.
 The fitted correction lives in the row span of the training features, so
 a model is its KernelSystem (prepared training rows and their one factored
-Gram) plus the dual coefficients c = K^{-1}(G - f(Z, theta0)); predictions
-are cross-kernel rows times c. Explicit parameter vectors are materialized
-only on demand at desk scale. No ridge term is ever added: a singular kernel
-is a hard error because every downstream identity presumes exact
-interpolation.
+Gram) plus the dual coefficients c = K^{-1}(G - f(Z, theta0)). The fit turns
+c once into the primal weights Phi^T c (O(N p)), a k-vector for random
+features and a d x k matrix for tangent features, and predictions are the
+map's outputs at those weights, O(n p) for n queries, with no n x N cross
+kernel; alignments still run in kernel space, on the KernelSystem. No ridge
+term is ever added: a singular kernel is a hard error because every
+downstream identity presumes exact interpolation.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class EvalReport:
 
 @dataclass(eq=False)
 class TrainedModel:
-    """Interpolating fit: predictions are f(z) = f0(z) + k_z . c.
+    """Interpolating fit: predictions are f(z) = f0(z) + phi(z) . w with the
+    primal weights w = Phi^T c, which equals f0(z) + k_z . c.
 
     f0 is the model output at the initialization theta0: "zero" makes it
     vanish; "init" (tangent maps only) uses the network's own initialization
@@ -61,6 +64,7 @@ class TrainedModel:
 
     system: KernelSystem
     dual_coefs: np.ndarray
+    weights: np.ndarray
     theta0_policy: str
     report: FitReport
 
@@ -74,18 +78,15 @@ class TrainedModel:
 
     def predict(self, rows: np.ndarray):
         """Model outputs, one per row; a 1-D row gives one float."""
-        out = self.system.cross(rows) @ self.dual_coefs
+        out = self.map.outputs(rows, self.weights)
+        # a separate addend, so that "init" outputs keep their bits
         out = out + _init_outputs(self.map, self.theta0_policy, rows)
         return float(out[0]) if np.ndim(rows) == 1 else out
 
     def materialize_theta(self) -> np.ndarray:
-        """Explicit parameter vector theta* (desk scale only for tangent maps)."""
-        phi = self.system.prepared.feature_matrix()
-        correction = phi.T @ self.dual_coefs
-        if self.theta0_policy == "zero":
-            return correction
-        # vec(W0) in the same layout as the z (x) w feature entries
-        return correction + self.map.w0.T.ravel()
+        """Explicit theta* in the feature layout: w, plus vec(W0) under "init"."""
+        init = self.theta0_policy == "init"
+        return (self.weights + self.map.w0.T if init else self.weights).ravel()
 
 
 def _check_theta0(fmap, theta0: str) -> None:
@@ -99,7 +100,7 @@ def _init_outputs(fmap, policy: str, rows: np.ndarray) -> np.ndarray:
     """f(z, theta0) for each row, under a theta0 policy."""
     if policy == "zero":
         return np.zeros(np.atleast_2d(rows).shape[0])
-    return fmap.init_outputs(rows)
+    return fmap.outputs(rows, fmap.w0.T)
 
 
 def fit_min_norm(fmap, dataset: LabeledDataset, theta0: str = "zero") -> TrainedModel:
@@ -128,7 +129,10 @@ def fit_min_norm(fmap, dataset: LabeledDataset, theta0: str = "zero") -> Trained
         condition=cache.condition,
         theta0_policy=theta0,
     )
-    return TrainedModel(system=system, dual_coefs=coefs, theta0_policy=theta0, report=report)
+    return TrainedModel(
+        system=system, dual_coefs=coefs, weights=system.prepared.weights(coefs),
+        theta0_policy=theta0, report=report,
+    )
 
 
 def fit_leave_one_out(

@@ -78,6 +78,15 @@ def test_sweep_bad_config_exits_2(tmp_path):
     assert main(["sweep", "--config", str(config_path)]) == 2
 
 
+@pytest.mark.parametrize("activation", [3, "nope"])
+def test_sweep_unknown_activation_exits_2(tmp_path, activation, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(SWEEP_CONFIG, activation=activation)))
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: unknown activation {activation!r}; known: ")
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_sweep_workers_below_one_exits_2(tmp_path, workers):
     config_path = tmp_path / "config.json"

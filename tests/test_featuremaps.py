@@ -176,12 +176,12 @@ class TestNtkExpectedKernel:
 class TestInitOutputs:
     def test_rf_zero_init(self):
         m = sample_rf_map(5, 4, get_activation("relu"), seed=23)
-        assert m.init_outputs(np.ones(4))[0] == 0.0
+        assert m.outputs(np.ones(4), np.zeros(m.k))[0] == 0.0
 
     def test_ntk_init_output_is_feature_dot_initialization(self):
         m = sample_ntk_map(3, 4, get_activation("h0+h1"), seed=24)
         z = np.random.default_rng(14).standard_normal(4)
         theta0 = m.w0.T.ravel()
         explicit = float(_features(m, z) @ theta0)
-        assert m.init_outputs(z)[0] == pytest.approx(explicit, rel=1e-12)
-        assert m.init_outputs(z[None, :])[0] == pytest.approx(explicit, rel=1e-12)
+        assert m.outputs(z, m.w0.T)[0] == pytest.approx(explicit, rel=1e-12)
+        assert m.outputs(z[None, :], m.w0.T)[0] == pytest.approx(explicit, rel=1e-12)

@@ -101,6 +101,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(dict(SMALL_CONFIG, **{key: value}))
 
+    def test_single_gamma_trial_rejected(self):
+        # gamma_std of one trial would be NaN
+        with pytest.raises(ConfigError, match="gamma_trials must be >= 2"):
+            parse_config(dict(SMALL_CONFIG, gamma_trials=1))
+
+    @pytest.mark.parametrize("activation", [3, "nope"])
+    def test_unknown_activation_rejected(self, activation):
+        with pytest.raises(ConfigError, match=f"^unknown activation {activation!r}; known: "):
+            parse_config(dict(SMALL_CONFIG, activation=activation))
+
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(SMALL_CONFIG))

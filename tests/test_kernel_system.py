@@ -67,7 +67,7 @@ def test_batch_of_one_equals_batch(kind, policy):
     loo = fit_leave_one_out(fmap, one, 0, theta0=policy)
     assert loo.n_train == 0
     assert loo.report == FitReport(0.0, 0.0, 0.0, 0.0, 1.0, policy)
-    f0 = 0.0 if policy == "zero" else fmap.init_outputs(z)[0]
+    f0 = 0.0 if policy == "zero" else fmap.outputs(z, fmap.w0.T)[0]
     assert loo.predict(z) == pytest.approx(f0, abs=1e-12)
 
 
@@ -109,3 +109,28 @@ def test_leading_rejects_out_of_range():
     for m in (-1, dataset.n + 1):
         with pytest.raises(ValueError):
             system.leading(m)
+
+
+@pytest.mark.parametrize("kind", ["rf", "ntk"])
+def test_alignment_makes_one_cross_call_per_pair(kind, monkeypatch):
+    fmap, dataset, probes = _instance(kind)
+    system = KernelSystem.build(fmap, dataset.z[1:])
+    z1 = dataset.z[0]
+    k1, kz = system.cross(z1)[0], system.cross(probes)
+    solved = system.solve(k1)
+    calls = []
+    real = KernelSystem.cross
+
+    def counting(self, rows):
+        calls.append(np.shape(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(KernelSystem, "cross", counting)
+    solver = AlignmentSolver(system)
+    for i, z in enumerate(probes):
+        num, den = solver.alignment_parts(z, z1)
+        expected_num = fmap.kernel(z, z1) - float(kz[i] @ solved)
+        expected_den = fmap.kernel(z1, z1) - float(k1 @ solved)
+        assert abs(num - expected_num) <= 1e-12 * (1.0 + abs(expected_num))
+        assert abs(den - expected_den) <= 1e-12 * (1.0 + abs(expected_den))
+    assert calls == [(2, fmap.d)] * len(probes)

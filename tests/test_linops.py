@@ -32,6 +32,18 @@ class TestGram:
                 expected[i, j] = float(a[i] @ a[j])
         assert np.allclose(linops.gram(a), expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [5, linops.SOLVE_BLOCK + 1, 3 * linops.SOLVE_BLOCK + 7])
+    def test_syrk_grams_are_exactly_symmetric(self, n):
+        rng = np.random.default_rng(n)
+        k = linops.gram(rng.standard_normal((n, 2 * n)))
+        assert np.array_equal(k, k.T)
+        rows = rng.standard_normal((n, 12))
+        rf = sample_rf_map(2 * n, 12, get_activation("h1+h2"), n)
+        ntk = sample_ntk_map(n, 12, get_activation("h0+h1"), n)
+        for fmap in (rf, ntk):
+            k = fmap.prepare(rows).gram()
+            assert np.array_equal(k, k.T)
+
     def test_symmetric_psd(self):
         _, a = _instance(1)
         k = linops.gram(a)

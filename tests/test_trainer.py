@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reconstab import featuremaps
+from reconstab.alignment import check_nonlinearity
+from reconstab.attack import build_query_batch, run_attack
 from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
-from reconstab.errors import DimensionMismatch, MapMismatch, SingularKernel
+from reconstab.errors import DegenerateSpectrum, DimensionMismatch, MapMismatch, SingularKernel
 from reconstab.featuremaps import sample_ntk_map, sample_rf_map
-from reconstab.hermite import get_activation
+from reconstab.hermite import activation_names, get_activation, hermite_coefficients
 from reconstab.trainer import (
     fit_leave_one_out,
     fit_min_norm,
@@ -35,7 +40,7 @@ class TestFitMinNorm:
 
     def test_targets_already_matched_gives_zero_correction(self):
         fmap, dataset, _ = _ntk_instance()
-        f0 = fmap.init_outputs(dataset.z)
+        f0 = fmap.outputs(dataset.z, fmap.w0.T)
         matched = LabeledDataset(z=dataset.z, g=f0, d_x=dataset.d_x, d_y=dataset.d_y)
         model = fit_min_norm(fmap, matched, theta0="init")
         assert np.allclose(model.dual_coefs, 0.0, atol=1e-10)
@@ -131,7 +136,7 @@ class TestFitLeaveOneOut:
         fmap, dataset, _ = _ntk_instance(n=1)
         loo = fit_leave_one_out(fmap, dataset, 0, theta0="init")
         probe = np.random.default_rng(4).standard_normal(dataset.d)
-        assert loo.predict(probe) == pytest.approx(fmap.init_outputs(probe)[0], abs=1e-12)
+        assert loo.predict(probe) == pytest.approx(fmap.outputs(probe, fmap.w0.T)[0], abs=1e-12)
 
 
 class TestStabilityEval:
@@ -200,3 +205,65 @@ class TestGeneralizationError:
         se_stab = np.std(stab_sq, ddof=1) / np.sqrt(len(stab_sq))
         combined = np.sqrt(se_stab**2 + report.std_error**2)
         assert abs(np.mean(stab_sq) - report.error) <= 3 * combined
+
+
+def _accepted_activations(kind):
+    # the same screen as tests/test_alignment.py; a test module imports no other
+    names = []
+    for name in activation_names():
+        try:
+            check_nonlinearity(kind, hermite_coefficients(get_activation(name)), name)
+        except DegenerateSpectrum:
+            continue
+        names.append(name)
+    return names
+
+
+@st.composite
+def _predict_instances(draw):
+    """A map kind with a theta0 policy of it, an accepted activation, and
+    sizes with at least 24 features more than twice the rows (ReLU features
+    of a row all vanish with probability 2^-k). Rows are 20 wide: polynomial
+    activations on narrower rows span too few features for 30 rows.
+    """
+    kind, theta0 = draw(st.sampled_from([("rf", "zero"), ("ntk", "zero"), ("ntk", "init")]))
+    n = draw(st.integers(1, 30))
+    d_x = d_y = 10
+    least = 2 * n if kind == "rf" else -(-2 * n // (d_x + d_y))
+    k = draw(st.integers(least + 24, least + 40))
+    activation = draw(st.sampled_from(_accepted_activations(kind)))
+    n_queries = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return kind, theta0, n, d_x, d_y, k, activation, n_queries, seed
+
+
+class TestPrimalPrediction:
+    @settings(max_examples=40, deadline=None)
+    @given(_predict_instances())
+    def test_matches_dual_cross_kernel_prediction(self, instance):
+        kind, theta0, n, d_x, d_y, k, activation, n_queries, seed = instance
+        teacher = sample_teacher(d_x, seed)
+        dataset = generate_synthetic(n, d_x, d_y, teacher, seed + 1)
+        sample_map = sample_rf_map if kind == "rf" else sample_ntk_map
+        fmap = sample_map(k, d_x + d_y, get_activation(activation), seed + 2)
+        model = fit_min_norm(fmap, dataset, theta0=theta0)
+        queries = generate_synthetic(n_queries, d_x, d_y, teacher, seed + 3).z
+        f0 = np.zeros(n_queries) if theta0 == "zero" else fmap.outputs(queries, fmap.w0.T)
+        dual = model.system.cross(queries) @ model.dual_coefs + f0
+        primal = model.predict(queries)
+        assert np.all(np.abs(primal - dual) <= 1e-10 * np.maximum(np.abs(dual), 1.0))
+
+    @pytest.mark.parametrize("builder", [_rf_instance, _ntk_instance], ids=["rf", "ntk"])
+    def test_evaluation_and_attack_make_no_cross_kernel(self, builder, monkeypatch):
+        fmap, dataset, teacher = builder()
+        model = fit_min_norm(fmap, dataset)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("predictions must go through the primal weights")
+
+        monkeypatch.setattr(featuremaps._PreparedRF, "cross", forbidden)
+        monkeypatch.setattr(featuremaps._PreparedNTK, "cross", forbidden)
+        test = generate_synthetic(50, dataset.d_x, dataset.d_y, teacher, 78)
+        assert 0.0 <= generalization_error(model, test).accuracy <= 1.0
+        report = run_attack(model, build_query_batch(dataset, "resample", 79), dataset.g)
+        assert report.outputs.shape == (dataset.n,)
