@@ -8,7 +8,8 @@ rows. It is evaluated in kernel space against the KernelSystem of those rows:
     phi(a) . P_perp phi(z1) = K(a, z1) - k_a^T K_-1^{-1} k_{z1},
 so one solve K_-1^{-1} k_{z1} serves numerator and denominator. Queries are
 rows, and a single query is a batch of one; tangent features are never
-materialized.
+materialized. ``attacked_instance`` draws the Monte-Carlo instance that
+``estimate_gamma`` and ``attack.covariance_diagnostic`` share.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import numpy as np
 
 from .data import attacked_pairs, generate_synthetic, sample_teacher
 from .errors import DegenerateDenominator, DegenerateSpectrum
-from .featuremaps import sample_ntk_map, sample_rf_map
+from .featuremaps import sample_map
 from .hermite import (
-    DEFAULT_TRUNCATION,
     ActivationSpec,
     HermiteSpectrum,
     gamma_ntk_closed_form,
@@ -108,11 +108,7 @@ class AlignmentEstimate:
 @dataclass
 class GammaVerdict:
     passed: bool
-    mean: float
-    lower: float
-    upper: float
     slack: float
-    closed_form: bool
 
     @property
     def label(self) -> str:
@@ -148,6 +144,34 @@ def sample_alignments(
     return nums, dens
 
 
+def attacked_instance(
+    kind: str, activation: ActivationSpec, k: int, n: int, d_x: int, d_y: int,
+    trials: int, master_seed: int, mask: str, fmap=None,
+):
+    """The instance every Monte-Carlo alignment of a master seed runs on:
+    (fmap, spectrum, teacher, background, z1, z1m).
+
+    Each part has its own seed derived from the master seed: the feature map,
+    a teacher with the n-1 background rows it labels, and the attacked pairs
+    z1 = [x1, y1] and masked queries z1m of ``data.attacked_pairs``. spectrum
+    is the activation's, screened by ``check_nonlinearity``; an injected fmap
+    skips the map draw and the screen, and spectrum is None. For tangent maps
+    the activation is the spec of the derivative.
+    """
+    if n < 2:
+        raise ValueError("need at least one background row (n >= 2)")
+    spectrum = None
+    if fmap is None:
+        fmap = sample_map(kind, k, d_x + d_y, activation, derive_seed(master_seed, [ROLE_MAP]))
+        spectrum = hermite_coefficients(activation)
+        check_nonlinearity(kind, spectrum, activation.name)
+    data_seed = derive_seed(master_seed, [ROLE_DATA])
+    teacher = sample_teacher(d_x, data_seed)
+    background = generate_synthetic(n - 1, d_x, d_y, teacher, data_seed)
+    z1, z1m = attacked_pairs(derive_seed(master_seed, [ROLE_QUERY]), trials, d_x, d_y, mask)
+    return fmap, spectrum, teacher, background, z1, z1m
+
+
 def estimate_gamma(
     kind: str,
     activation: ActivationSpec,
@@ -157,50 +181,29 @@ def estimate_gamma(
     d_y: int,
     trials: int,
     master_seed: int,
-    truncation: int = DEFAULT_TRUNCATION,
 ) -> AlignmentEstimate:
-    """Monte-Carlo estimate of the limiting masked-query alignment.
+    """Monte-Carlo estimate of the limiting masked-query alignment, with its
+    theoretical reference: the closed form for tangent maps, the lower bound
+    and 1 for random features.
 
-    The feature map and the n-1 background rows are sampled once from the
-    master seed and held fixed; each trial draws an attacked sample
-    z1 = [x1, y1] and its resampled mask z1m = [x, y1] from
-    ``data.attacked_pairs``. For tangent maps the activation argument is the
-    spec of the activation derivative.
+    Each resampled attacked pair of ``attacked_instance`` is aligned against
+    the system of its background rows.
     """
-    if kind not in ("rf", "ntk"):
-        raise ValueError(f"unknown map kind {kind!r}")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    if n < 2:
-        raise ValueError("need at least one background row (n >= 2)")
-    spectrum = hermite_coefficients(activation, truncation)
-    check_nonlinearity(kind, spectrum, activation.name)
-
-    d = d_x + d_y
-    alpha = d_y / d
-    map_seed = derive_seed(master_seed, [ROLE_MAP])
-    data_seed = derive_seed(master_seed, [ROLE_DATA])
-    query_seed = derive_seed(master_seed, [ROLE_QUERY])
-    if kind == "rf":
-        fmap = sample_rf_map(k, d, activation, map_seed)
-    else:
-        fmap = sample_ntk_map(k, d, activation, map_seed)
-    background = generate_synthetic(
-        n - 1, d_x, d_y, sample_teacher(d_x, data_seed), data_seed
+    fmap, spectrum, _, background, z1, z1m = attacked_instance(
+        kind, activation, k, n, d_x, d_y, trials, master_seed, "resample"
     )
     solver = AlignmentSolver(KernelSystem.build(fmap, background.z))
-    z1, z1m = attacked_pairs(query_seed, trials, d_x, d_y, "resample")
     nums, dens = sample_alignments(solver, z1, z1m)
     values = nums / dens
 
-    if kind == "ntk":
-        ref = gamma_ntk_closed_form(spectrum, alpha)
-        lower = upper = ref
-        closed = True
+    alpha = d_y / (d_x + d_y)
+    closed = kind == "ntk"
+    if closed:
+        lower = upper = gamma_ntk_closed_form(spectrum, alpha)
     else:
-        lower = gamma_rf_lower_bound(spectrum, alpha)
-        upper = 1.0
-        closed = False
+        lower, upper = gamma_rf_lower_bound(spectrum, alpha), 1.0
     return AlignmentEstimate(
         mean=float(np.mean(values)),
         std=float(np.std(values, ddof=1)),
@@ -230,37 +233,16 @@ def estimate_gamma_on_instance(
     return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
-def compare_gamma_theory(
-    est: AlignmentEstimate,
-    spectrum: HermiteSpectrum | None = None,
-    alpha: float | None = None,
-    tolerance: float = 0.05,
-) -> GammaVerdict:
+def compare_gamma_theory(est: AlignmentEstimate, tolerance: float = 0.05) -> GammaVerdict:
     """Check an estimate against its theoretical reference.
 
     Closed-form references must match within tolerance plus three standard
     errors; bound references must bracket the mean (lower bound softened by
     the same slack, upper by the tolerance alone).
     """
-    alpha = est.alpha if alpha is None else alpha
-    if spectrum is not None:
-        if est.closed_form:
-            lower = upper = gamma_ntk_closed_form(spectrum, alpha)
-        else:
-            lower, upper = gamma_rf_lower_bound(spectrum, alpha), 1.0
-    else:
-        lower, upper = est.lower, est.upper
     slack = 3.0 * est.std / math.sqrt(est.trials) + tolerance
     if est.closed_form:
-        passed = abs(est.mean - lower) <= slack
+        passed = abs(est.mean - est.lower) <= slack
     else:
-        passed = (est.mean >= lower - slack) and (est.mean <= upper + tolerance)
-    return GammaVerdict(
-        passed=passed,
-        mean=est.mean,
-        lower=lower,
-        upper=upper,
-        slack=slack,
-        closed_form=est.closed_form,
-    )
-
+        passed = (est.mean >= est.lower - slack) and (est.mean <= est.upper + tolerance)
+    return GammaVerdict(passed=passed, slack=slack)

@@ -13,14 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import AlignmentSolver, check_nonlinearity, sample_alignments
-from .data import (
-    LabeledDataset, attacked_pairs, generate_synthetic, mask_rows, sample_teacher, sign_readout,
-)
+from .alignment import AlignmentSolver, attacked_instance, sample_alignments
+from .data import LabeledDataset, mask_rows, sign_readout
 from .errors import MapMismatch
-from .featuremaps import sample_ntk_map, sample_rf_map
-from .hermite import ActivationSpec, hermite_coefficients
-from .seeding import ROLE_DATA, ROLE_MAP, ROLE_QUERY, derive_seed
+from .hermite import ActivationSpec
 from .trainer import TrainedModel, fit_min_norm
 
 
@@ -105,46 +101,32 @@ def covariance_diagnostic(
 ) -> CovarianceDiagnostic:
     """Estimate Cov(attack output, label) and its stability-side counterpart.
 
-    The background rows, their labels, and the feature map stay fixed and are
-    fitted once; each trial draws an attacked sample z1 and its masked query
-    from the same stream as ``alignment.estimate_gamma``, so for the same
-    arguments gamma_mean is that estimate's mean. The fit on [z1; background]
-    is never formed: by S(z) = F(z, z1) * S(z1) its output at the masked
-    query is the background fit's output plus the alignment times the
-    stability at z1, so the whole diagnostic runs on one factored background
-    system, with one batched prediction on all z1 and one on all z1m.
+    The diagnostic runs on ``alignment.attacked_instance``, the instance of
+    ``alignment.estimate_gamma``, so for the same arguments and the resampling
+    mask gamma_mean is that estimate's mean. The background rows are fitted
+    once. The fit on [z1; background] is never formed: by
+    S(z) = F(z, z1) * S(z1) its output at the masked query is the background
+    fit's output plus the alignment times the stability at z1, so the whole
+    diagnostic runs on one factored background system, with one batched
+    prediction on all z1 and one on all z1m.
     label_fn overrides the teacher labeling (e.g. to force
     constant labels); fmap injects a prebuilt feature map (bypassing sampling
     and the nonlinearity screen) for constructed scenarios such as feature
     maps that ignore the noise block. An attacked sample whose features lie
     in the background span raises DegenerateDenominator.
     """
-    if kind not in ("rf", "ntk"):
-        raise ValueError(f"unknown map kind {kind!r}")
     if trials < 10:
         raise ValueError("need at least 10 trials")
-    d = d_x + d_y
-    map_seed = derive_seed(master_seed, [ROLE_MAP])
-    data_seed = derive_seed(master_seed, [ROLE_DATA])
-    query_seed = derive_seed(master_seed, [ROLE_QUERY])
-    if fmap is None:
-        spectrum = hermite_coefficients(activation)
-        check_nonlinearity(kind, spectrum, activation.name)
-        fmap = (
-            sample_rf_map(k, d, activation, map_seed)
-            if kind == "rf"
-            else sample_ntk_map(k, d, activation, map_seed)
-        )
-    teacher = sample_teacher(d_x, data_seed)
+    fmap, _, teacher, background, z1, z1m = attacked_instance(
+        kind, activation, k, n, d_x, d_y, trials, master_seed, mask, fmap
+    )
     if label_fn is None:
         label_fn = teacher.label
-    background = generate_synthetic(n - 1, d_x, d_y, teacher, data_seed)
     g_rest = np.asarray([label_fn(x) for x in background.x_block()])
     background = LabeledDataset(z=background.z, g=g_rest, d_x=d_x, d_y=d_y)
 
     # one background system serves the leave-one-out model and the alignment
     loo_model = fit_min_norm(fmap, background, theta0=theta0)
-    z1, z1m = attacked_pairs(query_seed, trials, d_x, d_y, mask)
     labels = np.asarray([float(label_fn(x)) for x in z1[:, :d_x]])
     # the fit on [z1; background] interpolates g1
     stability = labels - loo_model.predict(z1)
@@ -160,7 +142,7 @@ def covariance_diagnostic(
     combined = math.sqrt(se_attack**2 + (gamma_mean * se_stab) ** 2)
     return CovarianceDiagnostic(
         trials=trials,
-        alpha=d_y / d,
+        alpha=d_y / (d_x + d_y),
         gamma_mean=gamma_mean,
         cov_attack=cov_attack,
         se_cov_attack=se_attack,

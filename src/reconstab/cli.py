@@ -14,7 +14,7 @@ from .alignment import compare_gamma_theory, estimate_gamma
 from .attack import build_query_batch, run_attack
 from .data import MASKS, generate_synthetic, sample_teacher
 from .errors import ConfigError, ReconstabError
-from .featuremaps import sample_ntk_map, sample_rf_map
+from .featuremaps import sample_map
 from .harness import parse_config, run_sweep, write_rows
 from .hermite import activation_names, get_activation, hermite_coefficients
 from .linops import KernelSystem
@@ -42,8 +42,7 @@ def _build_instance(args):
     dataset = generate_synthetic(
         args.n, args.dx, args.dy, teacher, derive_seed(args.seed, [ROLE_DATA])
     )
-    sample_map = sample_rf_map if args.model == "rf" else sample_ntk_map
-    fmap = sample_map(args.k, d, activation, derive_seed(args.seed, [ROLE_MAP]))
+    fmap = sample_map(args.model, args.k, d, activation, derive_seed(args.seed, [ROLE_MAP]))
     return fmap, dataset, teacher
 
 
@@ -88,8 +87,7 @@ def _cmd_gamma(args) -> int:
     )
     verdict = compare_gamma_theory(est, tolerance=args.tolerance)
     reference = (
-        f"{verdict.lower:.6g}" if verdict.closed_form
-        else f"[{verdict.lower:.6g}, {verdict.upper:.6g}]"
+        f"{est.lower:.6g}" if est.closed_form else f"[{est.lower:.6g}, {est.upper:.6g}]"
     )
     print(
         f"model={est.kind} alpha={est.alpha:.4g} activation={est.activation} "
@@ -116,11 +114,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     config = parse_config(args.config)
     rows = run_sweep(config, workers=args.workers)
-    out = args.out or config.output
-    if out:
-        with open(out, "w", newline="") as f:
+    if args.out:
+        with open(args.out, "w", newline="") as f:
             write_rows(rows, f)
-        print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)
+        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:
         write_rows(rows, sys.stdout)
     return 0

@@ -9,6 +9,8 @@ the map's weight layout. ``prepare`` holds training rows whose ``gram`` and
 coefficients into that layout, Phi^T c, at O(N p) once; outputs then cost
 O(n p), without an n x N cross kernel. ``head(m)`` is the first m training
 rows, without copying. ``kernel(z, zp)`` is the one-row cross kernel.
+``sample_map`` is the one place a map kind picks its class and draws its
+weights.
 
 Tangent features z (x) act'(W0 z) have dimension k*d. Prepared tangent rows
 keep the two factors and never materialize them, because every kernel entry
@@ -180,19 +182,14 @@ class _PreparedNTK:
         return (queries @ self.rows.T) * (self.map._derivs(queries) @ self.derivs.T)
 
 
-def sample_rf_map(k: int, d: int, activation: ActivationSpec, seed: int) -> RFMap:
-    """Draw V with i.i.d. N(0, 1/d) entries, reproducibly from the seed."""
+def sample_map(kind: str, k: int, d: int, activation: ActivationSpec, seed: int) -> RFMap | NTKMap:
+    """Draw the k x d matrix of a map of the given kind ("rf" or "ntk") with
+    i.i.d. N(0, 1/d) entries, reproducibly from the seed. For tangent maps the
+    activation is the spec of the network activation's derivative.
+    """
+    if kind not in ("rf", "ntk"):
+        raise ValueError(f"unknown map kind {kind!r}")
     if k < 1 or d < 1:
         raise ValueError("k and d must be >= 1")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((k, d)) / np.sqrt(d)
-    return RFMap(v=v, activation=activation, seed=seed)
-
-
-def sample_ntk_map(k: int, d: int, activation_derivative: ActivationSpec, seed: int) -> NTKMap:
-    """Draw W0 with i.i.d. N(0, 1/d) entries, reproducibly from the seed."""
-    if k < 1 or d < 1:
-        raise ValueError("k and d must be >= 1")
-    rng = np.random.default_rng(seed)
-    w0 = rng.standard_normal((k, d)) / np.sqrt(d)
-    return NTKMap(w0=w0, activation_derivative=activation_derivative, seed=seed)
+    weights = np.random.default_rng(seed).standard_normal((k, d)) / np.sqrt(d)
+    return (RFMap if kind == "rf" else NTKMap)(weights, activation, seed)

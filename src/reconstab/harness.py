@@ -30,7 +30,7 @@ from .alignment import estimate_gamma_on_instance
 from .attack import build_query_batch, run_attack
 from .data import MASKS, LabeledDataset, generate_synthetic, sample_teacher
 from .errors import ConfigError, ReconstabError
-from .featuremaps import sample_ntk_map, sample_rf_map
+from .featuremaps import sample_map
 from .hermite import get_activation
 from .seeding import (
     ROLE_DATA,
@@ -69,10 +69,9 @@ class ExperimentConfig:
     trials: int
     mask: str = "resample"
     master_seed: int = 0
-    theta0: str = ""
+    theta0: str = "zero"
     test_size: int = 1000
     gamma_trials: int = 20
-    output: str = ""
 
     def __post_init__(self) -> None:
         if self.model not in ("rf", "ntk"):
@@ -89,6 +88,8 @@ class ExperimentConfig:
         ):
             raise ConfigError(f"n_grid must be a list of integers, got {self.n_grid!r}")
         grid = tuple(self.n_grid)
+        if not grid:
+            raise ConfigError("n_grid must not be empty")
         if any(n < 1 for n in grid):
             raise ConfigError("n_grid entries must be >= 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -96,8 +97,6 @@ class ExperimentConfig:
         self.n_grid = grid
         if self.mask not in MASKS:
             raise ConfigError(f"mask must be one of {MASKS}, got {self.mask!r}")
-        if not self.theta0:
-            self.theta0 = "zero"
         if self.theta0 not in ("zero", "init"):
             raise ConfigError(f"theta0 must be 'zero' or 'init', got {self.theta0!r}")
         if self.theta0 == "init" and self.model == "rf":
@@ -106,7 +105,7 @@ class ExperimentConfig:
             get_activation(self.activation)
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from None
-        n_max = max(grid) if grid else 0
+        n_max = max(grid)
         if self.model == "rf" and self.k < n_max:
             warnings.warn(
                 f"k={self.k} below the largest N={n_max}; the kernel may be singular",
@@ -134,13 +133,16 @@ def parse_config(source) -> ExperimentConfig:
     Unknown keys are a hard error: a misspelled theory-sensitive parameter
     must not silently fall back to a default.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as f:
-            doc = json.load(f)
+    try:
+        if isinstance(source, dict):
+            doc = source
+        elif hasattr(source, "read"):
+            doc = json.load(source)
+        else:
+            with open(source, encoding="utf-8") as f:
+                doc = json.load(f)
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        raise ConfigError(f"cannot read config {source!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
@@ -212,10 +214,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
     activation = get_activation(config.activation)
     try:
         dataset = generate_synthetic(n, config.d_x, config.d_y, teacher, data_seed)
-        if config.model == "rf":
-            fmap = sample_rf_map(config.k, config.d, activation, map_seed)
-        else:
-            fmap = sample_ntk_map(config.k, config.d, activation, map_seed)
+        fmap = sample_map(config.model, config.k, config.d, activation, map_seed)
         model = fit_min_norm(fmap, _first_row_last(dataset), theta0=config.theta0)
         test = generate_synthetic(
             config.test_size, config.d_x, config.d_y, teacher, test_seed

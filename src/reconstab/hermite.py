@@ -56,10 +56,6 @@ class ActivationSpec:
         if (self.coeffs is None) == (self.fn is None):
             raise ValueError("exactly one of coeffs or fn must be given")
 
-    @property
-    def kind(self) -> str:
-        return "hermite" if self.coeffs is not None else "callable"
-
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         if self.coeffs is None:
@@ -150,12 +146,7 @@ def _quadrature_coeffs(act: ActivationSpec, order: int, nodes: int) -> np.ndarra
     return vectors[: order + 1] @ (vectors[0] * act(x))
 
 
-def hermite_coefficients(
-    act: ActivationSpec,
-    order: int = DEFAULT_TRUNCATION,
-    nodes: int = DEFAULT_NODES,
-    max_nodes: int = MAX_NODES,
-) -> HermiteSpectrum:
+def hermite_coefficients(act: ActivationSpec, order: int = DEFAULT_TRUNCATION) -> HermiteSpectrum:
     """Coefficients mu_l = E[act(rho) h_l(rho)] for l = 0..order.
 
     Explicit Hermite combinations return their coefficient list exactly.
@@ -175,18 +166,16 @@ def hermite_coefficients(
             nodes=0,
         )
 
-    cur = _quadrature_coeffs(act, order, nodes)
-    n = nodes
+    n = DEFAULT_NODES
+    cur = _quadrature_coeffs(act, order, n)
     while True:
-        if 2 * n > max_nodes:
-            raise QuadratureNonconvergent(
-                f"coefficients still moving after {n} nodes"
-            )
+        if 2 * n > MAX_NODES:
+            raise QuadratureNonconvergent(f"coefficients still moving after {n} nodes")
         nxt = _quadrature_coeffs(act, order, 2 * n)
-        if float(np.max(np.abs(nxt - cur))) < CONVERGENCE_TOL:
-            cur, n = nxt, 2 * n
-            break
+        converged = float(np.max(np.abs(nxt - cur))) < CONVERGENCE_TOL
         cur, n = nxt, 2 * n
+        if converged:
+            break
 
     # Parseval remainder: E[act^2] - sum of captured squared coefficients
     if act.split_at_zero:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from reconstab.alignment import (
 from reconstab.attack import build_query_batch
 from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
 from reconstab.errors import DegenerateDenominator, DegenerateSpectrum
-from reconstab.featuremaps import sample_ntk_map, sample_rf_map
+from reconstab.featuremaps import sample_map
 from reconstab.hermite import (
     ActivationSpec,
     activation_names,
@@ -30,7 +32,7 @@ from reconstab.verify import closed_form_loo
 def _rf_instance(n=20, d_x=15, d_y=15, k=200, seed=0, activation="h1+h2"):
     teacher = sample_teacher(d_x, seed)
     dataset = generate_synthetic(n, d_x, d_y, teacher, seed + 1)
-    fmap = sample_rf_map(k, d_x + d_y, get_activation(activation), seed + 2)
+    fmap = sample_map("rf", k, d_x + d_y, get_activation(activation), seed + 2)
     return fmap, dataset, teacher
 
 
@@ -57,7 +59,7 @@ class TestFeatureAlignment:
         # tangent kernels factor through z . z', so a query orthogonal to z1
         # and to every background row has exactly zero alignment
         rng = np.random.default_rng(1)
-        fmap = sample_ntk_map(4, 8, get_activation("h0+h1"), seed=2)
+        fmap = sample_map("ntk", 4, 8, get_activation("h0+h1"), seed=2)
         rows = np.hstack([rng.standard_normal((5, 5)), np.zeros((5, 3))])
         z1 = np.concatenate([rng.standard_normal(5), np.zeros(3)])
         z = np.concatenate([np.zeros(5), rng.standard_normal(3)])
@@ -74,7 +76,7 @@ class TestFeatureAlignment:
 
     def test_kernel_space_matches_materialized_route_ntk(self):
         rng = np.random.default_rng(3)
-        fmap = sample_ntk_map(6, 10, get_activation("h0+h3"), seed=4)
+        fmap = sample_map("ntk", 6, 10, get_activation("h0+h3"), seed=4)
         rows = rng.standard_normal((7, 10))
         z1 = rng.standard_normal(10)
         z = rng.standard_normal(10)
@@ -118,10 +120,10 @@ class TestVerifyStabilityIdentity:
             teacher = sample_teacher(10, seed)
             dataset = generate_synthetic(14, 10, 10, teacher, seed + 30)
             if kind == "rf":
-                fmap = sample_rf_map(120, 20, get_activation("h1+h4"), seed + 60)
+                fmap = sample_map("rf", 120, 20, get_activation("h1+h4"), seed + 60)
                 theta0 = "zero"
             else:
-                fmap = sample_ntk_map(5, 20, get_activation("h0+h1"), seed + 60)
+                fmap = sample_map("ntk", 5, 20, get_activation("h0+h1"), seed + 60)
                 theta0 = "init"
             probe = generate_synthetic(1, 10, 10, teacher, seed + 90).z[0]
             lhs, rhs = verify_stability_identity(fmap, dataset, probe, theta0=theta0)
@@ -173,26 +175,23 @@ class TestEstimateGamma:
 
 class TestCompareGammaTheory:
     def test_ntk_reference(self):
-        spec = hermite_coefficients(get_activation("h0+h1"))
         est = AlignmentEstimate(
             mean=0.25, std=0.0, trials=50, kind="ntk", alpha=0.5, activation="h0+h1",
             lower=0.25, upper=0.25, closed_form=True, ratio_of_means=0.25,
             tail_bound=0.0, truncation=40, values=np.full(50, 0.25),
         )
-        verdict = compare_gamma_theory(est, spec, 0.5)
-        assert verdict.passed and verdict.lower == pytest.approx(0.25)
+        assert compare_gamma_theory(est).passed
 
     def test_rf_bounds(self):
-        spec = hermite_coefficients(get_activation("h1+h2"))
         est = AlignmentEstimate(
             mean=0.5, std=0.1, trials=50, kind="rf", alpha=0.5, activation="h1+h2",
             lower=0.125, upper=1.0, closed_form=False, ratio_of_means=0.5,
             tail_bound=0.0, truncation=40, values=np.full(50, 0.5),
         )
-        verdict = compare_gamma_theory(est, spec, 0.5)
-        assert verdict.passed
-        assert verdict.lower == pytest.approx(0.125)
-        assert verdict.upper == 1.0
+        assert compare_gamma_theory(est).passed
+        # the bracket is the estimate's own [lower - slack, upper + tolerance]
+        assert not compare_gamma_theory(replace(est, mean=0.0)).passed
+        assert not compare_gamma_theory(replace(est, mean=1.06)).passed
 
     def test_exact_match_passes_with_zero_margin(self):
         est = AlignmentEstimate(
@@ -254,8 +253,7 @@ class TestClosedFormLeaveOneOut:
         kind, n, d_x, d_y, k, activation, theta0, seed = instance
         teacher = sample_teacher(d_x, seed)
         dataset = generate_synthetic(n, d_x, d_y, teacher, seed + 1)
-        sample_map = sample_rf_map if kind == "rf" else sample_ntk_map
-        fmap = sample_map(k, d_x + d_y, get_activation(activation), seed + 2)
+        fmap = sample_map(kind, k, d_x + d_y, get_activation(activation), seed + 2)
         full = fit_min_norm(fmap, dataset, theta0=theta0)
         queries = build_query_batch(dataset, "resample", seed + 3)
         stability, alignment = closed_form_loo(full, queries)

@@ -12,7 +12,7 @@ from reconstab.data import (
     sign_readout,
 )
 from reconstab.errors import DegenerateDenominator, MapMismatch
-from reconstab.featuremaps import RFMap, sample_rf_map
+from reconstab.featuremaps import RFMap, sample_map
 from reconstab.hermite import get_activation
 from reconstab.linops import KernelSystem
 from reconstab.seeding import ROLE_DATA, ROLE_QUERY, derive_seed
@@ -36,7 +36,7 @@ def _record_fits(monkeypatch) -> list:
 def _fitted_instance(n=30, d_x=12, d_y=12, k=150, seed=0):
     teacher = sample_teacher(d_x, seed)
     dataset = generate_synthetic(n, d_x, d_y, teacher, seed + 1)
-    fmap = sample_rf_map(k, d_x + d_y, get_activation("h1+h2"), seed + 2)
+    fmap = sample_map("rf", k, d_x + d_y, get_activation("h1+h2"), seed + 2)
     return fmap, dataset, fit_min_norm(fmap, dataset)
 
 
@@ -82,7 +82,7 @@ class TestRunAttack:
         # exactly the alignment times the label
         teacher = sample_teacher(10, 4)
         dataset = generate_synthetic(1, 10, 10, teacher, 5)
-        fmap = sample_rf_map(80, 20, get_activation("h1+h2"), 6)
+        fmap = sample_map("rf", 80, 20, get_activation("h1+h2"), 6)
         model = fit_min_norm(fmap, dataset)
         queries = build_query_batch(dataset, "resample", 10)
         report = run_attack(model, queries, dataset.g)
@@ -202,8 +202,8 @@ class TestCovarianceDiagnostic:
         "kind, activation, k", [("rf", "h1+h2", 80), ("ntk", "h0+h1", 8)]
     )
     def test_gamma_mean_is_estimate_gamma_mean(self, kind, activation, k):
-        # both draw the attacked pairs from the same stream and align them
-        # against the same background rows
+        # both align the attacked pairs of alignment.attacked_instance
+        # against its background rows
         args = dict(k=k, n=16, d_x=8, d_y=8, trials=12, master_seed=7)
         diag = covariance_diagnostic(kind, get_activation(activation), **args)
         assert diag.gamma_mean == estimate_gamma(kind, get_activation(activation), **args).mean

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reconstab.cli import main
+from reconstab.hermite import activation_names
 
 
 SWEEP_CONFIG = {
@@ -31,14 +32,42 @@ def test_hermite_table(capsys):
     assert abs(float(first[1]) - 1.0 / np.sqrt(2 * np.pi)) < 1e-6
 
 
+# the random-features limit needs a Hermite coefficient at order >= 2
+SCREENED_RF_GAMMA = {"identity", "h0+h1"}
+
+
+@pytest.mark.parametrize("command", ["fit", "attack", "gamma", "eigs", "sweep"])
 @pytest.mark.parametrize("model", ["rf", "ntk"])
-def test_tanh_commands_exit_zero(model, capsys):
-    assert main(["hermite", "--activation", "tanh"]) == 0
-    assert main([
-        "gamma", "--model", model, "--activation", "tanh",
-        "--k", "40", "--dx", "8", "--dy", "8", "--n", "20", "--trials", "3", "--seed", "1",
-    ]) == 0
-    assert "verdict=" in capsys.readouterr().out
+@pytest.mark.parametrize("activation", activation_names())
+def test_every_activation_in_every_command(activation, model, command, tmp_path, capsys):
+    if command == "sweep":
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(dict(SWEEP_CONFIG, model=model, activation=activation)))
+        argv = ["sweep", "--config", str(config_path)]
+    else:
+        # N=12 <= d=16 keeps the features of linear activations at full rank
+        argv = [command, "--model", model, "--activation", activation,
+                "--k", "40", "--dx", "8", "--dy", "8", "--n", "12", "--seed", "1"]
+        argv += {"fit": ["--test-size", "40"], "attack": ["--test-size", "40"],
+                 "gamma": ["--trials", "3"]}.get(command, [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    if command == "gamma" and model == "rf" and activation in SCREENED_RF_GAMMA:
+        assert code == 1
+        assert "limit degenerates" in captured.err
+    else:
+        assert code == 0, captured.err
+        marker = {"fit": "test_acc=", "attack": "attack_acc=", "gamma": "verdict=",
+                  "eigs": "lambda_min=", "sweep": "model,n,alpha,"}[command]
+        assert marker in captured.out
+        if command == "sweep":  # no row carries an error
+            assert all(line.endswith(",") for line in captured.out.splitlines()[1:])
+
+
+@pytest.mark.parametrize("activation", activation_names())
+def test_hermite_every_activation(activation, capsys):
+    assert main(["hermite", "--activation", activation]) == 0
+    assert "l mu_l" in capsys.readouterr().out
 
 
 def test_gamma_row(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reconstab.errors import DimensionMismatch
-from reconstab.featuremaps import sample_ntk_map, sample_rf_map
+from reconstab.featuremaps import sample_map
 from reconstab.hermite import _hermite_matrix, get_activation
 
 
@@ -13,34 +13,34 @@ def _features(fmap, z):
 
 class TestSampleRfMap:
     def test_deterministic_for_seed(self):
-        a = sample_rf_map(20, 10, get_activation("relu"), seed=7)
-        b = sample_rf_map(20, 10, get_activation("relu"), seed=7)
+        a = sample_map("rf", 20, 10, get_activation("relu"), seed=7)
+        b = sample_map("rf", 20, 10, get_activation("relu"), seed=7)
         assert np.array_equal(a.v, b.v)
 
     def test_entry_statistics(self):
-        m = sample_rf_map(100, 100, get_activation("relu"), seed=1)
+        m = sample_map("rf", 100, 100, get_activation("relu"), seed=1)
         assert abs(m.v.mean()) <= 4.0 / np.sqrt(100 * 100 * 100)
         assert abs(m.v.var() * 100 - 1.0) <= 0.2
 
     def test_scalar_entry_variance_across_seeds(self):
         draws = np.array(
-            [sample_rf_map(1, 1, get_activation("relu"), seed=s).v[0, 0] for s in range(10_000)]
+            [sample_map("rf", 1, 1, get_activation("relu"), seed=s).v[0, 0] for s in range(10_000)]
         )
         assert abs(draws.var() - 1.0) <= 0.05
 
 
 class TestRfFeatures:
     def test_identity_activation_gives_preactivations(self):
-        m = sample_rf_map(6, 4, get_activation("identity"), seed=2)
+        m = sample_map("rf", 6, 4, get_activation("identity"), seed=2)
         z = np.arange(4.0)
         assert np.allclose(_features(m, z), m.v @ z, atol=0)
 
     def test_relu_of_zero_input(self):
-        m = sample_rf_map(5, 3, get_activation("relu"), seed=3)
+        m = sample_map("rf", 5, 3, get_activation("relu"), seed=3)
         assert np.array_equal(_features(m, np.zeros(3)), np.zeros(5))
 
     def test_matches_scalar_loop(self):
-        m = sample_rf_map(7, 5, get_activation("h1+h2"), seed=4)
+        m = sample_map("rf", 7, 5, get_activation("h1+h2"), seed=4)
         rng = np.random.default_rng(0)
         z = rng.standard_normal(5)
         feats = _features(m, z)
@@ -50,14 +50,14 @@ class TestRfFeatures:
             assert feats[i] == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        m = sample_rf_map(3, 4, get_activation("relu"), seed=5)
+        m = sample_map("rf", 3, 4, get_activation("relu"), seed=5)
         with pytest.raises(DimensionMismatch):
             _features(m, np.zeros(5))
 
 
 class TestNtkFeatures:
     def test_sparse_input_pattern(self):
-        m = sample_ntk_map(1, 3, get_activation("h0+h1"), seed=6)
+        m = sample_map("ntk", 1, 3, get_activation("h0+h1"), seed=6)
         z = np.eye(3)[0]
         vec = _features(m, z)
         w = m.activation_derivative(m.w0 @ z)
@@ -65,7 +65,7 @@ class TestNtkFeatures:
         assert np.array_equal(vec[1:], np.zeros(2))
 
     def test_norm_factorizes(self):
-        m = sample_ntk_map(4, 6, get_activation("h0+h3"), seed=7)
+        m = sample_map("ntk", 4, 6, get_activation("h0+h3"), seed=7)
         rng = np.random.default_rng(1)
         for _ in range(5):
             z = rng.standard_normal(6)
@@ -74,7 +74,7 @@ class TestNtkFeatures:
             assert abs(m.kernel(z, z) - expected) <= 1e-10 * expected
 
     def test_matches_double_loop_kronecker(self):
-        m = sample_ntk_map(2, 3, get_activation("h0+h1"), seed=8)
+        m = sample_map("ntk", 2, 3, get_activation("h0+h1"), seed=8)
         z = np.array([0.3, -1.2, 2.0])
         vec = _features(m, z)
         w = m.activation_derivative(m.w0 @ z)
@@ -85,7 +85,7 @@ class TestNtkFeatures:
         assert np.array_equal(vec, expected)
 
     def test_feature_matrix_matches_per_row_features(self):
-        m = sample_ntk_map(3, 4, get_activation("h0+h1"), seed=9)
+        m = sample_map("ntk", 3, 4, get_activation("h0+h1"), seed=9)
         rows = np.random.default_rng(2).standard_normal((5, 4))
         mat = m.feature_matrix(rows)
         for i, row in enumerate(rows):
@@ -94,19 +94,19 @@ class TestNtkFeatures:
 
 class TestKernelEval:
     def test_ntk_orthogonal_inputs(self):
-        m = sample_ntk_map(4, 4, get_activation("h0+h1"), seed=10)
+        m = sample_map("ntk", 4, 4, get_activation("h0+h1"), seed=10)
         assert m.kernel(np.eye(4)[0], np.eye(4)[1]) == 0.0
 
     def test_self_kernel_is_norm(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal(5)
-        rf = sample_rf_map(6, 5, get_activation("h1+h2"), seed=11)
+        rf = sample_map("rf", 6, 5, get_activation("h1+h2"), seed=11)
         assert rf.kernel(z, z) == pytest.approx(float(_features(rf, z) @ _features(rf, z)))
-        ntk = sample_ntk_map(3, 5, get_activation("h0+h1"), seed=12)
+        ntk = sample_map("ntk", 3, 5, get_activation("h0+h1"), seed=12)
         assert ntk.kernel(z, z) == pytest.approx(float(_features(ntk, z) @ _features(ntk, z)))
 
     def test_matches_materialized_dot(self):
-        m = sample_ntk_map(3, 4, get_activation("h0+h3"), seed=13)
+        m = sample_map("ntk", 3, 4, get_activation("h0+h3"), seed=13)
         rng = np.random.default_rng(4)
         z, zp = rng.standard_normal(4), rng.standard_normal(4)
         explicit = float(_features(m, z) @ _features(m, zp))
@@ -114,8 +114,8 @@ class TestKernelEval:
 
     def test_feature_kernel_consistency_50_pairs(self):
         rng = np.random.default_rng(5)
-        rf = sample_rf_map(40, 8, get_activation("relu"), seed=14)
-        ntk = sample_ntk_map(5, 8, get_activation("h0+h1"), seed=15)
+        rf = sample_map("rf", 40, 8, get_activation("relu"), seed=14)
+        ntk = sample_map("ntk", 5, 8, get_activation("h0+h1"), seed=15)
         for _ in range(50):
             z, zp = rng.standard_normal(8), rng.standard_normal(8)
             rf_explicit = float(_features(rf, z) @ _features(rf, zp))
@@ -126,7 +126,7 @@ class TestKernelEval:
 
 class TestGramAssembly:
     def test_rf_gram_matches_materialized(self):
-        m = sample_rf_map(500, 10, get_activation("h1+h4"), seed=16)
+        m = sample_map("rf", 500, 10, get_activation("h1+h4"), seed=16)
         rows = np.random.default_rng(6).standard_normal((12, 10))
         via_prepared = m.prepare(rows).gram()
         phi = m.feature_matrix(rows)
@@ -134,7 +134,7 @@ class TestGramAssembly:
         assert np.allclose(via_prepared, direct, rtol=1e-9)
 
     def test_ntk_gram_matches_materialized(self):
-        m = sample_ntk_map(100, 20, get_activation("h0+h1"), seed=17)  # kd = 2000
+        m = sample_map("ntk", 100, 20, get_activation("h0+h1"), seed=17)  # kd = 2000
         rows = np.random.default_rng(7).standard_normal((9, 20))
         via_prepared = m.prepare(rows).gram()
         phi = m.feature_matrix(rows)
@@ -142,7 +142,7 @@ class TestGramAssembly:
         assert np.allclose(via_prepared, direct, rtol=1e-9)
 
     def test_cross_matches_kernel_eval(self):
-        m = sample_rf_map(30, 6, get_activation("relu"), seed=18)
+        m = sample_map("rf", 30, 6, get_activation("relu"), seed=18)
         rng = np.random.default_rng(8)
         rows = rng.standard_normal((4, 6))
         queries = rng.standard_normal((3, 6))
@@ -163,7 +163,7 @@ class TestNtkExpectedKernel:
         zp *= np.sqrt(d) / np.linalg.norm(zp)
         vals = np.array(
             [
-                sample_ntk_map(k, d, get_activation("h0+h1"), seed=s).kernel(z, zp)
+                sample_map("ntk", k, d, get_activation("h0+h1"), seed=s).kernel(z, zp)
                 for s in range(200)
             ]
         )
@@ -175,11 +175,11 @@ class TestNtkExpectedKernel:
 
 class TestInitOutputs:
     def test_rf_zero_init(self):
-        m = sample_rf_map(5, 4, get_activation("relu"), seed=23)
+        m = sample_map("rf", 5, 4, get_activation("relu"), seed=23)
         assert m.outputs(np.ones(4), np.zeros(m.k))[0] == 0.0
 
     def test_ntk_init_output_is_feature_dot_initialization(self):
-        m = sample_ntk_map(3, 4, get_activation("h0+h1"), seed=24)
+        m = sample_map("ntk", 3, 4, get_activation("h0+h1"), seed=24)
         z = np.random.default_rng(14).standard_normal(4)
         theta0 = m.w0.T.ravel()
         explicit = float(_features(m, z) @ theta0)

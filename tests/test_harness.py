@@ -4,13 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconstab import linops, verify
 from reconstab.alignment import AlignmentSolver, estimate_gamma_on_instance
 from reconstab.cli import main
-from reconstab.data import generate_synthetic, sample_teacher
+from reconstab.data import MASKS, generate_synthetic, sample_teacher
 from reconstab.errors import ConfigError
-from reconstab.featuremaps import sample_ntk_map, sample_rf_map
+from reconstab.featuremaps import sample_map
 from reconstab.harness import RESULT_COLUMNS, ExperimentConfig, parse_config, run_sweep, write_rows
 from reconstab.hermite import get_activation
 from reconstab.seeding import ROLE_DATA, ROLE_GAMMA, ROLE_MAP, ROLE_TEACHER, derive_seed
@@ -28,6 +30,21 @@ SMALL_CONFIG = {
     "test_size": 50,
     "gamma_trials": 4,
 }
+
+NTK_CONFIG = dict(SMALL_CONFIG, model="ntk", k=8, activation="h0+h1")
+
+
+@st.composite
+def _sweep_docs(draw):
+    """A small RF or NTK sweep config with a drawn mask, N grid, trial count
+    and master seed.
+    """
+    doc = dict(draw(st.sampled_from([SMALL_CONFIG, NTK_CONFIG])))
+    doc["mask"] = draw(st.sampled_from(MASKS))
+    doc["n_grid"] = sorted(draw(st.sets(st.integers(4, 24), min_size=1, max_size=3)))
+    doc["trials"] = draw(st.integers(1, 3))
+    doc["master_seed"] = draw(st.integers(0, 2**32 - 1))
+    return doc
 
 
 def rows_to_csv_bytes(rows) -> bytes:
@@ -116,23 +133,51 @@ class TestConfig:
         path.write_text(json.dumps(SMALL_CONFIG))
         assert parse_config(path).k == 80
 
+    @pytest.mark.parametrize("theta0", [None, 0, False, ""])
+    def test_falsy_theta0_rejected(self, theta0):
+        with pytest.raises(ConfigError, match="theta0"):
+            parse_config(dict(SMALL_CONFIG, theta0=theta0))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ConfigError, match="n_grid must not be empty"):
+            parse_config(dict(SMALL_CONFIG, n_grid=[]))
+
+    @pytest.mark.parametrize("value", ["rows.csv", True, 9])
+    def test_output_key_rejected(self, value):
+        # the CSV path is set by sweep --out only
+        with pytest.raises(ConfigError, match="output"):
+            parse_config(dict(SMALL_CONFIG, output=value))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [json.dumps(SMALL_CONFIG)[:-3].encode(), b'{"model": "\xff"}'],
+        ids=["truncated-json", "not-utf8"],
+    )
+    def test_unreadable_file_is_config_error(self, tmp_path, payload):
+        path = tmp_path / "config.json"
+        path.write_bytes(payload)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            parse_config(path)
+        assert main(["sweep", "--config", str(path)]) == 2
+
+    def test_missing_file_is_config_error(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigError, match="cannot read config"):
+            parse_config(path)
+        assert main(["sweep", "--config", str(path)]) == 2
+
 
 class TestRunSweep:
-    def test_empty_grid_gives_header_only(self):
-        config = ExperimentConfig(**dict(SMALL_CONFIG, n_grid=[]))
-        payload = rows_to_csv_bytes(run_sweep(config))
-        lines = payload.decode().split("\r\n")
-        assert lines[0] == ",".join(RESULT_COLUMNS)
-        assert lines[1:] == [""]
-
     def test_same_config_byte_identical(self):
         config = parse_config(dict(SMALL_CONFIG))
         a = rows_to_csv_bytes(run_sweep(config))
         b = rows_to_csv_bytes(run_sweep(parse_config(dict(SMALL_CONFIG))))
         assert a == b
 
-    def test_worker_count_does_not_change_bytes(self):
-        config = parse_config(dict(SMALL_CONFIG))
+    @settings(max_examples=25, deadline=None)
+    @given(_sweep_docs())
+    def test_worker_count_does_not_change_bytes(self, doc):
+        config = parse_config(doc)
         serial = rows_to_csv_bytes(run_sweep(config, workers=1))
         threaded = rows_to_csv_bytes(run_sweep(config, workers=4))
         assert serial == threaded
@@ -186,9 +231,6 @@ class TestRunSweep:
         float(parsed[1][RESULT_COLUMNS.index("test_acc")])
 
 
-NTK_CONFIG = dict(SMALL_CONFIG, model="ntk", k=8, activation="h0+h1")
-
-
 class TestOneFactorPerRow:
     @pytest.mark.parametrize(
         "doc",
@@ -198,7 +240,6 @@ class TestOneFactorPerRow:
     def test_gamma_matches_a_separately_factored_background(self, doc):
         config = parse_config(dict(doc))
         teacher = sample_teacher(config.d_x, derive_seed(config.master_seed, [ROLE_TEACHER]))
-        sample_map = sample_rf_map if config.model == "rf" else sample_ntk_map
         for row in run_sweep(config):
             n_idx = config.n_grid.index(row.n)
             seed = {
@@ -206,7 +247,9 @@ class TestOneFactorPerRow:
                 for role in (ROLE_DATA, ROLE_MAP, ROLE_GAMMA)
             }
             dataset = generate_synthetic(row.n, config.d_x, config.d_y, teacher, seed[ROLE_DATA])
-            fmap = sample_map(config.k, config.d, get_activation(config.activation), seed[ROLE_MAP])
+            fmap = sample_map(
+                config.model, config.k, config.d, get_activation(config.activation), seed[ROLE_MAP]
+            )
             background = linops.KernelSystem.build(fmap, dataset.z[1:])
             mean, std = estimate_gamma_on_instance(
                 background, config.d_x, config.gamma_trials, seed[ROLE_GAMMA], config.mask
@@ -284,6 +327,10 @@ class TestVerifySuites:
     def test_gamma_ntk_checks_pass(self):
         for check in (verify.check_gamma_ntk(0.5), verify.check_gamma_ntk_convergence()):
             assert check.passed, f"{check.name}: {check.detail}"
+
+    def test_gamma_rf_check_passes(self):
+        check = verify.check_gamma_rf(0.5)
+        assert check.passed, f"{check.name}: {check.detail}"
 
     def test_biased_alignment_fails_gamma_ntk_checks(self, monkeypatch):
         # every alignment F = num / den shifted by +0.1

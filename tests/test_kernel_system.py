@@ -6,7 +6,7 @@ import pytest
 
 from reconstab.alignment import AlignmentSolver
 from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
-from reconstab.featuremaps import sample_ntk_map, sample_rf_map
+from reconstab.featuremaps import sample_map
 from reconstab.hermite import get_activation
 from reconstab.linops import SOLVE_BLOCK, KernelSolveCache, KernelSystem
 from reconstab.trainer import FitReport, fit_leave_one_out, fit_min_norm
@@ -27,9 +27,9 @@ def _instance(kind: str, n: int = 12):
     dataset = generate_synthetic(n, d_x, d_y, teacher, 1)
     probes = generate_synthetic(4, d_x, d_y, teacher, 2).z
     if kind == "rf":
-        fmap = sample_rf_map(size["rf"], d_x + d_y, get_activation("h1+h2"), 3)
+        fmap = sample_map("rf", size["rf"], d_x + d_y, get_activation("h1+h2"), 3)
     else:
-        fmap = sample_ntk_map(size["ntk"], d_x + d_y, get_activation("h0+h1"), 3)
+        fmap = sample_map("ntk", size["ntk"], d_x + d_y, get_activation("h0+h1"), 3)
     return fmap, dataset, probes
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from reconstab import linops
 from reconstab.errors import NotSymmetric, SingularGram
-from reconstab.featuremaps import sample_ntk_map, sample_rf_map
+from reconstab.featuremaps import sample_map
 from reconstab.hermite import get_activation
 
 
@@ -38,8 +38,8 @@ class TestGram:
         k = linops.gram(rng.standard_normal((n, 2 * n)))
         assert np.array_equal(k, k.T)
         rows = rng.standard_normal((n, 12))
-        rf = sample_rf_map(2 * n, 12, get_activation("h1+h2"), n)
-        ntk = sample_ntk_map(n, 12, get_activation("h0+h1"), n)
+        rf = sample_map("rf", 2 * n, 12, get_activation("h1+h2"), n)
+        ntk = sample_map("ntk", n, 12, get_activation("h0+h1"), n)
         for fmap in (rf, ntk):
             k = fmap.prepare(rows).gram()
             assert np.array_equal(k, k.T)
@@ -188,7 +188,7 @@ class TestBlockedSolve:
         # k = N + 5 random features put the condition number near 3e7
         n, d = 300, 30
         rng = np.random.default_rng(0)
-        fmap = sample_rf_map(n + 5, d, get_activation("h1+h2"), 0)
+        fmap = sample_map("rf", n + 5, d, get_activation("h1+h2"), 0)
         z = rng.standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         k = fmap.prepare(z).gram()
@@ -217,9 +217,9 @@ def _kernel_gram(kind, n, seed=0):
     z = np.random.default_rng(seed).standard_normal((n, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     if kind == "rf":
-        fmap = sample_rf_map(2 * n + 40, d, get_activation("h1+h2"), seed + 1)
+        fmap = sample_map("rf", 2 * n + 40, d, get_activation("h1+h2"), seed + 1)
     else:
-        fmap = sample_ntk_map(30, d, get_activation("h0+h1"), seed + 1)
+        fmap = sample_map("ntk", 30, d, get_activation("h0+h1"), seed + 1)
     return fmap, fmap.prepare(z).gram()
 
 
@@ -250,7 +250,7 @@ class TestSpectrumEstimate:
     def test_ill_conditioned_rf_gram(self):
         # the Gram of TestBlockedSolve.test_ill_conditioned_rf_gram: k = N + 5
         n, d = 300, 30
-        fmap = sample_rf_map(n + 5, d, get_activation("h1+h2"), 0)
+        fmap = sample_map("rf", n + 5, d, get_activation("h1+h2"), 0)
         z = np.random.default_rng(0).standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         k = fmap.prepare(z).gram()

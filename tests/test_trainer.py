@@ -8,7 +8,7 @@ from reconstab.alignment import check_nonlinearity
 from reconstab.attack import build_query_batch, run_attack
 from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
 from reconstab.errors import DegenerateSpectrum, DimensionMismatch, MapMismatch, SingularKernel
-from reconstab.featuremaps import sample_ntk_map, sample_rf_map
+from reconstab.featuremaps import sample_map
 from reconstab.hermite import activation_names, get_activation, hermite_coefficients
 from reconstab.trainer import (
     fit_leave_one_out,
@@ -21,14 +21,14 @@ from reconstab.trainer import (
 def _rf_instance(n=20, d_x=10, d_y=10, k=100, seed=0):
     teacher = sample_teacher(d_x, seed)
     dataset = generate_synthetic(n, d_x, d_y, teacher, seed + 1)
-    fmap = sample_rf_map(k, d_x + d_y, get_activation("h1+h2"), seed + 2)
+    fmap = sample_map("rf", k, d_x + d_y, get_activation("h1+h2"), seed + 2)
     return fmap, dataset, teacher
 
 
 def _ntk_instance(n=15, d_x=10, d_y=10, k=6, seed=0):
     teacher = sample_teacher(d_x, seed)
     dataset = generate_synthetic(n, d_x, d_y, teacher, seed + 1)
-    fmap = sample_ntk_map(k, d_x + d_y, get_activation("h0+h1"), seed + 2)
+    fmap = sample_map("ntk", k, d_x + d_y, get_activation("h0+h1"), seed + 2)
     return fmap, dataset, teacher
 
 
@@ -244,8 +244,7 @@ class TestPrimalPrediction:
         kind, theta0, n, d_x, d_y, k, activation, n_queries, seed = instance
         teacher = sample_teacher(d_x, seed)
         dataset = generate_synthetic(n, d_x, d_y, teacher, seed + 1)
-        sample_map = sample_rf_map if kind == "rf" else sample_ntk_map
-        fmap = sample_map(k, d_x + d_y, get_activation(activation), seed + 2)
+        fmap = sample_map(kind, k, d_x + d_y, get_activation(activation), seed + 2)
         model = fit_min_norm(fmap, dataset, theta0=theta0)
         queries = generate_synthetic(n_queries, d_x, d_y, teacher, seed + 3).z
         f0 = np.zeros(n_queries) if theta0 == "zero" else fmap.outputs(queries, fmap.w0.T)
