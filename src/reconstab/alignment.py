@@ -32,7 +32,6 @@ from .hermite import (
 )
 from .linops import KernelSystem
 from .seeding import ROLE_DATA, ROLE_MAP, ROLE_QUERY, derive_seed
-from .trainer import fit_leave_one_out, fit_min_norm, stability_eval
 
 DENOMINATOR_GUARD = 1e-10
 
@@ -46,10 +45,6 @@ class AlignmentSolver:
     @property
     def map(self):
         return self.system.map
-
-    def alignment(self, z: np.ndarray, z1: np.ndarray) -> float:
-        num, den = self.alignment_parts(z, z1)
-        return num / den
 
     def alignment_parts(self, z: np.ndarray, z1: np.ndarray) -> tuple[float, float]:
         """phi(z) . P_perp phi(z1) and ||P_perp phi(z1)||^2 for single rows,
@@ -67,23 +62,6 @@ class AlignmentSolver:
             )
         num = float(own[0, 1]) - float(kz @ solved)
         return num, den
-
-
-def verify_stability_identity(
-    fmap, dataset, z: np.ndarray, theta0="zero"
-) -> tuple[float, float]:
-    """Both sides of  S(z) = F(z, z1) * S(z1)  with z1 the first training row.
-
-    lhs comes from two explicit fits; rhs from the projector algebra. The
-    caller asserts their equality.
-    """
-    full = fit_min_norm(fmap, dataset, theta0=theta0)
-    loo = fit_leave_one_out(fmap, dataset, 0, theta0=theta0)
-    lhs = stability_eval(full, loo, z)
-    # the leave-one-out system is the background system of z1
-    alignment = AlignmentSolver(loo.system).alignment(z, dataset.z[0])
-    rhs = alignment * stability_eval(full, loo, dataset.z[0])
-    return lhs, rhs
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: fit, attack, gamma, hermite, sweep, verify, eigs.
+Subcommands: fit, gamma, hermite, sweep, verify.
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 """
 
@@ -17,14 +17,12 @@ from .errors import ConfigError, ReconstabError
 from .featuremaps import sample_map
 from .harness import parse_config, run_sweep, write_rows
 from .hermite import activation_names, get_activation, hermite_coefficients
-from .linops import KernelSystem
 from .seeding import ROLE_DATA, ROLE_MAP, ROLE_MASK, ROLE_TEACHER, ROLE_TEST, derive_seed
 from .trainer import fit_min_norm, generalization_error
 
 
-def _add_instance_args(parser, model_kind=True):
-    if model_kind:
-        parser.add_argument("--model", choices=["rf", "ntk"], default="rf")
+def _add_instance_args(parser):
+    parser.add_argument("--model", choices=["rf", "ntk"], default="rf")
     parser.add_argument("--k", type=int, default=2000)
     parser.add_argument("--dx", type=int, default=100)
     parser.add_argument("--dy", type=int, default=100)
@@ -53,28 +51,14 @@ def _cmd_fit(args) -> int:
         args.test_size, args.dx, args.dy, teacher, derive_seed(args.seed, [ROLE_TEST])
     )
     evaluation = generalization_error(model, test)
+    queries = build_query_batch(dataset, args.mask, derive_seed(args.seed, [ROLE_MASK]))
+    attack = run_attack(model, queries, dataset.g)
     print(
         f"n={dataset.n} alpha={dataset.alpha:.4g} max_residual={model.report.max_residual:.3e} "
         f"lambda_min_over_scale={model.report.min_eig / fmap.n_params:.4g} "
         f"condition={model.report.condition:.3e} "
-        f"test_error={evaluation.error:.4g} test_acc={evaluation.accuracy:.4f}"
-    )
-    return 0
-
-
-def _cmd_attack(args) -> int:
-    fmap, dataset, teacher = _build_instance(args)
-    model = fit_min_norm(fmap, dataset)
-    test = generate_synthetic(
-        args.test_size, args.dx, args.dy, teacher, derive_seed(args.seed, [ROLE_TEST])
-    )
-    evaluation = generalization_error(model, test)
-    queries = build_query_batch(dataset, args.mask, derive_seed(args.seed, [ROLE_MASK]))
-    report = run_attack(model, queries, dataset.g)
-    print(
-        f"n={dataset.n} alpha={dataset.alpha:.4g} activation={args.activation} "
-        f"test_acc={evaluation.accuracy:.4f} "
-        f"attack_acc={report.attack_accuracy:.4f}"
+        f"test_error={evaluation.error:.4g} test_acc={evaluation.accuracy:.4f} "
+        f"attack_acc={attack.attack_accuracy:.4f}"
     )
     return 0
 
@@ -130,16 +114,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_eigs(args) -> int:
-    fmap, dataset, _ = _build_instance(args)
-    lam = KernelSystem.build(fmap, dataset.z).cache.min_eig
-    print(
-        f"model={args.model} n={dataset.n} d={dataset.d} k={args.k} "
-        f"lambda_min={lam:.6g} lambda_min_over_scale={lam / fmap.n_params:.6g}"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reconstab",
@@ -147,16 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit one instance and evaluate it")
+    p_fit = sub.add_parser(
+        "fit", help="fit one instance, evaluate it and run the masked-query attack"
+    )
     _add_instance_args(p_fit)
     p_fit.add_argument("--test-size", type=int, default=1000)
+    p_fit.add_argument("--mask", choices=MASKS, default="resample")
     p_fit.set_defaults(fn=_cmd_fit)
-
-    p_attack = sub.add_parser("attack", help="run the masked-query attack")
-    _add_instance_args(p_attack)
-    p_attack.add_argument("--test-size", type=int, default=1000)
-    p_attack.add_argument("--mask", choices=MASKS, default="resample")
-    p_attack.set_defaults(fn=_cmd_attack)
 
     p_gamma = sub.add_parser("gamma", help="Monte-Carlo alignment vs theory")
     _add_instance_args(p_gamma)
@@ -179,10 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the identity/theory suites")
     p_verify.add_argument("--level", choices=["quick", "full"], default="quick")
     p_verify.set_defaults(fn=_cmd_verify)
-
-    p_eigs = sub.add_parser("eigs", help="smallest kernel eigenvalue of an instance")
-    _add_instance_args(p_eigs)
-    p_eigs.set_defaults(fn=_cmd_eigs)
 
     return parser
 

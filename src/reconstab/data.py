@@ -57,6 +57,9 @@ class LabeledDataset:
         return self.z[:, : self.d_x]
 
     def drop_row(self, i: int) -> "LabeledDataset":
+        """The dataset without row i, for 0 <= i < n."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"row {i} out of range for n={self.n}")
         keep = np.arange(self.n) != i
         return LabeledDataset(z=self.z[keep], g=self.g[keep], d_x=self.d_x, d_y=self.d_y)
 
@@ -99,17 +102,16 @@ def generate_synthetic(
     d_y: int,
     teacher: TeacherVector,
     seed: int,
-    y_seed: int | None = None,
 ) -> LabeledDataset:
     """Draw n rows [x_i, y_i] with exact block norms and labels sign(u . x_i).
 
-    x and y come from independent substreams; passing a different y_seed
-    regenerates the noise blocks without touching x or the labels.
+    x and y come from independent substreams of the seed, so the x-blocks and
+    labels do not depend on d_y.
     """
     if n < 1 or d_x < 1 or d_y < 1:
         raise ValueError("n, d_x, d_y must be >= 1")
     rng_x = np.random.default_rng([seed, _ROLE_X])
-    rng_y = np.random.default_rng([seed if y_seed is None else y_seed, _ROLE_Y])
+    rng_y = np.random.default_rng([seed, _ROLE_Y])
     x = _sphere_rows(rng_x, n, d_x)
     y = _sphere_rows(rng_y, n, d_y)
     return LabeledDataset(z=np.hstack([x, y]), g=teacher.labels(x), d_x=d_x, d_y=d_y)

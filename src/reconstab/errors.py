@@ -9,10 +9,6 @@ class SingularGram(ReconstabError):
     """Gram matrix is singular below the rank tolerance."""
 
 
-class NotSymmetric(ReconstabError):
-    """Matrix expected to be symmetric is not."""
-
-
 class DimensionMismatch(ReconstabError):
     """Vector/matrix shapes are inconsistent."""
 
@@ -22,7 +18,7 @@ class SingularKernel(ReconstabError):
 
 
 class MapMismatch(ReconstabError):
-    """Two models do not share the same feature map instance."""
+    """A query batch or label vector does not match the fitted model's rows."""
 
 
 class DegenerateDenominator(ReconstabError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetric, SingularGram, SingularKernel
+from .errors import SingularGram, SingularKernel
 
 # "Invertible" means the smallest eigenvalue of A A^T clears this multiple of
 # the largest one (scaled by max matrix dimension). Below it we raise instead
@@ -273,13 +273,3 @@ class KernelSystem:
             map=self.map, prepared=self.prepared.head(m), cache=self.cache.leading(m)
         )
 
-
-def min_eigenvalue(k: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    k = np.asarray(k, dtype=float)
-    scale = float(np.max(np.abs(k))) if k.size else 0.0
-    if not np.allclose(k, k.T, atol=1e-10 * max(scale, 1.0), rtol=0.0):
-        raise NotSymmetric("asymmetry beyond 1e-10 relative")
-    if k.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(0.5 * (k + k.T))[0])

@@ -1,5 +1,4 @@
-"""Min-norm interpolation of +-1 labels in kernel space, leave-one-out
-refits, evaluation.
+"""Min-norm interpolation of +-1 labels in kernel space, and its evaluation.
 
 Targets are a length-N vector and a model has one scalar output per row.
 Predictions take rows: an (n, d) array, where a 1-D row is a batch of one.
@@ -22,18 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, sign_readout
-from .errors import DimensionMismatch, MapMismatch
+from .errors import DimensionMismatch
 from .linops import KernelSystem
 
 
 @dataclass
 class FitReport:
-    residual_norm: float
     max_residual: float
     min_eig: float
     max_eig: float
     condition: float
-    theta0_policy: str
 
 
 @dataclass
@@ -43,7 +40,6 @@ class EvalReport:
     error: float
     std_error: float
     accuracy: float
-    n_test: int
 
 
 @dataclass(eq=False)
@@ -122,38 +118,15 @@ def fit_min_norm(fmap, dataset: LabeledDataset, theta0: str = "zero") -> Trained
     cache = system.cache
     residuals = cache.matrix @ coefs - rhs
     report = FitReport(
-        residual_norm=float(np.linalg.norm(residuals)),
         max_residual=float(np.max(np.abs(residuals))) if residuals.size else 0.0,
         min_eig=cache.min_eig,
         max_eig=cache.max_eig,
         condition=cache.condition,
-        theta0_policy=theta0,
     )
     return TrainedModel(
         system=system, dual_coefs=coefs, weights=system.prepared.weights(coefs),
         theta0_policy=theta0, report=report,
     )
-
-
-def fit_leave_one_out(
-    fmap, dataset: LabeledDataset, i: int, theta0: str = "zero"
-) -> TrainedModel:
-    """Min-norm fit on the dataset with row i removed.
-
-    With a single-row dataset the result is the pure initialization model.
-    """
-    if not 0 <= i < dataset.n:
-        raise IndexError(f"row {i} out of range for n={dataset.n}")
-    return fit_min_norm(fmap, dataset.drop_row(i), theta0=theta0)
-
-
-def stability_eval(full: TrainedModel, loo: TrainedModel, z: np.ndarray):
-    """Change in the prediction at z caused by the extra training sample."""
-    if full.map is not loo.map:
-        raise MapMismatch("models were fitted on different feature map instances")
-    if full.theta0_policy != loo.theta0_policy:
-        raise MapMismatch("models use different initialization policies")
-    return full.predict(z) - loo.predict(z)
 
 
 def generalization_error(model: TrainedModel, test: LabeledDataset) -> EvalReport:
@@ -169,5 +142,4 @@ def generalization_error(model: TrainedModel, test: LabeledDataset) -> EvalRepor
         error=error,
         std_error=std_error,
         accuracy=float(np.mean(sign_readout(outputs) == labels)),
-        n_test=test.n,
     )

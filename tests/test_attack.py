@@ -87,7 +87,8 @@ class TestRunAttack:
         queries = build_query_batch(dataset, "resample", 10)
         report = run_attack(model, queries, dataset.g)
         empty = KernelSystem.build(fmap, dataset.z[:0])
-        alignment = AlignmentSolver(empty).alignment(queries[0], dataset.z[0])
+        num, den = AlignmentSolver(empty).alignment_parts(queries[0], dataset.z[0])
+        alignment = num / den
         assert report.outputs[0] == pytest.approx(alignment * dataset.g[0], rel=1e-10)
         if alignment > 0:
             assert report.attack_accuracy == 1.0

@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from reconstab.attack import build_query_batch, run_attack
 from reconstab.cli import main
-from reconstab.hermite import activation_names
+from reconstab.data import MASKS, generate_synthetic, sample_teacher
+from reconstab.featuremaps import sample_map
+from reconstab.hermite import activation_names, get_activation
+from reconstab.seeding import ROLE_DATA, ROLE_MAP, ROLE_MASK, ROLE_TEACHER, ROLE_TEST, derive_seed
+from reconstab.trainer import fit_min_norm, generalization_error
 
 
 SWEEP_CONFIG = {
@@ -36,7 +41,7 @@ def test_hermite_table(capsys):
 SCREENED_RF_GAMMA = {"identity", "h0+h1"}
 
 
-@pytest.mark.parametrize("command", ["fit", "attack", "gamma", "eigs", "sweep"])
+@pytest.mark.parametrize("command", ["fit", "gamma", "sweep"])
 @pytest.mark.parametrize("model", ["rf", "ntk"])
 @pytest.mark.parametrize("activation", activation_names())
 def test_every_activation_in_every_command(activation, model, command, tmp_path, capsys):
@@ -48,8 +53,7 @@ def test_every_activation_in_every_command(activation, model, command, tmp_path,
         # N=12 <= d=16 keeps the features of linear activations at full rank
         argv = [command, "--model", model, "--activation", activation,
                 "--k", "40", "--dx", "8", "--dy", "8", "--n", "12", "--seed", "1"]
-        argv += {"fit": ["--test-size", "40"], "attack": ["--test-size", "40"],
-                 "gamma": ["--trials", "3"]}.get(command, [])
+        argv += {"fit": ["--test-size", "40"], "gamma": ["--trials", "3"]}[command]
     code = main(argv)
     captured = capsys.readouterr()
     if command == "gamma" and model == "rf" and activation in SCREENED_RF_GAMMA:
@@ -57,8 +61,7 @@ def test_every_activation_in_every_command(activation, model, command, tmp_path,
         assert "limit degenerates" in captured.err
     else:
         assert code == 0, captured.err
-        marker = {"fit": "test_acc=", "attack": "attack_acc=", "gamma": "verdict=",
-                  "eigs": "lambda_min=", "sweep": "model,n,alpha,"}[command]
+        marker = {"fit": "attack_acc=", "gamma": "verdict=", "sweep": "model,n,alpha,"}[command]
         assert marker in captured.out
         if command == "sweep":  # no row carries an error
             assert all(line.endswith(",") for line in captured.out.splitlines()[1:])
@@ -86,9 +89,39 @@ def test_fit_and_attack(capsys):
             "--activation", "h1+h2", "--seed", "2", "--test-size", "40"]
     assert main(["fit", *args]) == 0
     assert "test_acc=" in capsys.readouterr().out
-    assert main(["attack", *args, "--mask", "zero"]) == 0
+    assert main(["fit", *args, "--mask", "zero"]) == 0
     out = capsys.readouterr().out
     assert "attack_acc=" in out
+
+
+@pytest.mark.parametrize("mask", MASKS)
+@pytest.mark.parametrize("model", ["rf", "ntk"])
+def test_fit_line_is_the_instance_fit_plus_its_attack(model, mask, capsys):
+    # the instance of `fit --seed 5`, rebuilt from its derived seeds
+    k, d_x, d_y, n, seed = (60 if model == "rf" else 8), 8, 8, 16, 5
+    teacher = sample_teacher(d_x, derive_seed(seed, [ROLE_TEACHER]))
+    dataset = generate_synthetic(n, d_x, d_y, teacher, derive_seed(seed, [ROLE_DATA]))
+    fmap = sample_map(model, k, d_x + d_y, get_activation("relu"), derive_seed(seed, [ROLE_MAP]))
+    fitted = fit_min_norm(fmap, dataset)
+    test = generate_synthetic(40, d_x, d_y, teacher, derive_seed(seed, [ROLE_TEST]))
+    evaluation = generalization_error(fitted, test)
+    queries = build_query_batch(dataset, mask, derive_seed(seed, [ROLE_MASK]))
+    attack = run_attack(fitted, queries, dataset.g)
+
+    assert main(["fit", "--model", model, "--k", str(k), "--dx", str(d_x), "--dy", str(d_y),
+                 "--n", str(n), "--activation", "relu", "--seed", str(seed),
+                 "--test-size", "40", "--mask", mask]) == 0
+    fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+    assert fields == {
+        "n": str(n),
+        "alpha": "0.5",
+        "max_residual": f"{fitted.report.max_residual:.3e}",
+        "lambda_min_over_scale": f"{fitted.report.min_eig / fmap.n_params:.4g}",
+        "condition": f"{fitted.report.condition:.3e}",
+        "test_error": f"{evaluation.error:.4g}",
+        "test_acc": f"{evaluation.accuracy:.4f}",
+        "attack_acc": f"{attack.attack_accuracy:.4f}",
+    }
 
 
 def test_sweep_writes_csv(tmp_path, capsys):
@@ -127,12 +160,12 @@ def test_unknown_activation_exits_1():
     assert main(["hermite", "--activation", "not-a-thing"]) == 1
 
 
-def test_eigs_reports_scaled_eigenvalue(capsys):
-    assert main(["eigs", "--model", "rf", "--k", "60", "--dx", "8", "--dy", "8",
-                 "--n", "10", "--activation", "h1+h2", "--seed", "4"]) == 0
+def test_fit_reports_scaled_eigenvalue(capsys):
+    assert main(["fit", "--model", "rf", "--k", "60", "--dx", "8", "--dy", "8",
+                 "--n", "10", "--activation", "h1+h2", "--seed", "4", "--test-size", "40"]) == 0
     out = capsys.readouterr().out
     assert "lambda_min_over_scale=" in out
-    value = float(out.split("lambda_min=")[1].split()[0])
+    value = float(out.split("lambda_min_over_scale=")[1].split()[0])
     assert value > 0
 
 

@@ -52,10 +52,16 @@ class TestGenerateSynthetic:
 
     def test_labels_depend_only_on_x(self, teacher):
         base = generate_synthetic(30, 6, 4, teacher, seed=9)
-        fresh_noise = generate_synthetic(30, 6, 4, teacher, seed=9, y_seed=999)
+        fresh_noise = generate_synthetic(30, 6, 7, teacher, seed=9)
         assert np.array_equal(base.x_block(), fresh_noise.x_block())
         assert np.array_equal(base.g, fresh_noise.g)
-        assert not np.allclose(base.z[:, base.d_x :], fresh_noise.z[:, fresh_noise.d_x :])
+        assert not np.allclose(base.z[:, base.d_x :], fresh_noise.z[:, fresh_noise.d_x :][:, :4])
+
+    @pytest.mark.parametrize("i", [-1, 3, 99])
+    def test_drop_row_out_of_range_raises(self, teacher, i):
+        ds = generate_synthetic(3, 6, 4, teacher, seed=10)
+        with pytest.raises(IndexError, match="out of range for n=3"):
+            ds.drop_row(i)
 
     def test_sign_zero_goes_positive(self):
         t = TeacherVector(u=np.array([0.0, 1.0]), seed=0)

@@ -288,10 +288,11 @@ class TestNoDenseEigensolverOrLU:
         assert all(row.error == "" for row in rows)
 
     @pytest.mark.parametrize("model", ["rf", "ntk"])
-    def test_eigs_command_runs_without_eigvalsh_or_solve(self, model, forbid_dense, capsys):
+    def test_fit_command_runs_without_eigvalsh_or_solve(self, model, forbid_dense, capsys):
         k = "60" if model == "rf" else "8"
-        assert main(["eigs", "--model", model, "--k", k, "--dx", "8", "--dy", "8",
-                     "--n", "16", "--activation", "h1+h2", "--seed", "4"]) == 0
+        assert main(["fit", "--model", model, "--k", k, "--dx", "8", "--dy", "8",
+                     "--n", "16", "--activation", "h1+h2", "--seed", "4",
+                     "--test-size", "40"]) == 0
         assert "lambda_min_over_scale=" in capsys.readouterr().out
 
 

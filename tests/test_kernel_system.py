@@ -9,7 +9,7 @@ from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
 from reconstab.featuremaps import sample_map
 from reconstab.hermite import get_activation
 from reconstab.linops import SOLVE_BLOCK, KernelSolveCache, KernelSystem
-from reconstab.trainer import FitReport, fit_leave_one_out, fit_min_norm
+from reconstab.trainer import FitReport, fit_min_norm
 
 D_X = D_Y = 5
 # rows of the large instance, whose leading views cut the factor's diagonal
@@ -64,9 +64,9 @@ def test_batch_of_one_equals_batch(kind, policy):
 
     # a one-row leave-one-out fit is the initialization model, perfectly conditioned
     one = LabeledDataset(z=dataset.z[:1], g=dataset.g[:1], d_x=D_X, d_y=D_Y)
-    loo = fit_leave_one_out(fmap, one, 0, theta0=policy)
+    loo = fit_min_norm(fmap, one.drop_row(0), theta0=policy)
     assert loo.n_train == 0
-    assert loo.report == FitReport(0.0, 0.0, 0.0, 0.0, 1.0, policy)
+    assert loo.report == FitReport(0.0, 0.0, 0.0, 1.0)
     f0 = 0.0 if policy == "zero" else fmap.outputs(z, fmap.w0.T)[0]
     assert loo.predict(z) == pytest.approx(f0, abs=1e-12)
 

@@ -7,15 +7,10 @@ from reconstab import featuremaps
 from reconstab.alignment import check_nonlinearity
 from reconstab.attack import build_query_batch, run_attack
 from reconstab.data import LabeledDataset, generate_synthetic, sample_teacher
-from reconstab.errors import DegenerateSpectrum, DimensionMismatch, MapMismatch, SingularKernel
+from reconstab.errors import DegenerateSpectrum, DimensionMismatch, SingularKernel
 from reconstab.featuremaps import sample_map
 from reconstab.hermite import activation_names, get_activation, hermite_coefficients
-from reconstab.trainer import (
-    fit_leave_one_out,
-    fit_min_norm,
-    generalization_error,
-    stability_eval,
-)
+from reconstab.trainer import fit_min_norm, generalization_error
 
 
 def _rf_instance(n=20, d_x=10, d_y=10, k=100, seed=0):
@@ -99,7 +94,7 @@ class TestFitMinNorm:
 class TestFitLeaveOneOut:
     def test_two_samples_reduces_to_single_fit(self):
         fmap, dataset, _ = _rf_instance(n=2)
-        loo = fit_leave_one_out(fmap, dataset, 0)
+        loo = fit_min_norm(fmap, dataset.drop_row(0))
         survivor = LabeledDataset(
             z=dataset.z[1:], g=dataset.g[1:], d_x=dataset.d_x, d_y=dataset.d_y
         )
@@ -128,13 +123,13 @@ class TestFitLeaveOneOut:
             z=dataset.z.copy(), g=dataset.g.copy(), d_x=dataset.d_x, d_y=dataset.d_y
         )
         perturbed.z[0, : dataset.d_x] *= -1.0
-        a = fit_leave_one_out(fmap, dataset, 0)
-        b = fit_leave_one_out(fmap, perturbed, 0)
+        a = fit_min_norm(fmap, dataset.drop_row(0))
+        b = fit_min_norm(fmap, perturbed.drop_row(0))
         assert np.array_equal(a.dual_coefs, b.dual_coefs)
 
     def test_single_sample_leaves_init_model(self):
         fmap, dataset, _ = _ntk_instance(n=1)
-        loo = fit_leave_one_out(fmap, dataset, 0, theta0="init")
+        loo = fit_min_norm(fmap, dataset.drop_row(0), theta0="init")
         probe = np.random.default_rng(4).standard_normal(dataset.d)
         assert loo.predict(probe) == pytest.approx(fmap.outputs(probe, fmap.w0.T)[0], abs=1e-12)
 
@@ -143,25 +138,18 @@ class TestStabilityEval:
     def test_orthogonal_feature_query_gives_zero(self):
         fmap, dataset, _ = _ntk_instance(n=6, d_x=4, d_y=4, k=3)
         full = fit_min_norm(fmap, dataset, theta0="init")
-        loo = fit_leave_one_out(fmap, dataset, 0, theta0="init")
+        loo = fit_min_norm(fmap, dataset.drop_row(0), theta0="init")
         # a zero input has zero tangent features, hence no correction term
-        assert stability_eval(full, loo, np.zeros(dataset.d)) == pytest.approx(0.0, abs=1e-12)
+        zero = np.zeros(dataset.d)
+        assert full.predict(zero) - loo.predict(zero) == pytest.approx(0.0, abs=1e-12)
 
     def test_at_training_sample_equals_label_residual(self):
         fmap, dataset, _ = _rf_instance()
         full = fit_min_norm(fmap, dataset)
-        loo = fit_leave_one_out(fmap, dataset, 0)
-        lhs = stability_eval(full, loo, dataset.z[0])
+        loo = fit_min_norm(fmap, dataset.drop_row(0))
+        lhs = full.predict(dataset.z[0]) - loo.predict(dataset.z[0])
         rhs = dataset.g[0] - loo.predict(dataset.z[0])
         assert abs(lhs - rhs) <= 1e-8 * (1 + abs(rhs))
-
-    def test_map_mismatch(self):
-        fmap_a, dataset, _ = _rf_instance(seed=0)
-        fmap_b, _, _ = _rf_instance(seed=50)
-        full = fit_min_norm(fmap_a, dataset)
-        other = fit_min_norm(fmap_b, dataset)
-        with pytest.raises(MapMismatch):
-            stability_eval(full, other, dataset.z[0])
 
 
 class TestGeneralizationError:
@@ -197,7 +185,7 @@ class TestGeneralizationError:
         # mean of S^2 at resampled first samples == Monte-Carlo risk of the
         # leave-one-out model, within combined statistical error
         fmap, dataset, teacher = _rf_instance(n=40, d_x=15, d_y=15, k=120, seed=21)
-        loo = fit_leave_one_out(fmap, dataset, 0)
+        loo = fit_min_norm(fmap, dataset.drop_row(0))
         draws = generate_synthetic(200, 15, 15, teacher, 45)
         stab_sq = (draws.g - loo.predict(draws.z)) ** 2
         risk_draws = generate_synthetic(200, 15, 15, teacher, 46)
