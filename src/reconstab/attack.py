@@ -15,7 +15,7 @@ import numpy as np
 
 from .alignment import AlignmentSolver, attacked_instance, sample_alignments
 from .data import LabeledDataset, mask_rows, sign_readout
-from .errors import MapMismatch
+from .errors import DimensionMismatch
 from .hermite import ActivationSpec
 from .trainer import TrainedModel, fit_min_norm
 
@@ -36,7 +36,7 @@ def run_attack(model: TrainedModel, queries: np.ndarray, labels: np.ndarray) -> 
     labels = np.asarray(labels)
     n = len(queries)
     if n != model.n_train or n != len(labels):
-        raise MapMismatch(
+        raise DimensionMismatch(
             f"batch of {n} rows does not match model fitted on "
             f"{model.n_train} samples with {len(labels)} labels"
         )
@@ -95,7 +95,6 @@ def covariance_diagnostic(
     trials: int,
     master_seed: int,
     mask: str = "resample",
-    theta0="zero",
     label_fn=None,
     fmap=None,
 ) -> CovarianceDiagnostic:
@@ -126,7 +125,7 @@ def covariance_diagnostic(
     background = LabeledDataset(z=background.z, g=g_rest, d_x=d_x, d_y=d_y)
 
     # one background system serves the leave-one-out model and the alignment
-    loo_model = fit_min_norm(fmap, background, theta0=theta0)
+    loo_model = fit_min_norm(fmap, background)
     labels = np.asarray([float(label_fn(x)) for x in z1[:, :d_x]])
     # the fit on [z1; background] interpolates g1
     stability = labels - loo_model.predict(z1)

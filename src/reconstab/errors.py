@@ -10,15 +10,11 @@ class SingularGram(ReconstabError):
 
 
 class DimensionMismatch(ReconstabError):
-    """Vector/matrix shapes are inconsistent."""
+    """Shapes are inconsistent, e.g. a query batch against the fitted rows."""
 
 
 class SingularKernel(ReconstabError):
     """Training kernel cannot be inverted; the model cannot fit the labels."""
-
-
-class MapMismatch(ReconstabError):
-    """A query batch or label vector does not match the fitted model's rows."""
 
 
 class DegenerateDenominator(ReconstabError):

@@ -116,9 +116,7 @@ class NTKMap:
         return _PreparedNTK(self, rows, self._derivs(rows))
 
     def outputs(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """phi(z) . vec(W) for each row, with W of shape d x k; W = W0^T gives
-        the linearized outputs at the initialization.
-        """
+        """phi(z) . vec(W) for each row, with W of shape d x k."""
         rows = _as_rows(rows, self.d)
         return np.einsum("nk,nk->n", self._derivs(rows), rows @ weights)
 

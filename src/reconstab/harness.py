@@ -57,7 +57,9 @@ class ExperimentConfig:
     """One sweep: a model family crossed with an N grid and repeated trials.
 
     For tangent-kernel models the activation name refers to the derivative of
-    the network activation (that is what the feature map applies).
+    the network activation (that is what the feature map applies). Every fit
+    starts from the zero function (see ``trainer.TrainedModel``), so the
+    initialization is not a key.
     """
 
     model: str
@@ -69,7 +71,6 @@ class ExperimentConfig:
     trials: int
     mask: str = "resample"
     master_seed: int = 0
-    theta0: str = "zero"
     test_size: int = 1000
     gamma_trials: int = 20
 
@@ -97,10 +98,6 @@ class ExperimentConfig:
         self.n_grid = grid
         if self.mask not in MASKS:
             raise ConfigError(f"mask must be one of {MASKS}, got {self.mask!r}")
-        if self.theta0 not in ("zero", "init"):
-            raise ConfigError(f"theta0 must be 'zero' or 'init', got {self.theta0!r}")
-        if self.theta0 == "init" and self.model == "rf":
-            raise ConfigError("theta0='init' applies to ntk models only")
         try:
             get_activation(self.activation)
         except KeyError as exc:
@@ -165,11 +162,11 @@ class ResultRow:
     activation: str
     trial: int
     seed: int
-    test_acc: float | None
-    attack_acc: float | None
-    gamma_mean: float | None
-    gamma_std: float | None
-    lambda_min_over_scale: float | None
+    test_acc: float | None = None
+    attack_acc: float | None = None
+    gamma_mean: float | None = None
+    gamma_std: float | None = None
+    lambda_min_over_scale: float | None = None
     error: str = ""
 
 
@@ -210,12 +207,17 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
     mask_seed = derive_seed(master, [n_idx, trial, ROLE_MASK])
     gamma_seed = derive_seed(master, [n_idx, trial, ROLE_GAMMA])
 
+    identity = dict(
+        model=config.model, n=n, alpha=config.alpha, activation=config.activation,
+        trial=trial, seed=data_seed,
+    )
+
     started = time.perf_counter()
     activation = get_activation(config.activation)
     try:
         dataset = generate_synthetic(n, config.d_x, config.d_y, teacher, data_seed)
         fmap = sample_map(config.model, config.k, config.d, activation, map_seed)
-        model = fit_min_norm(fmap, _first_row_last(dataset), theta0=config.theta0)
+        model = fit_min_norm(fmap, _first_row_last(dataset))
         test = generate_synthetic(
             config.test_size, config.d_x, config.d_y, teacher, test_seed
         )
@@ -227,20 +229,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
             config.mask,
         )
     except ReconstabError as exc:
-        return ResultRow(
-            model=config.model,
-            n=n,
-            alpha=config.alpha,
-            activation=config.activation,
-            trial=trial,
-            seed=data_seed,
-            test_acc=None,
-            attack_acc=None,
-            gamma_mean=None,
-            gamma_std=None,
-            lambda_min_over_scale=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return ResultRow(**identity, error=f"{type(exc).__name__}: {exc}")
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(
         f"n={n} trial={trial} done in {elapsed_ms:.0f} ms",
@@ -249,18 +238,12 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
     # wall time is reported on stderr only; the CSV must be a pure function
     # of the config bytes
     return ResultRow(
-        model=config.model,
-        n=n,
-        alpha=config.alpha,
-        activation=config.activation,
-        trial=trial,
-        seed=data_seed,
+        **identity,
         test_acc=evaluation.accuracy,
         attack_acc=attack.attack_accuracy,
         gamma_mean=gamma_mean,
         gamma_std=gamma_std,
         lambda_min_over_scale=model.report.min_eig / fmap.n_params,
-        error="",
     )
 
 

@@ -153,6 +153,8 @@ def hermite_coefficients(act: ActivationSpec, order: int = DEFAULT_TRUNCATION) -
     Callables are integrated by quadrature, doubling the node count until the
     coefficients move by less than 1e-8 (QuadratureNonconvergent past the cap).
     """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     if act.coeffs is not None:
         coeffs = np.zeros(order + 1)
         upto = min(order + 1, len(act.coeffs))

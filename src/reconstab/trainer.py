@@ -3,15 +3,15 @@
 Targets are a length-N vector and a model has one scalar output per row.
 Predictions take rows: an (n, d) array, where a 1-D row is a batch of one.
 Test accuracy is the sign readout of those outputs, a 0 output read as +1.
-The fitted correction lives in the row span of the training features, so
-a model is its KernelSystem (prepared training rows and their one factored
-Gram) plus the dual coefficients c = K^{-1}(G - f(Z, theta0)). The fit turns
-c once into the primal weights Phi^T c (O(N p)), a k-vector for random
-features and a d x k matrix for tangent features, and predictions are the
-map's outputs at those weights, O(n p) for n queries, with no n x N cross
-kernel; alignments still run in kernel space, on the KernelSystem. No ridge
-term is ever added: a singular kernel is a hard error because every
-downstream identity presumes exact interpolation.
+Every fit starts from the zero function and its weights live in the row span
+of the training features, so a model is its KernelSystem (prepared training
+rows and their one factored Gram) plus the dual coefficients c = K^{-1} g of
+the labels g. The fit turns c once into the primal weights Phi^T c (O(N p)),
+a k-vector for random features and a d x k matrix for tangent features, and
+predictions are the map's outputs at those weights, O(n p) for n queries,
+with no n x N cross kernel; alignments still run in kernel space, on the
+KernelSystem. No ridge term is ever added: a singular kernel is a hard error
+because every downstream identity presumes exact interpolation.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .linops import KernelSystem
 class FitReport:
     max_residual: float
     min_eig: float
-    max_eig: float
     condition: float
 
 
@@ -44,24 +43,24 @@ class EvalReport:
 
 @dataclass(eq=False)
 class TrainedModel:
-    """Interpolating fit: predictions are f(z) = f0(z) + phi(z) . w with the
-    primal weights w = Phi^T c, which equals f0(z) + k_z . c.
+    """Interpolating fit: predictions are f(z) = phi(z) . w with the primal
+    weights w = Phi^T c, which equals k_z . c.
 
-    f0 is the model output at the initialization theta0: "zero" makes it
-    vanish; "init" (tangent maps only) uses the network's own initialization
-    vec(W0). "zero" is the default for both map kinds, by the doubling argument
-    (Chizat, Oyallon & Bach, arXiv:1812.07956): pairing each neuron (w, a) with
-    an antithetic twin (w, -a) makes f(., theta0) vanish identically and
-    doubles the tangent kernel to 2K, so the min-norm predictor
-    2K(z, Z) (2K)^{-1} g of the doubled network is exactly the "zero"
-    predictor. Under "init" at k=64, d=256 the linearized initial output has
-    mean about 62 against +-1 labels, and the readouts fall to chance.
+    Every fit starts from the zero function, by the doubling argument (Chizat,
+    Oyallon & Bach, arXiv:1812.07956): pairing each neuron (w, a) with an
+    antithetic twin (w, -a) makes the network's initial output vanish
+    identically and doubles the tangent kernel to 2K, so the min-norm
+    predictor 2K(z, Z) (2K)^{-1} g of the doubled network is exactly this
+    one. Starting instead at a tangent map's own initialization vec(W0)
+    leaves the alignment and the stability identity as they are (gamma_mean
+    is equal under both starts), but at k=64, d=256 the linearized initial
+    output has mean about 62 against +-1 labels, and test and attack
+    accuracy fall to chance (0.49-0.54).
     """
 
     system: KernelSystem
     dual_coefs: np.ndarray
     weights: np.ndarray
-    theta0_policy: str
     report: FitReport
 
     @property
@@ -75,57 +74,32 @@ class TrainedModel:
     def predict(self, rows: np.ndarray):
         """Model outputs, one per row; a 1-D row gives one float."""
         out = self.map.outputs(rows, self.weights)
-        # a separate addend, so that "init" outputs keep their bits
-        out = out + _init_outputs(self.map, self.theta0_policy, rows)
         return float(out[0]) if np.ndim(rows) == 1 else out
 
-    def materialize_theta(self) -> np.ndarray:
-        """Explicit theta* in the feature layout: w, plus vec(W0) under "init"."""
-        init = self.theta0_policy == "init"
-        return (self.weights + self.map.w0.T if init else self.weights).ravel()
 
+def fit_min_norm(fmap, dataset: LabeledDataset) -> TrainedModel:
+    """Interpolating fit of least parameter norm.
 
-def _check_theta0(fmap, theta0: str) -> None:
-    if theta0 not in ("zero", "init"):
-        raise ValueError(f"unknown theta0 policy {theta0!r}")
-    if theta0 == "init" and fmap.kind != "ntk":
-        raise ValueError("the 'init' policy applies to tangent maps")
-
-
-def _init_outputs(fmap, policy: str, rows: np.ndarray) -> np.ndarray:
-    """f(z, theta0) for each row, under a theta0 policy."""
-    if policy == "zero":
-        return np.zeros(np.atleast_2d(rows).shape[0])
-    return fmap.outputs(rows, fmap.w0.T)
-
-
-def fit_min_norm(fmap, dataset: LabeledDataset, theta0: str = "zero") -> TrainedModel:
-    """Interpolating fit closest to the initialization in parameter norm.
-
-    An empty dataset gives the pure initialization model. The targets must
-    be a vector of one label per row.
+    An empty dataset gives the zero model. The targets must be a vector of
+    one label per row.
     """
-    _check_theta0(fmap, theta0)
     targets = np.asarray(dataset.g, dtype=float)
     if targets.shape != (dataset.n,):
         raise DimensionMismatch(
             f"targets of shape {targets.shape} are not a vector of {dataset.n} labels"
         )
     system = KernelSystem.build(fmap, dataset.z)
-    rhs = targets - _init_outputs(fmap, theta0, dataset.z)
-    coefs = system.solve(rhs)
+    coefs = system.solve(targets)
 
     cache = system.cache
-    residuals = cache.matrix @ coefs - rhs
+    residuals = cache.matrix @ coefs - targets
     report = FitReport(
         max_residual=float(np.max(np.abs(residuals))) if residuals.size else 0.0,
         min_eig=cache.min_eig,
-        max_eig=cache.max_eig,
         condition=cache.condition,
     )
     return TrainedModel(
-        system=system, dual_coefs=coefs, weights=system.prepared.weights(coefs),
-        theta0_policy=theta0, report=report,
+        system=system, dual_coefs=coefs, weights=system.prepared.weights(coefs), report=report
     )
 
 

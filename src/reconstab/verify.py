@@ -51,18 +51,18 @@ class VerifyReport:
 
 
 # desk-scale instances: N=30 rows of d=40 (d_x = d_y = 20), and per map kind
-# the width k, the activation and the theta0 policy
+# the width k and the activation
 _DESK_N, _DESK_D = 30, 40
-_DESK = {"rf": (300, "h1+h2", "zero"), "ntk": (8, "h0+h1", "init")}
+_DESK = {"rf": (300, "h1+h2"), "ntk": (8, "h0+h1")}
 
 
 def _desk_instance(kind: str, seed: int):
-    k, activation, theta0 = _DESK[kind]
+    k, activation = _DESK[kind]
     fmap = sample_map(kind, k, _DESK_D, get_activation(activation), derive_seed(seed, [1]))
     d_x = _DESK_D // 2
     teacher = sample_teacher(d_x, derive_seed(seed, [2]))
     dataset = generate_synthetic(_DESK_N, d_x, _DESK_D - d_x, teacher, derive_seed(seed, [3]))
-    return fmap, dataset, theta0
+    return fmap, dataset
 
 
 def check_alignment_projector(
@@ -75,7 +75,7 @@ def check_alignment_projector(
     for kind_idx, kind in enumerate(("rf", "ntk")):
         for i in range(instances):
             inst_seed = derive_seed(seed, [kind_idx, i])
-            fmap, dataset, _ = _desk_instance(kind, inst_seed)
+            fmap, dataset = _desk_instance(kind, inst_seed)
             z1 = dataset.z[0]
             query = build_query_batch(dataset, "resample", derive_seed(inst_seed, [1]))[0]
             background = linops.KernelSystem.build(fmap, dataset.z[1:])
@@ -97,7 +97,7 @@ def closed_form_loo(model, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     the full fit's factor (Rifkin & Lippert, Notes on Regularized Least
     Squares, MIT-CSAIL-TR-2007-025).
 
-    With c = K^{-1}(g - f0) and queries[i] the masked query q_i of z_i,
+    With c = K^{-1} g and queries[i] the masked query q_i of z_i,
         S_i = g_i - f_-i(z_i) = c_i / (K^{-1})_ii,
         F(q_i, z_i | Z_-i) = [K^{-1} k(q_i)]_i.
     """
@@ -112,12 +112,12 @@ def check_closed_form_loo(seed: int = 102, tol: float = 1e-8) -> CheckResult:
     worst_s = worst_f = 0.0
     for kind_idx, kind in enumerate(("rf", "ntk")):
         inst_seed = derive_seed(seed, [kind_idx])
-        fmap, dataset, theta0 = _desk_instance(kind, inst_seed)
-        full = fit_min_norm(fmap, dataset, theta0=theta0)
+        fmap, dataset = _desk_instance(kind, inst_seed)
+        full = fit_min_norm(fmap, dataset)
         queries = build_query_batch(dataset, "resample", derive_seed(inst_seed, [1]))
         stability, alignment = closed_form_loo(full, queries)
         for i, (s_i, f_i) in enumerate(zip(stability.tolist(), alignment.tolist())):
-            loo = fit_min_norm(fmap, dataset.drop_row(i), theta0=theta0)
+            loo = fit_min_norm(fmap, dataset.drop_row(i))
             refit_s = full.predict(dataset.z[i]) - loo.predict(dataset.z[i])
             num, den = AlignmentSolver(loo.system).alignment_parts(queries[i], dataset.z[i])
             refit_f = num / den
@@ -138,7 +138,7 @@ def check_loo_denominator_bound(instances: int = 5, seed: int = 104) -> CheckRes
     ok = True
     for kind_idx, kind in enumerate(("rf", "ntk")):
         for i in range(instances):
-            fmap, dataset, _ = _desk_instance(kind, derive_seed(seed, [kind_idx, i]))
+            fmap, dataset = _desk_instance(kind, derive_seed(seed, [kind_idx, i]))
             system = linops.KernelSystem.build(fmap, dataset.z)
             kernel = system.cache.matrix
             denominators = 1.0 / np.diag(system.solve(np.eye(dataset.n)))
@@ -152,7 +152,7 @@ def check_spectrum_estimate(seed: int = 109, tol: float = 1e-9) -> CheckResult:
     """The factor's Lanczos lambda_min/lambda_max against the dense eigensolver."""
     worst = 0.0
     for kind_idx, kind in enumerate(("rf", "ntk")):
-        fmap, dataset, _ = _desk_instance(kind, derive_seed(seed, [kind_idx]))
+        fmap, dataset = _desk_instance(kind, derive_seed(seed, [kind_idx]))
         kernel = fmap.prepare(dataset.z).gram()
         cache = linops.KernelSolveCache.factor(kernel, p=fmap.n_params)
         exact = np.linalg.eigvalsh(kernel)
@@ -165,16 +165,14 @@ def check_spectrum_estimate(seed: int = 109, tol: float = 1e-9) -> CheckResult:
     return CheckResult("spectrum-estimate", worst <= tol, f"max relative gap {worst:.2e}")
 
 
-def verify_stability_identity(
-    fmap, dataset, z: np.ndarray, theta0="zero"
-) -> tuple[float, float]:
+def verify_stability_identity(fmap, dataset, z: np.ndarray) -> tuple[float, float]:
     """Both sides of  S(z) = F(z, z1) * S(z1)  with z1 the first training row.
 
     lhs comes from two explicit fits; rhs from the projector algebra. The
     caller asserts their equality.
     """
-    full = fit_min_norm(fmap, dataset, theta0=theta0)
-    loo = fit_min_norm(fmap, dataset.drop_row(0), theta0=theta0)
+    full = fit_min_norm(fmap, dataset)
+    loo = fit_min_norm(fmap, dataset.drop_row(0))
     z1 = dataset.z[0]
     # the leave-one-out system is the background system of z1
     num, den = AlignmentSolver(loo.system).alignment_parts(z, z1)
@@ -191,34 +189,31 @@ def check_stability_identity(
     for kind_idx, kind in enumerate(("rf", "ntk")):
         for i in range(per_kind):
             inst_seed = derive_seed(seed, [kind_idx, i])
-            fmap, dataset, theta0 = _desk_instance(kind, inst_seed)
+            fmap, dataset = _desk_instance(kind, inst_seed)
             probe = generate_synthetic(
                 1, dataset.d_x, dataset.d_y,
                 sample_teacher(dataset.d_x, 7), derive_seed(inst_seed, [99]),
             )
-            lhs, rhs = verify_stability_identity(fmap, dataset, probe.z[0], theta0=theta0)
+            lhs, rhs = verify_stability_identity(fmap, dataset, probe.z[0])
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return CheckResult("stability-identity", worst <= tol, f"max relative gap {worst:.2e}")
 
 
 def check_interpolation(seed: int = 106) -> CheckResult:
-    """Exact-fit contract: training residuals, and theta* - theta0 against the
-    min-norm least-squares solution of Phi theta = g - Phi theta0.
+    """Exact-fit contract: training residuals, and the fit's weights against
+    the min-norm least-squares solution of Phi theta = g.
     """
     ok = True
     details = []
     for kind_idx, kind in enumerate(("rf", "ntk")):
-        fmap, dataset, theta0 = _desk_instance(kind, derive_seed(seed, [kind_idx]))
-        model = fit_min_norm(fmap, dataset, theta0=theta0)
+        fmap, dataset = _desk_instance(kind, derive_seed(seed, [kind_idx]))
+        model = fit_min_norm(fmap, dataset)
         preds = model.predict(dataset.z)
         resid = float(np.max(np.abs(preds - dataset.g)))
         bound = 1e-8 * (1.0 + float(np.max(np.abs(dataset.g))))
         phi = fmap.feature_matrix(dataset.z)
-        start = fmap.w0.T.ravel() if theta0 == "init" else np.zeros(fmap.n_params)
-        oracle = np.linalg.lstsq(phi, dataset.g - phi @ start, rcond=None)[0]
-        gap = float(
-            np.linalg.norm(model.materialize_theta() - start - oracle) / np.linalg.norm(oracle)
-        )
+        oracle = np.linalg.lstsq(phi, dataset.g, rcond=None)[0]
+        gap = float(np.linalg.norm(model.weights.ravel() - oracle) / np.linalg.norm(oracle))
         ok = ok and resid <= bound and gap <= 1e-9
         details.append(f"{kind}: resid {resid:.2e}, min-norm gap {gap:.2e}")
     return CheckResult("interpolation", ok, "; ".join(details))

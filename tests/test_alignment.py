@@ -121,12 +121,10 @@ class TestVerifyStabilityIdentity:
             dataset = generate_synthetic(14, 10, 10, teacher, seed + 30)
             if kind == "rf":
                 fmap = sample_map("rf", 120, 20, get_activation("h1+h4"), seed + 60)
-                theta0 = "zero"
             else:
                 fmap = sample_map("ntk", 5, 20, get_activation("h0+h1"), seed + 60)
-                theta0 = "init"
             probe = generate_synthetic(1, 10, 10, teacher, seed + 90).z[0]
-            lhs, rhs = verify_stability_identity(fmap, dataset, probe, theta0=theta0)
+            lhs, rhs = verify_stability_identity(fmap, dataset, probe)
             assert abs(lhs - rhs) <= 1e-6 * (1 + abs(lhs))
 
 
@@ -225,8 +223,8 @@ def _accepted_activations(kind):
 
 @st.composite
 def _loo_instances(draw):
-    """Sizes with k >= 2n (RF) or k * d >= 2n (NTK), an activation the limit
-    theory accepts, and a theta0 policy of the map kind.
+    """Sizes with k >= 2n (RF) or k * d >= 2n (NTK), and an activation the
+    limit theory accepts.
 
     At least 24 neurons more than that: with ReLU all k features of a row
     vanish with probability 2^-k, and the row's kernel with it.
@@ -236,29 +234,27 @@ def _loo_instances(draw):
     d_x = d_y = 10
     if kind == "rf":
         k = draw(st.integers(2 * n + 24, 2 * n + 64))
-        theta0 = "zero"
     else:
         least = -(-2 * n // (d_x + d_y))
         k = draw(st.integers(least + 24, least + 32))
-        theta0 = draw(st.sampled_from(["zero", "init"]))
     activation = draw(st.sampled_from(_accepted_activations(kind)))
     seed = draw(st.integers(0, 2**32 - 1))
-    return kind, n, d_x, d_y, k, activation, theta0, seed
+    return kind, n, d_x, d_y, k, activation, seed
 
 
 class TestClosedFormLeaveOneOut:
     @settings(max_examples=30, deadline=None)
     @given(_loo_instances())
     def test_matches_explicit_refits(self, instance):
-        kind, n, d_x, d_y, k, activation, theta0, seed = instance
+        kind, n, d_x, d_y, k, activation, seed = instance
         teacher = sample_teacher(d_x, seed)
         dataset = generate_synthetic(n, d_x, d_y, teacher, seed + 1)
         fmap = sample_map(kind, k, d_x + d_y, get_activation(activation), seed + 2)
-        full = fit_min_norm(fmap, dataset, theta0=theta0)
+        full = fit_min_norm(fmap, dataset)
         queries = build_query_batch(dataset, "resample", seed + 3)
         stability, alignment = closed_form_loo(full, queries)
         for i in range(n):
-            loo = fit_min_norm(fmap, dataset.drop_row(i), theta0=theta0)
+            loo = fit_min_norm(fmap, dataset.drop_row(i))
             refit_s = dataset.g[i] - loo.predict(dataset.z[i])
             num, den = AlignmentSolver(loo.system).alignment_parts(queries[i], dataset.z[i])
             refit_f = num / den

@@ -11,7 +11,7 @@ from reconstab.data import (
     sample_teacher,
     sign_readout,
 )
-from reconstab.errors import DegenerateDenominator, MapMismatch
+from reconstab.errors import DegenerateDenominator, DimensionMismatch
 from reconstab.featuremaps import RFMap, sample_map
 from reconstab.hermite import get_activation
 from reconstab.linops import KernelSystem
@@ -24,8 +24,8 @@ def _record_fits(monkeypatch) -> list:
     calls = []
     real = attack.fit_min_norm
 
-    def recording(fmap, dataset, theta0="zero"):
-        model = real(fmap, dataset, theta0=theta0)
+    def recording(fmap, dataset):
+        model = real(fmap, dataset)
         calls.append((fmap, dataset, model))
         return model
 
@@ -118,7 +118,7 @@ class TestRunAttack:
 
     def test_size_mismatch_raises(self):
         _, dataset, model = _fitted_instance()
-        with pytest.raises(MapMismatch):
+        with pytest.raises(DimensionMismatch):
             run_attack(model, dataset.z[:5].copy(), dataset.g[:5])
 
 
@@ -167,16 +167,15 @@ class TestCovarianceDiagnostic:
 
     @pytest.mark.parametrize("mask", ["resample", "zero"])
     @pytest.mark.parametrize(
-        "kind, activation, k, theta0",
-        [("rf", "h1+h2", 120, "zero"), ("ntk", "h0+h1", 8, "init")],
+        "kind, activation, k", [("rf", "h1+h2", 120), ("ntk", "h0+h1", 8)]
     )
-    def test_matches_explicit_refits(self, monkeypatch, kind, activation, k, theta0, mask):
+    def test_matches_explicit_refits(self, monkeypatch, kind, activation, k, mask):
         # oracle: each trial's attack output from an explicit fit on [z1; background]
         d_x, d_y, n, trials, seed = 6, 6, 16, 12, 4
         calls = _record_fits(monkeypatch)
         diag = covariance_diagnostic(
             kind, get_activation(activation), k=k, n=n, d_x=d_x, d_y=d_y,
-            trials=trials, master_seed=seed, mask=mask, theta0=theta0,
+            trials=trials, master_seed=seed, mask=mask,
         )
         ((fmap, background, loo),) = calls
         teacher = sample_teacher(d_x, derive_seed(seed, [ROLE_DATA]))
@@ -190,7 +189,7 @@ class TestCovarianceDiagnostic:
                 d_x=d_x,
                 d_y=d_y,
             )
-            outputs.append(fit_min_norm(fmap, full, theta0=theta0).predict(z1m))
+            outputs.append(fit_min_norm(fmap, full).predict(z1m))
             stability.append(g1 - loo.predict(z1))
             labels.append(g1)
         cov_attack, _ = _covariance(np.array(outputs), np.array(labels))

@@ -160,6 +160,23 @@ def test_unknown_activation_exits_1():
     assert main(["hermite", "--activation", "not-a-thing"]) == 1
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh", "h1+h2"])
+def test_hermite_negative_order_exits_1(activation, capsys):
+    assert main(["hermite", "--activation", activation, "--order", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order must be >= 0, got -1\n"
+
+
+def test_sweep_theta0_key_exits_2(tmp_path, capsys):
+    # every fit starts from the zero function; no config key names a start
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(SWEEP_CONFIG, model="ntk", k=8,
+                                           activation="h0+h1", theta0="zero")))
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    assert "unknown config keys: ['theta0']" in capsys.readouterr().err
+
+
 def test_fit_reports_scaled_eigenvalue(capsys):
     assert main(["fit", "--model", "rf", "--k", "60", "--dx", "8", "--dy", "8",
                  "--n", "10", "--activation", "h1+h2", "--seed", "4", "--test-size", "40"]) == 0

@@ -73,7 +73,6 @@ class TestConfig:
         config = parse_config(dict(SMALL_CONFIG))
         assert config.n_grid == (8, 16)
         assert config.alpha == 0.5
-        assert config.theta0 == "zero"
 
     def test_unknown_key_is_hard_error(self):
         bad = dict(SMALL_CONFIG, typo_key=3)
@@ -94,13 +93,15 @@ class TestConfig:
         with pytest.warns(UserWarning, match="singular"):
             parse_config(dict(SMALL_CONFIG, k=4))
 
-    def test_ntk_default_theta0(self):
-        config = parse_config(dict(SMALL_CONFIG, model="ntk", k=8, activation="h0+h1"))
-        assert config.theta0 == "zero"
-
     def test_init_policy_rejected_for_rf(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['theta0'\]"):
             parse_config(dict(SMALL_CONFIG, theta0="init"))
+
+    @pytest.mark.parametrize("value", ["zero", "init"])
+    def test_theta0_key_rejected_for_ntk(self, value):
+        # every fit starts from the zero function, so no key names a start
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['theta0'\]"):
+            parse_config(dict(NTK_CONFIG, theta0=value))
 
     def test_argmax_readout_rejected(self):
         # labels are +-1 and read by their sign, so no config key names a readout
@@ -135,7 +136,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("theta0", [None, 0, False, ""])
     def test_falsy_theta0_rejected(self, theta0):
-        with pytest.raises(ConfigError, match="theta0"):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['theta0'\]"):
             parse_config(dict(SMALL_CONFIG, theta0=theta0))
 
     def test_empty_grid_rejected(self):

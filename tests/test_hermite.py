@@ -107,6 +107,12 @@ class TestHermiteCoefficients:
         with pytest.raises(QuadratureNonconvergent):
             hermite_coefficients(square_wave, order=10)
 
+    @pytest.mark.parametrize("name", ["relu", "tanh", "h1+h2"])
+    def test_negative_order_rejected(self, name):
+        # relu and tanh are integrated by quadrature, h1+h2 is an explicit combination
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            hermite_coefficients(get_activation(name), order=-1)
+
 
 class TestGammaRfLowerBound:
     def test_alpha_zero(self):

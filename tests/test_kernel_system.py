@@ -33,13 +33,10 @@ def _instance(kind: str, n: int = 12):
     return fmap, dataset, probes
 
 
-@pytest.mark.parametrize(
-    "kind,policy",
-    [("rf", "zero"), ("ntk", "zero"), ("ntk", "init")],
-)
-def test_batch_of_one_equals_batch(kind, policy):
+@pytest.mark.parametrize("kind", ["rf", "ntk"])
+def test_batch_of_one_equals_batch(kind):
     fmap, dataset, probes = _instance(kind)
-    model = fit_min_norm(fmap, dataset, theta0=policy)
+    model = fit_min_norm(fmap, dataset)
 
     batch = model.predict(probes)
     for i, z in enumerate(probes):
@@ -62,13 +59,12 @@ def test_batch_of_one_equals_batch(kind, policy):
     assert abs(got_num - num) <= 1e-12 * (1.0 + abs(num))
     assert abs(got_den - den) <= 1e-12 * (1.0 + abs(den))
 
-    # a one-row leave-one-out fit is the initialization model, perfectly conditioned
+    # a one-row leave-one-out fit is the zero model, perfectly conditioned
     one = LabeledDataset(z=dataset.z[:1], g=dataset.g[:1], d_x=D_X, d_y=D_Y)
-    loo = fit_min_norm(fmap, one.drop_row(0), theta0=policy)
+    loo = fit_min_norm(fmap, one.drop_row(0))
     assert loo.n_train == 0
-    assert loo.report == FitReport(0.0, 0.0, 0.0, 1.0)
-    f0 = 0.0 if policy == "zero" else fmap.outputs(z, fmap.w0.T)[0]
-    assert loo.predict(z) == pytest.approx(f0, abs=1e-12)
+    assert loo.report == FitReport(0.0, 0.0, 1.0)
+    assert loo.predict(z) == pytest.approx(0.0, abs=1e-12)
 
 
 B = SOLVE_BLOCK

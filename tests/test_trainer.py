@@ -34,33 +34,49 @@ class TestFitMinNorm:
         assert model.predict(dataset.z[0]) == pytest.approx(dataset.g[0], abs=1e-10)
 
     def test_targets_already_matched_gives_zero_correction(self):
+        # the zero start already matches zero targets
         fmap, dataset, _ = _ntk_instance()
-        f0 = fmap.outputs(dataset.z, fmap.w0.T)
-        matched = LabeledDataset(z=dataset.z, g=f0, d_x=dataset.d_x, d_y=dataset.d_y)
-        model = fit_min_norm(fmap, matched, theta0="init")
+        matched = LabeledDataset(
+            z=dataset.z, g=np.zeros(dataset.n), d_x=dataset.d_x, d_y=dataset.d_y
+        )
+        model = fit_min_norm(fmap, matched)
         assert np.allclose(model.dual_coefs, 0.0, atol=1e-10)
-        assert np.allclose(model.materialize_theta(), fmap.w0.T.ravel(), atol=1e-9)
+        assert np.allclose(model.weights.ravel(), 0.0, atol=1e-9)
 
     def test_matches_pseudoinverse_oracle(self):
         fmap, dataset, _ = _ntk_instance()
-        theta0 = fmap.w0.T.ravel()
-        model = fit_min_norm(fmap, dataset, theta0="init")
+        model = fit_min_norm(fmap, dataset)
         phi = fmap.feature_matrix(dataset.z)
         kernel = phi @ phi.T
-        oracle = theta0 + phi.T @ np.linalg.solve(kernel, dataset.g - phi @ theta0)
-        assert np.linalg.norm(model.materialize_theta() - oracle) <= 1e-9 * np.linalg.norm(oracle)
+        oracle = phi.T @ np.linalg.solve(kernel, dataset.g)
+        assert np.linalg.norm(model.weights.ravel() - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+    def test_doubled_tangent_map_gives_the_same_predictor(self):
+        # the doubling argument behind the zero start: stacking W0 twice
+        # doubles the tangent kernel, and the min-norm predictor
+        # 2K(z, Z) (2K)^{-1} g is the single map's
+        fmap, dataset, teacher = _ntk_instance()
+        doubled = featuremaps.NTKMap(np.vstack([fmap.w0, fmap.w0]), fmap.activation_derivative, 0)
+        kernel = fmap.prepare(dataset.z).gram()
+        assert np.linalg.norm(doubled.prepare(dataset.z).gram() - 2.0 * kernel) <= (
+            1e-12 * 2.0 * np.linalg.norm(kernel)
+        )
+        queries = generate_synthetic(20, dataset.d_x, dataset.d_y, teacher, 80).z
+        single = fit_min_norm(fmap, dataset).predict(queries)
+        twice = fit_min_norm(doubled, dataset).predict(queries)
+        assert np.max(np.abs(twice - single)) <= 1e-10 * max(1.0, float(np.max(np.abs(single))))
 
     def test_interpolation_contract(self):
-        for builder, theta0 in [(_rf_instance, "zero"), (_ntk_instance, "init")]:
+        for builder in (_rf_instance, _ntk_instance):
             fmap, dataset, _ = builder()
-            model = fit_min_norm(fmap, dataset, theta0=theta0)
+            model = fit_min_norm(fmap, dataset)
             resid = np.max(np.abs(model.predict(dataset.z) - dataset.g))
             assert resid <= 1e-8 * (1.0 + np.max(np.abs(dataset.g)))
 
     def test_min_norm_property(self):
         fmap, dataset, _ = _rf_instance()
         model = fit_min_norm(fmap, dataset)
-        correction = model.materialize_theta()
+        correction = model.weights
         phi = fmap.feature_matrix(dataset.z)
         _, _, vt = np.linalg.svd(phi, full_matrices=False)
         span_resid = correction - vt.T @ (vt @ correction)
@@ -77,7 +93,7 @@ class TestFitMinNorm:
     def test_dual_primal_consistency(self):
         fmap, dataset, teacher = _rf_instance()
         model = fit_min_norm(fmap, dataset)
-        theta = model.materialize_theta()
+        theta = model.weights
         probes = generate_synthetic(10, dataset.d_x, dataset.d_y, teacher, 77)
         via_dual = model.predict(probes.z)
         via_theta = fmap.feature_matrix(probes.z) @ theta
@@ -129,16 +145,16 @@ class TestFitLeaveOneOut:
 
     def test_single_sample_leaves_init_model(self):
         fmap, dataset, _ = _ntk_instance(n=1)
-        loo = fit_min_norm(fmap, dataset.drop_row(0), theta0="init")
+        loo = fit_min_norm(fmap, dataset.drop_row(0))
         probe = np.random.default_rng(4).standard_normal(dataset.d)
-        assert loo.predict(probe) == pytest.approx(fmap.outputs(probe, fmap.w0.T)[0], abs=1e-12)
+        assert loo.predict(probe) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestStabilityEval:
     def test_orthogonal_feature_query_gives_zero(self):
         fmap, dataset, _ = _ntk_instance(n=6, d_x=4, d_y=4, k=3)
-        full = fit_min_norm(fmap, dataset, theta0="init")
-        loo = fit_min_norm(fmap, dataset.drop_row(0), theta0="init")
+        full = fit_min_norm(fmap, dataset)
+        loo = fit_min_norm(fmap, dataset.drop_row(0))
         # a zero input has zero tangent features, hence no correction term
         zero = np.zeros(dataset.d)
         assert full.predict(zero) - loo.predict(zero) == pytest.approx(0.0, abs=1e-12)
@@ -209,12 +225,12 @@ def _accepted_activations(kind):
 
 @st.composite
 def _predict_instances(draw):
-    """A map kind with a theta0 policy of it, an accepted activation, and
+    """A map kind, an accepted activation of it, and
     sizes with at least 24 features more than twice the rows (ReLU features
     of a row all vanish with probability 2^-k). Rows are 20 wide: polynomial
     activations on narrower rows span too few features for 30 rows.
     """
-    kind, theta0 = draw(st.sampled_from([("rf", "zero"), ("ntk", "zero"), ("ntk", "init")]))
+    kind = draw(st.sampled_from(["rf", "ntk"]))
     n = draw(st.integers(1, 30))
     d_x = d_y = 10
     least = 2 * n if kind == "rf" else -(-2 * n // (d_x + d_y))
@@ -222,21 +238,20 @@ def _predict_instances(draw):
     activation = draw(st.sampled_from(_accepted_activations(kind)))
     n_queries = draw(st.integers(1, 12))
     seed = draw(st.integers(0, 2**32 - 1))
-    return kind, theta0, n, d_x, d_y, k, activation, n_queries, seed
+    return kind, n, d_x, d_y, k, activation, n_queries, seed
 
 
 class TestPrimalPrediction:
     @settings(max_examples=40, deadline=None)
     @given(_predict_instances())
     def test_matches_dual_cross_kernel_prediction(self, instance):
-        kind, theta0, n, d_x, d_y, k, activation, n_queries, seed = instance
+        kind, n, d_x, d_y, k, activation, n_queries, seed = instance
         teacher = sample_teacher(d_x, seed)
         dataset = generate_synthetic(n, d_x, d_y, teacher, seed + 1)
         fmap = sample_map(kind, k, d_x + d_y, get_activation(activation), seed + 2)
-        model = fit_min_norm(fmap, dataset, theta0=theta0)
+        model = fit_min_norm(fmap, dataset)
         queries = generate_synthetic(n_queries, d_x, d_y, teacher, seed + 3).z
-        f0 = np.zeros(n_queries) if theta0 == "zero" else fmap.outputs(queries, fmap.w0.T)
-        dual = model.system.cross(queries) @ model.dual_coefs + f0
+        dual = model.system.cross(queries) @ model.dual_coefs
         primal = model.predict(queries)
         assert np.all(np.abs(primal - dual) <= 1e-10 * np.maximum(np.abs(dual), 1.0))
 
