@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: fit, gamma, hermite, sweep, verify.
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure, 2 configuration error: an
+invalid command-line value, rejected while parsing, or an invalid config.
 """
 
 from __future__ import annotations
@@ -21,15 +22,26 @@ from .seeding import ROLE_DATA, ROLE_MAP, ROLE_MASK, ROLE_TEACHER, ROLE_TEST, de
 from .trainer import fit_min_norm, generalization_error
 
 
-def _add_instance_args(parser):
+def _at_least(low, kind=int):
+    """An argparse type: a number of the given kind that is >= low."""
+    def parse(text):
+        value = kind(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _add_instance_args(parser, min_n=1):
     parser.add_argument("--model", choices=["rf", "ntk"], default="rf")
-    parser.add_argument("--k", type=int, default=2000)
-    parser.add_argument("--dx", type=int, default=100)
-    parser.add_argument("--dy", type=int, default=100)
-    parser.add_argument("--n", type=int, default=200)
-    parser.add_argument("--activation", default="h1+h2",
-                        help=f"one of: {', '.join(activation_names())} "
-                        "(for ntk this names the activation derivative)")
+    parser.add_argument("--k", type=_at_least(1), default=2000)
+    parser.add_argument("--dx", type=_at_least(1), default=100)
+    parser.add_argument("--dy", type=_at_least(1), default=100)
+    parser.add_argument("--n", type=_at_least(min_n), default=200)
+    parser.add_argument("--activation", choices=activation_names(), default="h1+h2",
+                        help="for ntk this names the activation derivative")
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -94,8 +106,6 @@ def _cmd_hermite(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     config = parse_config(args.config)
     rows = run_sweep(config, workers=args.workers)
     if args.out:
@@ -125,25 +135,25 @@ def build_parser() -> argparse.ArgumentParser:
         "fit", help="fit one instance, evaluate it and run the masked-query attack"
     )
     _add_instance_args(p_fit)
-    p_fit.add_argument("--test-size", type=int, default=1000)
+    p_fit.add_argument("--test-size", type=_at_least(1), default=1000)
     p_fit.add_argument("--mask", choices=MASKS, default="resample")
     p_fit.set_defaults(fn=_cmd_fit)
 
     p_gamma = sub.add_parser("gamma", help="Monte-Carlo alignment vs theory")
-    _add_instance_args(p_gamma)
-    p_gamma.add_argument("--trials", type=int, default=50)
-    p_gamma.add_argument("--tolerance", type=float, default=0.05)
+    _add_instance_args(p_gamma, min_n=2)  # z_1 and at least one background row
+    p_gamma.add_argument("--trials", type=_at_least(2), default=50)
+    p_gamma.add_argument("--tolerance", type=_at_least(0.0, float), default=0.05)
     p_gamma.set_defaults(fn=_cmd_gamma)
 
     p_hermite = sub.add_parser("hermite", help="print an activation's coefficients")
-    p_hermite.add_argument("--activation", default="relu")
-    p_hermite.add_argument("--order", type=int, default=40)
+    p_hermite.add_argument("--activation", choices=activation_names(), default="relu")
+    p_hermite.add_argument("--order", type=_at_least(0), default=40)
     p_hermite.set_defaults(fn=_cmd_hermite)
 
     p_sweep = sub.add_parser("sweep", help="run a configured (N, trial) sweep")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default="")
-    p_sweep.add_argument("--workers", type=int, default=1,
+    p_sweep.add_argument("--workers", type=_at_least(1), default=1,
                          help="threads computing rows; the CSV does not depend on it")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
@@ -156,13 +166,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # 2 for an invalid command line, 0 after --help
+        return exc.code
     try:
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ReconstabError, OSError, KeyError, ValueError) as exc:
+    except (ReconstabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

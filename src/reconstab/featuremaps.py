@@ -12,6 +12,11 @@ rows, without copying. ``kernel(z, zp)`` is the one-row cross kernel.
 ``sample_map`` is the one place a map kind picks its class and draws its
 weights.
 
+Random features act(V z) are built in place: the activation overwrites the
+pre-activations Z V^T block by block of rows, so n prepared rows hold one
+n x k buffer, and ``outputs`` takes one block of rows at a time, with
+O(block k) transient memory and never the n x k features of its queries.
+
 Tangent features z (x) act'(W0 z) have dimension k*d. Prepared tangent rows
 keep the two factors and never materialize them, because every kernel entry
 factorizes as (z . z') * (act'(W0 z) . act'(W0 z')); their weights are the
@@ -27,6 +32,14 @@ import numpy as np
 from .errors import DimensionMismatch
 from .hermite import ActivationSpec
 from .linops import gram
+
+# Rows per block when random features are activated or turned into outputs; a
+# block holds _ROW_BLOCK * k floats twice (pre-activations and activations). On
+# a 2-core Xeon with 2 BLAS threads, at k = 4000, d = 400, outputs of 1000 rows
+# took 74 ms (h1+h2) and 49 ms (relu) at 256, against 77 and 45 ms unblocked,
+# 71 and 45 ms at 512 for twice the memory, and 92 and 71 ms at 128; activating
+# 1500 prepared rows took 94 and 61 ms at 256 against 111 and 70 ms unblocked.
+_ROW_BLOCK = 256
 
 
 def _as_rows(rows: np.ndarray, d: int) -> np.ndarray:
@@ -59,18 +72,30 @@ class RFMap:
         return self.k
 
     def feature_matrix(self, rows: np.ndarray) -> np.ndarray:
-        return self.activation(_as_rows(rows, self.d) @ self.v.T)
+        """The (n, k) features act(Z V^T), activated in place in the buffer of
+        the pre-activations, _ROW_BLOCK rows at a time: one n x k array, plus
+        O(_ROW_BLOCK k) transient memory.
+        """
+        phi = _as_rows(rows, self.d) @ self.v.T
+        for s in range(0, len(phi), _ROW_BLOCK):
+            phi[s : s + _ROW_BLOCK] = self.activation(phi[s : s + _ROW_BLOCK])
+        return phi
 
     def kernel(self, z: np.ndarray, zp: np.ndarray) -> float:
         return float(self.prepare(zp).cross(z)[0, 0])
 
     def prepare(self, rows: np.ndarray) -> "_PreparedRF":
-        rows = _as_rows(rows, self.d)
         return _PreparedRF(self, self.feature_matrix(rows))
 
     def outputs(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """phi(z) . w for each row, with w of length k."""
-        return self.feature_matrix(rows) @ weights
+        """phi(z) . w for each row, with w of length k, _ROW_BLOCK rows at a
+        time: O(_ROW_BLOCK k) transient memory, never the n x k features.
+        """
+        rows = _as_rows(rows, self.d)
+        out = np.empty(len(rows))
+        for s in range(0, len(rows), _ROW_BLOCK):
+            out[s : s + _ROW_BLOCK] = self.feature_matrix(rows[s : s + _ROW_BLOCK]) @ weights
+        return out
 
 
 @dataclass(eq=False)

@@ -1,7 +1,9 @@
 """Seeded sweep execution over (N, trials) grids with deterministic CSV output.
 
-Every row is a pure function of (config, master seed): data, map, test draw,
-mask, and alignment trials all get independent derived seeds. Rows may be
+Every row is a pure function of (config, master seed), for a fixed BLAS
+library and thread count: data, map, test draw, mask, and alignment trials all
+get independent derived seeds. Another BLAS thread count can change the last
+digits of gamma_mean, gamma_std and lambda_min_over_scale. Rows may be
 computed concurrently but are always emitted in (N, trial) order, so the CSV
 bytes do not depend on the worker count.
 

@@ -10,8 +10,11 @@ the labels g. The fit turns c once into the primal weights Phi^T c (O(N p)),
 a k-vector for random features and a d x k matrix for tangent features, and
 predictions are the map's outputs at those weights, O(n p) for n queries,
 with no n x N cross kernel; alignments still run in kernel space, on the
-KernelSystem. No ridge term is ever added: a singular kernel is a hard error
-because every downstream identity presumes exact interpolation.
+KernelSystem. For random features a model holds its N x k training features
+once, and a prediction of n rows needs O(block k) transient memory, not the
+n x k features of its queries. No ridge term is ever added: a singular kernel
+is a hard error because every downstream identity presumes exact
+interpolation.
 """
 
 from __future__ import annotations

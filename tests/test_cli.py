@@ -156,16 +156,18 @@ def test_sweep_workers_below_one_exits_2(tmp_path, workers):
     assert main(["sweep", "--config", str(config_path), "--workers", workers]) == 2
 
 
-def test_unknown_activation_exits_1():
-    assert main(["hermite", "--activation", "not-a-thing"]) == 1
-
-
-@pytest.mark.parametrize("activation", ["relu", "tanh", "h1+h2"])
-def test_hermite_negative_order_exits_1(activation, capsys):
-    assert main(["hermite", "--activation", activation, "--order", "-1"]) == 1
+@pytest.mark.parametrize("command_line", [
+    "fit --n 0", "fit --test-size 0", "fit --k 0", "fit --dx 0", "fit --dy 0",
+    "gamma --n 1", "gamma --trials 1", "gamma --tolerance -1",
+    "hermite --order -1", "fit --activation nope", "hermite --activation nope",
+])
+def test_invalid_command_line_value_exits_2(command_line, capsys):
+    command, option, value = command_line.split()
+    assert main([command, option, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: order must be >= 0, got -1\n"
+    assert f"reconstab {command}: error: argument {option}: " in captured.err
+    assert value in captured.err.splitlines()[-1]
 
 
 def test_sweep_theta0_key_exits_2(tmp_path, capsys):

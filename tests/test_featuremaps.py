@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from reconstab.errors import DimensionMismatch
-from reconstab.featuremaps import sample_map
+from reconstab.featuremaps import _ROW_BLOCK, sample_map
 from reconstab.hermite import _hermite_matrix, get_activation
 
 
@@ -185,3 +187,51 @@ class TestInitOutputs:
         explicit = float(_features(m, z) @ theta0)
         assert m.outputs(z, m.w0.T)[0] == pytest.approx(explicit, rel=1e-12)
         assert m.outputs(z[None, :], m.w0.T)[0] == pytest.approx(explicit, rel=1e-12)
+
+
+def _traced_peak(fn) -> int:
+    """Bytes allocated at the peak of fn(), counted from its start."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRfRowBlocks:
+    """Random features are activated and turned into outputs _ROW_BLOCK rows
+    at a time; the results do not depend on the blocking.
+    """
+
+    @pytest.mark.parametrize("n", [1, _ROW_BLOCK, 3 * _ROW_BLOCK + 17])
+    @pytest.mark.parametrize("activation", ["h1+h2", "relu", "tanh"])
+    def test_prepared_features_equal_unblocked_activation(self, activation, n):
+        m = sample_map("rf", 40, 6, get_activation(activation), seed=25)
+        rows = np.random.default_rng(n).standard_normal((n, 6))
+        assert np.array_equal(m.prepare(rows).phi, m.activation(rows @ m.v.T))
+
+    @pytest.mark.parametrize("shape", [(0, 6), (1, 6), (6,), (2 * _ROW_BLOCK + 5, 6)])
+    def test_outputs_match_feature_matrix(self, shape):
+        m = sample_map("rf", 40, 6, get_activation("h1+h2"), seed=26)
+        rng = np.random.default_rng(15)
+        rows, w = rng.standard_normal(shape), rng.standard_normal(40)
+        out = m.outputs(rows, w)
+        expected = m.feature_matrix(rows) @ w
+        assert out.shape == expected.shape == (np.atleast_2d(rows).shape[0],)
+        assert np.allclose(out, expected, rtol=1e-12, atol=0)
+
+    def test_outputs_never_hold_the_query_features(self):
+        k, n = 1000, 8 * _ROW_BLOCK
+        m = sample_map("rf", k, 8, get_activation("h1+h2"), seed=27)
+        rows = np.random.default_rng(16).standard_normal((n, 8))
+        w = np.random.default_rng(17).standard_normal(k)
+        block_bytes = _ROW_BLOCK * k * 8
+        assert _traced_peak(lambda: m.outputs(rows, w)) < 3 * block_bytes
+        assert _traced_peak(lambda: m.outputs(rows[: 2 * _ROW_BLOCK], w)) < 3 * block_bytes
+
+    def test_prepare_holds_one_feature_buffer(self):
+        k, n = 1000, 8 * _ROW_BLOCK
+        m = sample_map("rf", k, 8, get_activation("h1+h2"), seed=28)
+        rows = np.random.default_rng(18).standard_normal((n, 8))
+        assert _traced_peak(lambda: m.prepare(rows)) < 1.5 * n * k * 8
