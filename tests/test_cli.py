@@ -170,6 +170,15 @@ def test_invalid_command_line_value_exits_2(command_line, capsys):
     assert value in captured.err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh", "h1+h2"])
+def test_hermite_negative_order_exits_2(activation, capsys):
+    # the order is checked while parsing, whatever the activation's coefficients
+    assert main(["hermite", "--activation", activation, "--order", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reconstab hermite: error: argument --order: must be >= 0, got -1" in captured.err
+
+
 def test_sweep_theta0_key_exits_2(tmp_path, capsys):
     # every fit starts from the zero function; no config key names a start
     config_path = tmp_path / "config.json"
