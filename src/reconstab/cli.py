@@ -65,10 +65,11 @@ def _cmd_fit(args) -> int:
     evaluation = generalization_error(model, test)
     queries = build_query_batch(dataset, args.mask, derive_seed(args.seed, [ROLE_MASK]))
     attack = run_attack(model, queries, dataset.g)
+    cache = model.system.cache
     print(
         f"n={dataset.n} alpha={dataset.alpha:.4g} max_residual={model.report.max_residual:.3e} "
-        f"lambda_min_over_scale={model.report.min_eig / fmap.n_params:.4g} "
-        f"condition={model.report.condition:.3e} "
+        f"lambda_min_over_scale={cache.min_eig / fmap.n_params:.4g} "
+        f"condition={cache.condition:.3e} "
         f"test_error={evaluation.error:.4g} test_acc={evaluation.accuracy:.4f} "
         f"attack_acc={attack.attack_accuracy:.4f}"
     )

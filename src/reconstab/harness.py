@@ -245,7 +245,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
         attack_acc=attack.attack_accuracy,
         gamma_mean=gamma_mean,
         gamma_std=gamma_std,
-        lambda_min_over_scale=model.report.min_eig / fmap.n_params,
+        lambda_min_over_scale=model.system.cache.min_eig / fmap.n_params,
     )
 
 

@@ -5,20 +5,25 @@ rows is ever factored (the feature dimension p can be much larger than N, and
 no p x p matrix is ever formed).
 
 Each Gram is factored once, by Cholesky, and that is the only O(N^3) step.
-The extreme eigenvalues come from Lanczos on the factored matrix (matrix-vector
-products for lambda_max, solves against the factor for lambda_min), not from a
-dense eigensolver. Solves against the factor are blocked triangular
-substitutions: off-diagonal blocks are BLAS matrix products and the small
-diagonal blocks are multiplied by their inverses, computed once per factor, so
-no N x N system is ever handed to a general LU. The factor of a leading
-principal block is the leading block of the factor, so the system on the first
-m training rows is a view of the full system (``KernelSystem.leading``), not a
-second factorization.
+The extreme eigenvalues come from Lanczos on the factored matrix, not from a
+dense eigensolver, and each is paid for only where it is needed. lambda_min
+(solves against the factor) is computed by every factorization, because the
+rank guard needs it. lambda_max (matrix-vector products) is computed on first
+read, and the rank guard reads it only when the trace cannot settle the
+verdict: a positive definite Gram has trace >= lambda_max, so a lambda_min
+above the tolerance of the trace is above the tolerance of lambda_max too.
+Solves against the factor are blocked triangular substitutions over two
+levels: wide row panels, whose off-diagonal products are threaded BLAS
+matrix products, and small diagonal blocks inside each panel, multiplied by
+their inverses, computed once per factor. So no N x N system is ever handed
+to a general LU. The factor of a leading principal block is the leading block
+of the factor, so the system on the first m training rows is a view of the
+full system (``KernelSystem.leading``), not a second factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +42,16 @@ RANK_TOL_FACTOR = 1e-10
 # than 64 on one right-hand side and tied on 20, but costs twice as much to
 # invert (18 against 9 ms at N = 3000); 32 was slower in every case.
 SOLVE_BLOCK = 64
+# Width of the row panels of the triangular solves, a multiple of SOLVE_BLOCK.
+# A panel's off-diagonal product L[S:E, :S] @ y[:S] is one BLAS call that
+# OpenBLAS threads; inside the panel the SOLVE_BLOCK loop runs as before, so a
+# system of at most _SOLVE_PANEL rows is solved exactly as without panels.
+# On the sweep's NTK Gram (N = 3000) with 2 BLAS threads, one right-hand side
+# took 6.1 ms without panels, 4.7 ms at 1024 and 5.2 ms at 2048; 4 and 20
+# right-hand sides took 14.5 and 20.4 ms without, 11.2 and 19.1 ms at 1024.
+# 512 was within noise of 1024 on one right-hand side, at N = 1500 and 3000,
+# and 1024 leaves every system of up to 1024 rows as it was.
+_SOLVE_PANEL = 1024
 
 # Lanczos stops once a bound on the distance from its top Ritz value to an
 # eigenvalue falls below this fraction of that Ritz value.
@@ -135,21 +150,31 @@ class KernelSolveCache:
     eigenvalue, so max_eig is a lower bound and min_eig, the reciprocal of the
     top eigenvalue of K^{-1}, an upper bound (1/theta >= lambda_min).
 
+    ``factor`` computes min_eig. ``max_eig``, and with it ``tol`` and
+    ``condition``, is computed from ``matrix`` on first read and kept; its
+    Lanczos starts from the same fixed vector whenever it runs, so a late read
+    gives the same bits as an eager one. The rank guard accepts a Gram at once
+    when min_eig clears the tolerance of (1 + n eps) trace(K): trace(K) >=
+    lambda_max >= theta_max, and the pad covers the roundoff of the trace's n
+    positive terms. Otherwise it reads max_eig and applies the rule
+    min_eig > tol(max_eig), so the verdict is that of the eager rule for every
+    Gram.
+
     Solves are one blocked forward and one back substitution. Cholesky is
     backward stable, so a refinement pass in working precision would not
     reduce the forward error (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., ch. 12); on RF and NTK Grams of condition up to 5.6e5
     it did not move alignments closer to the SVD-projector oracle. A leading
     view (``leading``) shares the factor's memory and has no spectrum of its
-    own: its eigenvalue fields are NaN.
+    own: its eigenvalue fields are NaN and reading them runs no Lanczos.
     """
 
     chol: np.ndarray
     diag_inv: np.ndarray
     matrix: np.ndarray
     min_eig: float
-    max_eig: float
-    tol: float
+    p: int
+    _max_eig: float | None = field(default=None, repr=False)
 
     @classmethod
     def factor(cls, k: np.ndarray, p: int | None = None) -> "KernelSolveCache":
@@ -157,28 +182,38 @@ class KernelSolveCache:
         n = k.shape[0]
         if k.shape != (n, n):
             raise SingularGram(f"expected square matrix, got {k.shape}")
+        p = n if p is None else p
         if n == 0:
             return cls(
                 chol=np.zeros((0, 0)), diag_inv=_diagonal_inverses(np.zeros((0, 0))),
-                matrix=k, min_eig=0.0, max_eig=0.0, tol=0.0,
+                matrix=k, min_eig=0.0, p=p, _max_eig=0.0,
             )
         try:
             chol = np.linalg.cholesky(k)
         except np.linalg.LinAlgError as exc:
             raise SingularGram("Gram matrix is not positive definite") from exc
-        nan = float("nan")
-        cache = cls(
-            chol=chol, diag_inv=_diagonal_inverses(chol), matrix=k,
-            min_eig=nan, max_eig=nan, tol=nan,
-        )
-        cache.max_eig = _top_eigenvalue(lambda v: k @ v, n)
-        cache.tol = rank_tolerance(cache.max_eig, n, p if p is not None else n)
+        cache = cls(chol=chol, diag_inv=_diagonal_inverses(chol), matrix=k, min_eig=float("nan"), p=p)
         cache.min_eig = 1.0 / _top_eigenvalue(cache.solve, n)
-        if cache.min_eig <= cache.tol:
+        # trace(K) >= lambda_max: only a lambda_min below the tolerance of the
+        # trace needs lambda_max for the verdict
+        trace_bound = (1.0 + n * np.finfo(float).eps) * float(np.trace(k))
+        if cache.min_eig <= rank_tolerance(trace_bound, n, p) and cache.min_eig <= cache.tol:
             raise SingularGram(
                 f"smallest eigenvalue {cache.min_eig:.3e} below tolerance {cache.tol:.3e}"
             )
         return cache
+
+    @property
+    def max_eig(self) -> float:
+        """Lanczos estimate of lambda_max, computed on first read."""
+        if self._max_eig is None:
+            self._max_eig = _top_eigenvalue(lambda v: self.matrix @ v, self.n)
+        return self._max_eig
+
+    @property
+    def tol(self) -> float:
+        """The rank tolerance: the smallest lambda_min the factor accepts."""
+        return rank_tolerance(self.max_eig, self.n, self.p)
 
     @property
     def n(self) -> int:
@@ -198,7 +233,7 @@ class KernelSolveCache:
         nan = float("nan")
         return KernelSolveCache(
             chol=self.chol[:m, :m], diag_inv=self.diag_inv[: (m + SOLVE_BLOCK - 1) // SOLVE_BLOCK],
-            matrix=self.matrix[:m, :m], min_eig=nan, max_eig=nan, tol=nan,
+            matrix=self.matrix[:m, :m], min_eig=nan, p=self.p, _max_eig=nan,
         )
 
     @property
@@ -210,24 +245,35 @@ class KernelSolveCache:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """K^{-1} b = (L L^T)^{-1} b by forward then back substitution over
-        diagonal blocks.
+        row panels, and over diagonal blocks inside each panel.
 
         Both passes read L by row panels L[s:e, :s], the faster access for a
         row-major factor: the back substitution subtracts each solved block's
         contribution from the rows above it instead of gathering the columns
-        below.
+        below. Contributions across panels are one product per panel; those
+        inside a panel, one per diagonal block.
         """
         l, inv, n = self.chol, self.diag_inv, self.n
-        blocks = [(s, min(s + SOLVE_BLOCK, n)) for s in range(0, n, SOLVE_BLOCK)]
+        panels = [(ps, min(ps + _SOLVE_PANEL, n)) for ps in range(0, n, _SOLVE_PANEL)]
         y = np.array(b, dtype=float)
-        for i, (s, e) in enumerate(blocks):
-            if s:
-                y[s:e] -= l[s:e, :s] @ y[:s]
-            y[s:e] = inv[i, : e - s, : e - s] @ y[s:e]
-        for i, (s, e) in reversed(list(enumerate(blocks))):
-            y[s:e] = inv[i, : e - s, : e - s].T @ y[s:e]
-            if s:
-                y[:s] -= l[s:e, :s].T @ y[s:e]
+        for ps, pe in panels:
+            if ps:
+                y[ps:pe] -= l[ps:pe, :ps] @ y[:ps]
+            for s in range(ps, pe, SOLVE_BLOCK):
+                e = min(s + SOLVE_BLOCK, pe)
+                if s > ps:
+                    y[s:e] -= l[s:e, ps:s] @ y[ps:s]
+                y[s:e] = inv[s // SOLVE_BLOCK, : e - s, : e - s] @ y[s:e]
+        for ps, pe in reversed(panels):
+            for s in reversed(range(ps, pe, SOLVE_BLOCK)):
+                e = min(s + SOLVE_BLOCK, pe)
+                y[s:e] = inv[s // SOLVE_BLOCK, : e - s, : e - s].T @ y[s:e]
+                if s > ps:
+                    y[ps:s] -= l[s:e, ps:s].T @ y[s:e]
+            if ps:
+                # as y^T L rather than L^T y: with 20 right-hand sides at
+                # N = 3000 the back substitution took 14 ms that way, 11 this
+                y[:ps] -= (y[ps:pe].T @ l[ps:pe, :ps]).T
         return y
 
 

@@ -30,9 +30,12 @@ from .linops import KernelSystem
 
 @dataclass
 class FitReport:
+    """How closely the fit interpolates its labels. The spectrum of its Gram
+    is read from ``model.system.cache``, where lambda_max is paid for only
+    when read.
+    """
+
     max_residual: float
-    min_eig: float
-    condition: float
 
 
 @dataclass
@@ -94,13 +97,8 @@ def fit_min_norm(fmap, dataset: LabeledDataset) -> TrainedModel:
     system = KernelSystem.build(fmap, dataset.z)
     coefs = system.solve(targets)
 
-    cache = system.cache
-    residuals = cache.matrix @ coefs - targets
-    report = FitReport(
-        max_residual=float(np.max(np.abs(residuals))) if residuals.size else 0.0,
-        min_eig=cache.min_eig,
-        condition=cache.condition,
-    )
+    residuals = system.cache.matrix @ coefs - targets
+    report = FitReport(max_residual=float(np.max(np.abs(residuals))) if residuals.size else 0.0)
     return TrainedModel(
         system=system, dual_coefs=coefs, weights=system.prepared.weights(coefs), report=report
     )

@@ -116,8 +116,8 @@ def test_fit_line_is_the_instance_fit_plus_its_attack(model, mask, capsys):
         "n": str(n),
         "alpha": "0.5",
         "max_residual": f"{fitted.report.max_residual:.3e}",
-        "lambda_min_over_scale": f"{fitted.report.min_eig / fmap.n_params:.4g}",
-        "condition": f"{fitted.report.condition:.3e}",
+        "lambda_min_over_scale": f"{fitted.system.cache.min_eig / fmap.n_params:.4g}",
+        "condition": f"{fitted.system.cache.condition:.3e}",
         "test_error": f"{evaluation.error:.4g}",
         "test_acc": f"{evaluation.accuracy:.4f}",
         "attack_acc": f"{attack.attack_accuracy:.4f}",

@@ -273,6 +273,36 @@ class TestOneFactorPerRow:
         assert calls == [(row.n, row.n) for row in rows]
 
 
+class TestSpectrumPaidWhereRead:
+    """A sweep row reads lambda_min alone, so its factor runs one Lanczos;
+    ``fit`` also prints the condition number, which costs a lambda_max run."""
+
+    @pytest.fixture
+    def lanczos_sizes(self, monkeypatch):
+        sizes = []
+        real = linops._top_eigenvalue
+
+        def counting(apply, n):
+            sizes.append(n)
+            return real(apply, n)
+
+        monkeypatch.setattr(linops, "_top_eigenvalue", counting)
+        return sizes
+
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
+    def test_one_lanczos_run_per_sweep_row(self, doc, lanczos_sizes):
+        rows = run_sweep(parse_config(dict(doc)))
+        assert all(row.error == "" for row in rows)
+        assert lanczos_sizes == [row.n for row in rows]
+
+    @pytest.mark.parametrize("model", ["rf", "ntk"])
+    def test_fit_runs_two(self, model, lanczos_sizes, capsys):
+        assert main(["fit", "--model", model, "--k", "60", "--dx", "8", "--dy", "8",
+                     "--n", "12", "--test-size", "20"]) == 0
+        assert "condition=" in capsys.readouterr().out
+        assert lanczos_sizes == [12, 12]
+
+
 class TestNoDenseEigensolverOrLU:
     @pytest.fixture
     def forbid_dense(self, monkeypatch):

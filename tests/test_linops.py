@@ -143,14 +143,38 @@ class TestKernelSolveCache:
 
 
 B = linops.SOLVE_BLOCK
+P = linops._SOLVE_PANEL
+
+
+def _one_level_solve(cache, b):
+    """The substitution over SOLVE_BLOCK-wide diagonal blocks alone, without
+    row panels: the reference that systems of at most P rows match bit for bit."""
+    l, inv, n = cache.chol, cache.diag_inv, cache.n
+    blocks = [(s, min(s + B, n)) for s in range(0, n, B)]
+    y = np.array(b, dtype=float)
+    for i, (s, e) in enumerate(blocks):
+        if s:
+            y[s:e] -= l[s:e, :s] @ y[:s]
+        y[s:e] = inv[i, : e - s, : e - s] @ y[s:e]
+    for i, (s, e) in reversed(list(enumerate(blocks))):
+        y[s:e] = inv[i, : e - s, : e - s].T @ y[s:e]
+        if s:
+            y[:s] -= l[s:e, :s].T @ y[s:e]
+    return y
+
+
+def _wishart_gram(n):
+    rng = np.random.default_rng(n)
+    return rng, linops.gram(rng.standard_normal((n, n + 20)))
 
 
 class TestBlockedSolve:
-    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize(
+        "n", [0, 1, B - 1, B, B + 1, 3 * B + 5, P - 1, P, P + 1, 2 * P + B + 5]
+    )
     @pytest.mark.parametrize("width", [None, 3])
     def test_matches_dense_solve(self, n, width):
-        rng = np.random.default_rng(n)
-        k = linops.gram(rng.standard_normal((n, n + 20)))
+        rng, k = _wishart_gram(n)
         b = rng.standard_normal(n if width is None else (n, width))
         cache = linops.KernelSolveCache.factor(k)
         x = cache.solve(b)
@@ -162,6 +186,36 @@ class TestBlockedSolve:
             chol = cache.chol
             ref = np.linalg.solve(chol.T, np.linalg.solve(chol, b))
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        # up to one panel the panels change nothing; past it, only the
+        # order of the sums
+        one_level = _one_level_solve(cache, b)
+        if n <= P:
+            assert np.array_equal(x, one_level)
+        else:
+            assert np.linalg.norm(x - one_level) <= 1e-12 * np.linalg.norm(one_level)
+
+    @pytest.mark.parametrize("m", [P - 1, P + 1, P + B // 2, 2 * P + B + 4])
+    def test_leading_view_that_cuts_a_panel(self, m):
+        # n - 1 rows, the view every sweep row takes, cuts the last panel
+        rng, k = _wishart_gram(2 * P + B + 5)
+        view = linops.KernelSolveCache.factor(k).leading(m)
+        direct = linops.KernelSolveCache.factor(k[:m, :m].copy())
+        b = rng.standard_normal((m, 2))
+        for rhs in (b, b[:, 0]):
+            x, oracle = view.solve(rhs), direct.solve(rhs)
+            assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_ntk_gram_wider_than_a_panel(self):
+        n, d = P + 100, 64
+        z = np.random.default_rng(1).standard_normal((n, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        fmap = sample_map("ntk", 64, d, get_activation("h0+h1"), 2)
+        k = fmap.prepare(z).gram()
+        cache = linops.KernelSolveCache.factor(k, p=fmap.n_params)
+        b = np.random.default_rng(3).standard_normal(n)
+        oracle = np.linalg.solve(k, b)
+        assert np.linalg.norm(cache.solve(b) - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        _assert_spectrum_close(cache, k)
 
     def test_ill_conditioned_rf_gram(self):
         # k = N + 5 random features put the condition number near 3e7
@@ -256,6 +310,44 @@ class TestSpectrumEstimate:
         b = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         assert (a.min_eig, a.max_eig, a.tol) == (b.min_eig, b.max_eig, b.tol)
         assert np.array_equal(a.chol, b.chol) and np.array_equal(a.diag_inv, b.diag_inv)
+        # lambda_max is read late, and gives the bits of an eager run
+        top = linops._top_eigenvalue(lambda v: k @ v, len(k))
+        assert a.max_eig == top
+        assert a.tol == linops.rank_tolerance(top, len(k), fmap.n_params)
+        assert a.condition == top / a.min_eig
+
+    @pytest.fixture
+    def lanczos_sizes(self, monkeypatch):
+        """The sizes of the Lanczos runs made while the test runs."""
+        sizes = []
+        real = linops._top_eigenvalue
+
+        def counting(apply, n):
+            sizes.append(n)
+            return real(apply, n)
+
+        monkeypatch.setattr(linops, "_top_eigenvalue", counting)
+        return sizes
+
+    def test_spectrum_beyond_lambda_min_is_read_once_and_only_on_demand(self, lanczos_sizes):
+        fmap, k = _kernel_gram("rf", 100)
+        cache = linops.KernelSolveCache.factor(k, p=fmap.n_params)
+        assert lanczos_sizes == [100]
+        view = cache.leading(60)
+        assert np.isnan(view.max_eig) and np.isnan(view.tol) and np.isnan(view.condition)
+        assert lanczos_sizes == [100]
+        first = (cache.max_eig, cache.tol, cache.condition)
+        assert (cache.max_eig, cache.tol, cache.condition) == first
+        assert lanczos_sizes == [100, 100]
+
+    def test_between_the_two_tolerances_accepts_after_the_lambda_max_run(self, lanczos_sizes):
+        # lambda_min = 2 tol(lambda_max) sits below tol(trace) = tol(40.5), so
+        # only lambda_max settles the verdict
+        n = 80
+        tol = linops.rank_tolerance(1.0, n, n)
+        cache = linops.KernelSolveCache.factor(_with_spectrum(np.linspace(2.0 * tol, 1.0, n), seed=1))
+        assert lanczos_sizes == [n, n]
+        assert cache.tol < cache.min_eig < linops.rank_tolerance(np.trace(cache.matrix), n, n)
 
     def test_below_tolerance_raises_on_the_lanczos_path(self):
         n = 80
@@ -265,6 +357,38 @@ class TestSpectrumEstimate:
         np.linalg.cholesky(k)  # positive definite: only the estimate can reject it
         with pytest.raises(SingularGram, match="below tolerance"):
             linops.KernelSolveCache.factor(k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 100),
+        p_over_n=st.integers(1, 4),
+        log_ratio=st.floats(-1.0, 3.0),
+        bulk_at_bottom=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_is_the_eager_rule_near_the_tolerance(
+        self, n, p_over_n, log_ratio, bulk_at_bottom, seed
+    ):
+        # lambda_min within a factor 10 below to 1000 above tol(lambda_max = 1);
+        # a bulk at the bottom puts the trace next to lambda_max
+        p = p_over_n * n
+        low = 10.0**log_ratio * linops.rank_tolerance(1.0, n, p)
+        rng = np.random.default_rng(seed)
+        bulk = np.full(n - 2, low) if bulk_at_bottom else rng.uniform(low, 1.0, n - 2)
+        k = _with_spectrum(np.concatenate([[low, 1.0], bulk]), seed)
+        chol = np.linalg.cholesky(k)
+        eager = linops.KernelSolveCache(
+            chol=chol, diag_inv=linops._diagonal_inverses(chol), matrix=k, min_eig=0.0, p=p
+        )
+        min_eig = 1.0 / linops._top_eigenvalue(eager.solve, n)
+        max_eig = linops._top_eigenvalue(lambda v: k @ v, n)
+        accepted = min_eig > linops.rank_tolerance(max_eig, n, p)
+        try:
+            linops.KernelSolveCache.factor(k, p=p)
+        except SingularGram:
+            assert not accepted
+        else:
+            assert accepted
 
     def test_indefinite_raises_on_the_cholesky_path(self):
         k = _with_spectrum(np.linspace(-1.0, 1.0, 40), seed=2)
