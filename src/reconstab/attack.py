@@ -95,7 +95,6 @@ def covariance_diagnostic(
     trials: int,
     master_seed: int,
     mask: str = "resample",
-    label_fn=None,
     fmap=None,
 ) -> CovarianceDiagnostic:
     """Estimate Cov(attack output, label) and its stability-side counterpart.
@@ -107,26 +106,21 @@ def covariance_diagnostic(
     S(z) = F(z, z1) * S(z1) its output at the masked query is the background
     fit's output plus the alignment times the stability at z1, so the whole
     diagnostic runs on one factored background system, with one batched
-    prediction on all z1 and one on all z1m.
-    label_fn overrides the teacher labeling (e.g. to force
-    constant labels); fmap injects a prebuilt feature map (bypassing sampling
-    and the nonlinearity screen) for constructed scenarios such as feature
-    maps that ignore the noise block. An attacked sample whose features lie
-    in the background span raises DegenerateDenominator.
+    prediction on all z1 and one on all z1m. Every label is the teacher's:
+    the background rows keep the labels they were drawn with.
+    fmap injects a prebuilt feature map (bypassing sampling and the
+    nonlinearity screen) for constructed scenarios such as feature maps that
+    ignore the noise block. An attacked sample whose features lie in the
+    background span raises DegenerateDenominator.
     """
     if trials < 10:
         raise ValueError("need at least 10 trials")
     fmap, _, teacher, background, z1, z1m = attacked_instance(
         kind, activation, k, n, d_x, d_y, trials, master_seed, mask, fmap
     )
-    if label_fn is None:
-        label_fn = teacher.label
-    g_rest = np.asarray([label_fn(x) for x in background.x_block()])
-    background = LabeledDataset(z=background.z, g=g_rest, d_x=d_x, d_y=d_y)
-
     # one background system serves the leave-one-out model and the alignment
     loo_model = fit_min_norm(fmap, background)
-    labels = np.asarray([float(label_fn(x)) for x in z1[:, :d_x]])
+    labels = teacher.labels(z1[:, :d_x])
     # the fit on [z1; background] interpolates g1
     stability = labels - loo_model.predict(z1)
     nums, dens = sample_alignments(AlignmentSolver(loo_model.system), z1, z1m)

@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Subcommands: fit, gamma, hermite, sweep, verify.
+Subcommands: fit, gamma, hermite, sweep, verify. ``fit`` runs one
+``harness.run_instance`` with the seed's own roles, where a sweep row runs it
+with its (N index, trial) prefix.
 Exit codes: 0 success, 1 verification failure, 2 configuration error: an
 invalid command-line value, rejected while parsing, or an invalid config.
 """
@@ -12,14 +14,10 @@ import sys
 
 from . import verify as verifymod
 from .alignment import compare_gamma_theory, estimate_gamma
-from .attack import build_query_batch, run_attack
-from .data import MASKS, generate_synthetic, sample_teacher
+from .data import MASKS
 from .errors import ConfigError, ReconstabError
-from .featuremaps import sample_map
-from .harness import parse_config, run_sweep, write_rows
+from .harness import parse_config, run_instance, run_sweep, write_rows
 from .hermite import activation_names, get_activation, hermite_coefficients
-from .seeding import ROLE_DATA, ROLE_MAP, ROLE_MASK, ROLE_TEACHER, ROLE_TEST, derive_seed
-from .trainer import fit_min_norm, generalization_error
 
 
 def _at_least(low, kind=int):
@@ -45,30 +43,15 @@ def _add_instance_args(parser, min_n=1):
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _build_instance(args):
-    d = args.dx + args.dy
-    activation = get_activation(args.activation)
-    teacher = sample_teacher(args.dx, derive_seed(args.seed, [ROLE_TEACHER]))
-    dataset = generate_synthetic(
-        args.n, args.dx, args.dy, teacher, derive_seed(args.seed, [ROLE_DATA])
-    )
-    fmap = sample_map(args.model, args.k, d, activation, derive_seed(args.seed, [ROLE_MAP]))
-    return fmap, dataset, teacher
-
-
 def _cmd_fit(args) -> int:
-    fmap, dataset, teacher = _build_instance(args)
-    model = fit_min_norm(fmap, dataset)
-    test = generate_synthetic(
-        args.test_size, args.dx, args.dy, teacher, derive_seed(args.seed, [ROLE_TEST])
+    dataset, model, evaluation, attack = run_instance(
+        args.model, args.k, args.dx, args.dy, get_activation(args.activation), args.n,
+        args.test_size, args.mask, args.seed,
     )
-    evaluation = generalization_error(model, test)
-    queries = build_query_batch(dataset, args.mask, derive_seed(args.seed, [ROLE_MASK]))
-    attack = run_attack(model, queries, dataset.g)
     cache = model.system.cache
     print(
         f"n={dataset.n} alpha={dataset.alpha:.4g} max_residual={model.report.max_residual:.3e} "
-        f"lambda_min_over_scale={cache.min_eig / fmap.n_params:.4g} "
+        f"lambda_min_over_scale={cache.min_eig / model.map.n_params:.4g} "
         f"condition={cache.condition:.3e} "
         f"test_error={evaluation.error:.4g} test_acc={evaluation.accuracy:.4f} "
         f"attack_acc={attack.attack_accuracy:.4f}"

@@ -53,9 +53,6 @@ class LabeledDataset:
     def alpha(self) -> float:
         return self.d_y / self.d
 
-    def x_block(self) -> np.ndarray:
-        return self.z[:, : self.d_x]
-
     def drop_row(self, i: int) -> "LabeledDataset":
         """The dataset without row i, for 0 <= i < n."""
         if not 0 <= i < self.n:
@@ -70,9 +67,6 @@ class TeacherVector:
 
     u: np.ndarray
     seed: int
-
-    def label(self, x: np.ndarray) -> float:
-        return 1.0 if float(self.u @ x) >= 0.0 else -1.0
 
     def labels(self, x_rows: np.ndarray) -> np.ndarray:
         return sign_readout(np.atleast_2d(x_rows) @ self.u)

@@ -5,16 +5,13 @@ class ReconstabError(Exception):
     """Base class for all package errors."""
 
 
-class SingularGram(ReconstabError):
-    """Gram matrix is singular below the rank tolerance."""
-
-
 class DimensionMismatch(ReconstabError):
     """Shapes are inconsistent, e.g. a query batch against the fitted rows."""
 
 
 class SingularKernel(ReconstabError):
-    """Training kernel cannot be inverted; the model cannot fit the labels."""
+    """Training kernel is not positive definite, or its smallest eigenvalue is
+    below the rank tolerance; the model cannot fit the labels."""
 
 
 class DegenerateDenominator(ReconstabError):

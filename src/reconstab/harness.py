@@ -7,13 +7,13 @@ digits of gamma_mean, gamma_std and lambda_min_over_scale. Rows may be
 computed concurrently but are always emitted in (N, trial) order, so the CSV
 bytes do not depend on the worker count.
 
-A row factors one Gram. The fit sees the training rows in the order
-[z_2..z_N; z_1], so the background system of the alignment trials (every row
-but z_1) is the leading block of the fit's system; the fit itself does not
-depend on the row order beyond roundoff. Test and attack queries, and the
-attack's labels, keep the dataset's order. The alignment trials mask their
-attacked samples with the config's mask, as the attack does, so gamma and
-attack_acc describe the same query.
+A row is one ``run_instance``, the instance ``reconstab fit`` runs too, plus
+the alignment trials. The fit sees the training rows in dataset order, and
+the background system of the alignment trials is every training row but the
+last: the leading block of the fit's system, so a row factors one Gram. The
+rows are exchangeable, so which one is held out does not matter. The
+alignment trials mask their attacked samples with the config's mask, as the
+attack does, so gamma and attack_acc describe the same query.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .alignment import estimate_gamma_on_instance
 from .attack import build_query_batch, run_attack
-from .data import MASKS, LabeledDataset, generate_synthetic, sample_teacher
+from .data import MASKS, generate_synthetic, sample_teacher
 from .errors import ConfigError, ReconstabError
 from .featuremaps import sample_map
-from .hermite import get_activation
+from .hermite import ActivationSpec, get_activation
 from .seeding import (
     ROLE_DATA,
     ROLE_GAMMA,
@@ -191,44 +189,51 @@ def write_rows(rows, stream) -> None:
         writer.writerow([_format_cell(getattr(row, name)) for name in RESULT_COLUMNS])
 
 
-def _first_row_last(dataset: LabeledDataset) -> LabeledDataset:
-    """The dataset with its first row moved to the end."""
-    return LabeledDataset(
-        z=np.roll(dataset.z, -1, axis=0), g=np.roll(dataset.g, -1, axis=0),
-        d_x=dataset.d_x, d_y=dataset.d_y,
-    )
+def run_instance(
+    kind: str, k: int, d_x: int, d_y: int, activation: ActivationSpec, n: int,
+    test_size: int, mask: str, master_seed: int, prefix: tuple[int, ...] = (),
+):
+    """Draw one instance, fit its n rows in dataset order, evaluate the fit on
+    a test draw and attack it with the masked queries of its training rows.
+
+    The teacher comes from [ROLE_TEACHER] of the master seed, so every
+    instance of a seed shares it; the rows, map, test set and mask come from
+    [*prefix, role]. Returns (dataset, model, evaluation, attack); the model
+    holds its map.
+    """
+    teacher = sample_teacher(d_x, derive_seed(master_seed, [ROLE_TEACHER]))
+
+    def seed(role: int) -> int:
+        return derive_seed(master_seed, [*prefix, role])
+
+    dataset = generate_synthetic(n, d_x, d_y, teacher, seed(ROLE_DATA))
+    fmap = sample_map(kind, k, d_x + d_y, activation, seed(ROLE_MAP))
+    model = fit_min_norm(fmap, dataset)
+    test = generate_synthetic(test_size, d_x, d_y, teacher, seed(ROLE_TEST))
+    evaluation = generalization_error(model, test)
+    queries = build_query_batch(dataset, mask, seed(ROLE_MASK))
+    attack = run_attack(model, queries, dataset.g)
+    return dataset, model, evaluation, attack
 
 
 def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
     master = config.master_seed
-    teacher = sample_teacher(config.d_x, derive_seed(master, [ROLE_TEACHER]))
     n = config.n_grid[n_idx]
-    data_seed = derive_seed(master, [n_idx, trial, ROLE_DATA])
-    map_seed = derive_seed(master, [n_idx, trial, ROLE_MAP])
-    test_seed = derive_seed(master, [n_idx, trial, ROLE_TEST])
-    mask_seed = derive_seed(master, [n_idx, trial, ROLE_MASK])
-    gamma_seed = derive_seed(master, [n_idx, trial, ROLE_GAMMA])
-
     identity = dict(
         model=config.model, n=n, alpha=config.alpha, activation=config.activation,
-        trial=trial, seed=data_seed,
+        trial=trial, seed=derive_seed(master, [n_idx, trial, ROLE_DATA]),
     )
 
     started = time.perf_counter()
-    activation = get_activation(config.activation)
     try:
-        dataset = generate_synthetic(n, config.d_x, config.d_y, teacher, data_seed)
-        fmap = sample_map(config.model, config.k, config.d, activation, map_seed)
-        model = fit_min_norm(fmap, _first_row_last(dataset))
-        test = generate_synthetic(
-            config.test_size, config.d_x, config.d_y, teacher, test_seed
+        _, model, evaluation, attack = run_instance(
+            config.model, config.k, config.d_x, config.d_y,
+            get_activation(config.activation), n, config.test_size, config.mask, master,
+            (n_idx, trial),
         )
-        evaluation = generalization_error(model, test)
-        queries = build_query_batch(dataset, config.mask, mask_seed)
-        attack = run_attack(model, queries, dataset.g)
         gamma_mean, gamma_std = estimate_gamma_on_instance(
-            model.system.leading(n - 1), config.d_x, config.gamma_trials, gamma_seed,
-            config.mask,
+            model.system.leading(n - 1), config.d_x, config.gamma_trials,
+            derive_seed(master, [n_idx, trial, ROLE_GAMMA]), config.mask,
         )
     except ReconstabError as exc:
         return ResultRow(**identity, error=f"{type(exc).__name__}: {exc}")
@@ -245,7 +250,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
         attack_acc=attack.attack_accuracy,
         gamma_mean=gamma_mean,
         gamma_std=gamma_std,
-        lambda_min_over_scale=model.system.cache.min_eig / fmap.n_params,
+        lambda_min_over_scale=model.system.cache.min_eig / model.map.n_params,
     )
 
 

@@ -135,15 +135,21 @@ def _half_range_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x_pos[::-1], x_pos]), np.concatenate([w_pos[::-1], w_pos])
 
 
-def _quadrature_coeffs(act: ActivationSpec, order: int, nodes: int) -> np.ndarray:
+def _quadrature_coeffs(
+    act: ActivationSpec, order: int, nodes: int
+) -> tuple[np.ndarray, float]:
+    """mu_0..mu_order and E[act^2] on one rule of the given node count."""
     if act.split_at_zero:
         x, w = _half_range_nodes(nodes)
-        return _hermite_matrix(order, x) @ (w * act(x))
+        values = act(x)
+        return _hermite_matrix(order, x) @ (w * values), float(np.sum(w * values**2))
     # w_i h_l(x_i) = v[l, i] v[0, i] straight from the eigenvectors: forming
     # w_i and h_l(x_i) apart multiplies the roundoff of a tiny outer weight
     # by a huge h_l(x_i), and high orders stop converging
     x, vectors = _jacobi_eigh(nodes)
-    return vectors[: order + 1] @ (vectors[0] * act(x))
+    values = act(x)
+    coeffs = vectors[: order + 1] @ (vectors[0] * values)
+    return coeffs, float(np.sum(vectors[0] ** 2 * values**2))
 
 
 def hermite_coefficients(act: ActivationSpec, order: int = DEFAULT_TRUNCATION) -> HermiteSpectrum:
@@ -169,22 +175,18 @@ def hermite_coefficients(act: ActivationSpec, order: int = DEFAULT_TRUNCATION) -
         )
 
     n = DEFAULT_NODES
-    cur = _quadrature_coeffs(act, order, n)
+    cur, _ = _quadrature_coeffs(act, order, n)
     while True:
         if 2 * n > MAX_NODES:
             raise QuadratureNonconvergent(f"coefficients still moving after {n} nodes")
-        nxt = _quadrature_coeffs(act, order, 2 * n)
+        nxt, second_moment = _quadrature_coeffs(act, order, 2 * n)
         converged = float(np.max(np.abs(nxt - cur))) < CONVERGENCE_TOL
         cur, n = nxt, 2 * n
         if converged:
             break
 
-    # Parseval remainder: E[act^2] - sum of captured squared coefficients
-    if act.split_at_zero:
-        x, w = _half_range_nodes(n)
-    else:
-        x, w = _gauss_hermite_nodes(n)
-    second_moment = float(np.sum(w * act(x) ** 2))
+    # Parseval remainder: E[act^2], on the rule the coefficients converged
+    # on, minus the sum of the captured squared coefficients
     tail = max(second_moment - float(np.sum(cur**2)), 0.0)
     return HermiteSpectrum(
         coefficients=cur, truncation=order, tail_power=tail, exact=False, nodes=n

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularGram, SingularKernel
+from .errors import SingularKernel
 
 # "Invertible" means the smallest eigenvalue of A A^T clears this multiple of
 # the largest one (scaled by max matrix dimension). Below it we raise instead
@@ -181,7 +181,7 @@ class KernelSolveCache:
         k = np.asarray(k, dtype=float)
         n = k.shape[0]
         if k.shape != (n, n):
-            raise SingularGram(f"expected square matrix, got {k.shape}")
+            raise SingularKernel(f"expected square matrix, got {k.shape}")
         p = n if p is None else p
         if n == 0:
             return cls(
@@ -191,14 +191,14 @@ class KernelSolveCache:
         try:
             chol = np.linalg.cholesky(k)
         except np.linalg.LinAlgError as exc:
-            raise SingularGram("Gram matrix is not positive definite") from exc
+            raise SingularKernel("Gram matrix is not positive definite") from exc
         cache = cls(chol=chol, diag_inv=_diagonal_inverses(chol), matrix=k, min_eig=float("nan"), p=p)
         cache.min_eig = 1.0 / _top_eigenvalue(cache.solve, n)
         # trace(K) >= lambda_max: only a lambda_min below the tolerance of the
         # trace needs lambda_max for the verdict
         trace_bound = (1.0 + n * np.finfo(float).eps) * float(np.trace(k))
         if cache.min_eig <= rank_tolerance(trace_bound, n, p) and cache.min_eig <= cache.tol:
-            raise SingularGram(
+            raise SingularKernel(
                 f"smallest eigenvalue {cache.min_eig:.3e} below tolerance {cache.tol:.3e}"
             )
         return cache
@@ -284,7 +284,7 @@ class KernelSystem:
     Fits, predictions, alignments and attacks all query this one object:
     ``cross`` gives the kernel rows of queries against the training rows and
     ``solve`` applies the inverse Gram. A singular Gram raises SingularKernel
-    here and nowhere else; no ridge term is ever added.
+    from ``KernelSolveCache.factor``; no ridge term is ever added.
     """
 
     map: object
@@ -294,10 +294,7 @@ class KernelSystem:
     @classmethod
     def build(cls, fmap, rows: np.ndarray) -> "KernelSystem":
         prepared = fmap.prepare(rows)
-        try:
-            cache = KernelSolveCache.factor(prepared.gram(), p=fmap.n_params)
-        except SingularGram as exc:
-            raise SingularKernel(str(exc)) from exc
+        cache = KernelSolveCache.factor(prepared.gram(), p=fmap.n_params)
         return cls(map=fmap, prepared=prepared, cache=cache)
 
     @property

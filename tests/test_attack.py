@@ -123,16 +123,6 @@ class TestRunAttack:
 
 
 class TestCovarianceDiagnostic:
-    def test_constant_labels_zero_covariances(self):
-        diag = covariance_diagnostic(
-            "rf", get_activation("h1+h2"), k=80, n=16, d_x=8, d_y=8,
-            trials=12, master_seed=0, label_fn=lambda x: 1.0,
-        )
-        assert diag.cov_attack == 0.0
-        assert diag.cov_stability == 0.0
-        assert diag.var_labels == 0.0
-        assert diag.bound_as_written == 0.0
-
     def test_first_equality_within_combined_error(self):
         diag = covariance_diagnostic(
             "rf", get_activation("h1+h2"), k=150, n=24, d_x=12, d_y=12,
@@ -182,7 +172,7 @@ class TestCovarianceDiagnostic:
         query_seed = derive_seed(seed, [ROLE_QUERY])
         outputs, stability, labels = [], [], []
         for z1, z1m in zip(*attacked_pairs(query_seed, trials, d_x, d_y, mask)):
-            g1 = teacher.label(z1[:d_x])
+            (g1,) = teacher.labels(z1[:d_x])
             full = LabeledDataset(
                 z=np.vstack([z1, background.z]),
                 g=np.concatenate([[g1], background.g]),

@@ -19,14 +19,14 @@ def teacher():
 class TestGenerateSynthetic:
     def test_exact_block_norms(self, teacher):
         ds = generate_synthetic(50, 6, 4, teacher, seed=1)
-        assert np.allclose(np.linalg.norm(ds.x_block(), axis=1), np.sqrt(6), atol=1e-10)
+        assert np.allclose(np.linalg.norm(ds.z[:, : ds.d_x], axis=1), np.sqrt(6), atol=1e-10)
         assert np.allclose(np.linalg.norm(ds.z[:, ds.d_x :], axis=1), np.sqrt(4), atol=1e-10)
 
     def test_one_dimensional_x(self):
         t = sample_teacher(1, seed=2)
         ds = generate_synthetic(40, 1, 3, t, seed=3)
-        assert set(np.unique(ds.x_block())) <= {-1.0, 1.0}
-        assert np.array_equal(ds.g, t.labels(ds.x_block()))
+        assert set(np.unique(ds.z[:, : ds.d_x])) <= {-1.0, 1.0}
+        assert np.array_equal(ds.g, t.labels(ds.z[:, : ds.d_x]))
 
     def test_label_balance(self):
         t = sample_teacher(50, seed=4)
@@ -44,7 +44,7 @@ class TestGenerateSynthetic:
         t = sample_teacher(4, seed=7)
         ds = generate_synthetic(10_000, 4, 4, t, seed=8)
         n = ds.n
-        x, y = ds.x_block(), ds.z[:, ds.d_x :]
+        x, y = ds.z[:, : ds.d_x], ds.z[:, ds.d_x :]
         for i in range(4):
             for j in range(4):
                 corr = np.corrcoef(x[:, i], y[:, j])[0, 1]
@@ -53,7 +53,7 @@ class TestGenerateSynthetic:
     def test_labels_depend_only_on_x(self, teacher):
         base = generate_synthetic(30, 6, 4, teacher, seed=9)
         fresh_noise = generate_synthetic(30, 6, 7, teacher, seed=9)
-        assert np.array_equal(base.x_block(), fresh_noise.x_block())
+        assert np.array_equal(base.z[:, : base.d_x], fresh_noise.z[:, : fresh_noise.d_x])
         assert np.array_equal(base.g, fresh_noise.g)
         assert not np.allclose(base.z[:, base.d_x :], fresh_noise.z[:, fresh_noise.d_x :][:, :4])
 
@@ -65,7 +65,7 @@ class TestGenerateSynthetic:
 
     def test_sign_zero_goes_positive(self):
         t = TeacherVector(u=np.array([0.0, 1.0]), seed=0)
-        assert t.label(np.array([5.0, 0.0])) == 1.0
+        assert np.array_equal(t.labels(np.array([5.0, 0.0])), [1.0])
 
 
 class TestMaskSample:

@@ -9,13 +9,23 @@ from hypothesis import strategies as st
 
 from reconstab import linops, verify
 from reconstab.alignment import AlignmentSolver, estimate_gamma_on_instance
+from reconstab.attack import run_attack
 from reconstab.cli import main
-from reconstab.data import MASKS, generate_synthetic, sample_teacher
+from reconstab.data import MASKS, generate_synthetic, mask_rows, sample_teacher
 from reconstab.errors import ConfigError
 from reconstab.featuremaps import sample_map
 from reconstab.harness import RESULT_COLUMNS, ExperimentConfig, parse_config, run_sweep, write_rows
 from reconstab.hermite import get_activation
-from reconstab.seeding import ROLE_DATA, ROLE_GAMMA, ROLE_MAP, ROLE_TEACHER, derive_seed
+from reconstab.seeding import (
+    ROLE_DATA,
+    ROLE_GAMMA,
+    ROLE_MAP,
+    ROLE_MASK,
+    ROLE_TEACHER,
+    ROLE_TEST,
+    derive_seed,
+)
+from reconstab.trainer import fit_min_norm, generalization_error
 
 SMALL_CONFIG = {
     "model": "rf",
@@ -232,6 +242,21 @@ class TestRunSweep:
         float(parsed[1][RESULT_COLUMNS.index("test_acc")])
 
 
+def _row_instance(config, row):
+    """A sweep row's seeds by role, and its dataset and map drawn afresh."""
+    teacher = sample_teacher(config.d_x, derive_seed(config.master_seed, [ROLE_TEACHER]))
+    n_idx = config.n_grid.index(row.n)
+    seed = {
+        role: derive_seed(config.master_seed, [n_idx, row.trial, role])
+        for role in (ROLE_DATA, ROLE_MAP, ROLE_TEST, ROLE_MASK, ROLE_GAMMA)
+    }
+    dataset = generate_synthetic(row.n, config.d_x, config.d_y, teacher, seed[ROLE_DATA])
+    fmap = sample_map(
+        config.model, config.k, config.d, get_activation(config.activation), seed[ROLE_MAP]
+    )
+    return seed, teacher, dataset, fmap
+
+
 class TestOneFactorPerRow:
     @pytest.mark.parametrize(
         "doc",
@@ -240,23 +265,32 @@ class TestOneFactorPerRow:
     )
     def test_gamma_matches_a_separately_factored_background(self, doc):
         config = parse_config(dict(doc))
-        teacher = sample_teacher(config.d_x, derive_seed(config.master_seed, [ROLE_TEACHER]))
         for row in run_sweep(config):
-            n_idx = config.n_grid.index(row.n)
-            seed = {
-                role: derive_seed(config.master_seed, [n_idx, row.trial, role])
-                for role in (ROLE_DATA, ROLE_MAP, ROLE_GAMMA)
-            }
-            dataset = generate_synthetic(row.n, config.d_x, config.d_y, teacher, seed[ROLE_DATA])
-            fmap = sample_map(
-                config.model, config.k, config.d, get_activation(config.activation), seed[ROLE_MAP]
-            )
-            background = linops.KernelSystem.build(fmap, dataset.z[1:])
+            seed, _, dataset, fmap = _row_instance(config, row)
+            background = linops.KernelSystem.build(fmap, dataset.z[:-1])
             mean, std = estimate_gamma_on_instance(
                 background, config.d_x, config.gamma_trials, seed[ROLE_GAMMA], config.mask
             )
             assert row.gamma_mean == pytest.approx(mean, rel=1e-12, abs=0)
             assert row.gamma_std == pytest.approx(std, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [SMALL_CONFIG, NTK_CONFIG, dict(NTK_CONFIG, mask="zero")],
+        ids=["rf", "ntk", "ntk-zero-mask"],
+    )
+    def test_row_scores_the_fit_on_its_dataset_in_order(self, doc):
+        config = parse_config(dict(doc))
+        for row in run_sweep(config):
+            seed, teacher, dataset, fmap = _row_instance(config, row)
+            model = fit_min_norm(fmap, dataset)
+            test = generate_synthetic(
+                config.test_size, config.d_x, config.d_y, teacher, seed[ROLE_TEST]
+            )
+            queries = mask_rows(dataset.z, config.d_x, config.mask, seed[ROLE_MASK])
+            assert row.test_acc == generalization_error(model, test).accuracy
+            assert row.attack_acc == run_attack(model, queries, dataset.g).attack_accuracy
+            assert row.lambda_min_over_scale == model.system.cache.min_eig / fmap.n_params
 
     def test_one_factorization_per_row(self, monkeypatch):
         calls = []

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconstab import linops
-from reconstab.errors import SingularGram
+from reconstab.errors import SingularKernel
 from reconstab.featuremaps import sample_map
 from reconstab.hermite import get_activation
 
@@ -98,7 +98,7 @@ class TestProjectRowspace:
 
     def test_singular_gram_raises(self):
         a = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        with pytest.raises(SingularGram):
+        with pytest.raises(SingularKernel):
             _project_rowspace(a, np.ones(3))
 
 
@@ -355,7 +355,7 @@ class TestSpectrumEstimate:
         eigs = np.linspace(0.5 * tol, 1.0, n)
         k = _with_spectrum(eigs, seed=1)
         np.linalg.cholesky(k)  # positive definite: only the estimate can reject it
-        with pytest.raises(SingularGram, match="below tolerance"):
+        with pytest.raises(SingularKernel, match="below tolerance"):
             linops.KernelSolveCache.factor(k)
 
     @settings(max_examples=60, deadline=None)
@@ -385,14 +385,14 @@ class TestSpectrumEstimate:
         accepted = min_eig > linops.rank_tolerance(max_eig, n, p)
         try:
             linops.KernelSolveCache.factor(k, p=p)
-        except SingularGram:
+        except SingularKernel:
             assert not accepted
         else:
             assert accepted
 
     def test_indefinite_raises_on_the_cholesky_path(self):
         k = _with_spectrum(np.linspace(-1.0, 1.0, 40), seed=2)
-        with pytest.raises(SingularGram, match="not positive definite"):
+        with pytest.raises(SingularKernel, match="not positive definite"):
             linops.KernelSolveCache.factor(k)
 
     def test_lands_inside_a_cluster_of_smallest_eigenvalues(self):

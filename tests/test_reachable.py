@@ -1,9 +1,11 @@
-"""Every public module-level name of the package is used inside the package.
+"""Every public module-level name of the package is used inside the package,
+and every name a package module imports is used in that module.
 
 A function, class or assigned name that occurs only at its definition is
 reached by nothing but tests (or by nothing at all) and should be deleted or
 wired in. Occurrences are counted as whole words over every package source
-file, the definition included, so at least two are required.
+file, the definition included, so at least two are required. An import is
+used when its bound name is read in the module, or listed in ``__all__``.
 """
 
 import ast
@@ -33,4 +35,33 @@ def test_every_public_name_is_used_inside_the_package():
         for name in _public_definitions(ast.parse(source))
         if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2
     ]
+    assert unused == []
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.extend((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = _used_names(tree)
+        unused.extend(f"{path.name}:{name}" for name in _imported_names(tree) if name not in used)
     assert unused == []
