@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .hermite import ActivationSpec
-from .linops import gram
+from .linops import _SOLVE_PANEL, gram
 
 # Rows per block when random features are activated or turned into outputs; a
 # block holds _ROW_BLOCK * k floats twice (pre-activations and activations). On
@@ -143,7 +143,7 @@ class NTKMap:
     def outputs(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """phi(z) . vec(W) for each row, with W of shape d x k."""
         rows = _as_rows(rows, self.d)
-        return np.einsum("nk,nk->n", self._derivs(rows), rows @ weights)
+        return _PreparedNTK(self, rows, self._derivs(rows)).outputs(weights)
 
 
 class _PreparedRF:
@@ -164,6 +164,10 @@ class _PreparedRF:
     def weights(self, coefs: np.ndarray) -> np.ndarray:
         """Phi^T c, of length k."""
         return self.phi.T @ coefs
+
+    def outputs(self, weights: np.ndarray) -> np.ndarray:
+        """phi(z) . w for each training row, with w of length k."""
+        return self.phi @ weights
 
     def gram(self) -> np.ndarray:
         return gram(self.phi)
@@ -193,10 +197,24 @@ class _PreparedNTK:
         """Phi^T c as the d x k matrix Z^T (c * D), D = act'(Z W0^T)."""
         return self.rows.T @ (coefs[:, None] * self.derivs)
 
+    def outputs(self, weights: np.ndarray) -> np.ndarray:
+        """phi(z) . vec(W) for each training row, with W of shape d x k."""
+        return np.einsum("nk,nk->n", self.derivs, self.rows @ weights)
+
     def gram(self) -> np.ndarray:
-        # both factors are syrk products, exactly symmetric, and so is theirs
+        """(Z Z^T) * (D D^T), D = act'(Z W0^T), with D D^T multiplied in by
+        row panels of the factor's width: one N x N array, and no second one
+        for the derivative factor.
+
+        Up to one panel the product is numpy's syrk, and the Gram is exactly
+        symmetric. Past it, each panel is a GEMM, whose entries at the BLAS
+        kernel's tile edges can differ from the syrk's, and from their mirror
+        images, in the last bit; the factor and ``eigvalsh`` read the lower
+        triangle only.
+        """
         k = self.rows @ self.rows.T
-        k *= self.derivs @ self.derivs.T
+        for s in range(0, self.n, _SOLVE_PANEL):
+            k[s : s + _SOLVE_PANEL] *= self.derivs[s : s + _SOLVE_PANEL] @ self.derivs.T
         return k
 
     def cross(self, queries: np.ndarray) -> np.ndarray:

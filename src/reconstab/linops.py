@@ -4,21 +4,25 @@ Everything runs in kernel space: only the N x N Gram A A^T of the N training
 rows is ever factored (the feature dimension p can be much larger than N, and
 no p x p matrix is ever formed).
 
-Each Gram is factored once, by Cholesky, and that is the only O(N^3) step.
-The extreme eigenvalues come from Lanczos on the factored matrix, not from a
-dense eigensolver, and each is paid for only where it is needed. lambda_min
-(solves against the factor) is computed by every factorization, because the
-rank guard needs it. lambda_max (matrix-vector products) is computed on first
-read, and the rank guard reads it only when the trace cannot settle the
-verdict: a positive definite Gram has trace >= lambda_max, so a lambda_min
-above the tolerance of the trace is above the tolerance of lambda_max too.
-Solves against the factor are blocked triangular substitutions over two
-levels: wide row panels, whose off-diagonal products are threaded BLAS
-matrix products, and small diagonal blocks inside each panel, multiplied by
-their inverses, computed once per factor. So no N x N system is ever handed
-to a general LU. The factor of a leading principal block is the leading block
-of the factor, so the system on the first m training rows is a view of the
-full system (``KernelSystem.leading``), not a second factorization.
+Each Gram is factored once, by Cholesky, and that is the only O(N^3) step. A
+fit holds one N x N buffer: ``KernelSolveCache.factor`` consumes the Gram it
+is given and writes the factor over it, block column by block column, and no
+copy of the Gram is kept beside the factor. The extreme eigenvalues come from
+Lanczos on the factored matrix L L^T, not from a dense eigensolver, and each
+is paid for only where it is needed. lambda_min (solves against the factor)
+is computed by every factorization, because the rank guard needs it.
+lambda_max (products v -> L (L^T v)) is computed on first read, and the rank
+guard reads it only when the trace, read before the factor overwrites the
+diagonal, cannot settle the verdict: a positive definite Gram has
+trace >= lambda_max, so a lambda_min above the tolerance of the trace is
+above the tolerance of lambda_max too. Solves against the factor are blocked
+triangular substitutions over two levels: wide row panels, whose
+off-diagonal products are threaded BLAS matrix products, and small diagonal
+blocks inside each panel, multiplied by their inverses, computed once per
+factor as it is built. So no N x N system is ever handed to a general LU. The
+factor of a leading principal block is the leading block of the factor, so
+the system on the first m training rows is a view of the full system
+(``KernelSystem.leading``), not a second factorization.
 """
 
 from __future__ import annotations
@@ -51,6 +55,14 @@ SOLVE_BLOCK = 64
 # right-hand sides took 14.5 and 20.4 ms without, 11.2 and 19.1 ms at 1024.
 # 512 was within noise of 1024 on one right-hand side, at N = 1500 and 3000,
 # and 1024 leaves every system of up to 1024 rows as it was.
+# It is also the width of the block columns of the factorization, so a Gram
+# of up to _SOLVE_PANEL rows is one LAPACK Cholesky and factors bit for bit as
+# before. With 2 BLAS threads the NTK Gram of N = 3000 factored in 0.23 s at
+# 1024, 0.24 at 256 and 0.27 at 64 (one LAPACK call: 0.38); the RF Gram of
+# N = 1500 in 0.061 s at 1024 and 0.035 at 64 (LAPACK: 0.057). A 64-wide
+# factor of the ill-conditioned RF Gram of
+# TestBlockedSolve.test_ill_conditioned_rf_gram solves with 1.09 times the
+# residual of LU, where the one LAPACK call gives 0.95 times.
 _SOLVE_PANEL = 1024
 
 # Lanczos stops once a bound on the distance from its top Ritz value to an
@@ -137,24 +149,72 @@ def _diagonal_inverses(chol: np.ndarray) -> np.ndarray:
     return np.linalg.inv(blocks)
 
 
+def _forward_blocks(l: np.ndarray, inv: np.ndarray, y: np.ndarray, ps: int, pe: int) -> None:
+    """y[ps:pe] <- L[ps:pe, ps:pe]^{-1} y[ps:pe], in place, by forward
+    substitution over the SOLVE_BLOCK-wide diagonal blocks of the panel; block
+    i of ``inv`` is the inverse of L's diagonal block that starts at row
+    i * SOLVE_BLOCK.
+    """
+    for s in range(ps, pe, SOLVE_BLOCK):
+        e = min(s + SOLVE_BLOCK, pe)
+        if s > ps:
+            y[s:e] -= l[s:e, ps:s] @ y[ps:s]
+        y[s:e] = inv[s // SOLVE_BLOCK, : e - s, : e - s] @ y[s:e]
+
+
+def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+    """Overwrite the SPD matrix ``a`` with its lower Cholesky factor and return
+    the inverses of the factor's diagonal blocks (as ``_diagonal_inverses``).
+
+    Left-looking over _SOLVE_PANEL-wide block columns (Golub & Van Loan,
+    Matrix Computations, 4th ed., section 4.2): each column is updated by one
+    product with the columns already factored, its diagonal block is factored
+    by LAPACK, and the panel below solves against that block by the forward
+    substitution of ``solve``. Only the lower triangle of ``a`` is read, and
+    the upper one is zeroed. The transient memory is one block column and
+    LAPACK's copies of one diagonal block.
+    """
+    n = a.shape[0]
+    diag_inv = np.empty(((n + SOLVE_BLOCK - 1) // SOLVE_BLOCK, SOLVE_BLOCK, SOLVE_BLOCK))
+    for j in range(0, n, _SOLVE_PANEL):
+        e = min(j + _SOLVE_PANEL, n)
+        if j:
+            a[j:, j:e] -= a[j:, :j] @ a[j:e, :j].T
+            a[:j, j:e] = 0.0
+        try:
+            a[j:e, j:e] = np.linalg.cholesky(a[j:e, j:e])
+        except np.linalg.LinAlgError as exc:
+            raise SingularKernel("Gram matrix is not positive definite") from exc
+        blocks = slice(j // SOLVE_BLOCK, (e + SOLVE_BLOCK - 1) // SOLVE_BLOCK)
+        diag_inv[blocks] = _diagonal_inverses(a[j:e, j:e])
+        # the rows below: L[e:, j:e] = A[e:, j:e] L[j:e, j:e]^{-T}
+        _forward_blocks(a, diag_inv, a[e:].T, j, e)
+    return diag_inv
+
+
 @dataclass
 class KernelSolveCache:
     """Cholesky factorization of an SPD Gram/kernel matrix plus spectrum metadata.
 
-    ``min_eig`` and ``max_eig`` are Lanczos estimates (``_top_eigenvalue``),
-    each within about LANCZOS_TOL relative of the exact eigenvalue. lambda_min
-    also carries the factorization's roundoff, at most of order
-    n * eps * lambda_max, because its Lanczos runs on (L L^T)^{-1}; on an RF
-    Gram of condition 3e7 it differs from a dense eigensolver's by 2e-10
-    relative. In exact arithmetic Ritz values never exceed the top
-    eigenvalue, so max_eig is a lower bound and min_eig, the reciprocal of the
-    top eigenvalue of K^{-1}, an upper bound (1/theta >= lambda_min).
+    ``factor`` consumes its argument: the Gram's buffer becomes the factor
+    ``chol``, so a factored system holds one N x N array and no copy of the
+    Gram. A caller that needs the Gram afterwards passes a copy.
+
+    ``min_eig`` and ``max_eig`` are Lanczos estimates (``_top_eigenvalue``) on
+    the factored matrix L L^T, each within about LANCZOS_TOL relative of the
+    exact eigenvalue of that matrix. lambda_min also carries the
+    factorization's roundoff, at most of order n * eps * lambda_max, because
+    its Lanczos runs on (L L^T)^{-1}; on an RF Gram of condition 3e7 it differs
+    from a dense eigensolver's by 2e-10 relative. In exact arithmetic Ritz
+    values never exceed the top eigenvalue, so max_eig is a lower bound and
+    min_eig, the reciprocal of the top eigenvalue of K^{-1}, an upper bound
+    (1/theta >= lambda_min).
 
     ``factor`` computes min_eig. ``max_eig``, and with it ``tol`` and
-    ``condition``, is computed from ``matrix`` on first read and kept; its
-    Lanczos starts from the same fixed vector whenever it runs, so a late read
-    gives the same bits as an eager one. The rank guard accepts a Gram at once
-    when min_eig clears the tolerance of (1 + n eps) trace(K): trace(K) >=
+    ``condition``, is computed on first read, by Lanczos on v -> L (L^T v),
+    and kept; it starts from the same fixed vector whenever it runs, so a late
+    read gives the same bits as an eager one. The rank guard accepts a Gram at
+    once when min_eig clears the tolerance of (1 + n eps) trace(K): trace(K) >=
     lambda_max >= theta_max, and the pad covers the roundoff of the trace's n
     positive terms. Otherwise it reads max_eig and applies the rule
     min_eig > tol(max_eig), so the verdict is that of the eager rule for every
@@ -171,32 +231,28 @@ class KernelSolveCache:
 
     chol: np.ndarray
     diag_inv: np.ndarray
-    matrix: np.ndarray
     min_eig: float
     p: int
     _max_eig: float | None = field(default=None, repr=False)
+    _matrix: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def factor(cls, k: np.ndarray, p: int | None = None) -> "KernelSolveCache":
+        """Factor the Gram ``k``, writing the factor over a float array ``k``:
+        the caller must not read ``k`` afterwards."""
         k = np.asarray(k, dtype=float)
         n = k.shape[0]
         if k.shape != (n, n):
             raise SingularKernel(f"expected square matrix, got {k.shape}")
         p = n if p is None else p
-        if n == 0:
-            return cls(
-                chol=np.zeros((0, 0)), diag_inv=_diagonal_inverses(np.zeros((0, 0))),
-                matrix=k, min_eig=0.0, p=p, _max_eig=0.0,
-            )
-        try:
-            chol = np.linalg.cholesky(k)
-        except np.linalg.LinAlgError as exc:
-            raise SingularKernel("Gram matrix is not positive definite") from exc
-        cache = cls(chol=chol, diag_inv=_diagonal_inverses(chol), matrix=k, min_eig=float("nan"), p=p)
-        cache.min_eig = 1.0 / _top_eigenvalue(cache.solve, n)
         # trace(K) >= lambda_max: only a lambda_min below the tolerance of the
         # trace needs lambda_max for the verdict
         trace_bound = (1.0 + n * np.finfo(float).eps) * float(np.trace(k))
+        cache = cls(chol=k, diag_inv=_cholesky_in_place(k), min_eig=0.0, p=p)
+        if n == 0:
+            cache._max_eig = 0.0
+            return cache
+        cache.min_eig = 1.0 / _top_eigenvalue(cache.solve, n)
         if cache.min_eig <= rank_tolerance(trace_bound, n, p) and cache.min_eig <= cache.tol:
             raise SingularKernel(
                 f"smallest eigenvalue {cache.min_eig:.3e} below tolerance {cache.tol:.3e}"
@@ -207,8 +263,22 @@ class KernelSolveCache:
     def max_eig(self) -> float:
         """Lanczos estimate of lambda_max, computed on first read."""
         if self._max_eig is None:
-            self._max_eig = _top_eigenvalue(lambda v: self.matrix @ v, self.n)
+            l = self.chol
+            self._max_eig = _top_eigenvalue(lambda v: l @ (l.T @ v), self.n)
         return self._max_eig
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The factored matrix L L^T, formed on first read and kept.
+
+        Nothing in the package reads it, so an untraced run never forms it.
+        It is kept for the benchmark's tracer, which measures solve residuals
+        against it, until the package records its own trace (ROADMAP,
+        direction 1) and this property goes.
+        """
+        if self._matrix is None:
+            self._matrix = self.chol @ self.chol.T
+        return self._matrix
 
     @property
     def tol(self) -> float:
@@ -233,7 +303,7 @@ class KernelSolveCache:
         nan = float("nan")
         return KernelSolveCache(
             chol=self.chol[:m, :m], diag_inv=self.diag_inv[: (m + SOLVE_BLOCK - 1) // SOLVE_BLOCK],
-            matrix=self.matrix[:m, :m], min_eig=nan, p=self.p, _max_eig=nan,
+            min_eig=nan, p=self.p, _max_eig=nan,
         )
 
     @property
@@ -259,11 +329,7 @@ class KernelSolveCache:
         for ps, pe in panels:
             if ps:
                 y[ps:pe] -= l[ps:pe, :ps] @ y[:ps]
-            for s in range(ps, pe, SOLVE_BLOCK):
-                e = min(s + SOLVE_BLOCK, pe)
-                if s > ps:
-                    y[s:e] -= l[s:e, ps:s] @ y[ps:s]
-                y[s:e] = inv[s // SOLVE_BLOCK, : e - s, : e - s] @ y[s:e]
+            _forward_blocks(l, inv, y, ps, pe)
         for ps, pe in reversed(panels):
             for s in reversed(range(ps, pe, SOLVE_BLOCK)):
                 e = min(s + SOLVE_BLOCK, pe)

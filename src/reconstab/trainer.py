@@ -5,10 +5,12 @@ Predictions take rows: an (n, d) array, where a 1-D row is a batch of one.
 Test accuracy is the sign readout of those outputs, a 0 output read as +1.
 Every fit starts from the zero function and its weights live in the row span
 of the training features, so a model is its KernelSystem (prepared training
-rows and their one factored Gram) plus the dual coefficients c = K^{-1} g of
-the labels g. The fit turns c once into the primal weights Phi^T c (O(N p)),
-a k-vector for random features and a d x k matrix for tangent features, and
-predictions are the map's outputs at those weights, O(n p) for n queries,
+rows and the Cholesky factor of their Gram, with no copy of the Gram) plus
+the dual coefficients c = K^{-1} g of the labels g. The fit turns c once into
+the primal weights w = Phi^T c (O(N p)), a k-vector for random features and a
+d x k matrix for tangent features, and measures its interpolation by the
+residual Phi w - g of those weights on the training rows (O(N p)).
+Predictions are the map's outputs at those weights, O(n p) for n queries,
 with no n x N cross kernel; alignments still run in kernel space, on the
 KernelSystem. For random features a model holds its N x k training features
 once, and a prediction of n rows needs O(block k) transient memory, not the
@@ -30,9 +32,11 @@ from .linops import KernelSystem
 
 @dataclass
 class FitReport:
-    """How closely the fit interpolates its labels. The spectrum of its Gram
-    is read from ``model.system.cache``, where lambda_max is paid for only
-    when read.
+    """How closely the fit interpolates its labels: the largest entry of
+    Phi w - g, the predictor's own outputs on its training rows against their
+    labels, read off the prepared rows in O(N p). The spectrum of its Gram is
+    read from ``model.system.cache``, where lambda_max is paid for only when
+    read.
     """
 
     max_residual: float
@@ -96,12 +100,10 @@ def fit_min_norm(fmap, dataset: LabeledDataset) -> TrainedModel:
         )
     system = KernelSystem.build(fmap, dataset.z)
     coefs = system.solve(targets)
-
-    residuals = system.cache.matrix @ coefs - targets
+    weights = system.prepared.weights(coefs)
+    residuals = system.prepared.outputs(weights) - targets
     report = FitReport(max_residual=float(np.max(np.abs(residuals))) if residuals.size else 0.0)
-    return TrainedModel(
-        system=system, dual_coefs=coefs, weights=system.prepared.weights(coefs), report=report
-    )
+    return TrainedModel(system=system, dual_coefs=coefs, weights=weights, report=report)
 
 
 def generalization_error(model: TrainedModel, test: LabeledDataset) -> EvalReport:

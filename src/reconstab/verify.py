@@ -139,8 +139,9 @@ def check_loo_denominator_bound(instances: int = 5, seed: int = 104) -> CheckRes
     for kind_idx, kind in enumerate(("rf", "ntk")):
         for i in range(instances):
             fmap, dataset = _desk_instance(kind, derive_seed(seed, [kind_idx, i]))
+            # the dense reference comes from a Gram of its own, not from the factor
+            kernel = fmap.prepare(dataset.z).gram()
             system = linops.KernelSystem.build(fmap, dataset.z)
-            kernel = system.cache.matrix
             denominators = 1.0 / np.diag(system.solve(np.eye(dataset.n)))
             gap = float(np.linalg.eigvalsh(kernel)[0]) - float(np.min(denominators))
             ok = ok and gap <= 1e-8 * float(np.max(np.abs(kernel)))
@@ -154,8 +155,9 @@ def check_spectrum_estimate(seed: int = 109, tol: float = 1e-9) -> CheckResult:
     for kind_idx, kind in enumerate(("rf", "ntk")):
         fmap, dataset = _desk_instance(kind, derive_seed(seed, [kind_idx]))
         kernel = fmap.prepare(dataset.z).gram()
-        cache = linops.KernelSolveCache.factor(kernel, p=fmap.n_params)
+        # before the factor, which consumes the Gram
         exact = np.linalg.eigvalsh(kernel)
+        cache = linops.KernelSolveCache.factor(kernel, p=fmap.n_params)
         exact_min, exact_max = float(exact[0]), float(exact[-1])
         worst = max(
             worst,

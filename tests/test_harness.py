@@ -337,6 +337,28 @@ class TestSpectrumPaidWhereRead:
         assert lanczos_sizes == [12, 12]
 
 
+class TestNoGramBesideTheFactor:
+    """``KernelSolveCache.matrix`` is formed only where it is read, and no
+    command reads it: a sweep row and ``fit`` keep the factor alone."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_matrix(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("the package must not form L L^T")
+
+        monkeypatch.setattr(linops.KernelSolveCache, "matrix", property(forbidden))
+
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
+    def test_sweep(self, doc):
+        assert all(row.error == "" for row in run_sweep(parse_config(dict(doc))))
+
+    @pytest.mark.parametrize("model", ["rf", "ntk"])
+    def test_fit(self, model, capsys):
+        assert main(["fit", "--model", model, "--k", "60", "--dx", "8", "--dy", "8",
+                     "--n", "12", "--test-size", "20"]) == 0
+        assert "max_residual=" in capsys.readouterr().out
+
+
 class TestNoDenseEigensolverOrLU:
     @pytest.fixture
     def forbid_dense(self, monkeypatch):

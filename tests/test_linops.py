@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,7 +129,7 @@ class TestKernelSolveCache:
         rng = np.random.default_rng(15)
         a = rng.standard_normal((6, 9))
         k = linops.gram(a)
-        cache = linops.KernelSolveCache.factor(k)
+        cache = linops.KernelSolveCache.factor(k.copy())
         rebuilt = cache.chol @ cache.chol.T
         assert np.linalg.norm(rebuilt - k) <= 1e-10 * np.linalg.norm(k)
         assert cache.min_eig >= 0.0
@@ -136,7 +138,7 @@ class TestKernelSolveCache:
         rng = np.random.default_rng(16)
         a = rng.standard_normal((8, 12))
         k = linops.gram(a)
-        cache = linops.KernelSolveCache.factor(k)
+        cache = linops.KernelSolveCache.factor(k.copy())
         b = rng.standard_normal(8)
         x = cache.solve(b)
         assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -176,7 +178,7 @@ class TestBlockedSolve:
     def test_matches_dense_solve(self, n, width):
         rng, k = _wishart_gram(n)
         b = rng.standard_normal(n if width is None else (n, width))
-        cache = linops.KernelSolveCache.factor(k)
+        cache = linops.KernelSolveCache.factor(k.copy())
         x = cache.solve(b)
         oracle = np.linalg.solve(k, b) if n else np.zeros_like(b)
         assert x.shape == b.shape
@@ -198,7 +200,7 @@ class TestBlockedSolve:
     def test_leading_view_that_cuts_a_panel(self, m):
         # n - 1 rows, the view every sweep row takes, cuts the last panel
         rng, k = _wishart_gram(2 * P + B + 5)
-        view = linops.KernelSolveCache.factor(k).leading(m)
+        view = linops.KernelSolveCache.factor(k.copy()).leading(m)
         direct = linops.KernelSolveCache.factor(k[:m, :m].copy())
         b = rng.standard_normal((m, 2))
         for rhs in (b, b[:, 0]):
@@ -211,7 +213,7 @@ class TestBlockedSolve:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         fmap = sample_map("ntk", 64, d, get_activation("h0+h1"), 2)
         k = fmap.prepare(z).gram()
-        cache = linops.KernelSolveCache.factor(k, p=fmap.n_params)
+        cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         b = np.random.default_rng(3).standard_normal(n)
         oracle = np.linalg.solve(k, b)
         assert np.linalg.norm(cache.solve(b) - oracle) <= 1e-10 * np.linalg.norm(oracle)
@@ -225,12 +227,90 @@ class TestBlockedSolve:
         z = rng.standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         k = fmap.prepare(z).gram()
-        cache = linops.KernelSolveCache.factor(k, p=fmap.n_params)
+        cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         assert cache.condition > 1e7
         b = rng.standard_normal(n)
         resid = np.linalg.norm(k @ cache.solve(b) - b)
         oracle_resid = np.linalg.norm(k @ np.linalg.solve(k, b) - b)
         assert resid <= oracle_resid
+
+
+class TestFactorInPlace:
+    """The factor is written over the Gram, one block column of P rows at a
+    time; a Gram of at most P rows is one LAPACK Cholesky."""
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, P])
+    def test_one_panel_is_lapack_bit_for_bit(self, n):
+        _, k = _wishart_gram(n)
+        chol = np.linalg.cholesky(k)
+        cache = linops.KernelSolveCache.factor(k)
+        assert np.shares_memory(cache.chol, k)
+        assert np.array_equal(cache.chol, chol)
+        assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(chol))
+
+    @pytest.mark.parametrize("n", [P + 1, 2 * P + B + 5])
+    def test_block_columns_match_lapack(self, n):
+        _, k = _wishart_gram(n)
+        chol = np.linalg.cholesky(k)
+        cache = linops.KernelSolveCache.factor(k)
+        assert np.linalg.norm(cache.chol - chol) <= 1e-14 * np.linalg.norm(chol)
+        assert not np.any(np.triu(cache.chol, 1))
+        assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(cache.chol))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_breakdown_in_the_second_panel_raises(self, seed):
+        # k = 1050 random features: the leading P x P block is positive
+        # definite, and the Gram of N = 1100 rows has rank 1050
+        n, d = P + 76, 60
+        z = np.random.default_rng(seed).standard_normal((n, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        fmap = sample_map("rf", P + 26, d, get_activation("h1+h2"), seed)
+        k = fmap.prepare(z).gram()
+        np.linalg.cholesky(k[:P, :P])
+        with pytest.raises(SingularKernel, match="not positive definite"):
+            linops.KernelSolveCache.factor(k, p=fmap.n_params)
+
+    @pytest.mark.parametrize("n", [P, P + 276])
+    def test_ntk_gram_by_row_panels(self, n):
+        d = 64
+        z = np.random.default_rng(1).standard_normal((n, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        prepared = sample_map("ntk", 64, d, get_activation("h1+h2"), 2).prepare(z)
+        k = prepared.gram()
+        whole = (prepared.rows @ prepared.rows.T) * (prepared.derivs @ prepared.derivs.T)
+        if n <= P:
+            assert np.array_equal(k, whole) and np.array_equal(k, k.T)
+        else:
+            # a panel is a GEMM, the whole product a syrk: they may differ
+            # in the last bit
+            assert np.max(np.abs(k - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+    def test_matrix_is_formed_on_read_and_kept(self):
+        _, k = _wishart_gram(B + 5)
+        cache = linops.KernelSolveCache.factor(k.copy())
+        assert cache._matrix is None
+        matrix = cache.matrix
+        assert cache.matrix is matrix
+        assert np.array_equal(matrix, cache.chol @ cache.chol.T)
+        assert np.linalg.norm(matrix - k) <= 1e-14 * np.linalg.norm(k)
+
+    def test_build_holds_one_gram_sized_buffer(self):
+        # in units of one N x N array, net of the prepared rows: a Gram kept
+        # beside its factor holds 2, and a second N x N temporary peaks above 2
+        n, d = 1500, 256
+        z = np.random.default_rng(0).standard_normal((n, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        fmap = sample_map("ntk", 64, d, get_activation("h0+h1"), 1)
+        tracemalloc.start()
+        try:
+            system = linops.KernelSystem.build(fmap, z)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = system.prepared.derivs.nbytes
+        unit = n * n * 8
+        assert (held - rows) / unit <= 1.2
+        assert (peak - rows) / unit <= 1.9
 
 
 class TestResidualNormBound:
@@ -278,7 +358,7 @@ class TestSpectrumEstimate:
     @pytest.mark.parametrize("n", [1, 2, 3, B - 1, B, B + 1, 300])
     def test_matches_eigvalsh_on_kernel_grams(self, kind, n):
         fmap, k = _kernel_gram(kind, n)
-        _assert_spectrum_close(linops.KernelSolveCache.factor(k, p=fmap.n_params), k)
+        _assert_spectrum_close(linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params), k)
 
     def test_ill_conditioned_rf_gram(self):
         # the Gram of TestBlockedSolve.test_ill_conditioned_rf_gram: k = N + 5
@@ -287,7 +367,7 @@ class TestSpectrumEstimate:
         z = np.random.default_rng(0).standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         k = fmap.prepare(z).gram()
-        cache = linops.KernelSolveCache.factor(k, p=fmap.n_params)
+        cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         assert cache.condition > 1e7
         _assert_spectrum_close(cache, k, eig_err=1e-12)
 
@@ -306,12 +386,13 @@ class TestSpectrumEstimate:
 
     def test_two_factors_give_the_same_bits(self):
         fmap, k = _kernel_gram("ntk", 200)
-        a = linops.KernelSolveCache.factor(k, p=fmap.n_params)
+        a = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         b = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         assert (a.min_eig, a.max_eig, a.tol) == (b.min_eig, b.max_eig, b.tol)
         assert np.array_equal(a.chol, b.chol) and np.array_equal(a.diag_inv, b.diag_inv)
-        # lambda_max is read late, and gives the bits of an eager run
-        top = linops._top_eigenvalue(lambda v: k @ v, len(k))
+        # lambda_max is read late, and gives the bits of an eager run on L L^T
+        l = a.chol
+        top = linops._top_eigenvalue(lambda v: l @ (l.T @ v), len(k))
         assert a.max_eig == top
         assert a.tol == linops.rank_tolerance(top, len(k), fmap.n_params)
         assert a.condition == top / a.min_eig
@@ -345,9 +426,11 @@ class TestSpectrumEstimate:
         # only lambda_max settles the verdict
         n = 80
         tol = linops.rank_tolerance(1.0, n, n)
-        cache = linops.KernelSolveCache.factor(_with_spectrum(np.linspace(2.0 * tol, 1.0, n), seed=1))
+        k = _with_spectrum(np.linspace(2.0 * tol, 1.0, n), seed=1)
+        trace = np.trace(k)
+        cache = linops.KernelSolveCache.factor(k)
         assert lanczos_sizes == [n, n]
-        assert cache.tol < cache.min_eig < linops.rank_tolerance(np.trace(cache.matrix), n, n)
+        assert cache.tol < cache.min_eig < linops.rank_tolerance(trace, n, n)
 
     def test_below_tolerance_raises_on_the_lanczos_path(self):
         n = 80
@@ -378,10 +461,10 @@ class TestSpectrumEstimate:
         k = _with_spectrum(np.concatenate([[low, 1.0], bulk]), seed)
         chol = np.linalg.cholesky(k)
         eager = linops.KernelSolveCache(
-            chol=chol, diag_inv=linops._diagonal_inverses(chol), matrix=k, min_eig=0.0, p=p
+            chol=chol, diag_inv=linops._diagonal_inverses(chol), min_eig=0.0, p=p
         )
         min_eig = 1.0 / linops._top_eigenvalue(eager.solve, n)
-        max_eig = linops._top_eigenvalue(lambda v: k @ v, n)
+        max_eig = linops._top_eigenvalue(lambda v: chol @ (chol.T @ v), n)
         accepted = min_eig > linops.rank_tolerance(max_eig, n, p)
         try:
             linops.KernelSolveCache.factor(k, p=p)
@@ -412,7 +495,7 @@ class TestSpectrumEstimate:
         n = 110
         eigs = np.concatenate([[1.0, 2.03125], np.full(n - 2, 1.015625)])
         k = _with_spectrum(eigs, seed=263)
-        _assert_spectrum_close(linops.KernelSolveCache.factor(k), k)
+        _assert_spectrum_close(linops.KernelSolveCache.factor(k.copy()), k)
 
     def test_top_of_a_tight_cluster_needs_reorthogonalization(self):
         # five eigenvalues within 1e-4 relative at the top, one far below: the
@@ -444,4 +527,4 @@ class TestSpectrumEstimate:
         else:
             eigs = np.concatenate([[1.0, top], rng.uniform(lo, hi, n - 2)])
         k = _with_spectrum(eigs, seed)
-        _assert_spectrum_close(linops.KernelSolveCache.factor(k), k, eig_err=1e-12)
+        _assert_spectrum_close(linops.KernelSolveCache.factor(k.copy()), k, eig_err=1e-12)
