@@ -80,7 +80,6 @@ class AlignmentEstimate:
     ratio_of_means: float
     tail_bound: float
     truncation: int
-    values: np.ndarray
 
 
 @dataclass
@@ -195,7 +194,6 @@ def estimate_gamma(
         ratio_of_means=float(np.mean(nums) / np.mean(dens)),
         tail_bound=series_tail_bound(spectrum, alpha) if alpha < 1.0 else 0.0,
         truncation=spectrum.truncation,
-        values=values,
     )
 
 

@@ -66,7 +66,6 @@ class TeacherVector:
     """Unit vector defining the labeling rule g(x) = sign(u . x)."""
 
     u: np.ndarray
-    seed: int
 
     def labels(self, x_rows: np.ndarray) -> np.ndarray:
         return sign_readout(np.atleast_2d(x_rows) @ self.u)
@@ -75,11 +74,14 @@ class TeacherVector:
 def sample_teacher(d_x: int, seed: int) -> TeacherVector:
     rng = np.random.default_rng([seed, 0x7EAC])
     u = rng.standard_normal(d_x)
-    return TeacherVector(u=u / np.linalg.norm(u), seed=seed)
+    return TeacherVector(u=u / np.linalg.norm(u))
 
 
 def _sphere_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """n rows uniform on the sphere of radius sqrt(dim)."""
+    """n rows uniform on the sphere of radius sqrt(dim), for dim >= 1."""
+    if dim < 1:
+        # an empty row has norm 0 however often it is redrawn
+        raise ValueError(f"sphere dimension must be >= 1, got {dim}")
     rows = rng.standard_normal((n, dim))
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     # resample the measure-zero all-zero rows rather than dividing by 0
@@ -138,8 +140,8 @@ def mask_rows(z: np.ndarray, d_x: int, mask: str, seed: int) -> np.ndarray:
     """
     _check_mask(mask)
     z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[1] < d_x:
-        raise ValueError(f"z must be rows of length >= d_x={d_x}, got shape {z.shape}")
+    if z.ndim != 2 or not 1 <= d_x <= z.shape[1]:
+        raise ValueError(f"z must be rows of length >= d_x={d_x} >= 1, got shape {z.shape}")
     out = z.copy()
     if mask == "zero":
         out[:, :d_x] = 0.0

@@ -55,7 +55,6 @@ class RFMap:
 
     v: np.ndarray
     activation: ActivationSpec
-    seed: int
 
     kind = "rf"
 
@@ -108,7 +107,6 @@ class NTKMap:
 
     w0: np.ndarray
     activation_derivative: ActivationSpec
-    seed: int
 
     kind = "ntk"
 
@@ -233,4 +231,4 @@ def sample_map(kind: str, k: int, d: int, activation: ActivationSpec, seed: int)
     if k < 1 or d < 1:
         raise ValueError("k and d must be >= 1")
     weights = np.random.default_rng(seed).standard_normal((k, d)) / np.sqrt(d)
-    return (RFMap if kind == "rf" else NTKMap)(weights, activation, seed)
+    return (RFMap if kind == "rf" else NTKMap)(weights, activation)

@@ -156,8 +156,9 @@ def hermite_coefficients(act: ActivationSpec, order: int = DEFAULT_TRUNCATION) -
     """Coefficients mu_l = E[act(rho) h_l(rho)] for l = 0..order.
 
     Explicit Hermite combinations return their coefficient list exactly.
-    Callables are integrated by quadrature, doubling the node count until the
-    coefficients move by less than 1e-8 (QuadratureNonconvergent past the cap).
+    Callables are integrated by quadrature, doubling the node count, from the
+    first DEFAULT_NODES * 2^j above order, until the coefficients move by less
+    than 1e-8 (QuadratureNonconvergent past the cap).
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -174,7 +175,12 @@ def hermite_coefficients(act: ActivationSpec, order: int = DEFAULT_TRUNCATION) -
             nodes=0,
         )
 
+    # the Gauss-Hermite rule of n nodes spans orders 0..n-1 only
     n = DEFAULT_NODES
+    while n <= order:
+        n *= 2
+    if 2 * n > MAX_NODES:
+        raise QuadratureNonconvergent(f"order {order} needs {n} nodes and a doubling, past {MAX_NODES}")
     cur, _ = _quadrature_coeffs(act, order, n)
     while True:
         if 2 * n > MAX_NODES:
@@ -193,10 +199,8 @@ def hermite_coefficients(act: ActivationSpec, order: int = DEFAULT_TRUNCATION) -
     )
 
 
-def gamma_rf_lower_bound(spec: HermiteSpectrum, alpha: float) -> float:
-    """Lower bound on the limiting masked-query alignment for the RF model:
-    (sum_{l>=2} mu_l^2 alpha^l) / (sum_{l>=1} mu_l^2).
-    """
+def _alpha_series(spec: HermiteSpectrum, alpha: float, start: int, scale: float) -> float:
+    """scale * (sum_{l>=start} mu_l^2 alpha^l) / (sum_{l>=1} mu_l^2)."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     mu_sq = spec.coefficients**2
@@ -204,21 +208,21 @@ def gamma_rf_lower_bound(spec: HermiteSpectrum, alpha: float) -> float:
     if denom <= 0.0:
         raise DegenerateSpectrum("all coefficients with l >= 1 vanish")
     powers = alpha ** np.arange(len(mu_sq))
-    return float(np.sum(mu_sq[2:] * powers[2:])) / denom
+    return scale * float(np.sum(mu_sq[start:] * powers[start:])) / denom
+
+
+def gamma_rf_lower_bound(spec: HermiteSpectrum, alpha: float) -> float:
+    """Lower bound on the limiting masked-query alignment for the RF model:
+    (sum_{l>=2} mu_l^2 alpha^l) / (sum_{l>=1} mu_l^2).
+    """
+    return _alpha_series(spec, alpha, 2, 1.0)
 
 
 def gamma_ntk_closed_form(spec: HermiteSpectrum, alpha: float) -> float:
     """Closed-form limiting alignment for the NTK model, from the spectrum of
     the activation derivative: alpha * (sum_{l>=1} mu_l^2 alpha^l) / (sum_{l>=1} mu_l^2).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    mu_sq = spec.coefficients**2
-    denom = float(np.sum(mu_sq[1:]))
-    if denom <= 0.0:
-        raise DegenerateSpectrum("all coefficients with l >= 1 vanish")
-    powers = alpha ** np.arange(len(mu_sq))
-    return alpha * float(np.sum(mu_sq[1:] * powers[1:])) / denom
+    return _alpha_series(spec, alpha, 1, alpha)
 
 
 def series_tail_bound(spec: HermiteSpectrum, alpha: float) -> float:

@@ -265,47 +265,46 @@ def check_covariance_first_equality(seed: int = 110, trials: int = 300) -> Check
     return CheckResult("covariance-first-equality", ok, "; ".join(details))
 
 
-def _estimate_gamma_ntk(alpha: float, n: int, seed: int, trials: int):
-    d = 256
-    d_y = int(round(alpha * d))
-    return estimate_gamma(
-        "ntk", get_activation("h0+h1"), k=64, n=n, d_x=d - d_y, d_y=d_y,
-        trials=trials, master_seed=seed,
-    )
+def check_gamma_ntk(*, seed: int = 107, trials: int = 50) -> list[CheckResult]:
+    """The closed-form alignment limit of tangent maps inside the theorem's
+    regime, d=256 and k=64, as three checks:
 
+    - gamma-ntk-alpha=0.5 and gamma-ntk-alpha=0.25: at N=3000, so N >> d and
+      N << kd = 16,384, the estimate matches the closed form;
+    - gamma-ntk-convergence: the finite-size gap |mean - closed form| at
+      alpha=0.5 falls with N: at N=3000 it is below half the gap at N=375, and
+      the drop exceeds three combined standard errors.
 
-def check_gamma_ntk(alpha: float, seed: int = 107, trials: int = 50) -> CheckResult:
-    """Closed-form alignment limit inside the theorem's regime: d=256, k=64,
-    N=3000, so N >> d and N << kd = 16,384.
-    """
-    est = _estimate_gamma_ntk(alpha, 3000, seed, trials)
-    verdict = compare_gamma_theory(est, tolerance=0.05)
-    return CheckResult(
-        f"gamma-ntk-alpha={alpha}",
-        verdict.passed,
-        f"mean {est.mean:.4f} vs {est.lower:.4f} (slack {verdict.slack:.4f})",
-    )
-
-
-def check_gamma_ntk_convergence(seed: int = 107, trials: int = 50) -> CheckResult:
-    """The finite-size gap |mean - closed form| at alpha=0.5 falls with N: at
-    N=3000 it is below half the gap at N=375, and the drop exceeds three
-    combined standard errors.
+    Each (alpha, N) estimate is drawn once; the alpha=0.5, N=3000 one serves
+    two checks.
     """
     sizes = (375, 750, 1500, 3000)
-    gaps, errors = [], []
-    for n in sizes:
-        est = _estimate_gamma_ntk(0.5, n, seed, trials)
-        gaps.append(abs(est.mean - est.lower))
-        errors.append(est.std / math.sqrt(est.trials))
+    ests = {}
+    for alpha, n in [(0.5, n) for n in sizes] + [(0.25, 3000)]:
+        d_y = int(round(alpha * 256))
+        ests[alpha, n] = estimate_gamma(
+            "ntk", get_activation("h0+h1"), k=64, n=n, d_x=256 - d_y, d_y=d_y,
+            trials=trials, master_seed=seed,
+        )
+    checks = []
+    for alpha in (0.5, 0.25):
+        est = ests[alpha, 3000]
+        verdict = compare_gamma_theory(est, tolerance=0.05)
+        checks.append(CheckResult(
+            f"gamma-ntk-alpha={alpha}",
+            verdict.passed,
+            f"mean {est.mean:.4f} vs {est.lower:.4f} (slack {verdict.slack:.4f})",
+        ))
+    gaps = [abs(ests[0.5, n].mean - ests[0.5, n].lower) for n in sizes]
+    errors = [ests[0.5, n].std / math.sqrt(trials) for n in sizes]
     drop = gaps[0] - gaps[-1]
     combined = math.hypot(errors[0], errors[-1])
-    return CheckResult(
+    return checks + [CheckResult(
         "gamma-ntk-convergence",
         gaps[-1] < 0.5 * gaps[0] and drop > 3.0 * combined,
         f"gap {', '.join(f'{g:.4f}' for g in gaps)} at N={list(sizes)}; "
         f"drop {drop / combined:.1f} SE",
-    )
+    )]
 
 
 def check_gamma_rf(alpha: float, seed: int = 108, trials: int = 50) -> CheckResult:
@@ -347,9 +346,7 @@ def quick_checks() -> list[CheckResult]:
 def full_checks() -> list[CheckResult]:
     return quick_checks() + [
         check_covariance_first_equality(),
-        check_gamma_ntk(0.5),
-        check_gamma_ntk(0.25),
-        check_gamma_ntk_convergence(),
+        *check_gamma_ntk(),
         check_gamma_rf(0.5),
         check_gamma_rf(0.25),
     ]

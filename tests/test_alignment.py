@@ -165,7 +165,6 @@ class TestEstimateGamma:
             "rf", get_activation("relu"), k=60, n=25, d_x=10, d_y=10,
             trials=8, master_seed=3,
         )
-        assert est.values.shape == (8,)
         assert np.isfinite(est.ratio_of_means)
         assert est.tail_bound >= 0.0
         assert est.lower <= 1.0 and est.upper == 1.0
@@ -176,7 +175,7 @@ class TestCompareGammaTheory:
         est = AlignmentEstimate(
             mean=0.25, std=0.0, trials=50, kind="ntk", alpha=0.5, activation="h0+h1",
             lower=0.25, upper=0.25, closed_form=True, ratio_of_means=0.25,
-            tail_bound=0.0, truncation=40, values=np.full(50, 0.25),
+            tail_bound=0.0, truncation=40,
         )
         assert compare_gamma_theory(est).passed
 
@@ -184,7 +183,7 @@ class TestCompareGammaTheory:
         est = AlignmentEstimate(
             mean=0.5, std=0.1, trials=50, kind="rf", alpha=0.5, activation="h1+h2",
             lower=0.125, upper=1.0, closed_form=False, ratio_of_means=0.5,
-            tail_bound=0.0, truncation=40, values=np.full(50, 0.5),
+            tail_bound=0.0, truncation=40,
         )
         assert compare_gamma_theory(est).passed
         # the bracket is the estimate's own [lower - slack, upper + tolerance]
@@ -195,7 +194,7 @@ class TestCompareGammaTheory:
         est = AlignmentEstimate(
             mean=0.0625, std=0.0, trials=10, kind="ntk", alpha=0.25, activation="h0+h1",
             lower=0.0625, upper=0.0625, closed_form=True, ratio_of_means=0.0625,
-            tail_bound=0.0, truncation=40, values=np.full(10, 0.0625),
+            tail_bound=0.0, truncation=40,
         )
         verdict = compare_gamma_theory(est, tolerance=0.0)
         assert verdict.passed and verdict.slack == 0.0
@@ -204,7 +203,7 @@ class TestCompareGammaTheory:
         est = AlignmentEstimate(
             mean=0.9, std=0.01, trials=50, kind="ntk", alpha=0.5, activation="h0+h1",
             lower=0.25, upper=0.25, closed_form=True, ratio_of_means=0.9,
-            tail_bound=0.0, truncation=40, values=np.full(50, 0.9),
+            tail_bound=0.0, truncation=40,
         )
         assert not compare_gamma_theory(est).passed
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reconstab.data import (
+    MASKS,
     TeacherVector,
     _sphere_rows,
     attacked_pairs,
@@ -64,7 +65,7 @@ class TestGenerateSynthetic:
             ds.drop_row(i)
 
     def test_sign_zero_goes_positive(self):
-        t = TeacherVector(u=np.array([0.0, 1.0]), seed=0)
+        t = TeacherVector(u=np.array([0.0, 1.0]))
         assert np.array_equal(t.labels(np.array([5.0, 0.0])), [1.0])
 
 
@@ -102,6 +103,13 @@ class TestMaskSample:
         with pytest.raises(ValueError, match="d_x"):
             mask_rows(np.zeros((2, 4)), 5, "zero", 0)
 
+    @pytest.mark.parametrize("mask", MASKS)
+    def test_empty_x_block_rejected(self, mask):
+        # an empty row has norm 0, so resampling it until nonzero never ends,
+        # and zeroing it leaves the query equal to the training row
+        with pytest.raises(ValueError, match="d_x=0"):
+            mask_rows(np.zeros((2, 4)), 0, mask, 0)
+
 
 class TestAttackedPairs:
     def test_trial_draws_x1_y1_then_fresh_x(self):
@@ -122,3 +130,8 @@ class TestAttackedPairs:
     def test_unknown_mask_rejected(self):
         with pytest.raises(ValueError, match="mask"):
             attacked_pairs(0, 2, 3, 3, "blur")
+
+    @pytest.mark.parametrize("d_x, d_y", [(3, 0), (0, 3)], ids=["empty-y", "empty-x"])
+    def test_empty_block_rejected(self, d_x, d_y):
+        with pytest.raises(ValueError, match="dimension"):
+            attacked_pairs(0, 2, d_x, d_y, "resample")

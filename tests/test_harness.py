@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconstab import linops, verify
-from reconstab.alignment import AlignmentSolver, estimate_gamma_on_instance
+from reconstab.alignment import AlignmentEstimate, AlignmentSolver, estimate_gamma_on_instance
 from reconstab.attack import run_attack
 from reconstab.cli import main
 from reconstab.data import MASKS, generate_synthetic, mask_rows, sample_teacher
@@ -413,7 +413,7 @@ class TestVerifySuites:
         assert not verify.check_alignment_projector().passed
 
     def test_gamma_ntk_checks_pass(self):
-        for check in (verify.check_gamma_ntk(0.5), verify.check_gamma_ntk_convergence()):
+        for check in verify.check_gamma_ntk():
             assert check.passed, f"{check.name}: {check.detail}"
 
     def test_gamma_rf_check_passes(self):
@@ -429,17 +429,35 @@ class TestVerifySuites:
             return num + 0.1 * den, den
 
         monkeypatch.setattr(AlignmentSolver, "alignment_parts", biased)
-        assert not verify.check_gamma_ntk(0.5).passed
-        assert not verify.check_gamma_ntk_convergence().passed
+        at_half, _, convergence = verify.check_gamma_ntk()
+        assert not at_half.passed
+        assert not convergence.passed
+
+    def test_full_level_draws_each_gamma_estimate_once(self, monkeypatch):
+        # gamma-ntk-alpha=0.5 and gamma-ntk-convergence share their alpha=0.5,
+        # N=3000 estimate
+        calls = []
+
+        def recorder(kind, activation, **kwargs):
+            calls.append((kind, activation.name, tuple(sorted(kwargs.items()))))
+            return AlignmentEstimate(
+                mean=0.3, std=0.1, trials=kwargs["trials"], kind=kind, alpha=0.5,
+                activation=activation.name, lower=0.25, upper=1.0,
+                closed_form=kind == "ntk", ratio_of_means=0.3, tail_bound=0.0, truncation=40,
+            )
+
+        monkeypatch.setattr(verify, "estimate_gamma", recorder)
+        verify.full_checks()
+        assert len(set(calls)) == len(calls) == 7
 
     def test_full_level_includes_gamma_checks(self, monkeypatch):
         # stub the expensive gamma estimators; every other check runs
         monkeypatch.setattr(
-            verify, "check_gamma_ntk", lambda alpha: verify.CheckResult(f"gamma-ntk-alpha={alpha}", True, "")
-        )
-        monkeypatch.setattr(
-            verify, "check_gamma_ntk_convergence",
-            lambda: verify.CheckResult("gamma-ntk-convergence", True, ""),
+            verify, "check_gamma_ntk",
+            lambda: [
+                verify.CheckResult(name, True, "")
+                for name in ("gamma-ntk-alpha=0.5", "gamma-ntk-alpha=0.25", "gamma-ntk-convergence")
+            ],
         )
         monkeypatch.setattr(
             verify, "check_gamma_rf", lambda alpha: verify.CheckResult(f"gamma-rf-alpha={alpha}", True, "")

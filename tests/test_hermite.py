@@ -107,6 +107,22 @@ class TestHermiteCoefficients:
         with pytest.raises(QuadratureNonconvergent):
             hermite_coefficients(square_wave, order=10)
 
+    @pytest.mark.parametrize("name", hermite.activation_names())
+    def test_order_past_default_nodes(self, name):
+        # a Gauss-Hermite rule of n nodes spans orders 0..n-1, so order 80 needs
+        # a rule of more than DEFAULT_NODES nodes
+        act = get_activation(name)
+        spec = hermite_coefficients(act, order=80)
+        assert spec.coefficients.shape == (81,)
+        low = hermite_coefficients(act).coefficients
+        assert np.max(np.abs(spec.coefficients[: low.size] - low)) <= 1e-12
+
+    @pytest.mark.parametrize("order", [hermite.MAX_NODES // 2, hermite.MAX_NODES])
+    def test_order_without_room_to_double_raises(self, order):
+        # convergence compares two rules, and the larger must stay within the cap
+        with pytest.raises(QuadratureNonconvergent, match="and a doubling"):
+            hermite_coefficients(get_activation("tanh"), order=order)
+
     @pytest.mark.parametrize("name", ["relu", "tanh", "h1+h2"])
     def test_negative_order_rejected(self, name):
         # relu and tanh are integrated by quadrature, h1+h2 is an explicit combination

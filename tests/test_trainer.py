@@ -56,7 +56,7 @@ class TestFitMinNorm:
         # doubles the tangent kernel, and the min-norm predictor
         # 2K(z, Z) (2K)^{-1} g is the single map's
         fmap, dataset, teacher = _ntk_instance()
-        doubled = featuremaps.NTKMap(np.vstack([fmap.w0, fmap.w0]), fmap.activation_derivative, 0)
+        doubled = featuremaps.NTKMap(np.vstack([fmap.w0, fmap.w0]), fmap.activation_derivative)
         kernel = fmap.prepare(dataset.z).gram()
         assert np.linalg.norm(doubled.prepare(dataset.z).gram() - 2.0 * kernel) <= (
             1e-12 * 2.0 * np.linalg.norm(kernel)
