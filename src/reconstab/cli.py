@@ -10,6 +10,7 @@ invalid command-line value, rejected while parsing, or an invalid config.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import verify as verifymod
@@ -21,9 +22,11 @@ from .hermite import activation_names, get_activation, hermite_coefficients
 
 
 def _at_least(low, kind=int):
-    """An argparse type: a number of the given kind that is >= low."""
+    """An argparse type: a finite number of the given kind that is >= low."""
     def parse(text):
         value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value

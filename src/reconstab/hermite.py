@@ -40,17 +40,12 @@ def _hermite_matrix(max_l: int, rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ActivationSpec:
-    """Scalar activation, either an explicit Hermite combination or a callable.
-
-    For callables split_at_zero requests the half-range quadrature rule for
-    kinked functions like ReLU.
-    """
+    """Scalar activation, either an explicit Hermite combination or a callable."""
 
     name: str
     coeffs: tuple[float, ...] | None = None
     fn: Callable[[np.ndarray], np.ndarray] | None = None
     derivative_spec: "ActivationSpec | None" = field(default=None, repr=False)
-    split_at_zero: bool = False
 
     def __post_init__(self) -> None:
         if (self.coeffs is None) == (self.fn is None):
@@ -87,39 +82,23 @@ class HermiteSpectrum:
     """Truncated Hermite coefficients of an activation.
 
     tail_power bounds the squared-coefficient mass beyond the truncation order
-    (zero when the expansion is exact). nodes records the quadrature order that
-    produced the coefficients (0 for exact expansions).
+    (zero when the expansion is exact). nodes records the per-half-line node
+    count of the quadrature rule that produced the coefficients (0 for explicit
+    combinations).
     """
 
     coefficients: np.ndarray
-    truncation: int
     tail_power: float = 0.0
-    exact: bool = True
     nodes: int = 0
 
+    @property
+    def truncation(self) -> int:
+        return self.coefficients.size - 1
 
-def _jacobi_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the n x n Jacobi matrix of the orthonormal basis.
-
-    The eigenvalues are the Gauss-Hermite nodes x_i, and eigenvector i holds
-    sqrt(w_i) h_l(x_i) at entry l, up to one sign per eigenvector.
-    """
-    jacobi = np.zeros((n, n))
-    off = np.sqrt(np.arange(1, n))
-    jacobi[np.arange(n - 1), np.arange(1, n)] = off
-    jacobi[np.arange(1, n), np.arange(n - 1)] = off
-    return np.linalg.eigh(jacobi)
-
-
-def _gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilists' Gauss-Hermite rule: E[f(rho)] ~= sum w_i f(x_i).
-
-    Golub-Welsch on the Jacobi matrix of the orthonormal basis; unlike the
-    library routine this stays finite at large node counts (extreme-node
-    weights underflow harmlessly to zero).
-    """
-    nodes, vectors = _jacobi_eigh(n)
-    return nodes, vectors[0] ** 2
+    @property
+    def exact(self) -> bool:
+        """True for an explicit combination with nothing past the truncation."""
+        return self.nodes == 0 and self.tail_power == 0.0
 
 
 def _half_range_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,17 +118,9 @@ def _quadrature_coeffs(
     act: ActivationSpec, order: int, nodes: int
 ) -> tuple[np.ndarray, float]:
     """mu_0..mu_order and E[act^2] on one rule of the given node count."""
-    if act.split_at_zero:
-        x, w = _half_range_nodes(nodes)
-        values = act(x)
-        return _hermite_matrix(order, x) @ (w * values), float(np.sum(w * values**2))
-    # w_i h_l(x_i) = v[l, i] v[0, i] straight from the eigenvectors: forming
-    # w_i and h_l(x_i) apart multiplies the roundoff of a tiny outer weight
-    # by a huge h_l(x_i), and high orders stop converging
-    x, vectors = _jacobi_eigh(nodes)
+    x, w = _half_range_nodes(nodes)
     values = act(x)
-    coeffs = vectors[: order + 1] @ (vectors[0] * values)
-    return coeffs, float(np.sum(vectors[0] ** 2 * values**2))
+    return _hermite_matrix(order, x) @ (w * values), float(np.sum(w * values**2))
 
 
 def hermite_coefficients(act: ActivationSpec, order: int = DEFAULT_TRUNCATION) -> HermiteSpectrum:
@@ -167,15 +138,9 @@ def hermite_coefficients(act: ActivationSpec, order: int = DEFAULT_TRUNCATION) -
         upto = min(order + 1, len(act.coeffs))
         coeffs[:upto] = act.coeffs[:upto]
         tail = float(sum(c**2 for c in act.coeffs[order + 1 :]))
-        return HermiteSpectrum(
-            coefficients=coeffs,
-            truncation=order,
-            tail_power=tail,
-            exact=tail == 0.0,
-            nodes=0,
-        )
+        return HermiteSpectrum(coefficients=coeffs, tail_power=tail)
 
-    # the Gauss-Hermite rule of n nodes spans orders 0..n-1 only
+    # start with more nodes on each half line than h_order has roots
     n = DEFAULT_NODES
     while n <= order:
         n *= 2
@@ -194,9 +159,7 @@ def hermite_coefficients(act: ActivationSpec, order: int = DEFAULT_TRUNCATION) -
     # Parseval remainder: E[act^2], on the rule the coefficients converged
     # on, minus the sum of the captured squared coefficients
     tail = max(second_moment - float(np.sum(cur**2)), 0.0)
-    return HermiteSpectrum(
-        coefficients=cur, truncation=order, tail_power=tail, exact=False, nodes=n
-    )
+    return HermiteSpectrum(coefficients=cur, tail_power=tail, nodes=n)
 
 
 def _alpha_series(spec: HermiteSpectrum, alpha: float, start: int, scale: float) -> float:
@@ -253,7 +216,7 @@ def _tanh_prime(u: np.ndarray) -> np.ndarray:
 _REGISTRY: dict[str, ActivationSpec] = {
     spec.name: spec
     for spec in (
-        ActivationSpec(name="relu", fn=_relu, split_at_zero=True),
+        ActivationSpec(name="relu", fn=_relu),
         ActivationSpec(name="h1+h2", coeffs=(0.0, 1.0, 1.0)),
         ActivationSpec(name="h1+h4", coeffs=(0.0, 1.0, 0.0, 0.0, 1.0)),
         ActivationSpec(name="h0+h1", coeffs=(1.0, 1.0)),

@@ -21,7 +21,7 @@ from .attack import build_query_batch, covariance_diagnostic
 from .data import generate_synthetic, sample_teacher
 from .featuremaps import sample_map
 from .hermite import (
-    _gauss_hermite_nodes,
+    _half_range_nodes,
     _hermite_matrix,
     get_activation,
     hermite_coefficients,
@@ -225,11 +225,11 @@ def check_hermite_engine() -> CheckResult:
     spec = hermite_coefficients(get_activation("relu"))
     mu0_err = abs(float(spec.coefficients[0]) - 1.0 / math.sqrt(2.0 * math.pi))
     mu1_err = abs(float(spec.coefficients[1]) - 0.5)
-    x, w = _gauss_hermite_nodes(120)
+    x, w = _half_range_nodes(120)
     basis = _hermite_matrix(8, x)
     gram_matrix = (basis * w) @ basis.T
     ortho_err = float(np.max(np.abs(gram_matrix - np.eye(9))))
-    # tanh and d(tanh) by Gauss-Hermite quadrature, tied by Stein's identity
+    # tanh and d(tanh) by quadrature, tied by Stein's identity
     # E[f h_l] = E[f' h_{l-1}] / sqrt(l); tanh is odd, so mu_0 = 0
     tanh = get_activation("tanh")
     mu = hermite_coefficients(tanh).coefficients

@@ -159,6 +159,7 @@ def test_sweep_workers_below_one_exits_2(tmp_path, workers):
 @pytest.mark.parametrize("command_line", [
     "fit --n 0", "fit --test-size 0", "fit --k 0", "fit --dx 0", "fit --dy 0",
     "gamma --n 1", "gamma --trials 1", "gamma --tolerance -1",
+    "gamma --tolerance nan", "gamma --tolerance inf",
     "hermite --order -1", "fit --activation nope", "hermite --activation nope",
 ])
 def test_invalid_command_line_value_exits_2(command_line, capsys):

@@ -39,7 +39,7 @@ class TestHermitePolynomial:
             assert np.allclose(_hermite_matrix(l, rho)[l], expected, atol=1e-12)
 
     def test_orthonormality_under_quadrature(self):
-        x, w = hermite._gauss_hermite_nodes(120)
+        x, w = hermite._half_range_nodes(120)
         basis = hermite._hermite_matrix(8, x)
         gram = (basis * w) @ basis.T
         assert np.max(np.abs(gram - np.eye(9))) <= 1e-10
@@ -49,7 +49,7 @@ class TestHermiteCoefficients:
     def test_hermite_combo_returns_exact_list(self):
         spec = hermite_coefficients(get_activation("h1+h2"), order=6)
         assert np.allclose(spec.coefficients, [0, 1, 1, 0, 0, 0, 0], atol=0)
-        assert spec.exact and spec.tail_power == 0.0
+        assert spec.truncation == 6 and spec.exact and spec.tail_power == 0.0
 
     def test_identity_activation(self):
         spec = hermite_coefficients(get_activation("identity"), order=5)
@@ -70,9 +70,27 @@ class TestHermiteCoefficients:
             mc = float(np.mean(relu * _hermite_matrix(l, rho)[l]))
             assert abs(spec.coefficients[l] - mc) <= 5e-3
 
+    @pytest.mark.parametrize("order", [40, 150])
+    def test_relu_matches_closed_form_series(self, order):
+        # mu_0 = phi(0), mu_1 = 1/2, mu_2k = phi(0) (-1)^(k-1) (2k-3)!! / sqrt((2k)!)
+        # for k >= 1, and 0 at odd orders >= 3; (2k-3)!! = (2k-2)! / (2^(k-1) (k-1)!)
+        phi0 = 1.0 / math.sqrt(2.0 * math.pi)
+        closed = np.zeros(order + 1)
+        closed[0], closed[1] = phi0, 0.5
+        for k in range(1, order // 2 + 1):
+            log_ratio = (
+                math.lgamma(2 * k - 1) - (k - 1) * math.log(2.0) - math.lgamma(k)
+                - 0.5 * math.lgamma(2 * k + 1)
+            )
+            closed[2 * k] = phi0 * (-1) ** (k - 1) * math.exp(log_ratio)
+        spec = hermite_coefficients(get_activation("relu"), order=order)
+        assert np.max(np.abs(spec.coefficients - closed)) <= 1e-12
+
     def test_callable_identity_matches_combo(self):
         callable_spec = ActivationSpec(name="lin", fn=lambda u: u)
         spec = hermite_coefficients(callable_spec, order=8)
+        # a quadrature spectrum is never exact, even with no measurable tail
+        assert spec.truncation == 8 and not spec.exact
         assert abs(spec.coefficients[1] - 1.0) <= 1e-10
         assert np.max(np.abs(np.delete(spec.coefficients, 1))) <= 1e-10
 
@@ -86,19 +104,25 @@ class TestHermiteCoefficients:
         assert captured_40 >= captured_10
         assert second_moment - captured_40 <= 2e-4
 
-    def test_tanh_converges_and_matches_trapezoid_oracle(self):
+    @pytest.mark.parametrize("order", [40, 80])
+    def test_tanh_converges_and_matches_trapezoid_oracle(self, order):
         tanh = get_activation("tanh")
-        spec = hermite_coefficients(tanh)
-        dspec = hermite_coefficients(tanh.derivative())
+        dtanh = tanh.derivative()
+        spec = hermite_coefficients(tanh, order=order)
+        dspec = hermite_coefficients(dtanh, order=order)
         assert spec.nodes <= hermite.MAX_NODES and dspec.nodes <= hermite.MAX_NODES
         # Stein's identity: E[f h_l] = E[f' h_{l-1}] / sqrt(l)
         orders = np.arange(1, spec.coefficients.size)
         stein = np.sqrt(orders) * spec.coefficients[1:] - dspec.coefficients[:-1]
         assert np.max(np.abs(stein)) <= 1e-10
+        # the trapezoid rule on a fine grid is spectrally accurate for smooth
+        # integrands that decay, and shares nothing with the engine's rule
         rho = np.linspace(-20.0, 20.0, 40001)
         weights = np.exp(-0.5 * rho**2) / math.sqrt(2 * math.pi) * (rho[1] - rho[0])
-        oracle = _hermite_matrix(spec.truncation, rho) @ (weights * np.tanh(rho))
-        assert np.max(np.abs(spec.coefficients - oracle)) <= 1e-10
+        basis = _hermite_matrix(order, rho)
+        for act, got in ((tanh, spec), (dtanh, dspec)):
+            oracle = basis @ (weights * act(rho))
+            assert np.max(np.abs(got.coefficients - oracle)) <= 1e-10
 
     def test_nonconvergent_quadrature_raises(self):
         square_wave = ActivationSpec(
@@ -109,8 +133,8 @@ class TestHermiteCoefficients:
 
     @pytest.mark.parametrize("name", hermite.activation_names())
     def test_order_past_default_nodes(self, name):
-        # a Gauss-Hermite rule of n nodes spans orders 0..n-1, so order 80 needs
-        # a rule of more than DEFAULT_NODES nodes
+        # the rule starts with more nodes on each half line than the order, so
+        # order 80 needs a rule of more than DEFAULT_NODES nodes
         act = get_activation(name)
         spec = hermite_coefficients(act, order=80)
         assert spec.coefficients.shape == (81,)
