@@ -34,6 +34,14 @@ from .linops import KernelSystem
 from .seeding import ROLE_DATA, ROLE_MAP, ROLE_QUERY, derive_seed
 
 DENOMINATOR_GUARD = 1e-10
+# Model-error margin of a gamma verdict, by map kind, on top of three standard
+# errors of the mean. The tangent-kernel reference is the large-N, large-k
+# limit itself, and a finite instance keeps a bias that falls with N (0.02 at
+# d=256, k=64, N=3000 in ``verify``). The random-features reference is a
+# bracket [lower bound, 1] that the limit lies inside, so its margin only
+# covers finite-size drift past an end. ``reconstab gamma`` and ``verify``
+# both judge by this table.
+GAMMA_TOLERANCE = {"ntk": 0.05, "rf": 0.02}
 
 
 class AlignmentSolver:
@@ -75,11 +83,18 @@ class AlignmentEstimate:
     alpha: float
     activation: str
     lower: float
-    upper: float
-    closed_form: bool
     ratio_of_means: float
     tail_bound: float
     truncation: int
+
+    @property
+    def closed_form(self) -> bool:
+        """Tangent maps have a closed-form reference; random features a bracket."""
+        return self.kind == "ntk"
+
+    @property
+    def upper(self) -> float:
+        return self.lower if self.closed_form else 1.0
 
 
 @dataclass
@@ -176,11 +191,7 @@ def estimate_gamma(
     values = nums / dens
 
     alpha = d_y / (d_x + d_y)
-    closed = kind == "ntk"
-    if closed:
-        lower = upper = gamma_ntk_closed_form(spectrum, alpha)
-    else:
-        lower, upper = gamma_rf_lower_bound(spectrum, alpha), 1.0
+    reference = gamma_ntk_closed_form if kind == "ntk" else gamma_rf_lower_bound
     return AlignmentEstimate(
         mean=float(np.mean(values)),
         std=float(np.std(values, ddof=1)),
@@ -188,11 +199,9 @@ def estimate_gamma(
         kind=kind,
         alpha=alpha,
         activation=activation.name,
-        lower=lower,
-        upper=upper,
-        closed_form=closed,
+        lower=reference(spectrum, alpha),
         ratio_of_means=float(np.mean(nums) / np.mean(dens)),
-        tail_bound=series_tail_bound(spectrum, alpha) if alpha < 1.0 else 0.0,
+        tail_bound=series_tail_bound(spectrum, alpha),
         truncation=spectrum.truncation,
     )
 
@@ -209,13 +218,15 @@ def estimate_gamma_on_instance(
     return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
-def compare_gamma_theory(est: AlignmentEstimate, tolerance: float = 0.05) -> GammaVerdict:
-    """Check an estimate against its theoretical reference.
+def compare_gamma_theory(est: AlignmentEstimate) -> GammaVerdict:
+    """Check an estimate against its theoretical reference, with the
+    tolerance of its kind from ``GAMMA_TOLERANCE``.
 
     Closed-form references must match within tolerance plus three standard
     errors; bound references must bracket the mean (lower bound softened by
     the same slack, upper by the tolerance alone).
     """
+    tolerance = GAMMA_TOLERANCE[est.kind]
     slack = 3.0 * est.std / math.sqrt(est.trials) + tolerance
     if est.closed_form:
         passed = abs(est.mean - est.lower) <= slack

@@ -10,7 +10,6 @@ invalid command-line value, rejected while parsing, or an invalid config.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import verify as verifymod
@@ -21,17 +20,15 @@ from .harness import parse_config, run_instance, run_sweep, write_rows
 from .hermite import activation_names, get_activation, hermite_coefficients
 
 
-def _at_least(low, kind=int):
-    """An argparse type: a finite number of the given kind that is >= low."""
+def _at_least(low):
+    """An argparse type: an int that is >= low."""
     def parse(text):
-        value = kind(text)
-        if kind is float and not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
-    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
     return parse
 
 
@@ -68,7 +65,7 @@ def _cmd_gamma(args) -> int:
         k=args.k, n=args.n, d_x=args.dx, d_y=args.dy,
         trials=args.trials, master_seed=args.seed,
     )
-    verdict = compare_gamma_theory(est, tolerance=args.tolerance)
+    verdict = compare_gamma_theory(est)
     reference = (
         f"{est.lower:.6g}" if est.closed_form else f"[{est.lower:.6g}, {est.upper:.6g}]"
     )
@@ -129,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gamma = sub.add_parser("gamma", help="Monte-Carlo alignment vs theory")
     _add_instance_args(p_gamma, min_n=2)  # z_1 and at least one background row
     p_gamma.add_argument("--trials", type=_at_least(2), default=50)
-    p_gamma.add_argument("--tolerance", type=_at_least(0.0, float), default=0.05)
     p_gamma.set_defaults(fn=_cmd_gamma)
 
     p_hermite = sub.add_parser("hermite", help="print an activation's coefficients")

@@ -8,7 +8,7 @@ standard Gaussian. No physicists'-convention conversion is exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,7 +45,6 @@ class ActivationSpec:
     name: str
     coeffs: tuple[float, ...] | None = None
     fn: Callable[[np.ndarray], np.ndarray] | None = None
-    derivative_spec: "ActivationSpec | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if (self.coeffs is None) == (self.fn is None):
@@ -60,21 +59,6 @@ class ActivationSpec:
             basis = _hermite_matrix(len(self.coeffs) - 1, flat[s : s + ACTIVATION_CHUNK])
             vals[s : s + ACTIVATION_CHUNK] = np.asarray(self.coeffs) @ basis
         return vals.reshape(u.shape)
-
-    def derivative(self) -> "ActivationSpec":
-        """Spec of the first derivative.
-
-        Differentiating the orthonormal basis gives h_l' = sqrt(l) h_{l-1}, so
-        Hermite combinations stay Hermite combinations.
-        """
-        if self.derivative_spec is not None:
-            return self.derivative_spec
-        if self.coeffs is None:
-            raise ValueError(f"activation {self.name!r} has no declared derivative")
-        dcoeffs = tuple(
-            math.sqrt(l) * self.coeffs[l] for l in range(1, len(self.coeffs))
-        ) or (0.0,)
-        return ActivationSpec(name=f"d({self.name})", coeffs=dcoeffs)
 
 
 @dataclass(frozen=True)
@@ -222,11 +206,7 @@ _REGISTRY: dict[str, ActivationSpec] = {
         ActivationSpec(name="h0+h1", coeffs=(1.0, 1.0)),
         ActivationSpec(name="h0+h3", coeffs=(1.0, 0.0, 0.0, 1.0)),
         ActivationSpec(name="identity", coeffs=(0.0, 1.0)),
-        ActivationSpec(
-            name="tanh",
-            fn=np.tanh,
-            derivative_spec=ActivationSpec(name="d(tanh)", fn=_tanh_prime),
-        ),
+        ActivationSpec(name="tanh", fn=np.tanh),
     )
 }
 

@@ -21,8 +21,10 @@ from .attack import build_query_batch, covariance_diagnostic
 from .data import generate_synthetic, sample_teacher
 from .featuremaps import sample_map
 from .hermite import (
+    ActivationSpec,
     _half_range_nodes,
     _hermite_matrix,
+    _tanh_prime,
     get_activation,
     hermite_coefficients,
 )
@@ -231,9 +233,8 @@ def check_hermite_engine() -> CheckResult:
     ortho_err = float(np.max(np.abs(gram_matrix - np.eye(9))))
     # tanh and d(tanh) by quadrature, tied by Stein's identity
     # E[f h_l] = E[f' h_{l-1}] / sqrt(l); tanh is odd, so mu_0 = 0
-    tanh = get_activation("tanh")
-    mu = hermite_coefficients(tanh).coefficients
-    dmu = hermite_coefficients(tanh.derivative()).coefficients
+    mu = hermite_coefficients(get_activation("tanh")).coefficients
+    dmu = hermite_coefficients(ActivationSpec(name="d(tanh)", fn=_tanh_prime)).coefficients
     orders = np.arange(1, mu.size)
     stein_err = float(np.max(np.abs(np.sqrt(orders) * mu[1:] - dmu[:-1])))
     tanh_mu0_err = abs(float(mu[0]))
@@ -289,7 +290,7 @@ def check_gamma_ntk(*, seed: int = 107, trials: int = 50) -> list[CheckResult]:
     checks = []
     for alpha in (0.5, 0.25):
         est = ests[alpha, 3000]
-        verdict = compare_gamma_theory(est, tolerance=0.05)
+        verdict = compare_gamma_theory(est)
         checks.append(CheckResult(
             f"gamma-ntk-alpha={alpha}",
             verdict.passed,
@@ -322,7 +323,7 @@ def check_gamma_rf(alpha: float, seed: int = 108, trials: int = 50) -> CheckResu
         "rf", get_activation("h1+h2"), k=8000, n=1500, d_x=d - d_y, d_y=d_y,
         trials=trials, master_seed=seed,
     )
-    verdict = compare_gamma_theory(est, tolerance=0.02)
+    verdict = compare_gamma_theory(est)
     return CheckResult(
         f"gamma-rf-alpha={alpha}",
         verdict.passed,

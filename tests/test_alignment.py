@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconstab.alignment import (
+    GAMMA_TOLERANCE,
     AlignmentEstimate,
     AlignmentSolver,
     check_nonlinearity,
@@ -170,42 +171,46 @@ class TestEstimateGamma:
         assert est.lower <= 1.0 and est.upper == 1.0
 
 
+def _estimate(kind, mean, lower, std=0.0, trials=50):
+    return AlignmentEstimate(
+        mean=mean, std=std, trials=trials, kind=kind, alpha=0.5, activation="h1+h2",
+        lower=lower, ratio_of_means=mean, tail_bound=0.0, truncation=40,
+    )
+
+
 class TestCompareGammaTheory:
     def test_ntk_reference(self):
-        est = AlignmentEstimate(
-            mean=0.25, std=0.0, trials=50, kind="ntk", alpha=0.5, activation="h0+h1",
-            lower=0.25, upper=0.25, closed_form=True, ratio_of_means=0.25,
-            tail_bound=0.0, truncation=40,
-        )
+        est = _estimate("ntk", 0.25, 0.25)
+        assert est.closed_form and est.upper == est.lower
         assert compare_gamma_theory(est).passed
 
     def test_rf_bounds(self):
-        est = AlignmentEstimate(
-            mean=0.5, std=0.1, trials=50, kind="rf", alpha=0.5, activation="h1+h2",
-            lower=0.125, upper=1.0, closed_form=False, ratio_of_means=0.5,
-            tail_bound=0.0, truncation=40,
-        )
+        est = _estimate("rf", 0.5, 0.125, std=0.1)
+        assert not est.closed_form and est.upper == 1.0
         assert compare_gamma_theory(est).passed
         # the bracket is the estimate's own [lower - slack, upper + tolerance]
         assert not compare_gamma_theory(replace(est, mean=0.0)).passed
         assert not compare_gamma_theory(replace(est, mean=1.06)).passed
 
     def test_exact_match_passes_with_zero_margin(self):
-        est = AlignmentEstimate(
-            mean=0.0625, std=0.0, trials=10, kind="ntk", alpha=0.25, activation="h0+h1",
-            lower=0.0625, upper=0.0625, closed_form=True, ratio_of_means=0.0625,
-            tail_bound=0.0, truncation=40,
-        )
-        verdict = compare_gamma_theory(est, tolerance=0.0)
-        assert verdict.passed and verdict.slack == 0.0
+        # a mean on the reference with std 0: the slack is the kind's tolerance alone
+        for kind in ("ntk", "rf"):
+            verdict = compare_gamma_theory(_estimate(kind, 0.0625, 0.0625, trials=10))
+            assert verdict.passed and verdict.slack == GAMMA_TOLERANCE[kind]
+
+    @pytest.mark.parametrize("kind, mean, lower, passed", [
+        # a gap of 0.04 or 0.06 from the closed form 0.25, on either side
+        ("ntk", 0.29, 0.25, True), ("ntk", 0.21, 0.25, True),
+        ("ntk", 0.31, 0.25, False), ("ntk", 0.19, 0.25, False),
+        # the upper end 1, then the lower bound 0.125 less 0.01 or 0.03
+        ("rf", 1.01, 0.125, True), ("rf", 1.03, 0.125, False),
+        ("rf", 0.115, 0.125, True), ("rf", 0.095, 0.125, False),
+    ])
+    def test_tolerance_edges(self, kind, mean, lower, passed):
+        assert compare_gamma_theory(_estimate(kind, mean, lower)).passed is passed
 
     def test_far_off_mean_fails(self):
-        est = AlignmentEstimate(
-            mean=0.9, std=0.01, trials=50, kind="ntk", alpha=0.5, activation="h0+h1",
-            lower=0.25, upper=0.25, closed_form=True, ratio_of_means=0.9,
-            tail_bound=0.0, truncation=40,
-        )
-        assert not compare_gamma_theory(est).passed
+        assert not compare_gamma_theory(_estimate("ntk", 0.9, 0.25, std=0.01)).passed
 
 
 def _accepted_activations(kind):

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from reconstab import cli
+from reconstab.alignment import AlignmentEstimate
 from reconstab.attack import build_query_batch, run_attack
 from reconstab.cli import main
 from reconstab.data import MASKS, generate_synthetic, sample_teacher
@@ -84,6 +86,24 @@ def test_gamma_row(capsys):
     assert "model=ntk" in out and "alpha=0.5" in out and "verdict=" in out
 
 
+def test_gamma_judges_rf_with_the_rule_verify_uses(monkeypatch, capsys):
+    # mean 1.03 is past the RF bracket's upper end 1 by more than its 0.02
+    def estimate(kind, activation, **kwargs):
+        return AlignmentEstimate(
+            mean=1.03, std=0.0, trials=kwargs["trials"], kind=kind, alpha=0.5,
+            activation=activation.name, lower=0.125, ratio_of_means=1.03,
+            tail_bound=0.0, truncation=40,
+        )
+
+    monkeypatch.setattr(cli, "estimate_gamma", estimate)
+    assert main(["gamma", "--model", "rf", "--trials", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "mean=1.03 " in out and "reference=[0.125, 1] " in out
+    assert out.rstrip().endswith("verdict=fail")
+    assert main(["gamma", "--tolerance", "0.05"]) == 2
+    assert "unrecognized arguments: --tolerance 0.05" in capsys.readouterr().err
+
+
 def test_fit_and_attack(capsys):
     args = ["--k", "60", "--dx", "8", "--dy", "8", "--n", "12",
             "--activation", "h1+h2", "--seed", "2", "--test-size", "40"]
@@ -158,8 +178,7 @@ def test_sweep_workers_below_one_exits_2(tmp_path, workers):
 
 @pytest.mark.parametrize("command_line", [
     "fit --n 0", "fit --test-size 0", "fit --k 0", "fit --dx 0", "fit --dy 0",
-    "gamma --n 1", "gamma --trials 1", "gamma --tolerance -1",
-    "gamma --tolerance nan", "gamma --tolerance inf",
+    "gamma --n 1", "gamma --trials 1",
     "hermite --order -1", "fit --activation nope", "hermite --activation nope",
 ])
 def test_invalid_command_line_value_exits_2(command_line, capsys):

@@ -442,8 +442,8 @@ class TestVerifySuites:
             calls.append((kind, activation.name, tuple(sorted(kwargs.items()))))
             return AlignmentEstimate(
                 mean=0.3, std=0.1, trials=kwargs["trials"], kind=kind, alpha=0.5,
-                activation=activation.name, lower=0.25, upper=1.0,
-                closed_form=kind == "ntk", ratio_of_means=0.3, tail_bound=0.0, truncation=40,
+                activation=activation.name, lower=0.25, ratio_of_means=0.3, tail_bound=0.0,
+                truncation=40,
             )
 
         monkeypatch.setattr(verify, "estimate_gamma", recorder)
