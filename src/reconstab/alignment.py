@@ -6,8 +6,8 @@ The alignment of z against z1, given the remaining training rows, is
 with P_perp the projector orthogonal to the span of the remaining feature
 rows. It is evaluated in kernel space against the KernelSystem of those rows:
     phi(a) . P_perp phi(z1) = K(a, z1) - k_a^T K_-1^{-1} k_{z1},
-so one solve K_-1^{-1} k_{z1} serves numerator and denominator. Queries are
-rows, and a single query is a batch of one; tangent features are never
+so one solve K_-1^{-1} k_{z1} serves numerator and denominator. K(a, z1) and
+k_a are read off the pair's rows prepared once; tangent features are never
 materialized. ``attacked_instance`` draws the Monte-Carlo instance that
 ``estimate_gamma`` and ``attack.covariance_diagnostic`` share.
 """
@@ -56,10 +56,10 @@ class AlignmentSolver:
 
     def alignment_parts(self, z: np.ndarray, z1: np.ndarray) -> tuple[float, float]:
         """phi(z) . P_perp phi(z1) and ||P_perp phi(z1)||^2 for single rows,
-        from the Gram of the pair [z1; z] and one cross call on it.
+        from the pair [z1; z] prepared once: its Gram and its cross block.
         """
-        pair = np.vstack([z1, z])
-        own = self.map.prepare(pair).gram()
+        pair = self.map.prepare(np.vstack([z1, z]))
+        own = pair.gram()
         scale = float(own[0, 0])
         k1, kz = self.system.cross(pair)
         solved = self.system.solve(k1)

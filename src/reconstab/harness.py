@@ -124,21 +124,32 @@ class ExperimentConfig:
         return self.d_y / self.d
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict, rejecting a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"repeated config key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_config(source) -> ExperimentConfig:
     """Build a config from a JSON document (path, file object, or dict).
 
-    Unknown keys are a hard error: a misspelled theory-sensitive parameter
-    must not silently fall back to a default.
+    Unknown and repeated keys are a hard error: a misspelled or doubled
+    theory-sensitive parameter must not silently fall back to a default or
+    to its last value.
     """
     try:
         if isinstance(source, dict):
             doc = source
         elif hasattr(source, "read"):
-            doc = json.load(source)
+            doc = json.load(source, object_pairs_hook=_unique_keys)
         else:
             with open(source, encoding="utf-8") as f:
-                doc = json.load(f)
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+                doc = json.load(f, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise ConfigError(f"cannot read config {source!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -255,8 +266,9 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
-    """All (N, trial) rows in deterministic order; per-row errors are recorded
-    in the error column and never abort the sweep.
+    """All (N, trial) rows in (N, trial) order, which ``pool.map`` keeps
+    whatever the worker count; per-row errors are recorded in the error
+    column and never abort the sweep.
     """
     points = [
         (n_idx, trial)
@@ -265,7 +277,5 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     ]
     if workers > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: _run_point(config, *p), points))
-    else:
-        rows = [_run_point(config, *point) for point in points]
-    return [row for _, row in sorted(zip(points, rows), key=lambda pr: pr[0])]
+            return list(pool.map(lambda p: _run_point(config, *p), points))
+    return [_run_point(config, *point) for point in points]

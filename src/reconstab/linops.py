@@ -348,12 +348,11 @@ class KernelSystem:
     """Training rows prepared by a feature map, with their Gram factored once.
 
     Fits, predictions, alignments and attacks all query this one object:
-    ``cross`` gives the kernel rows of queries against the training rows and
-    ``solve`` applies the inverse Gram. A singular Gram raises SingularKernel
-    from ``KernelSolveCache.factor``; no ridge term is ever added.
+    ``cross`` gives the kernel rows of prepared queries against the training
+    rows and ``solve`` applies the inverse Gram. A singular Gram raises
+    SingularKernel from ``KernelSolveCache.factor``; no ridge is ever added.
     """
 
-    map: object
     prepared: object
     cache: KernelSolveCache
 
@@ -361,15 +360,19 @@ class KernelSystem:
     def build(cls, fmap, rows: np.ndarray) -> "KernelSystem":
         prepared = fmap.prepare(rows)
         cache = KernelSolveCache.factor(prepared.gram(), p=fmap.n_params)
-        return cls(map=fmap, prepared=prepared, cache=cache)
+        return cls(prepared=prepared, cache=cache)
+
+    @property
+    def map(self):
+        return self.prepared.map
 
     @property
     def n(self) -> int:
         return self.prepared.n
 
-    def cross(self, rows: np.ndarray) -> np.ndarray:
-        """Kernel rows, one per query row, against the training rows."""
-        return self.prepared.cross(rows)
+    def cross(self, queries) -> np.ndarray:
+        """Kernel rows, one per row prepared by this system's map."""
+        return self.prepared.cross(queries)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self.cache.solve(b)
@@ -378,7 +381,4 @@ class KernelSystem:
         """The system on the first m training rows, sharing this one's
         prepared rows and factor: no second Gram or factorization.
         """
-        return KernelSystem(
-            map=self.map, prepared=self.prepared.head(m), cache=self.cache.leading(m)
-        )
-
+        return KernelSystem(prepared=self.prepared.head(m), cache=self.cache.leading(m))

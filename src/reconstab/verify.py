@@ -105,7 +105,7 @@ def closed_form_loo(model, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     k_inv = model.system.solve(np.eye(model.n_train))
     stability = model.dual_coefs / np.diag(k_inv)
-    alignment = np.einsum("ij,ij->i", k_inv, model.system.cross(queries))
+    alignment = np.einsum("ij,ij->i", k_inv, model.system.cross(model.map.prepare(queries)))
     return stability, alignment
 
 

@@ -135,7 +135,7 @@ class TestCovarianceDiagnostic:
         # no label information, so the attack covariance vanishes
         d_x, d_y = 32, 8
         v = np.hstack([np.eye(d_x), np.zeros((d_x, d_y))])
-        fmap = RFMap(v=v, activation=get_activation("identity"))
+        fmap = RFMap(w=v, activation=get_activation("identity"))
         diag = covariance_diagnostic(
             "rf", get_activation("identity"), k=d_x, n=20, d_x=d_x, d_y=d_y,
             trials=60, master_seed=2, fmap=fmap,
@@ -199,7 +199,7 @@ class TestCovarianceDiagnostic:
         # every attacked sample's feature lies in the background span
         d_x, d_y = 8, 4
         v = np.hstack([np.eye(d_x), np.zeros((d_x, d_y))])
-        fmap = RFMap(v=v, activation=get_activation("identity"))
+        fmap = RFMap(w=v, activation=get_activation("identity"))
         with pytest.raises(DegenerateDenominator):
             covariance_diagnostic(
                 "rf", get_activation("identity"), k=d_x, n=d_x + 1, d_x=d_x, d_y=d_y,

@@ -160,6 +160,18 @@ def test_sweep_bad_config_exits_2(tmp_path):
     assert main(["sweep", "--config", str(config_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload",
+    ["[" * 100_000, '{"model": "ntk", ' + json.dumps(SWEEP_CONFIG)[1:]],
+    ids=["deeply-nested", "repeated-key"],
+)
+def test_sweep_malformed_config_exits_2(tmp_path, payload, capsys):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(payload)
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 @pytest.mark.parametrize("activation", [3, "nope"])
 def test_sweep_unknown_activation_exits_2(tmp_path, activation, capsys):
     config_path = tmp_path / "config.json"

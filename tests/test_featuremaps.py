@@ -17,16 +17,16 @@ class TestSampleRfMap:
     def test_deterministic_for_seed(self):
         a = sample_map("rf", 20, 10, get_activation("relu"), seed=7)
         b = sample_map("rf", 20, 10, get_activation("relu"), seed=7)
-        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(a.w, b.w)
 
     def test_entry_statistics(self):
         m = sample_map("rf", 100, 100, get_activation("relu"), seed=1)
-        assert abs(m.v.mean()) <= 4.0 / np.sqrt(100 * 100 * 100)
-        assert abs(m.v.var() * 100 - 1.0) <= 0.2
+        assert abs(m.w.mean()) <= 4.0 / np.sqrt(100 * 100 * 100)
+        assert abs(m.w.var() * 100 - 1.0) <= 0.2
 
     def test_scalar_entry_variance_across_seeds(self):
         draws = np.array(
-            [sample_map("rf", 1, 1, get_activation("relu"), seed=s).v[0, 0] for s in range(10_000)]
+            [sample_map("rf", 1, 1, get_activation("relu"), seed=s).w[0, 0] for s in range(10_000)]
         )
         assert abs(draws.var() - 1.0) <= 0.05
 
@@ -35,7 +35,7 @@ class TestRfFeatures:
     def test_identity_activation_gives_preactivations(self):
         m = sample_map("rf", 6, 4, get_activation("identity"), seed=2)
         z = np.arange(4.0)
-        assert np.allclose(_features(m, z), m.v @ z, atol=0)
+        assert np.allclose(_features(m, z), m.w @ z, atol=0)
 
     def test_relu_of_zero_input(self):
         m = sample_map("rf", 5, 3, get_activation("relu"), seed=3)
@@ -47,7 +47,7 @@ class TestRfFeatures:
         z = rng.standard_normal(5)
         feats = _features(m, z)
         for i in range(7):
-            u = float(m.v[i] @ z)
+            u = float(m.w[i] @ z)
             expected = _hermite_matrix(1, u)[1] + _hermite_matrix(2, u)[2]
             assert feats[i] == pytest.approx(expected, abs=1e-12)
 
@@ -62,7 +62,7 @@ class TestNtkFeatures:
         m = sample_map("ntk", 1, 3, get_activation("h0+h1"), seed=6)
         z = np.eye(3)[0]
         vec = _features(m, z)
-        w = m.activation_derivative(m.w0 @ z)
+        w = m.activation(m.w @ z)
         assert np.allclose(vec[:1], w, atol=0)
         assert np.array_equal(vec[1:], np.zeros(2))
 
@@ -71,7 +71,7 @@ class TestNtkFeatures:
         rng = np.random.default_rng(1)
         for _ in range(5):
             z = rng.standard_normal(6)
-            w = m.activation_derivative(m.w0 @ z)
+            w = m.activation(m.w @ z)
             expected = float(z @ z) * float(w @ w)
             assert abs(m.kernel(z, z) - expected) <= 1e-10 * expected
 
@@ -79,7 +79,7 @@ class TestNtkFeatures:
         m = sample_map("ntk", 2, 3, get_activation("h0+h1"), seed=8)
         z = np.array([0.3, -1.2, 2.0])
         vec = _features(m, z)
-        w = m.activation_derivative(m.w0 @ z)
+        w = m.activation(m.w @ z)
         expected = np.empty(6)
         for i in range(3):
             for j in range(2):
@@ -148,7 +148,7 @@ class TestGramAssembly:
         rng = np.random.default_rng(8)
         rows = rng.standard_normal((4, 6))
         queries = rng.standard_normal((3, 6))
-        cross = m.prepare(rows).cross(queries)
+        cross = m.prepare(rows).cross(m.prepare(queries))
         for i, q in enumerate(queries):
             for j, r in enumerate(rows):
                 assert cross[i, j] == pytest.approx(m.kernel(q, r), rel=1e-12)
@@ -183,10 +183,10 @@ class TestInitOutputs:
     def test_ntk_init_output_is_feature_dot_initialization(self):
         m = sample_map("ntk", 3, 4, get_activation("h0+h1"), seed=24)
         z = np.random.default_rng(14).standard_normal(4)
-        theta0 = m.w0.T.ravel()
+        theta0 = m.w.T.ravel()
         explicit = float(_features(m, z) @ theta0)
-        assert m.outputs(z, m.w0.T)[0] == pytest.approx(explicit, rel=1e-12)
-        assert m.outputs(z[None, :], m.w0.T)[0] == pytest.approx(explicit, rel=1e-12)
+        assert m.outputs(z, m.w.T)[0] == pytest.approx(explicit, rel=1e-12)
+        assert m.outputs(z[None, :], m.w.T)[0] == pytest.approx(explicit, rel=1e-12)
 
 
 def _traced_peak(fn) -> int:
@@ -209,7 +209,7 @@ class TestRfRowBlocks:
     def test_prepared_features_equal_unblocked_activation(self, activation, n):
         m = sample_map("rf", 40, 6, get_activation(activation), seed=25)
         rows = np.random.default_rng(n).standard_normal((n, 6))
-        assert np.array_equal(m.prepare(rows).phi, m.activation(rows @ m.v.T))
+        assert np.array_equal(m.prepare(rows).phi, m.activation(rows @ m.w.T))
 
     @pytest.mark.parametrize("shape", [(0, 6), (1, 6), (6,), (2 * _ROW_BLOCK + 5, 6)])
     def test_outputs_match_feature_matrix(self, shape):

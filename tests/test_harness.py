@@ -171,6 +171,22 @@ class TestConfig:
             parse_config(path)
         assert main(["sweep", "--config", str(path)]) == 2
 
+    def test_deeply_nested_json_is_config_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            parse_config(path)
+
+    def test_repeated_key_is_config_error(self, tmp_path):
+        # json.load keeps the last of two equal keys; the config must not
+        body = json.dumps(dict(SMALL_CONFIG, model="rf"))[1:]
+        path = tmp_path / "repeated.json"
+        path.write_text('{"model": "ntk", ' + body)
+        with pytest.raises(ConfigError, match="repeated config key 'model'"):
+            parse_config(path)
+        with open(path, encoding="utf-8") as f, pytest.raises(ConfigError, match="repeated"):
+            parse_config(f)
+
     def test_missing_file_is_config_error(self, tmp_path):
         path = tmp_path / "absent.json"
         with pytest.raises(ConfigError, match="cannot read config"):

@@ -46,13 +46,15 @@ def test_batch_of_one_equals_batch(kind):
         assert single == pytest.approx(batch[i], rel=1e-12, abs=1e-12)
 
     z, zp = probes[0], probes[1]
-    assert fmap.kernel(z, zp) == fmap.prepare(zp).cross(z)[0, 0]
-    assert fmap.kernel(z, zp) == pytest.approx(fmap.prepare(probes).cross(z)[0, 1], rel=1e-12)
+    assert fmap.kernel(z, zp) == fmap.prepare(zp).cross(fmap.prepare(z))[0, 0]
+    assert fmap.kernel(z, zp) == pytest.approx(
+        fmap.prepare(probes).cross(fmap.prepare(z))[0, 1], rel=1e-12
+    )
 
     # one solve of K^{-1} k(z1) against the explicit two-solve residual formula
     system = KernelSystem.build(fmap, dataset.z[1:])
     z1 = dataset.z[0]
-    k1, kz = system.cross(z1)[0], system.cross(z)[0]
+    k1, kz = system.cross(fmap.prepare(z1))[0], system.cross(fmap.prepare(z))[0]
     den = fmap.kernel(z1, z1) - float(k1 @ system.solve(k1))
     num = fmap.kernel(z, z1) - float(kz @ system.solve(k1))
     got_num, got_den = AlignmentSolver(system).alignment_parts(z, z1)
@@ -82,16 +84,18 @@ def test_leading_view_equals_system_on_leading_rows(kind, m, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a leading view must not prepare or factor again")
 
-    monkeypatch.setattr(type(fmap), "prepare", forbidden)
-    monkeypatch.setattr(KernelSolveCache, "factor", forbidden)
-    view = full.leading(m)
+    with monkeypatch.context() as patched:
+        patched.setattr(type(fmap), "prepare", forbidden)
+        patched.setattr(KernelSolveCache, "factor", forbidden)
+        view = full.leading(m)
     assert view.n == m and view.map is fmap
     assert np.shares_memory(view.cache.chol, full.cache.chol) or m == 0
     assert np.shares_memory(view.cache.diag_inv, full.cache.diag_inv) or m == 0
     # the view has no spectrum of its own
     assert np.isnan(view.cache.min_eig) and np.isnan(view.cache.max_eig)
 
-    cross, expected = view.cross(probes), direct.cross(probes)
+    queries = fmap.prepare(probes)
+    cross, expected = view.cross(queries), direct.cross(queries)
     assert cross.shape == expected.shape == (len(probes), m)
     assert np.allclose(cross, expected, rtol=1e-12, atol=1e-12)
     b = np.random.default_rng(m).standard_normal((m, 2))
@@ -113,21 +117,33 @@ def test_alignment_makes_one_cross_call_per_pair(kind, monkeypatch):
     fmap, dataset, probes = _instance(kind)
     system = KernelSystem.build(fmap, dataset.z[1:])
     z1 = dataset.z[0]
-    k1, kz = system.cross(z1)[0], system.cross(probes)
+    k1, kz = system.cross(fmap.prepare(z1))[0], system.cross(fmap.prepare(probes))
     solved = system.solve(k1)
-    calls = []
+    expected = [
+        (fmap.kernel(z, z1) - float(kz[i] @ solved), fmap.kernel(z1, z1) - float(k1 @ solved))
+        for i, z in enumerate(probes)
+    ]
+    calls, features = [], []
     real = KernelSystem.cross
 
-    def counting(self, rows):
-        calls.append(np.shape(rows))
-        return real(self, rows)
+    def counting(self, queries):
+        calls.append(queries.n)
+        return real(self, queries)
+
+    # the pair's rows become features once: its Gram and cross block share them
+    producer = "feature_matrix" if kind == "rf" else "_derivs"
+    real_features = getattr(type(fmap), producer)
+
+    def counting_features(self, rows):
+        features.append(len(rows))
+        return real_features(self, rows)
 
     monkeypatch.setattr(KernelSystem, "cross", counting)
+    monkeypatch.setattr(type(fmap), producer, counting_features)
     solver = AlignmentSolver(system)
-    for i, z in enumerate(probes):
+    for z, (expected_num, expected_den) in zip(probes, expected):
         num, den = solver.alignment_parts(z, z1)
-        expected_num = fmap.kernel(z, z1) - float(kz[i] @ solved)
-        expected_den = fmap.kernel(z1, z1) - float(k1 @ solved)
         assert abs(num - expected_num) <= 1e-12 * (1.0 + abs(expected_num))
         assert abs(den - expected_den) <= 1e-12 * (1.0 + abs(expected_den))
-    assert calls == [(2, fmap.d)] * len(probes)
+    assert calls == [2] * len(probes)
+    assert features == [2] * len(probes)

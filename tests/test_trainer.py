@@ -56,7 +56,7 @@ class TestFitMinNorm:
         # doubles the tangent kernel, and the min-norm predictor
         # 2K(z, Z) (2K)^{-1} g is the single map's
         fmap, dataset, teacher = _ntk_instance()
-        doubled = featuremaps.NTKMap(np.vstack([fmap.w0, fmap.w0]), fmap.activation_derivative)
+        doubled = featuremaps.NTKMap(np.vstack([fmap.w, fmap.w]), fmap.activation)
         kernel = fmap.prepare(dataset.z).gram()
         assert np.linalg.norm(doubled.prepare(dataset.z).gram() - 2.0 * kernel) <= (
             1e-12 * 2.0 * np.linalg.norm(kernel)
@@ -251,7 +251,7 @@ class TestPrimalPrediction:
         fmap = sample_map(kind, k, d_x + d_y, get_activation(activation), seed + 2)
         model = fit_min_norm(fmap, dataset)
         queries = generate_synthetic(n_queries, d_x, d_y, teacher, seed + 3).z
-        dual = model.system.cross(queries) @ model.dual_coefs
+        dual = model.system.cross(model.map.prepare(queries)) @ model.dual_coefs
         primal = model.predict(queries)
         assert np.all(np.abs(primal - dual) <= 1e-10 * np.maximum(np.abs(dual), 1.0))
 
