@@ -13,9 +13,10 @@ block, ``kernel(z, zp)`` is the one-row cross kernel, ``feature_matrix`` the
 (n, p) features. ``sample_map`` is the one place a map kind picks its class
 and draws its weights.
 
-Random features act(W z) are built in place: the activation overwrites the
-pre-activations Z W^T block by block of rows, so n prepared rows hold one
-n x k buffer, and ``outputs`` holds one block of rows at a time, with
+Random features act(W z), and tangent derivatives act'(W z), are built in
+place: the activation overwrites the pre-activations Z W^T, one
+hermite.ACTIVATION_CHUNK at a time, so n prepared rows hold one n x k buffer
+and no second one. ``outputs`` holds one block of rows at a time, with
 O(block k) transient memory and never the n x k features of its queries.
 
 Tangent features z (x) act'(W z) have dimension k*d. Prepared tangent rows
@@ -34,12 +35,12 @@ from .errors import DimensionMismatch
 from .hermite import ActivationSpec
 from .linops import _SOLVE_PANEL, gram
 
-# Rows per block when random features are activated or turned into outputs; a
-# block holds _ROW_BLOCK * k floats twice (pre-activations and activations). On
-# a 2-core Xeon with 2 BLAS threads, at k = 4000, d = 400, outputs of 1000 rows
-# took 74 ms (h1+h2) and 49 ms (relu) at 256, against 77 and 45 ms unblocked,
-# 71 and 45 ms at 512 for twice the memory, and 92 and 71 ms at 128; activating
-# 1500 prepared rows took 94 and 61 ms at 256 against 111 and 70 ms unblocked.
+# Rows per block when a map turns rows into outputs; an RF block holds
+# _ROW_BLOCK * k floats once, its activations written over its
+# pre-activations. Medians of 15 interleaved runs on a 2-core Xeon with 2 BLAS
+# threads, at k = 4000, d = 400: outputs of 1000 rows took 71 ms (h1+h2) and
+# 50 ms (relu) at 256, against 66 and 45 ms unblocked, 68 and 46 ms at 512 for
+# twice the memory, and 76 and 55 ms at 128.
 _ROW_BLOCK = 256
 
 
@@ -90,14 +91,10 @@ class RFMap(_FeatureMap):
         return self.k
 
     def feature_matrix(self, rows: np.ndarray) -> np.ndarray:
-        """The (n, k) features act(Z W^T), activated in place in the buffer of
-        the pre-activations, _ROW_BLOCK rows at a time: one n x k array, plus
-        O(_ROW_BLOCK k) transient memory.
+        """The (n, k) features act(Z W^T), written by the activation over the
+        pre-activations: one n x k array, plus the activation's chunk buffers.
         """
-        phi = _as_rows(rows, self.d) @ self.w.T
-        for s in range(0, len(phi), _ROW_BLOCK):
-            phi[s : s + _ROW_BLOCK] = self.activation(phi[s : s + _ROW_BLOCK])
-        return phi
+        return self.activation.in_place(_as_rows(rows, self.d) @ self.w.T)
 
     def prepare(self, rows: np.ndarray) -> "_PreparedRF":
         return _PreparedRF(self, self.feature_matrix(rows))
@@ -114,8 +111,9 @@ class NTKMap(_FeatureMap):
         return self.k * self.d
 
     def _derivs(self, rows: np.ndarray) -> np.ndarray:
-        """act'(W z) for each of the (already checked) rows."""
-        return self.activation(rows @ self.w.T)
+        """act'(W z) for each of the (already checked) rows, written over the
+        pre-activations."""
+        return self.activation.in_place(rows @ self.w.T)
 
     def feature_matrix(self, rows: np.ndarray) -> np.ndarray:
         """Materialized N x (k d) features, index i*k + j; desk-scale sizes only."""
@@ -184,8 +182,9 @@ class _PreparedNTK:
 
     def gram(self) -> np.ndarray:
         """(Z Z^T) * (D D^T), D = act'(Z W^T), with D D^T multiplied in by
-        row panels of the factor's width: one N x N array, and no second one
-        for the derivative factor.
+        row panels of the factor's width, _SOLVE_PANEL = 512: one N x N
+        array, and beside it one 512 x N panel (12 MB at N = 3000), not a
+        second N x N array for the derivative factor.
 
         Up to one panel the product is numpy's syrk, and the Gram is exactly
         symmetric. Past it, each panel is a GEMM, whose entries at the BLAS

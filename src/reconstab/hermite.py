@@ -19,8 +19,11 @@ DEFAULT_TRUNCATION = 40
 DEFAULT_NODES = 80
 MAX_NODES = 640
 CONVERGENCE_TOL = 1e-8
-# Hermite combinations are evaluated this many entries at a time, so the
-# (L+1)-row basis stays small however large the pre-activation matrix is.
+# Activations are evaluated this many entries at a time. A Hermite combination
+# works in four buffers of this length (the sum, two rows of the recurrence
+# and one product), 512 KB in all, made by each call: an activation written
+# over a pre-activation matrix of any size needs no second matrix, and two
+# threads activating different arrays share nothing.
 ACTIVATION_CHUNK = 16384
 
 
@@ -51,14 +54,45 @@ class ActivationSpec:
             raise ValueError("exactly one of coeffs or fn must be given")
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
+        """act(u) in a new array; u is left as it is."""
+        return self.in_place(np.array(u, dtype=float))
+
+    def in_place(self, u: np.ndarray) -> np.ndarray:
+        """Overwrite the contiguous float array u with act(u), ACTIVATION_CHUNK
+        entries at a time, and return it.
+
+        A callable is applied to each chunk, so it must act entry by entry. A
+        Hermite combination is summed as acc = c_0, then acc += c_l h_l for
+        l = 1..L, with h_l from the recurrence of ``_hermite_matrix``: the bits
+        of that sum taken over the rows of ``_hermite_matrix``.
+        """
+        if u.dtype != np.float64 or not (u.flags.c_contiguous or u.flags.f_contiguous):
+            raise ValueError("in-place activation needs a contiguous float64 array")
+        flat = u.reshape(-1, order="A")
         if self.coeffs is None:
-            return self.fn(u)
-        flat, vals = u.ravel(), np.empty(u.size)
-        for s in range(0, u.size, ACTIVATION_CHUNK):
-            basis = _hermite_matrix(len(self.coeffs) - 1, flat[s : s + ACTIVATION_CHUNK])
-            vals[s : s + ACTIVATION_CHUNK] = np.asarray(self.coeffs) @ basis
-        return vals.reshape(u.shape)
+            for s in range(0, flat.size, ACTIVATION_CHUNK):
+                flat[s : s + ACTIVATION_CHUNK] = self.fn(flat[s : s + ACTIVATION_CHUNK])
+            return u
+        c = self.coeffs
+        buffers = np.empty((4, min(flat.size, ACTIVATION_CHUNK)))
+        for s in range(0, flat.size, ACTIVATION_CHUNK):
+            rho = flat[s : s + ACTIVATION_CHUNK]
+            acc, prev, cur, term = buffers[:, : rho.size]
+            acc.fill(c[0])
+            prev.fill(1.0)
+            cur[:] = rho
+            for l in range(1, len(c)):
+                if l > 1:
+                    # h_l = (rho h_{l-1} - sqrt(l-1) h_{l-2}) / sqrt(l), over h_{l-2}
+                    np.multiply(prev, math.sqrt(l - 1), out=prev)
+                    np.multiply(rho, cur, out=term)
+                    np.subtract(term, prev, out=prev)
+                    np.divide(prev, math.sqrt(l), out=prev)
+                    prev, cur = cur, prev
+                np.multiply(cur, c[l], out=term)
+                acc += term
+            rho[:] = acc
+        return u
 
 
 @dataclass(frozen=True)

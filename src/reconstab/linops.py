@@ -7,7 +7,10 @@ no p x p matrix is ever formed).
 Each Gram is factored once, by Cholesky, and that is the only O(N^3) step. A
 fit holds one N x N buffer: ``KernelSolveCache.factor`` consumes the Gram it
 is given and writes the factor over it, block column by block column, and no
-copy of the Gram is kept beside the factor. The extreme eigenvalues come from
+copy of the Gram is kept beside the factor. Beside that buffer a fit's
+temporaries stay within one panel of _SOLVE_PANEL = 512 rows: the update of a
+block column is at most a 512 x N product, and LAPACK copies a 512 x 512
+diagonal block twice (4 MB). The extreme eigenvalues come from
 Lanczos on the factored matrix L L^T, not from a dense eigensolver, and each
 is paid for only where it is needed. lambda_min (solves against the factor)
 is computed by every factorization, because the rank guard needs it.
@@ -50,20 +53,23 @@ SOLVE_BLOCK = 64
 # A panel's off-diagonal product L[S:E, :S] @ y[:S] is one BLAS call that
 # OpenBLAS threads; inside the panel the SOLVE_BLOCK loop runs as before, so a
 # system of at most _SOLVE_PANEL rows is solved exactly as without panels.
-# On the sweep's NTK Gram (N = 3000) with 2 BLAS threads, one right-hand side
-# took 6.1 ms without panels, 4.7 ms at 1024 and 5.2 ms at 2048; 4 and 20
-# right-hand sides took 14.5 and 20.4 ms without, 11.2 and 19.1 ms at 1024.
-# 512 was within noise of 1024 on one right-hand side, at N = 1500 and 3000,
-# and 1024 leaves every system of up to 1024 rows as it was.
 # It is also the width of the block columns of the factorization, so a Gram
 # of up to _SOLVE_PANEL rows is one LAPACK Cholesky and factors bit for bit as
-# before. With 2 BLAS threads the NTK Gram of N = 3000 factored in 0.23 s at
-# 1024, 0.24 at 256 and 0.27 at 64 (one LAPACK call: 0.38); the RF Gram of
-# N = 1500 in 0.061 s at 1024 and 0.035 at 64 (LAPACK: 0.057). A 64-wide
-# factor of the ill-conditioned RF Gram of
-# TestBlockedSolve.test_ill_conditioned_rf_gram solves with 1.09 times the
-# residual of LU, where the one LAPACK call gives 0.95 times.
-_SOLVE_PANEL = 1024
+# it would without blocks, and the row panels in which featuremaps builds the
+# tangent Gram: no temporary of a fit is larger than _SOLVE_PANEL x N.
+# Medians of 15 interleaved runs on a 2-core Xeon with 2 BLAS threads, at
+# widths 256 / 512 / 1024: the factor of the sweep's RF Gram (N = 1500) took
+# 45 / 53 / 65 ms and of its NTK Gram (N = 3000) 254 / 252 / 279 ms; that NTK
+# Gram was built in 91 / 93 / 93 ms; a solve against its factor took
+# 5.3 / 4.3 / 4.5 ms with one right-hand side and 13.6 / 14.5 / 15.1 ms with
+# 20. LAPACK factors one 1024-wide diagonal block in about 40 ms, near
+# 9 GFLOP/s, where a GEMM like a block column's update ran near 100 GFLOP/s:
+# narrower block columns move flops from the one to the other. 512
+# rather than 256 because it keeps the Gram of N = 300 in
+# TestBlockedSolve.test_ill_conditioned_rf_gram one LAPACK call, which solves
+# with 0.95 times the residual of LU there; two block columns of 256 gave
+# 1.004 times.
+_SOLVE_PANEL = 512
 
 # Lanczos stops once a bound on the distance from its top Ritz value to an
 # eigenvalue falls below this fraction of that Ritz value.
@@ -171,8 +177,9 @@ def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
     product with the columns already factored, its diagonal block is factored
     by LAPACK, and the panel below solves against that block by the forward
     substitution of ``solve``. Only the lower triangle of ``a`` is read, and
-    the upper one is zeroed. The transient memory is one block column and
-    LAPACK's copies of one diagonal block.
+    the upper one is zeroed. The transient memory is the update of one block
+    column, at most (N - _SOLVE_PANEL) x _SOLVE_PANEL, and LAPACK's two copies
+    of one _SOLVE_PANEL-wide diagonal block, 2 MB each.
     """
     n = a.shape[0]
     diag_inv = np.empty(((n + SOLVE_BLOCK - 1) // SOLVE_BLOCK, SOLVE_BLOCK, SOLVE_BLOCK))

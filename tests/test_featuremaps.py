@@ -200,8 +200,9 @@ def _traced_peak(fn) -> int:
 
 
 class TestRfRowBlocks:
-    """Random features are activated and turned into outputs _ROW_BLOCK rows
-    at a time; the results do not depend on the blocking.
+    """Random features are activated over their pre-activations and turned
+    into outputs _ROW_BLOCK rows at a time; the results do not depend on the
+    blocking.
     """
 
     @pytest.mark.parametrize("n", [1, _ROW_BLOCK, 3 * _ROW_BLOCK + 17])
@@ -235,3 +236,20 @@ class TestRfRowBlocks:
         m = sample_map("rf", k, 8, get_activation("h1+h2"), seed=28)
         rows = np.random.default_rng(18).standard_normal((n, 8))
         assert _traced_peak(lambda: m.prepare(rows)) < 1.5 * n * k * 8
+
+    @pytest.mark.parametrize("kind", ["rf", "ntk"])
+    @pytest.mark.parametrize("activation", ["h1+h2", "tanh"])
+    def test_prepare_activates_over_the_pre_activations(self, kind, activation):
+        # one n x k buffer (RF features, or tangent derivatives) and the
+        # activation's chunk buffers; a second block of rows would exceed it
+        k, n = 1000, 8 * _ROW_BLOCK
+        m = sample_map(kind, k, 8, get_activation(activation), seed=29)
+        rows = np.random.default_rng(19).standard_normal((n, 8))
+        assert _traced_peak(lambda: m.prepare(rows)) < 1.1 * n * k * 8
+
+    def test_outputs_hold_one_row_block(self):
+        k, n = 1000, 8 * _ROW_BLOCK
+        m = sample_map("rf", k, 8, get_activation("h1+h2"), seed=30)
+        rows = np.random.default_rng(20).standard_normal((n, 8))
+        w = np.random.default_rng(21).standard_normal(k)
+        assert _traced_peak(lambda: m.outputs(rows, w)) < 1.5 * _ROW_BLOCK * k * 8

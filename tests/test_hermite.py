@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from reconstab import hermite
 from reconstab.errors import DegenerateSpectrum, QuadratureNonconvergent
 from reconstab.hermite import (
     ActivationSpec,
+    activation_names,
     gamma_ntk_closed_form,
     gamma_rf_lower_bound,
     get_activation,
@@ -253,3 +256,85 @@ class TestActivationSpec:
     def test_rejects_both_kinds(self):
         with pytest.raises(ValueError):
             ActivationSpec(name="bad", coeffs=(1.0,), fn=lambda u: u)
+
+
+def _chunked_rows():
+    """Rows spanning several ACTIVATION_CHUNKs, the last one partial."""
+    return 3.0 * np.random.default_rng(1).standard_normal((3, hermite.ACTIVATION_CHUNK + 7))
+
+
+def _term_by_term(coeffs, u):
+    """c_0 + c_1 h_1(u) + ... + c_L h_L(u), summed in that order over the rows
+    of _hermite_matrix."""
+    basis = _hermite_matrix(len(coeffs) - 1, u.ravel())
+    acc = np.full(u.size, coeffs[0])
+    for c, row in zip(coeffs[1:], basis[1:]):
+        acc += c * row
+    return acc.reshape(u.shape)
+
+
+class TestInPlaceActivation:
+    """Activations written over their input, one ACTIVATION_CHUNK at a time,
+    in buffers that belong to the call."""
+
+    @pytest.mark.parametrize("name", [n for n in activation_names() if get_activation(n).coeffs])
+    def test_hermite_combination_sums_term_by_term(self, name):
+        act = get_activation(name)
+        u = _chunked_rows()
+        expected = _term_by_term(act.coeffs, u)
+        out = act.in_place(u)
+        assert out is u
+        assert np.array_equal(u, expected)
+
+    @pytest.mark.parametrize("name", ["relu", "tanh"])
+    def test_callable_is_applied_exactly(self, name):
+        act = get_activation(name)
+        u = _chunked_rows()
+        expected = act.fn(u)
+        assert np.array_equal(act.in_place(u), expected)
+
+    @pytest.mark.parametrize("name", activation_names())
+    def test_call_leaves_its_input_untouched(self, name):
+        act = get_activation(name)
+        u = _chunked_rows()
+        before = u.copy()
+        out = act(u)
+        assert np.array_equal(u, before) and not np.shares_memory(out, u)
+        assert np.array_equal(act(u.T), out.T)
+        assert np.array_equal(act(u[:, ::2]), out[:, ::2])
+
+    def test_rejects_an_array_it_cannot_write_over(self):
+        act = get_activation("h1+h2")
+        with pytest.raises(ValueError):
+            act.in_place(_chunked_rows()[:, ::2])
+        with pytest.raises(ValueError):
+            act.in_place(np.zeros(5, dtype=np.float32))
+
+    def test_threads_on_different_blocks_give_one_threads_bits(self):
+        # more threads than cores, switching often: buffers shared between
+        # calls would mix the blocks' partial sums
+        act = get_activation("h1+h4")
+        blocks = [3.0 * np.random.default_rng(seed).standard_normal(2 * hermite.ACTIVATION_CHUNK + 5)
+                  for seed in range(4)]
+        expected = [act(b) for b in blocks]
+        results = [None] * len(blocks)
+        start = threading.Barrier(len(blocks))
+
+        def work(i):
+            start.wait()
+            for _ in range(5):
+                results[i] = act.in_place(blocks[i].copy())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(blocks))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            assert np.array_equal(got, want)

@@ -234,6 +234,26 @@ class TestBlockedSolve:
         oracle_resid = np.linalg.norm(k @ np.linalg.solve(k, b) - b)
         assert resid <= oracle_resid
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ill_conditioned_rf_gram_over_block_columns(self, seed):
+        # k = N + 5 random features of a degree-2 activation on d = 50 inputs,
+        # whose 1,326 monomials of degree <= 2 barely exceed N: condition near
+        # 1e6, and a factor of three block columns. The normwise backward
+        # error of the solve stays within N eps.
+        n, d = 2 * P + B + 5, 50
+        rng = np.random.default_rng(seed)
+        fmap = sample_map("rf", n + 5, d, get_activation("h1+h2"), seed)
+        z = rng.standard_normal((n, d))
+        z *= np.sqrt(d) / np.linalg.norm(z, axis=1, keepdims=True)
+        k = fmap.prepare(z).gram()
+        cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
+        assert cache.condition > 5e5
+        b = rng.standard_normal(n)
+        x = cache.solve(b)
+        resid = np.max(np.abs(k @ x - b))
+        backward = resid / (np.linalg.norm(k, np.inf) * np.max(np.abs(x)) + np.max(np.abs(b)))
+        assert backward <= n * np.finfo(float).eps
+
 
 class TestFactorInPlace:
     """The factor is written over the Gram, one block column of P rows at a
@@ -259,8 +279,8 @@ class TestFactorInPlace:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_breakdown_in_the_second_panel_raises(self, seed):
-        # k = 1050 random features: the leading P x P block is positive
-        # definite, and the Gram of N = 1100 rows has rank 1050
+        # k = P + 26 random features: the leading P x P block is positive
+        # definite, and the Gram of N = P + 76 rows has rank P + 26
         n, d = P + 76, 60
         z = np.random.default_rng(seed).standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -311,6 +331,24 @@ class TestFactorInPlace:
         unit = n * n * 8
         assert (held - rows) / unit <= 1.2
         assert (peak - rows) / unit <= 1.9
+
+    def test_build_peaks_at_one_gram_and_one_panel(self):
+        # the N x N Gram, one P x N panel (of D D^T while the Gram is built,
+        # of a block column's update while it is factored) and the prepared
+        # rows, with 2 N B floats for the diagonal-block inverses and the
+        # temporaries that compute them
+        n, d = 3 * P + B + 5, 256
+        z = np.random.default_rng(2).standard_normal((n, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        fmap = sample_map("ntk", 64, d, get_activation("h0+h1"), 3)
+        tracemalloc.start()
+        try:
+            system = linops.KernelSystem.build(fmap, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = system.prepared.derivs.nbytes
+        assert peak <= 8 * (n * n + P * n + 2 * n * B) + rows
 
 
 class TestResidualNormBound:
