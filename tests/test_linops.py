@@ -172,7 +172,9 @@ def _wishart_gram(n):
 
 class TestBlockedSolve:
     @pytest.mark.parametrize(
-        "n", [0, 1, B - 1, B, B + 1, 3 * B + 5, P - 1, P, P + 1, 2 * P + B + 5]
+        "n",
+        [0, 1, B - 1, B, B + 1, 3 * B + 5, P - 1, P, P + 1]
+        + [2 * P - 1, 2 * P, 2 * P + 1, 2 * P + B + 5, 4 * P + B + 5],
     )
     @pytest.mark.parametrize("width", [None, 3])
     def test_matches_dense_solve(self, n, width):
@@ -196,10 +198,14 @@ class TestBlockedSolve:
         else:
             assert np.linalg.norm(x - one_level) <= 1e-12 * np.linalg.norm(one_level)
 
-    @pytest.mark.parametrize("m", [P - 1, P + 1, P + B // 2, 2 * P + B + 4])
+    @pytest.mark.parametrize(
+        "m",
+        [P - 1, P + 1, P + B // 2, 2 * P - 1, 2 * P + 1, 2 * P + B // 2, 4 * P + B + 4],
+    )
     def test_leading_view_that_cuts_a_panel(self, m):
-        # n - 1 rows, the view every sweep row takes, cuts the last panel
-        rng, k = _wishart_gram(2 * P + B + 5)
+        # views on either side of the first and second panel edges; n - 1
+        # rows, the view every sweep row takes, cuts the last panel
+        rng, k = _wishart_gram(4 * P + B + 5)
         view = linops.KernelSolveCache.factor(k.copy()).leading(m)
         direct = linops.KernelSolveCache.factor(k[:m, :m].copy())
         b = rng.standard_normal((m, 2))
@@ -268,7 +274,7 @@ class TestFactorInPlace:
         assert np.array_equal(cache.chol, chol)
         assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(chol))
 
-    @pytest.mark.parametrize("n", [P + 1, 2 * P + B + 5])
+    @pytest.mark.parametrize("n", [P + 1, 2 * P + 1, 2 * P + B + 5, 4 * P + B + 5])
     def test_block_columns_match_lapack(self, n):
         _, k = _wishart_gram(n)
         chol = np.linalg.cholesky(k)
@@ -290,7 +296,7 @@ class TestFactorInPlace:
         with pytest.raises(SingularKernel, match="not positive definite"):
             linops.KernelSolveCache.factor(k, p=fmap.n_params)
 
-    @pytest.mark.parametrize("n", [P, P + 276])
+    @pytest.mark.parametrize("n", [P, P + 276, 2 * P, 2 * P + 276])
     def test_ntk_gram_by_row_panels(self, n):
         d = 64
         z = np.random.default_rng(1).standard_normal((n, d))
