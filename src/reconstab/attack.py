@@ -74,8 +74,6 @@ class CovarianceDiagnostic:
     abstract alone.
     """
 
-    trials: int
-    alpha: float
     gamma_mean: float
     cov_attack: float
     se_cov_attack: float
@@ -131,8 +129,6 @@ def covariance_diagnostic(
     cov_stab, se_stab = _covariance(stability, labels)
     combined = math.sqrt(se_attack**2 + (gamma_mean * se_stab) ** 2)
     return CovarianceDiagnostic(
-        trials=trials,
-        alpha=d_y / (d_x + d_y),
         gamma_mean=gamma_mean,
         cov_attack=cov_attack,
         se_cov_attack=se_attack,

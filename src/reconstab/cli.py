@@ -102,10 +102,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verifymod.run_verify(args.level)
-    for check in report.checks:
+    checks = verifymod.run_verify(args.level)
+    for check in checks:
         print(f"{check.label} {check.name}: {check.detail}")
-    return 0 if report.ok else 1
+    return 0 if all(check.passed for check in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default="")
     p_sweep.add_argument("--workers", type=_at_least(1), default=1,
-                         help="threads computing rows; the CSV does not depend on it")
+                         help="threads computing rows; the CSV does not depend on it. "
+                              "Each row also runs threaded BLAS, so keep workers times "
+                              "OPENBLAS_NUM_THREADS/OMP_NUM_THREADS at most the cores")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the identity/theory suites")

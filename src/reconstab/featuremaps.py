@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .hermite import ActivationSpec
-from .linops import _SOLVE_PANEL, gram
+from .linops import _SOLVE_PANEL
 
 # Rows per block when a map turns rows into outputs; an RF block holds
 # _ROW_BLOCK * k floats once, its activations written over its
@@ -149,7 +149,10 @@ class _PreparedRF:
         return self.phi @ weights
 
     def gram(self) -> np.ndarray:
-        return gram(self.phi)
+        """Phi Phi^T. numpy forms it by a BLAS syrk, which fills one triangle
+        and mirrors it, so it is exactly symmetric with no symmetrizing pass.
+        """
+        return self.phi @ self.phi.T
 
     def cross(self, queries: "_PreparedRF") -> np.ndarray:
         """Kernel evaluations of each prepared query row against each row here."""

@@ -135,7 +135,7 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Build a config from a JSON document (path, file object, or dict).
+    """Build a config from a dict or from the path of a JSON file.
 
     Unknown and repeated keys are a hard error: a misspelled or doubled
     theory-sensitive parameter must not silently fall back to a default or
@@ -144,8 +144,6 @@ def parse_config(source) -> ExperimentConfig:
     try:
         if isinstance(source, dict):
             doc = source
-        elif hasattr(source, "read"):
-            doc = json.load(source, object_pairs_hook=_unique_keys)
         else:
             with open(source, encoding="utf-8") as f:
                 doc = json.load(f, object_pairs_hook=_unique_keys)

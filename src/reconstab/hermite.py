@@ -20,24 +20,29 @@ DEFAULT_NODES = 80
 MAX_NODES = 640
 CONVERGENCE_TOL = 1e-8
 # Activations are evaluated this many entries at a time. A Hermite combination
-# works in four buffers of this length (the sum, two rows of the recurrence
-# and one product), 512 KB in all, made by each call: an activation written
-# over a pre-activation matrix of any size needs no second matrix, and two
-# threads activating different arrays share nothing.
+# of order L works in an (L + 1)-row basis of this length, made by each call,
+# and one row-sized temporary of the recurrence: 4 chunks (512 KB) for h1+h2,
+# 6 for h1+h4. An activation written over a pre-activation matrix of any size
+# needs no second matrix, and two threads activating different arrays share
+# nothing.
 ACTIVATION_CHUNK = 16384
 
 
-def _hermite_matrix(max_l: int, rho: np.ndarray) -> np.ndarray:
+def _hermite_matrix(max_l: int, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows 0..max_l of the orthonormal Hermite basis evaluated at rho, by the
-    stable recurrence h_{l+1} = (rho h_l - sqrt(l) h_{l-1}) / sqrt(l+1).
+    stable recurrence h_{l+1} = (rho h_l - sqrt(l) h_{l-1}) / sqrt(l+1), in
+    out (shape (max_l + 1, rho.size)) when it is given.
     """
     rho = np.asarray(rho, dtype=float)
-    out = np.empty((max_l + 1, rho.size))
+    if out is None:
+        out = np.empty((max_l + 1, rho.size))
     out[0] = 1.0
     if max_l >= 1:
         out[1] = rho
     for j in range(1, max_l):
-        out[j + 1] = (rho * out[j] - math.sqrt(j) * out[j - 1]) / math.sqrt(j + 1)
+        h = np.multiply(rho, out[j], out=out[j + 1])
+        h -= math.sqrt(j) * out[j - 1]
+        h /= math.sqrt(j + 1)
     return out
 
 
@@ -61,37 +66,26 @@ class ActivationSpec:
         """Overwrite the contiguous float array u with act(u), ACTIVATION_CHUNK
         entries at a time, and return it.
 
-        A callable is applied to each chunk, so it must act entry by entry. A
-        Hermite combination is summed as acc = c_0, then acc += c_l h_l for
-        l = 1..L, with h_l from the recurrence of ``_hermite_matrix``: the bits
-        of that sum taken over the rows of ``_hermite_matrix``.
+        A callable is applied to each chunk, so it must act entry by entry. For
+        a Hermite combination each chunk's basis rows h_0..h_L come from
+        ``_hermite_matrix`` into one buffer of the call, and the chunk becomes
+        c_0, then c_0 + c_1 h_1, ... + c_L h_L, summed in that order.
         """
         if u.dtype != np.float64 or not (u.flags.c_contiguous or u.flags.f_contiguous):
             raise ValueError("in-place activation needs a contiguous float64 array")
         flat = u.reshape(-1, order="A")
-        if self.coeffs is None:
-            for s in range(0, flat.size, ACTIVATION_CHUNK):
-                flat[s : s + ACTIVATION_CHUNK] = self.fn(flat[s : s + ACTIVATION_CHUNK])
-            return u
         c = self.coeffs
-        buffers = np.empty((4, min(flat.size, ACTIVATION_CHUNK)))
+        if c is not None:
+            basis = np.empty((len(c), min(flat.size, ACTIVATION_CHUNK)))
         for s in range(0, flat.size, ACTIVATION_CHUNK):
             rho = flat[s : s + ACTIVATION_CHUNK]
-            acc, prev, cur, term = buffers[:, : rho.size]
-            acc.fill(c[0])
-            prev.fill(1.0)
-            cur[:] = rho
-            for l in range(1, len(c)):
-                if l > 1:
-                    # h_l = (rho h_{l-1} - sqrt(l-1) h_{l-2}) / sqrt(l), over h_{l-2}
-                    np.multiply(prev, math.sqrt(l - 1), out=prev)
-                    np.multiply(rho, cur, out=term)
-                    np.subtract(term, prev, out=prev)
-                    np.divide(prev, math.sqrt(l), out=prev)
-                    prev, cur = cur, prev
-                np.multiply(cur, c[l], out=term)
-                acc += term
-            rho[:] = acc
+            if c is None:
+                rho[:] = self.fn(rho)
+                continue
+            h = _hermite_matrix(len(c) - 1, rho, out=basis[:, : rho.size])
+            rho.fill(c[0])
+            for c_l, h_l in zip(c[1:], h[1:]):
+                rho += np.multiply(h_l, c_l, out=h_l)
         return u
 
 

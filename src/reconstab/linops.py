@@ -1,4 +1,4 @@
-"""Dense linear algebra: Gram matrices, their factorization, min-norm solves.
+"""Dense linear algebra: the factorization of Gram matrices, min-norm solves.
 
 Everything runs in kernel space: only the N x N Gram A A^T of the N training
 rows is ever factored (the feature dimension p can be much larger than N, and
@@ -77,17 +77,6 @@ LANCZOS_TOL = 1e-10
 # Seed of the Lanczos start vector: a fixed generator, not the global one, so
 # an estimate (and the sweep CSV that reports it) depends on the matrix alone.
 LANCZOS_SEED = 0
-
-
-def gram(a: np.ndarray) -> np.ndarray:
-    """Return A A^T for a matrix with samples on its rows.
-
-    numpy computes ``a @ a.T`` by a BLAS syrk, which fills one triangle and
-    mirrors it, so the result is exactly symmetric and needs no symmetrizing
-    pass.
-    """
-    a = np.asarray(a, dtype=float)
-    return a @ a.T
 
 
 def rank_tolerance(max_eig: float, n: int, p: int) -> float:

@@ -43,15 +43,6 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-@dataclass
-class VerifyReport:
-    checks: list[CheckResult]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 # desk-scale instances: N=30 rows of d=40 (d_x = d_y = 20), and per map kind
 # the width k and the activation
 _DESK_N, _DESK_D = 30, 40
@@ -353,7 +344,7 @@ def full_checks() -> list[CheckResult]:
     ]
 
 
-def run_verify(level: str = "quick") -> VerifyReport:
+def run_verify(level: str = "quick") -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    return VerifyReport(checks=quick_checks() if level == "quick" else full_checks())
+    return quick_checks() if level == "quick" else full_checks()

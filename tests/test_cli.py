@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reconstab import cli
+from reconstab import cli, verify
 from reconstab.alignment import AlignmentEstimate
 from reconstab.attack import build_query_batch, run_attack
 from reconstab.cli import main
@@ -233,3 +233,10 @@ def test_verify_quick_exits_zero(capsys):
     assert main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_exits_one_when_a_check_fails(monkeypatch, capsys):
+    checks = [verify.CheckResult("good", True, "ok"), verify.CheckResult("bad", False, "off")]
+    monkeypatch.setattr(verify, "quick_checks", lambda: checks)
+    assert main(["verify", "--level", "quick"]) == 1
+    assert capsys.readouterr().out == "PASS good: ok\nFAIL bad: off\n"

@@ -11,7 +11,7 @@ from reconstab import linops, verify
 from reconstab.alignment import AlignmentEstimate, AlignmentSolver, estimate_gamma_on_instance
 from reconstab.attack import run_attack
 from reconstab.cli import main
-from reconstab.data import MASKS, generate_synthetic, mask_rows, sample_teacher
+from reconstab.data import MASKS, attacked_pairs, generate_synthetic, mask_rows, sample_teacher
 from reconstab.errors import ConfigError
 from reconstab.featuremaps import sample_map
 from reconstab.harness import RESULT_COLUMNS, ExperimentConfig, parse_config, run_sweep, write_rows
@@ -184,8 +184,6 @@ class TestConfig:
         path.write_text('{"model": "ntk", ' + body)
         with pytest.raises(ConfigError, match="repeated config key 'model'"):
             parse_config(path)
-        with open(path, encoding="utf-8") as f, pytest.raises(ConfigError, match="repeated"):
-            parse_config(f)
 
     def test_missing_file_is_config_error(self, tmp_path):
         path = tmp_path / "absent.json"
@@ -308,6 +306,27 @@ class TestOneFactorPerRow:
             assert row.attack_acc == run_attack(model, queries, dataset.g).attack_accuracy
             assert row.lambda_min_over_scale == model.system.cache.min_eig / fmap.n_params
 
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
+    def test_one_row_grid_point_aligns_against_no_background(self, doc):
+        # at N = 1 the background is the empty leading(0) view, so each
+        # alignment is K(q_t, z1_t) / K(z1_t, z1_t)
+        config = parse_config(dict(doc, n_grid=[1, 2], trials=1))
+        rows = run_sweep(config)
+        assert [row.error for row in rows] == ["", ""]
+        row = rows[0]
+        seed, _, dataset, fmap = _row_instance(config, row)
+        z1, z1m = attacked_pairs(
+            seed[ROLE_GAMMA], config.gamma_trials, config.d_x, config.d_y, config.mask
+        )
+        attacked = fmap.prepare(z1)
+        gammas = (np.diagonal(attacked.cross(fmap.prepare(z1m)))
+                  / np.diagonal(attacked.cross(attacked)))
+        assert row.gamma_mean == pytest.approx(np.mean(gammas), rel=1e-12, abs=0)
+        assert row.gamma_std == pytest.approx(np.std(gammas, ddof=1), rel=1e-12, abs=0)
+        train = fmap.prepare(dataset.z)
+        scale = float(train.cross(train)[0, 0]) / fmap.n_params
+        assert row.lambda_min_over_scale == pytest.approx(scale, rel=1e-12, abs=0)
+
     def test_one_factorization_per_row(self, monkeypatch):
         calls = []
         real = linops.KernelSolveCache.factor.__func__
@@ -401,8 +420,7 @@ class TestNoDenseEigensolverOrLU:
 
 class TestVerifySuites:
     def test_quick_suite_passes(self):
-        report = verify.run_verify("quick")
-        for check in report.checks:
+        for check in verify.run_verify("quick"):
             assert check.passed, f"{check.name}: {check.detail}"
 
     def test_corrupted_solve_fails_closed_form_loo(self, monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,21 @@ class TestInPlaceActivation:
             act.in_place(_chunked_rows()[:, ::2])
         with pytest.raises(ValueError):
             act.in_place(np.zeros(5, dtype=np.float32))
+
+    @pytest.mark.parametrize("name", ["h1+h2", "h1+h4"])
+    def test_transient_memory_is_one_basis_and_one_row(self, name):
+        # an (L + 1)-row basis of the call and one temporary row of the
+        # recurrence, however many chunks the input spans; the slack covers
+        # the array views' own objects
+        act = get_activation(name)
+        u = np.random.default_rng(2).standard_normal(3 * hermite.ACTIVATION_CHUNK + 5)
+        tracemalloc.start()
+        try:
+            act.in_place(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (len(act.coeffs) + 1) * hermite.ACTIVATION_CHUNK * 8 + 8192
 
     def test_threads_on_different_blocks_give_one_threads_bits(self):
         # more threads than cores, switching often: buffers shared between

@@ -19,25 +19,9 @@ def _instance(seed, n=None, p=None):
 
 
 class TestGram:
-    def test_orthonormal_rows(self):
-        assert np.array_equal(linops.gram(np.eye(2)), np.eye(2))
-
-    def test_single_row(self):
-        assert np.allclose(linops.gram(np.array([[3.0, 4.0]])), [[25.0]], atol=0)
-
-    def test_matches_dot_product_loop(self):
-        rng, a = _instance(0, n=5, p=8)
-        expected = np.empty((5, 5))
-        for i in range(5):
-            for j in range(5):
-                expected[i, j] = float(a[i] @ a[j])
-        assert np.allclose(linops.gram(a), expected, rtol=0, atol=1e-12)
-
     @pytest.mark.parametrize("n", [5, linops.SOLVE_BLOCK + 1, 3 * linops.SOLVE_BLOCK + 7])
     def test_syrk_grams_are_exactly_symmetric(self, n):
         rng = np.random.default_rng(n)
-        k = linops.gram(rng.standard_normal((n, 2 * n)))
-        assert np.array_equal(k, k.T)
         rows = rng.standard_normal((n, 12))
         rf = sample_map("rf", 2 * n, 12, get_activation("h1+h2"), n)
         ntk = sample_map("ntk", n, 12, get_activation("h0+h1"), n)
@@ -45,17 +29,11 @@ class TestGram:
             k = fmap.prepare(rows).gram()
             assert np.array_equal(k, k.T)
 
-    def test_symmetric_psd(self):
-        _, a = _instance(1)
-        k = linops.gram(a)
-        assert np.array_equal(k, k.T)
-        assert np.linalg.eigvalsh(k)[0] > -1e-12
-
 
 def _project_rowspace(a, v):
     """P_A v = A^T (A A^T)^{-1} A v through the factored Gram: the kernel-space
     projector the alignment solver applies to the background rows."""
-    cache = linops.KernelSolveCache.factor(linops.gram(a), p=a.shape[1])
+    cache = linops.KernelSolveCache.factor(a @ a.T, p=a.shape[1])
     return a.T @ cache.solve(a @ v)
 
 
@@ -128,7 +106,7 @@ class TestKernelSolveCache:
     def test_factorization_reproduces_matrix(self):
         rng = np.random.default_rng(15)
         a = rng.standard_normal((6, 9))
-        k = linops.gram(a)
+        k = a @ a.T
         cache = linops.KernelSolveCache.factor(k.copy())
         rebuilt = cache.chol @ cache.chol.T
         assert np.linalg.norm(rebuilt - k) <= 1e-10 * np.linalg.norm(k)
@@ -137,7 +115,7 @@ class TestKernelSolveCache:
     def test_solve_with_refinement(self):
         rng = np.random.default_rng(16)
         a = rng.standard_normal((8, 12))
-        k = linops.gram(a)
+        k = a @ a.T
         cache = linops.KernelSolveCache.factor(k.copy())
         b = rng.standard_normal(8)
         x = cache.solve(b)
@@ -167,7 +145,8 @@ def _one_level_solve(cache, b):
 
 def _wishart_gram(n):
     rng = np.random.default_rng(n)
-    return rng, linops.gram(rng.standard_normal((n, n + 20)))
+    a = rng.standard_normal((n, n + 20))
+    return rng, a @ a.T
 
 
 class TestBlockedSolve:
@@ -361,7 +340,7 @@ class TestResidualNormBound:
     def test_first_row_residual_keeps_min_eigenvalue(self):
         for seed in range(50):
             rng, phi = _instance(seed + 300)
-            k = linops.gram(phi)
+            k = phi @ phi.T
             _, _, vt = np.linalg.svd(phi[1:], full_matrices=False)
             resid = phi[0] - vt.T @ (vt @ phi[0])
             bound = np.linalg.eigvalsh(k)[0] - 1e-8 * np.max(np.abs(k))
