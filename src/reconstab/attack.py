@@ -20,19 +20,13 @@ from .hermite import ActivationSpec
 from .trainer import TrainedModel, fit_min_norm
 
 
-@dataclass
-class AttackReport:
-    attack_accuracy: float
-    outputs: np.ndarray
-
-
 def build_query_batch(dataset: LabeledDataset, mask: str, seed: int) -> np.ndarray:
     """The masked query of every training row, one row each."""
     return mask_rows(dataset.z, dataset.d_x, mask, seed)
 
 
-def run_attack(model: TrainedModel, queries: np.ndarray, labels: np.ndarray) -> AttackReport:
-    """Fraction of the +-1 training labels recovered from the masked queries."""
+def run_attack(model: TrainedModel, queries: np.ndarray, labels: np.ndarray) -> float:
+    """Attack accuracy: the fraction of the +-1 training labels read off the masked queries."""
     labels = np.asarray(labels)
     n = len(queries)
     if n != model.n_train or n != len(labels):
@@ -40,10 +34,7 @@ def run_attack(model: TrainedModel, queries: np.ndarray, labels: np.ndarray) -> 
             f"batch of {n} rows does not match model fitted on "
             f"{model.n_train} samples with {len(labels)} labels"
         )
-    outputs = model.predict(queries)
-    return AttackReport(
-        attack_accuracy=float(np.mean(sign_readout(outputs) == labels)), outputs=outputs
-    )
+    return float(np.mean(sign_readout(model.predict(queries)) == labels))
 
 
 def _covariance(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -44,7 +44,7 @@ def _add_instance_args(parser, min_n=1):
 
 
 def _cmd_fit(args) -> int:
-    dataset, model, evaluation, attack = run_instance(
+    dataset, model, evaluation, attack_acc = run_instance(
         args.model, args.k, args.dx, args.dy, get_activation(args.activation), args.n,
         args.test_size, args.mask, args.seed,
     )
@@ -54,7 +54,7 @@ def _cmd_fit(args) -> int:
         f"lambda_min_over_scale={cache.min_eig / model.map.n_params:.4g} "
         f"condition={cache.condition:.3e} "
         f"test_error={evaluation.error:.4g} test_acc={evaluation.accuracy:.4f} "
-        f"attack_acc={attack.attack_accuracy:.4f}"
+        f"attack_acc={attack_acc:.4f}"
     )
     return 0
 

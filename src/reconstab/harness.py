@@ -84,6 +84,8 @@ class ExperimentConfig:
             low = 2 if name == "gamma_trials" else 1  # gamma_std needs two trials
             if name != "master_seed" and value < low:
                 raise ConfigError(f"{name} must be >= {low}")
+            if name != "master_seed" and value > sys.maxsize:  # numpy's index range
+                raise ConfigError(f"{name} must be <= {sys.maxsize}")
         if not isinstance(self.n_grid, (list, tuple)) or not all(
             _is_integer(n) for n in self.n_grid
         ):
@@ -93,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("n_grid must not be empty")
         if any(n < 1 for n in grid):
             raise ConfigError("n_grid entries must be >= 1")
+        if any(n > sys.maxsize for n in grid):
+            raise ConfigError(f"n_grid entries must be <= {sys.maxsize}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
         self.n_grid = grid
@@ -207,8 +211,8 @@ def run_instance(
 
     The teacher comes from [ROLE_TEACHER] of the master seed, so every
     instance of a seed shares it; the rows, map, test set and mask come from
-    [*prefix, role]. Returns (dataset, model, evaluation, attack); the model
-    holds its map.
+    [*prefix, role]. Returns (dataset, model, evaluation, attack accuracy);
+    the model holds its map.
     """
     teacher = sample_teacher(d_x, derive_seed(master_seed, [ROLE_TEACHER]))
 
@@ -221,8 +225,7 @@ def run_instance(
     test = generate_synthetic(test_size, d_x, d_y, teacher, seed(ROLE_TEST))
     evaluation = generalization_error(model, test)
     queries = build_query_batch(dataset, mask, seed(ROLE_MASK))
-    attack = run_attack(model, queries, dataset.g)
-    return dataset, model, evaluation, attack
+    return dataset, model, evaluation, run_attack(model, queries, dataset.g)
 
 
 def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
@@ -235,7 +238,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
 
     started = time.perf_counter()
     try:
-        _, model, evaluation, attack = run_instance(
+        _, model, evaluation, attack_acc = run_instance(
             config.model, config.k, config.d_x, config.d_y,
             get_activation(config.activation), n, config.test_size, config.mask, master,
             (n_idx, trial),
@@ -256,7 +259,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
     return ResultRow(
         **identity,
         test_acc=evaluation.accuracy,
-        attack_acc=attack.attack_accuracy,
+        attack_acc=attack_acc,
         gamma_mean=gamma_mean,
         gamma_std=gamma_std,
         lambda_min_over_scale=model.system.cache.min_eig / model.map.n_params,

@@ -305,9 +305,7 @@ class KernelSolveCache:
     @property
     def condition(self) -> float:
         """lambda_max / lambda_min; 1.0 for the empty system, NaN for a view."""
-        if self.n == 0:
-            return 1.0
-        return np.inf if self.min_eig <= 0 else self.max_eig / self.min_eig
+        return 1.0 if self.n == 0 else self.max_eig / self.min_eig
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """K^{-1} b = (L L^T)^{-1} b by forward then back substitution over

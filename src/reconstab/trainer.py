@@ -47,7 +47,6 @@ class EvalReport:
     """Monte-Carlo estimate of the squared-residual risk plus sign-readout accuracy."""
 
     error: float
-    std_error: float
     accuracy: float
 
 
@@ -81,10 +80,9 @@ class TrainedModel:
     def n_train(self) -> int:
         return self.system.n
 
-    def predict(self, rows: np.ndarray):
-        """Model outputs, one per row; a 1-D row gives one float."""
-        out = self.map.outputs(rows, self.weights)
-        return float(out[0]) if np.ndim(rows) == 1 else out
+    def predict(self, rows: np.ndarray) -> np.ndarray:
+        """Model outputs as a 1-D array, one per row; a 1-D row is a batch of one."""
+        return self.map.outputs(rows, self.weights)
 
 
 def fit_min_norm(fmap, dataset: LabeledDataset) -> TrainedModel:
@@ -107,16 +105,10 @@ def fit_min_norm(fmap, dataset: LabeledDataset) -> TrainedModel:
 
 
 def generalization_error(model: TrainedModel, test: LabeledDataset) -> EvalReport:
-    """Mean squared residual on an independent test draw, with its standard
-    error and the sign-readout accuracy.
-    """
+    """Mean squared residual and sign-readout accuracy on an independent test draw."""
     outputs = model.predict(test.z)
     labels = np.asarray(test.g, dtype=float)
-    sq = (outputs - labels) ** 2
-    error = float(np.mean(sq))
-    std_error = float(np.std(sq, ddof=1) / np.sqrt(test.n)) if test.n > 1 else 0.0
     return EvalReport(
-        error=error,
-        std_error=std_error,
+        error=float(np.mean((outputs - labels) ** 2)),
         accuracy=float(np.mean(sign_readout(outputs) == labels)),
     )

@@ -111,7 +111,7 @@ def check_closed_form_loo(seed: int = 102, tol: float = 1e-8) -> CheckResult:
         stability, alignment = closed_form_loo(full, queries)
         for i, (s_i, f_i) in enumerate(zip(stability.tolist(), alignment.tolist())):
             loo = fit_min_norm(fmap, dataset.drop_row(i))
-            refit_s = full.predict(dataset.z[i]) - loo.predict(dataset.z[i])
+            refit_s = (full.predict(dataset.z[i]) - loo.predict(dataset.z[i]))[0]
             num, den = AlignmentSolver(loo.system).alignment_parts(queries[i], dataset.z[i])
             refit_f = num / den
             worst_s = max(worst_s, abs(s_i - refit_s) / (1.0 + abs(refit_s)))
@@ -171,8 +171,8 @@ def verify_stability_identity(fmap, dataset, z: np.ndarray) -> tuple[float, floa
     z1 = dataset.z[0]
     # the leave-one-out system is the background system of z1
     num, den = AlignmentSolver(loo.system).alignment_parts(z, z1)
-    lhs = full.predict(z) - loo.predict(z)
-    rhs = num / den * (full.predict(z1) - loo.predict(z1))
+    lhs = (full.predict(z) - loo.predict(z))[0]
+    rhs = num / den * (full.predict(z1) - loo.predict(z1))[0]
     return lhs, rhs
 
 

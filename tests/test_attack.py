@@ -74,8 +74,8 @@ class TestRunAttack:
         queries = build_query_batch(dataset, "resample", 8)
         rng = np.random.default_rng(9)
         shuffled = rng.permutation(dataset.g)
-        report = run_attack(model, queries, shuffled)
-        assert abs(report.attack_accuracy - 0.5) <= 4.0 / np.sqrt(dataset.n)
+        accuracy = run_attack(model, queries, shuffled)
+        assert abs(accuracy - 0.5) <= 4.0 / np.sqrt(dataset.n)
 
     def test_single_sample_closed_form(self):
         # with one training row and zero initialization the masked output is
@@ -85,13 +85,14 @@ class TestRunAttack:
         fmap = sample_map("rf", 80, 20, get_activation("h1+h2"), 6)
         model = fit_min_norm(fmap, dataset)
         queries = build_query_batch(dataset, "resample", 10)
-        report = run_attack(model, queries, dataset.g)
+        accuracy = run_attack(model, queries, dataset.g)
         empty = KernelSystem.build(fmap, dataset.z[:0])
         num, den = AlignmentSolver(empty).alignment_parts(queries[0], dataset.z[0])
         alignment = num / den
-        assert report.outputs[0] == pytest.approx(alignment * dataset.g[0], rel=1e-10)
+        output = model.predict(queries)[0]
+        assert output == pytest.approx(alignment * dataset.g[0], rel=1e-10)
         if alignment > 0:
-            assert report.attack_accuracy == 1.0
+            assert accuracy == 1.0
 
     def test_zero_model_reads_plus_one_everywhere(self):
         fmap, dataset, _ = _fitted_instance(n=24)
@@ -100,21 +101,18 @@ class TestRunAttack:
             LabeledDataset(z=dataset.z, g=np.zeros(dataset.n), d_x=dataset.d_x, d_y=dataset.d_y),
         )
         queries = build_query_batch(dataset, "zero", 0)
-        report = run_attack(zero_model, queries, dataset.g)
-        assert report.attack_accuracy == pytest.approx(float(np.mean(dataset.g == 1.0)))
+        accuracy = run_attack(zero_model, queries, dataset.g)
+        assert accuracy == pytest.approx(float(np.mean(dataset.g == 1.0)))
 
     def test_unmasked_batch_recovers_everything(self):
         _, dataset, model = _fitted_instance()
-        report = run_attack(model, dataset.z.copy(), dataset.g)
-        assert report.attack_accuracy == 1.0
+        assert run_attack(model, dataset.z.copy(), dataset.g) == 1.0
 
     def test_deterministic_reports(self):
         _, dataset, model = _fitted_instance()
         queries = build_query_batch(dataset, "resample", 11)
-        a = run_attack(model, queries, dataset.g)
-        b = run_attack(model, queries, dataset.g)
-        assert np.array_equal(a.outputs, b.outputs)
-        assert a.attack_accuracy == b.attack_accuracy
+        assert np.array_equal(model.predict(queries), model.predict(queries))
+        assert run_attack(model, queries, dataset.g) == run_attack(model, queries, dataset.g)
 
     def test_size_mismatch_raises(self):
         _, dataset, model = _fitted_instance()
@@ -167,8 +165,8 @@ class TestCovarianceDiagnostic:
                 d_x=d_x,
                 d_y=d_y,
             )
-            outputs.append(fit_min_norm(fmap, full).predict(z1m))
-            stability.append(g1 - loo.predict(z1))
+            outputs.append(fit_min_norm(fmap, full).predict(z1m)[0])
+            stability.append(g1 - loo.predict(z1)[0])
             labels.append(g1)
         cov_attack, _ = _covariance(np.array(outputs), np.array(labels))
         cov_stability, _ = _covariance(np.array(stability), np.array(labels))

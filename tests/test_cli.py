@@ -126,7 +126,7 @@ def test_fit_line_is_the_instance_fit_plus_its_attack(model, mask, capsys):
     test = generate_synthetic(40, d_x, d_y, teacher, derive_seed(seed, [ROLE_TEST]))
     evaluation = generalization_error(fitted, test)
     queries = build_query_batch(dataset, mask, derive_seed(seed, [ROLE_MASK]))
-    attack = run_attack(fitted, queries, dataset.g)
+    attack_acc = run_attack(fitted, queries, dataset.g)
 
     assert main(["fit", "--model", model, "--k", str(k), "--dx", str(d_x), "--dy", str(d_y),
                  "--n", str(n), "--activation", "relu", "--seed", str(seed),
@@ -140,7 +140,7 @@ def test_fit_line_is_the_instance_fit_plus_its_attack(model, mask, capsys):
         "condition": f"{fitted.system.cache.condition:.3e}",
         "test_error": f"{evaluation.error:.4g}",
         "test_acc": f"{evaluation.accuracy:.4f}",
-        "attack_acc": f"{attack.attack_accuracy:.4f}",
+        "attack_acc": f"{attack_acc:.4f}",
     }
 
 
@@ -170,6 +170,16 @@ def test_sweep_malformed_config_exits_2(tmp_path, payload, capsys):
     config_path.write_text(payload)
     assert main(["sweep", "--config", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_sweep_oversized_k_exits_2(tmp_path, capsys):
+    # past numpy's index range, k would fail each row's map draw
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(SWEEP_CONFIG, k=10**29)))
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: k must be <= ")
 
 
 @pytest.mark.parametrize("activation", [3, "nope"])

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ class TestConfig:
     def test_non_integer_values_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config(dict(SMALL_CONFIG, **{key: value}))
+
+    @pytest.mark.parametrize(
+        "key", ["trials", "k", "d_x", "d_y", "test_size", "gamma_trials", "n_grid"]
+    )
+    def test_integers_past_numpy_index_range_rejected(self, key):
+        # a trial count this large would build its point list without bound;
+        # the master seed alone is hashed to 64 bits and stays unbounded
+        value = [8, sys.maxsize + 1] if key == "n_grid" else 10**29
+        with pytest.raises(ConfigError, match=f"{key}.* must be <= {sys.maxsize}"):
+            parse_config(dict(SMALL_CONFIG, **{key: value}))
+        assert parse_config(dict(SMALL_CONFIG, master_seed=10**29)).master_seed == 10**29
 
     def test_single_gamma_trial_rejected(self):
         # gamma_std of one trial would be NaN
@@ -303,7 +315,7 @@ class TestOneFactorPerRow:
             )
             queries = mask_rows(dataset.z, config.d_x, config.mask, seed[ROLE_MASK])
             assert row.test_acc == generalization_error(model, test).accuracy
-            assert row.attack_acc == run_attack(model, queries, dataset.g).attack_accuracy
+            assert row.attack_acc == run_attack(model, queries, dataset.g)
             assert row.lambda_min_over_scale == model.system.cache.min_eig / fmap.n_params
 
     @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])

@@ -41,9 +41,9 @@ def test_batch_of_one_equals_batch(kind):
     batch = model.predict(probes)
     for i, z in enumerate(probes):
         single = model.predict(z)
-        assert isinstance(single, float)
-        assert single == model.predict(z[None])[0]
-        assert single == pytest.approx(batch[i], rel=1e-12, abs=1e-12)
+        assert single.shape == (1,)
+        assert np.array_equal(single, model.predict(z[None]))
+        assert single[0] == pytest.approx(batch[i], rel=1e-12, abs=1e-12)
 
     z, zp = probes[0], probes[1]
     assert fmap.kernel(z, zp) == fmap.prepare(zp).cross(fmap.prepare(z))[0, 0]
@@ -67,7 +67,7 @@ def test_batch_of_one_equals_batch(kind):
     assert loo.n_train == 0
     assert loo.report == FitReport(0.0)
     assert (loo.system.cache.min_eig, loo.system.cache.condition) == (0.0, 1.0)
-    assert loo.predict(z) == pytest.approx(0.0, abs=1e-12)
+    assert loo.predict(z)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 B = SOLVE_BLOCK

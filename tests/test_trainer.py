@@ -206,8 +206,11 @@ class TestGeneralizationError:
         stab_sq = (draws.g - loo.predict(draws.z)) ** 2
         risk_draws = generate_synthetic(200, 15, 15, teacher, 46)
         report = generalization_error(loo, risk_draws)
+        risk_sq = (risk_draws.g - loo.predict(risk_draws.z)) ** 2
+        assert report.error == np.mean(risk_sq)
         se_stab = np.std(stab_sq, ddof=1) / np.sqrt(len(stab_sq))
-        combined = np.sqrt(se_stab**2 + report.std_error**2)
+        se_risk = np.std(risk_sq, ddof=1) / np.sqrt(len(risk_sq))
+        combined = np.sqrt(se_stab**2 + se_risk**2)
         assert abs(np.mean(stab_sq) - report.error) <= 3 * combined
 
 
@@ -267,5 +270,6 @@ class TestPrimalPrediction:
         monkeypatch.setattr(featuremaps._PreparedNTK, "cross", forbidden)
         test = generate_synthetic(50, dataset.d_x, dataset.d_y, teacher, 78)
         assert 0.0 <= generalization_error(model, test).accuracy <= 1.0
-        report = run_attack(model, build_query_batch(dataset, "resample", 79), dataset.g)
-        assert report.outputs.shape == (dataset.n,)
+        queries = build_query_batch(dataset, "resample", 79)
+        assert 0.0 <= run_attack(model, queries, dataset.g) <= 1.0
+        assert model.predict(queries).shape == (dataset.n,)
