@@ -107,7 +107,7 @@ class GammaVerdict:
         return "pass" if self.passed else "fail"
 
 
-def check_nonlinearity(kind: str, spectrum: HermiteSpectrum, name: str = "") -> None:
+def check_nonlinearity(kind: str, spectrum: HermiteSpectrum, name: str) -> None:
     """Reject activation spectra the limit theory cannot cover.
 
     The random-features result needs a nonzero coefficient at order >= 2; the

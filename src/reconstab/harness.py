@@ -24,7 +24,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .alignment import estimate_gamma_on_instance
 from .attack import build_query_batch, run_attack
@@ -43,7 +43,6 @@ from .seeding import (
 )
 from .trainer import fit_min_norm, generalization_error
 
-_REQUIRED = ("model", "k", "d_x", "d_y", "activation", "n_grid", "trials", "master_seed")
 _INTEGERS = ("k", "d_x", "d_y", "trials", "test_size", "gamma_trials", "master_seed")
 
 
@@ -69,8 +68,8 @@ class ExperimentConfig:
     activation: str
     n_grid: tuple[int, ...]
     trials: int
+    master_seed: int
     mask: str = "resample"
-    master_seed: int = 0
     test_size: int = 1000
     gamma_trials: int = 20
 
@@ -155,10 +154,11 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {source!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
+    keys = fields(ExperimentConfig)
+    unknown = set(doc) - {f.name for f in keys}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = [key for key in _REQUIRED if key not in doc]
+    missing = [f.name for f in keys if f.default is MISSING and f.name not in doc]
     if missing:
         raise ConfigError(f"missing required config keys: {missing}")
     try:
@@ -229,6 +229,9 @@ def run_instance(
 
 
 def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
+    """One (N, trial) row. A ReconstabError, or numpy's MemoryError or
+    ValueError for an array it cannot allocate, becomes the row's error.
+    """
     master = config.master_seed
     n = config.n_grid[n_idx]
     identity = dict(
@@ -247,7 +250,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
             model.system.leading(n - 1), config.d_x, config.gamma_trials,
             derive_seed(master, [n_idx, trial, ROLE_GAMMA]), config.mask,
         )
-    except ReconstabError as exc:
+    except (ReconstabError, MemoryError, ValueError) as exc:
         return ResultRow(**identity, error=f"{type(exc).__name__}: {exc}")
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(
@@ -268,8 +271,8 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """All (N, trial) rows in (N, trial) order, which ``pool.map`` keeps
-    whatever the worker count; per-row errors are recorded in the error
-    column and never abort the sweep.
+    whatever the worker count; row errors, allocation failures included, are
+    recorded in the error column and never abort the sweep.
     """
     points = [
         (n_idx, trial)

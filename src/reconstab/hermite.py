@@ -107,11 +107,6 @@ class HermiteSpectrum:
     def truncation(self) -> int:
         return self.coefficients.size - 1
 
-    @property
-    def exact(self) -> bool:
-        """True for an explicit combination with nothing past the truncation."""
-        return self.nodes == 0 and self.tail_power == 0.0
-
 
 def _half_range_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule for E[f(rho)] split at 0, exact for f smooth on each half line.
@@ -201,17 +196,13 @@ def gamma_ntk_closed_form(spec: HermiteSpectrum, alpha: float) -> float:
 
 
 def series_tail_bound(spec: HermiteSpectrum, alpha: float) -> float:
-    """Upper bound on the discarded tail sum_{l>L} mu_l^2 alpha^l.
-
-    Exact (finite) expansions have no tail. Otherwise the tail is dominated
-    geometrically by alpha^(L+1) / (1 - alpha) times the captured power.
+    """Upper bound alpha^(L+1) * tail_power on the discarded tail
+    sum_{l>L} mu_l^2 alpha^l: each of its terms is at most alpha^(L+1) mu_l^2,
+    and those mu_l^2 sum to tail_power.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    if spec.exact or alpha == 0.0:
-        return 0.0
-    captured = float(np.sum(spec.coefficients**2))
-    return alpha ** (spec.truncation + 1) / (1.0 - alpha) * captured
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    return alpha ** (spec.truncation + 1) * spec.tail_power
 
 
 def _relu(u: np.ndarray) -> np.ndarray:

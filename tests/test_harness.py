@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reconstab import linops, verify
+from reconstab import harness, linops, verify
 from reconstab.alignment import AlignmentEstimate, AlignmentSolver, estimate_gamma_on_instance
 from reconstab.attack import run_attack
 from reconstab.cli import main
@@ -90,11 +90,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="typo_key"):
             parse_config(bad)
 
-    def test_missing_required_key(self):
+    @pytest.mark.parametrize(
+        "key", ["model", "k", "d_x", "d_y", "activation", "n_grid", "trials", "master_seed"]
+    )
+    def test_missing_required_key(self, key):
         bad = dict(SMALL_CONFIG)
-        del bad["k"]
-        with pytest.raises(ConfigError, match="missing"):
+        del bad[key]
+        with pytest.raises(ConfigError, match=rf"^missing required config keys: \['{key}'\]$"):
             parse_config(bad)
+
+    def test_keys_with_defaults_may_be_omitted(self):
+        doc = {key: value for key, value in SMALL_CONFIG.items()
+               if key not in ("mask", "test_size", "gamma_trials")}
+        config = parse_config(doc)
+        assert (config.mask, config.test_size, config.gamma_trials) == ("resample", 1000, 20)
 
     def test_non_increasing_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -239,6 +248,31 @@ class TestRunSweep:
         large = [r for r in rows if r.n == 60]
         assert all(r.error == "" for r in small)
         assert all(r.error != "" and r.test_acc is None for r in large)
+
+    @pytest.mark.parametrize(
+        "failure",
+        [MemoryError("cannot allocate"), ValueError("array is too big")],
+        ids=["MemoryError", "ValueError"],
+    )
+    def test_unallocatable_row_keeps_the_other_rows(self, monkeypatch, failure):
+        # numpy raises one of these for a size it cannot allocate; the
+        # failure is injected, nothing that large is allocated here
+        config = parse_config(dict(SMALL_CONFIG, trials=1))
+        clean = run_sweep(config)
+        draw = harness.generate_synthetic
+
+        def failing_at_16(n, *args):
+            if n == 16:
+                raise failure
+            return draw(n, *args)
+
+        monkeypatch.setattr(harness, "generate_synthetic", failing_at_16)
+        rows = run_sweep(config)
+        assert rows[0] == clean[0] and rows[0].error == ""
+        assert rows[1].error == f"{type(failure).__name__}: {failure}"
+        assert rows[1].test_acc is None and rows[1].gamma_mean is None
+        parsed = list(csv.reader(io.StringIO(rows_to_csv_bytes(rows).decode())))
+        assert [cells[RESULT_COLUMNS.index("n")] for cells in parsed[1:]] == ["8", "16"]
 
     @pytest.mark.parametrize(
         "doc",

@@ -54,7 +54,7 @@ class TestHermiteCoefficients:
     def test_hermite_combo_returns_exact_list(self):
         spec = hermite_coefficients(get_activation("h1+h2"), order=6)
         assert np.allclose(spec.coefficients, [0, 1, 1, 0, 0, 0, 0], atol=0)
-        assert spec.truncation == 6 and spec.exact and spec.tail_power == 0.0
+        assert spec.truncation == 6 and spec.nodes == 0 and spec.tail_power == 0.0
 
     def test_identity_activation(self):
         spec = hermite_coefficients(get_activation("identity"), order=5)
@@ -94,8 +94,8 @@ class TestHermiteCoefficients:
     def test_callable_identity_matches_combo(self):
         callable_spec = ActivationSpec(name="lin", fn=lambda u: u)
         spec = hermite_coefficients(callable_spec, order=8)
-        # a quadrature spectrum is never exact, even with no measurable tail
-        assert spec.truncation == 8 and not spec.exact
+        # a quadrature spectrum records its rule, even with no measurable tail
+        assert spec.truncation == 8 and spec.nodes > 0
         assert abs(spec.coefficients[1] - 1.0) <= 1e-10
         assert np.max(np.abs(np.delete(spec.coefficients, 1))) <= 1e-10
 
@@ -222,6 +222,14 @@ class TestSeriesTailBound:
     def test_alpha_zero(self):
         spec = hermite_coefficients(get_activation("relu"))
         assert series_tail_bound(spec, 0.0) == 0.0
+
+    def test_dominates_truncated_combination_tail(self):
+        # the power past the truncation sits in mu_5, not in the captured mu_1
+        act = ActivationSpec(name="h1/100+h5", coeffs=(0.0, 0.01, 0.0, 0.0, 0.0, 1.0))
+        spec = hermite_coefficients(act, order=3)
+        assert spec.tail_power == 1.0
+        for alpha in (0.25, 0.5, 0.9, 1.0):
+            assert series_tail_bound(spec, alpha) >= alpha**5
 
     def test_dominates_explicit_long_truncation(self):
         relu = get_activation("relu")
