@@ -56,10 +56,11 @@ class AlignmentSolver:
 
     def alignment_parts(self, z: np.ndarray, z1: np.ndarray) -> tuple[float, float]:
         """phi(z) . P_perp phi(z1) and ||P_perp phi(z1)||^2 for single rows,
-        from the pair [z1; z] prepared once: its Gram and its cross block.
+        from the pair [z1; z] prepared once: the lower triangle of its 2 x 2
+        Gram, one panel, and its cross block.
         """
         pair = self.map.prepare(np.vstack([z1, z]))
-        own = pair.gram()
+        (own,) = pair.gram().panels
         scale = float(own[0, 0])
         k1, kz = self.system.cross(pair)
         solved = self.system.solve(k1)
@@ -68,7 +69,7 @@ class AlignmentSolver:
             raise DegenerateDenominator(
                 f"projected norm {den:.3e} below {DENOMINATOR_GUARD:.0e} * {scale:.3e}"
             )
-        num = float(own[0, 1]) - float(kz @ solved)
+        num = float(own[1, 0]) - float(kz @ solved)
         return num, den
 
 

@@ -77,19 +77,29 @@ def sample_teacher(d_x: int, seed: int) -> TeacherVector:
     return TeacherVector(u=u / np.linalg.norm(u))
 
 
-def _sphere_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """n rows uniform on the sphere of radius sqrt(dim), for dim >= 1."""
+def _check_dim(dim: int) -> None:
     if dim < 1:
         # an empty row has norm 0 however often it is redrawn
         raise ValueError(f"sphere dimension must be >= 1, got {dim}")
-    rows = rng.standard_normal((n, dim))
+
+
+def _onto_sphere(rows: np.ndarray, rng_of) -> np.ndarray:
+    """Gaussian rows scaled onto the sphere of radius sqrt(dim); each all-zero
+    row (measure zero) is first redrawn from the generator ``rng_of(i)``,
+    rather than divided by 0."""
+    dim = rows.shape[1]
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    # resample the measure-zero all-zero rows rather than dividing by 0
     while np.any(norms == 0.0):
-        bad = norms[:, 0] == 0.0
-        rows[bad] = rng.standard_normal((int(bad.sum()), dim))
+        for i in np.flatnonzero(norms[:, 0] == 0.0):
+            rows[i] = rng_of(i).standard_normal(dim)
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
     return rows / norms * np.sqrt(dim)
+
+
+def _sphere_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n rows uniform on the sphere of radius sqrt(dim), for dim >= 1."""
+    _check_dim(dim)
+    return _onto_sphere(rng.standard_normal((n, dim)), lambda i: rng)
 
 
 def generate_synthetic(
@@ -123,15 +133,19 @@ def attacked_pairs(
     the "zero" mask writes zeros in place of the fresh x.
     """
     _check_mask(mask)
-    z1 = np.empty((trials, d_x + d_y))
-    z1m = np.empty_like(z1)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        z1[t, :d_x] = _sphere_rows(rng, 1, d_x)[0]
-        z1[t, d_x:] = _sphere_rows(rng, 1, d_y)[0]
-        z1m[t, :d_x] = _sphere_rows(rng, 1, d_x)[0] if mask == "resample" else 0.0
-    z1m[:, d_x:] = z1[:, d_x:]
-    return z1, z1m
+    widths = (d_x, d_y, d_x) if mask == "resample" else (d_x, d_y)
+    for dim in widths:
+        _check_dim(dim)
+    # one draw per trial: the normals of its blocks' draws, in order
+    rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
+    width = sum(widths)
+    draws = np.array([rng.standard_normal(width) for rng in rngs]).reshape(trials, width)
+    x1, y1, *fresh = (
+        _onto_sphere(block, lambda i: rngs[i])
+        for block in np.split(draws, np.cumsum(widths)[:-1], axis=1)
+    )
+    z1m = np.hstack([fresh[0] if fresh else np.zeros_like(x1), y1])
+    return np.hstack([x1, y1]), z1m
 
 
 def mask_rows(z: np.ndarray, d_x: int, mask: str, seed: int) -> np.ndarray:

@@ -4,7 +4,8 @@ alignments, primal weights for model outputs.
 Every entry point takes rows: an (n, d) array, where a 1-D row of length d is
 a batch of one. ``prepare`` is the only code that turns rows into features;
 every Gram, kernel block and output is read off the prepared rows it returns:
-their ``gram``, ``cross(queries)`` against prepared queries, ``outputs(theta)``
+their ``gram``, built as its lower row panels (``linops.RowPanels``) and never
+as an N x N array, ``cross(queries)`` against prepared queries, ``outputs(theta)``
 phi(z) . theta for a parameter in the map's weight layout, and ``weights(c)``,
 the dual coefficients in that layout, Phi^T c, at O(N p) once; outputs then
 cost O(n p), without an n x N cross kernel. ``head(m)`` is the first m rows,
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .hermite import ActivationSpec
-from .linops import _SOLVE_PANEL
+from .linops import RowPanels
 
 # Rows per block when a map turns rows into outputs; an RF block holds
 # _ROW_BLOCK * k floats once, its activations written over its
@@ -42,6 +43,17 @@ from .linops import _SOLVE_PANEL
 # 50 ms (relu) at 256, against 66 and 45 ms unblocked, 68 and 46 ms at 512 for
 # twice the memory, and 76 and 55 ms at 128.
 _ROW_BLOCK = 256
+
+
+def _lower_panel(x: np.ndarray, s: int, e: int) -> np.ndarray:
+    """Rows s:e and columns :e of x x^T: one GEMM left of the diagonal block
+    and a syrk on it, which numpy fills in one triangle and mirrors, so the
+    diagonal block is exactly symmetric.
+    """
+    out = np.empty((e - s, e))
+    np.matmul(x[s:e], x[:s].T, out=out[:, :s])
+    np.matmul(x[s:e], x[s:e].T, out=out[:, s:])
+    return out
 
 
 def _as_rows(rows: np.ndarray, d: int) -> np.ndarray:
@@ -148,11 +160,12 @@ class _PreparedRF:
         """phi(z) . w for each row, with w of length k."""
         return self.phi @ weights
 
-    def gram(self) -> np.ndarray:
-        """Phi Phi^T. numpy forms it by a BLAS syrk, which fills one triangle
-        and mirrors it, so it is exactly symmetric with no symmetrizing pass.
+    def gram(self) -> RowPanels:
+        """Phi Phi^T as its lower row panels, one GEMM and one syrk per panel,
+        so a Gram of at most one panel is the syrk Phi Phi^T bit for bit.
         """
-        return self.phi @ self.phi.T
+        spans = RowPanels.spans(self.n)
+        return RowPanels(self.n, [_lower_panel(self.phi, s, e) for s, e in spans])
 
     def cross(self, queries: "_PreparedRF") -> np.ndarray:
         """Kernel evaluations of each prepared query row against each row here."""
@@ -183,22 +196,20 @@ class _PreparedNTK:
         """phi(z) . vec(W) for each row, with W of shape d x k."""
         return np.einsum("nk,nk->n", self.derivs, self.rows @ weights)
 
-    def gram(self) -> np.ndarray:
-        """(Z Z^T) * (D D^T), D = act'(Z W^T), with D D^T multiplied in by
-        row panels of the factor's width, _SOLVE_PANEL = 512: one N x N
-        array, and beside it one 512 x N panel (12 MB at N = 3000), not a
-        second N x N array for the derivative factor.
-
-        Up to one panel the product is numpy's syrk, and the Gram is exactly
-        symmetric. Past it, each panel is a GEMM, whose entries at the BLAS
-        kernel's tile edges can differ from the syrk's, and from their mirror
-        images, in the last bit; the factor and ``eigvalsh`` read the lower
-        triangle only.
+    def gram(self) -> RowPanels:
+        """(Z Z^T) * (D D^T), D = act'(Z W^T), as its lower row panels: each
+        panel of Z Z^T is multiplied by the same panel of D D^T, formed
+        beside it (at most 512 x N floats, 12 MB at N = 3000), so neither
+        factor is ever formed above the diagonal or whole. Each panel is one
+        GEMM and one syrk per factor, so a Gram of at most one panel is the
+        product of the two syrks bit for bit.
         """
-        k = self.rows @ self.rows.T
-        for s in range(0, self.n, _SOLVE_PANEL):
-            k[s : s + _SOLVE_PANEL] *= self.derivs[s : s + _SOLVE_PANEL] @ self.derivs.T
-        return k
+        panels = []
+        for s, e in RowPanels.spans(self.n):
+            panel = _lower_panel(self.rows, s, e)
+            panel *= _lower_panel(self.derivs, s, e)
+            panels.append(panel)
+        return RowPanels(self.n, panels)
 
     def cross(self, queries: "_PreparedNTK") -> np.ndarray:
         """Kernel evaluations of each prepared query row against each row here."""

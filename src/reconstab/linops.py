@@ -4,27 +4,31 @@ Everything runs in kernel space: only the N x N Gram A A^T of the N training
 rows is ever factored (the feature dimension p can be much larger than N, and
 no p x p matrix is ever formed).
 
-Each Gram is factored once, by Cholesky, and that is the only O(N^3) step. A
-fit holds one N x N buffer: ``KernelSolveCache.factor`` consumes the Gram it
-is given and writes the factor over it, block column by block column, and no
-copy of the Gram is kept beside the factor. Beside that buffer a fit's
-temporaries stay within one panel of _SOLVE_PANEL = 512 rows: the update of a
-block column is at most a 512 x N product, and LAPACK copies a 512 x 512
-diagonal block twice (4 MB). The extreme eigenvalues come from
-Lanczos on the factored matrix L L^T, not from a dense eigensolver, and each
-is paid for only where it is needed. lambda_min (solves against the factor)
-is computed by every factorization, because the rank guard needs it.
-lambda_max (products v -> L (L^T v)) is computed on first read, and the rank
-guard reads it only when the trace, read before the factor overwrites the
-diagonal, cannot settle the verdict: a positive definite Gram has
-trace >= lambda_max, so a lambda_min above the tolerance of the trace is
+A Gram and its Cholesky factor are held as their lower row panels
+(``RowPanels``): panel i is the block [s:e, :e] of rows s = i * _SOLVE_PANEL
+to e = s + _SOLVE_PANEL, about N (N + 512) / 2 floats in all (42 MB at
+N = 3000, against 72 MB for an N x N array), and no N x N array is allocated
+on the fit path. Each Gram is factored once, by Cholesky, and that is the
+only O(N^3) step. ``KernelSolveCache.factor`` consumes the panels it is given
+and writes the factor over them, block column by block column, and no copy of
+the Gram is kept beside the factor. Beside the panels a fit's temporaries
+stay within one panel of _SOLVE_PANEL = 512 rows: the update of a block
+column is one 512 x 512 product per row panel, and LAPACK copies a 512 x 512
+diagonal block twice (4 MB). The extreme eigenvalues come from Lanczos on the
+factored matrix L L^T, not from a dense eigensolver, and each is paid for
+only where it is needed. lambda_min (solves against the factor) is computed
+by every factorization, because the rank guard needs it. lambda_max
+(products v -> L (L^T v), over the row panels) is computed on first read, and
+the rank guard reads it only when the trace, read before the factor
+overwrites the diagonal, cannot settle the verdict: a positive definite Gram
+has trace >= lambda_max, so a lambda_min above the tolerance of the trace is
 above the tolerance of lambda_max too. Solves against the factor are blocked
-triangular substitutions over two levels: wide row panels, whose
-off-diagonal products are threaded BLAS matrix products, and small diagonal
-blocks inside each panel, multiplied by their inverses, computed once per
-factor as it is built. So no N x N system is ever handed to a general LU. The
-factor of a leading principal block is the leading block of the factor, so
-the system on the first m training rows is a view of the full system
+triangular substitutions over two levels: the row panels, whose off-diagonal
+products are threaded BLAS matrix products, and small diagonal blocks inside
+each panel, multiplied by their inverses, computed once per factor as it is
+built. So no N x N system is ever handed to a general LU. The factor of a
+leading principal block is the leading block of the factor, so the system on
+the first m training rows is a view of the full system
 (``KernelSystem.leading``), not a second factorization.
 """
 
@@ -53,10 +57,11 @@ SOLVE_BLOCK = 64
 # A panel's off-diagonal product L[S:E, :S] @ y[:S] is one BLAS call that
 # OpenBLAS threads; inside the panel the SOLVE_BLOCK loop runs as before, so a
 # system of at most _SOLVE_PANEL rows is solved exactly as without panels.
-# It is also the width of the block columns of the factorization, so a Gram
-# of up to _SOLVE_PANEL rows is one LAPACK Cholesky and factors bit for bit as
-# it would without blocks, and the row panels in which featuremaps builds the
-# tangent Gram: no temporary of a fit is larger than _SOLVE_PANEL x N.
+# It is also the height of the row panels in which a Gram and its factor are
+# held (``RowPanels``) and the width of the block columns of the
+# factorization, so a Gram of up to _SOLVE_PANEL rows is one panel, built by
+# one syrk and factored by one LAPACK Cholesky, bit for bit as it would be
+# without panels; no temporary of a fit is larger than _SOLVE_PANEL x N.
 # Medians of 15 interleaved runs on a 2-core Xeon with 2 BLAS threads, at
 # widths 256 / 512 / 1024: the factor of the sweep's RF Gram (N = 1500) took
 # 45 / 53 / 65 ms and of its NTK Gram (N = 3000) 254 / 252 / 279 ms; that NTK
@@ -83,6 +88,46 @@ def rank_tolerance(max_eig: float, n: int, p: int) -> float:
     return RANK_TOL_FACTOR * max(n, p) * max(max_eig, 0.0)
 
 
+@dataclass(eq=False)
+class RowPanels:
+    """An N x N Gram, or its lower Cholesky factor, held as its lower row
+    panels: panel i is the block [s:e, :e] of rows s = i * _SOLVE_PANEL to
+    e = min(s + _SOLVE_PANEL, N). Only the lower triangle is meaningful:
+    above the diagonal, a Gram's diagonal blocks hold their mirror image and
+    a factor's hold zeros, and nothing reads either.
+    """
+
+    n: int
+    panels: list
+
+    @staticmethod
+    def spans(n: int) -> list[tuple[int, int]]:
+        """(s, e) of each row panel of an n x n matrix."""
+        return [(s, min(s + _SOLVE_PANEL, n)) for s in range(0, n, _SOLVE_PANEL)]
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> "RowPanels":
+        """The row panels of a dense N x N array, as views of it."""
+        return cls(len(a), [a[s:e, :e] for s, e in cls.spans(len(a))])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    def __iter__(self):
+        """(s, e, panel) for each row panel, top to bottom."""
+        return ((s, e, panel) for (s, e), panel in zip(self.spans(self.n), self.panels))
+
+    def trace(self) -> float:
+        """The sum of the diagonal, added as np.trace adds it."""
+        diagonal = [np.diagonal(p[:, s:]) for s, _, p in self]
+        return float(np.sum(np.concatenate([np.zeros(0), *diagonal])))
+
+    def leading(self, m: int) -> "RowPanels":
+        """The leading m x m block, as views of these panels."""
+        return RowPanels(m, [p[: e - s, :e] for (s, e), p in zip(self.spans(m), self.panels)])
+
+
 def _top_eigenvalue(apply, n: int) -> float:
     """Largest eigenvalue of the symmetric positive definite operator ``apply``
     on R^n, by Lanczos with full reorthogonalization.
@@ -103,18 +148,21 @@ def _top_eigenvalue(apply, n: int) -> float:
     never exceeds the largest eigenvalue.
     """
     q = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
-    basis = [q / np.linalg.norm(q)]
+    # the Lanczos vectors are the rows of one array, grown by doubling
+    basis = np.empty((min(n, 16), n))
+    basis[0] = q / np.linalg.norm(q)
     alphas: list[float] = []
     betas: list[float] = []
     settled = False
+    j = 0
     while True:
-        q = basis[-1]
+        q = basis[j]
         w = apply(q)
         alphas.append(float(q @ w))
         w -= alphas[-1] * q
         if betas:
-            w -= betas[-1] * basis[-2]
-        stacked = np.array(basis)
+            w -= betas[-1] * basis[j - 1]
+        stacked = basis[: j + 1]
         w -= stacked.T @ (stacked @ w)
         beta = float(np.linalg.norm(w))
         ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
@@ -123,11 +171,16 @@ def _top_eigenvalue(apply, n: int) -> float:
         gap = theta - float(ritz[-2]) if len(ritz) > 1 else 0.0
         bound = min(r, r * r / gap) if gap > 0.0 else r
         converged = bound <= LANCZOS_TOL * theta
-        if beta <= LANCZOS_TOL * theta or len(basis) == n or (converged and settled):
+        if beta <= LANCZOS_TOL * theta or j + 1 == n or (converged and settled):
             return theta
         settled = converged
         betas.append(beta)
-        basis.append(w / beta)
+        j += 1
+        if j == len(basis):
+            grown = np.empty((min(2 * j, n), n))
+            grown[:j] = basis
+            basis = grown
+        basis[j] = w / beta
 
 
 def _diagonal_inverses(chol: np.ndarray) -> np.ndarray:
@@ -144,47 +197,50 @@ def _diagonal_inverses(chol: np.ndarray) -> np.ndarray:
     return np.linalg.inv(blocks)
 
 
-def _forward_blocks(l: np.ndarray, inv: np.ndarray, y: np.ndarray, ps: int, pe: int) -> None:
-    """y[ps:pe] <- L[ps:pe, ps:pe]^{-1} y[ps:pe], in place, by forward
-    substitution over the SOLVE_BLOCK-wide diagonal blocks of the panel; block
-    i of ``inv`` is the inverse of L's diagonal block that starts at row
-    i * SOLVE_BLOCK.
+def _forward_blocks(panel: np.ndarray, inv: np.ndarray, y: np.ndarray, ps: int) -> None:
+    """y <- L[ps:pe, ps:pe]^{-1} y, in place, for the row panel
+    ``panel`` = L[ps:pe, :pe] and the pe - ps rows of ``y``, by forward
+    substitution over the SOLVE_BLOCK-wide diagonal blocks of the panel;
+    block i of ``inv`` is the inverse of L's diagonal block that starts at
+    row i * SOLVE_BLOCK.
     """
-    for s in range(ps, pe, SOLVE_BLOCK):
-        e = min(s + SOLVE_BLOCK, pe)
-        if s > ps:
-            y[s:e] -= l[s:e, ps:s] @ y[ps:s]
-        y[s:e] = inv[s // SOLVE_BLOCK, : e - s, : e - s] @ y[s:e]
+    for s in range(0, len(y), SOLVE_BLOCK):
+        e = min(s + SOLVE_BLOCK, len(y))
+        if s:
+            y[s:e] -= panel[s:e, ps : ps + s] @ y[:s]
+        y[s:e] = inv[(ps + s) // SOLVE_BLOCK, : e - s, : e - s] @ y[s:e]
 
 
-def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
-    """Overwrite the SPD matrix ``a`` with its lower Cholesky factor and return
-    the inverses of the factor's diagonal blocks (as ``_diagonal_inverses``).
+def _cholesky_in_place(a: RowPanels) -> np.ndarray:
+    """Overwrite the row panels of the SPD matrix ``a`` with those of its lower
+    Cholesky factor and return the inverses of the factor's diagonal blocks
+    (as ``_diagonal_inverses``).
 
     Left-looking over _SOLVE_PANEL-wide block columns (Golub & Van Loan,
-    Matrix Computations, 4th ed., section 4.2): each column is updated by one
-    product with the columns already factored, its diagonal block is factored
-    by LAPACK, and the panel below solves against that block by the forward
-    substitution of ``solve``. Only the lower triangle of ``a`` is read, and
-    the upper one is zeroed. The transient memory is the update of one block
-    column, at most (N - _SOLVE_PANEL) x _SOLVE_PANEL, and LAPACK's two copies
-    of one _SOLVE_PANEL-wide diagonal block, 2 MB each.
+    Matrix Computations, 4th ed., section 4.2): block column j is updated in
+    each row panel at or below it by one product with the columns already
+    factored, its diagonal block is factored by LAPACK, and each panel below
+    solves against that block by the forward substitution of ``solve``. Only
+    the lower triangle of ``a`` is read. The transient memory is
+    the update of one panel's block, at most _SOLVE_PANEL x _SOLVE_PANEL, and
+    LAPACK's two copies of one diagonal block, 2 MB each.
     """
-    n = a.shape[0]
+    n = a.n
     diag_inv = np.empty(((n + SOLVE_BLOCK - 1) // SOLVE_BLOCK, SOLVE_BLOCK, SOLVE_BLOCK))
-    for j in range(0, n, _SOLVE_PANEL):
-        e = min(j + _SOLVE_PANEL, n)
-        if j:
-            a[j:, j:e] -= a[j:, :j] @ a[j:e, :j].T
-            a[:j, j:e] = 0.0
+    panels = list(a)
+    for j, (s, e, top) in enumerate(panels):
+        if s:
+            for _, _, panel in panels[j:]:
+                panel[:, s:e] -= panel[:, :s] @ top[:, :s].T
         try:
-            a[j:e, j:e] = np.linalg.cholesky(a[j:e, j:e])
+            top[:, s:] = np.linalg.cholesky(top[:, s:])
         except np.linalg.LinAlgError as exc:
             raise SingularKernel("Gram matrix is not positive definite") from exc
-        blocks = slice(j // SOLVE_BLOCK, (e + SOLVE_BLOCK - 1) // SOLVE_BLOCK)
-        diag_inv[blocks] = _diagonal_inverses(a[j:e, j:e])
-        # the rows below: L[e:, j:e] = A[e:, j:e] L[j:e, j:e]^{-T}
-        _forward_blocks(a, diag_inv, a[e:].T, j, e)
+        blocks = slice(s // SOLVE_BLOCK, (e + SOLVE_BLOCK - 1) // SOLVE_BLOCK)
+        diag_inv[blocks] = _diagonal_inverses(top[:, s:])
+        # the panels below: L[r, s:e] = A[r, s:e] L[s:e, s:e]^{-T}
+        for _, _, panel in panels[j + 1 :]:
+            _forward_blocks(top, diag_inv, panel[:, s:e].T, s)
     return diag_inv
 
 
@@ -192,9 +248,10 @@ def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
 class KernelSolveCache:
     """Cholesky factorization of an SPD Gram/kernel matrix plus spectrum metadata.
 
-    ``factor`` consumes its argument: the Gram's buffer becomes the factor
-    ``chol``, so a factored system holds one N x N array and no copy of the
-    Gram. A caller that needs the Gram afterwards passes a copy.
+    ``factor`` consumes its argument: the Gram's row panels become those of
+    the factor ``chol``, so a factored system holds about N (N + 512) / 2
+    floats and no copy of the Gram. A caller that needs the Gram afterwards
+    passes a copy.
 
     ``min_eig`` and ``max_eig`` are Lanczos estimates (``_top_eigenvalue``) on
     the factored matrix L L^T, each within about LANCZOS_TOL relative of the
@@ -225,7 +282,7 @@ class KernelSolveCache:
     own: its eigenvalue fields are NaN and reading them runs no Lanczos.
     """
 
-    chol: np.ndarray
+    chol: RowPanels
     diag_inv: np.ndarray
     min_eig: float
     p: int
@@ -233,17 +290,20 @@ class KernelSolveCache:
     _matrix: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def factor(cls, k: np.ndarray, p: int | None = None) -> "KernelSolveCache":
-        """Factor the Gram ``k``, writing the factor over a float array ``k``:
-        the caller must not read ``k`` afterwards."""
-        k = np.asarray(k, dtype=float)
-        n = k.shape[0]
-        if k.shape != (n, n):
-            raise SingularKernel(f"expected square matrix, got {k.shape}")
+    def factor(cls, k: RowPanels | np.ndarray, p: int | None = None) -> "KernelSolveCache":
+        """Factor the Gram ``k``, given as its row panels or as a dense N x N
+        array, writing the factor over the panels, or over the row panels of
+        a float array ``k``: the caller must not read ``k`` afterwards."""
+        if not isinstance(k, RowPanels):
+            k = np.asarray(k, dtype=float)
+            if k.ndim != 2 or k.shape[0] != k.shape[1]:
+                raise SingularKernel(f"expected square matrix, got {k.shape}")
+            k = RowPanels.of(k)
+        n = k.n
         p = n if p is None else p
         # trace(K) >= lambda_max: only a lambda_min below the tolerance of the
         # trace needs lambda_max for the verdict
-        trace_bound = (1.0 + n * np.finfo(float).eps) * float(np.trace(k))
+        trace_bound = (1.0 + n * np.finfo(float).eps) * k.trace()
         cache = cls(chol=k, diag_inv=_cholesky_in_place(k), min_eig=0.0, p=p)
         if n == 0:
             cache._max_eig = 0.0
@@ -259,9 +319,15 @@ class KernelSolveCache:
     def max_eig(self) -> float:
         """Lanczos estimate of lambda_max, computed on first read."""
         if self._max_eig is None:
-            l = self.chol
-            self._max_eig = _top_eigenvalue(lambda v: l @ (l.T @ v), self.n)
+            self._max_eig = _top_eigenvalue(self._product, self.n)
         return self._max_eig
+
+    def _product(self, v: np.ndarray) -> np.ndarray:
+        """L (L^T v), reading only the factor's row panels."""
+        u = np.zeros(self.n)
+        for s, e, panel in self.chol:
+            u[:e] += panel.T @ v[s:e]
+        return np.concatenate([panel @ u[:e] for _, e, panel in self.chol])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -273,7 +339,10 @@ class KernelSolveCache:
         direction 1) and this property goes.
         """
         if self._matrix is None:
-            self._matrix = self.chol @ self.chol.T
+            l = np.zeros(self.chol.shape)
+            for s, e, panel in self.chol:
+                l[s:e, :e] = panel
+            self._matrix = l @ l.T
         return self._matrix
 
     @property
@@ -283,7 +352,7 @@ class KernelSolveCache:
 
     @property
     def n(self) -> int:
-        return self.chol.shape[0]
+        return self.chol.n
 
     def leading(self, m: int) -> "KernelSolveCache":
         """The factor of the leading m x m block, as a view of this one.
@@ -298,7 +367,8 @@ class KernelSolveCache:
             raise ValueError(f"leading block of {m} rows out of range for n={self.n}")
         nan = float("nan")
         return KernelSolveCache(
-            chol=self.chol[:m, :m], diag_inv=self.diag_inv[: (m + SOLVE_BLOCK - 1) // SOLVE_BLOCK],
+            chol=self.chol.leading(m),
+            diag_inv=self.diag_inv[: (m + SOLVE_BLOCK - 1) // SOLVE_BLOCK],
             min_eig=nan, p=self.p, _max_eig=nan,
         )
 
@@ -311,29 +381,28 @@ class KernelSolveCache:
         """K^{-1} b = (L L^T)^{-1} b by forward then back substitution over
         row panels, and over diagonal blocks inside each panel.
 
-        Both passes read L by row panels L[s:e, :s], the faster access for a
-        row-major factor: the back substitution subtracts each solved block's
-        contribution from the rows above it instead of gathering the columns
-        below. Contributions across panels are one product per panel; those
-        inside a panel, one per diagonal block.
+        Both passes read only the factor's row panels: the back substitution
+        subtracts each solved block's contribution from the rows above it
+        instead of gathering the columns below. Contributions across panels
+        are one product per panel; those inside a panel, one per diagonal
+        block.
         """
-        l, inv, n = self.chol, self.diag_inv, self.n
-        panels = [(ps, min(ps + _SOLVE_PANEL, n)) for ps in range(0, n, _SOLVE_PANEL)]
+        inv = self.diag_inv
         y = np.array(b, dtype=float)
-        for ps, pe in panels:
+        for ps, pe, panel in self.chol:
             if ps:
-                y[ps:pe] -= l[ps:pe, :ps] @ y[:ps]
-            _forward_blocks(l, inv, y, ps, pe)
-        for ps, pe in reversed(panels):
+                y[ps:pe] -= panel[:, :ps] @ y[:ps]
+            _forward_blocks(panel, inv, y[ps:pe], ps)
+        for ps, pe, panel in reversed(list(self.chol)):
             for s in reversed(range(ps, pe, SOLVE_BLOCK)):
                 e = min(s + SOLVE_BLOCK, pe)
                 y[s:e] = inv[s // SOLVE_BLOCK, : e - s, : e - s].T @ y[s:e]
                 if s > ps:
-                    y[ps:s] -= l[s:e, ps:s].T @ y[s:e]
+                    y[ps:s] -= panel[s - ps : e - ps, ps:s].T @ y[s:e]
             if ps:
                 # as y^T L rather than L^T y: with 20 right-hand sides at
                 # N = 3000 the back substitution took 14 ms that way, 11 this
-                y[:ps] -= (y[ps:pe].T @ l[ps:pe, :ps]).T
+                y[:ps] -= (y[ps:pe].T @ panel[:, :ps]).T
         return y
 
 

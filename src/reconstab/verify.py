@@ -131,7 +131,8 @@ def check_loo_denominator_bound() -> CheckResult:
         for i in range(5):
             fmap, dataset = _desk_instance(kind, derive_seed(104, [kind_idx, i]))
             # the dense reference comes from a Gram of its own, not from the factor
-            kernel = fmap.prepare(dataset.z).gram()
+            prepared = fmap.prepare(dataset.z)
+            kernel = prepared.cross(prepared)
             system = linops.KernelSystem.build(fmap, dataset.z)
             denominators = 1.0 / np.diag(system.solve(np.eye(dataset.n)))
             gap = float(np.linalg.eigvalsh(kernel)[0]) - float(np.min(denominators))
@@ -145,10 +146,9 @@ def check_spectrum_estimate() -> CheckResult:
     worst = 0.0
     for kind_idx, kind in enumerate(("rf", "ntk")):
         fmap, dataset = _desk_instance(kind, derive_seed(109, [kind_idx]))
-        kernel = fmap.prepare(dataset.z).gram()
-        # before the factor, which consumes the Gram
-        exact = np.linalg.eigvalsh(kernel)
-        cache = linops.KernelSolveCache.factor(kernel, p=fmap.n_params)
+        prepared = fmap.prepare(dataset.z)
+        exact = np.linalg.eigvalsh(prepared.cross(prepared))
+        cache = linops.KernelSolveCache.factor(prepared.gram(), p=fmap.n_params)
         exact_min, exact_max = float(exact[0]), float(exact[-1])
         worst = max(
             worst,

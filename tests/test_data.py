@@ -4,6 +4,7 @@ import pytest
 from reconstab.data import (
     MASKS,
     TeacherVector,
+    _onto_sphere,
     _sphere_rows,
     attacked_pairs,
     generate_synthetic,
@@ -126,6 +127,30 @@ class TestAttackedPairs:
         assert np.array_equal(zero_z1, z1)
         assert np.array_equal(zero_z1m[:, :3], np.zeros((4, 3)))
         assert np.array_equal(zero_z1m[:, 3:], z1[:, 3:])
+
+    @pytest.mark.parametrize("mask", MASKS)
+    @pytest.mark.parametrize("d_x, d_y", [(1, 1), (5, 7), (100, 100), (128, 128)])
+    def test_one_draw_per_trial_equals_the_per_block_draws(self, mask, d_x, d_y):
+        trials = 6
+        z1, z1m = attacked_pairs(9, trials, d_x, d_y, mask)
+        # the per-trial loop of one-row sphere draws that the batch replaced
+        ref_z1 = np.empty((trials, d_x + d_y))
+        ref_z1m = np.empty_like(ref_z1)
+        for t in range(trials):
+            rng = np.random.default_rng([9, t])
+            ref_z1[t, :d_x] = _sphere_rows(rng, 1, d_x)[0]
+            ref_z1[t, d_x:] = _sphere_rows(rng, 1, d_y)[0]
+            ref_z1m[t, :d_x] = _sphere_rows(rng, 1, d_x)[0] if mask == "resample" else 0.0
+        ref_z1m[:, d_x:] = ref_z1[:, d_x:]
+        assert np.array_equal(z1, ref_z1)
+        assert np.array_equal(z1m, ref_z1m)
+
+    def test_all_zero_row_is_redrawn_from_its_generator(self):
+        rows = np.array([[3.0, 4.0], [0.0, 0.0]])
+        redraw = np.random.default_rng(4).standard_normal(2)
+        out = _onto_sphere(rows, lambda i: np.random.default_rng(4))
+        assert np.array_equal(out[0], np.array([3.0, 4.0]) / 5.0 * np.sqrt(2))
+        assert np.array_equal(out[1], redraw / np.linalg.norm(redraw) * np.sqrt(2))
 
     def test_unknown_mask_rejected(self):
         with pytest.raises(ValueError, match="mask"):

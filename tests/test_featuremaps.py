@@ -7,6 +7,8 @@ from reconstab.errors import DimensionMismatch
 from reconstab.featuremaps import _ROW_BLOCK, sample_map
 from reconstab.hermite import _hermite_matrix, get_activation
 
+from panels import dense_gram
+
 
 def _features(fmap, z):
     """Features of one row: the first row of a batch of one."""
@@ -130,7 +132,7 @@ class TestGramAssembly:
     def test_rf_gram_matches_materialized(self):
         m = sample_map("rf", 500, 10, get_activation("h1+h4"), seed=16)
         rows = np.random.default_rng(6).standard_normal((12, 10))
-        via_prepared = m.prepare(rows).gram()
+        via_prepared = dense_gram(m.prepare(rows).gram())
         phi = m.feature_matrix(rows)
         direct = phi @ phi.T
         assert np.allclose(via_prepared, direct, rtol=1e-9)
@@ -138,7 +140,7 @@ class TestGramAssembly:
     def test_ntk_gram_matches_materialized(self):
         m = sample_map("ntk", 100, 20, get_activation("h0+h1"), seed=17)  # kd = 2000
         rows = np.random.default_rng(7).standard_normal((9, 20))
-        via_prepared = m.prepare(rows).gram()
+        via_prepared = dense_gram(m.prepare(rows).gram())
         phi = m.feature_matrix(rows)
         direct = phi @ phi.T
         assert np.allclose(via_prepared, direct, rtol=1e-9)

@@ -10,6 +10,8 @@ from reconstab.errors import SingularKernel
 from reconstab.featuremaps import sample_map
 from reconstab.hermite import get_activation
 
+from panels import dense_gram, dense_lower
+
 
 def _instance(seed, n=None, p=None):
     rng = np.random.default_rng(seed)
@@ -26,7 +28,7 @@ class TestGram:
         rf = sample_map("rf", 2 * n, 12, get_activation("h1+h2"), n)
         ntk = sample_map("ntk", n, 12, get_activation("h0+h1"), n)
         for fmap in (rf, ntk):
-            k = fmap.prepare(rows).gram()
+            (k,) = fmap.prepare(rows).gram().panels
             assert np.array_equal(k, k.T)
 
 
@@ -108,7 +110,8 @@ class TestKernelSolveCache:
         a = rng.standard_normal((6, 9))
         k = a @ a.T
         cache = linops.KernelSolveCache.factor(k.copy())
-        rebuilt = cache.chol @ cache.chol.T
+        l = dense_lower(cache.chol)
+        rebuilt = l @ l.T
         assert np.linalg.norm(rebuilt - k) <= 1e-10 * np.linalg.norm(k)
         assert cache.min_eig >= 0.0
 
@@ -129,7 +132,7 @@ P = linops._SOLVE_PANEL
 def _one_level_solve(cache, b):
     """The substitution over SOLVE_BLOCK-wide diagonal blocks alone, without
     row panels: the reference that systems of at most P rows match bit for bit."""
-    l, inv, n = cache.chol, cache.diag_inv, cache.n
+    l, inv, n = dense_lower(cache.chol), cache.diag_inv, cache.n
     blocks = [(s, min(s + B, n)) for s in range(0, n, B)]
     y = np.array(b, dtype=float)
     for i, (s, e) in enumerate(blocks):
@@ -166,7 +169,7 @@ class TestBlockedSolve:
         assert np.linalg.norm(x - oracle) <= 1e-10 * (1.0 + np.linalg.norm(oracle))
         # the blocked substitution against the triangular solves it replaced
         if n:
-            chol = cache.chol
+            chol = dense_lower(cache.chol)
             ref = np.linalg.solve(chol.T, np.linalg.solve(chol, b))
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         # up to one panel the panels change nothing; past it, only the
@@ -192,12 +195,30 @@ class TestBlockedSolve:
             x, oracle = view.solve(rhs), direct.solve(rhs)
             assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
+    @pytest.mark.parametrize("m", [P - 1, P, P + 1, 4 * P + B + 4])
+    def test_leading_view_shares_the_factor(self, m):
+        rng, k = _wishart_gram(4 * P + B + 5)
+        full = linops.KernelSolveCache.factor(k.copy())
+        view = full.leading(m)
+        assert view.n == m and len(view.chol.panels) == len(linops.RowPanels.spans(m))
+        for part, whole in zip(view.chol.panels, full.chol.panels):
+            assert np.shares_memory(part, whole)
+        direct = linops.KernelSolveCache.factor(k[:m, :m].copy())
+        b = rng.standard_normal(m)
+        x, oracle = view.solve(b), direct.solve(b)
+        if m % P == 0:
+            # the fresh factor's panels are the view's, bit for bit
+            assert np.array_equal(x, oracle)
+        else:
+            # the fresh factor inverts its partial last diagonal block alone
+            assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
     def test_ntk_gram_wider_than_a_panel(self):
         n, d = P + 100, 64
         z = np.random.default_rng(1).standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         fmap = sample_map("ntk", 64, d, get_activation("h0+h1"), 2)
-        k = fmap.prepare(z).gram()
+        k = dense_gram(fmap.prepare(z).gram())
         cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         b = np.random.default_rng(3).standard_normal(n)
         oracle = np.linalg.solve(k, b)
@@ -211,7 +232,7 @@ class TestBlockedSolve:
         fmap = sample_map("rf", n + 5, d, get_activation("h1+h2"), 0)
         z = rng.standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        k = fmap.prepare(z).gram()
+        k = dense_gram(fmap.prepare(z).gram())
         cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         assert cache.condition > 1e7
         b = rng.standard_normal(n)
@@ -230,7 +251,7 @@ class TestBlockedSolve:
         fmap = sample_map("rf", n + 5, d, get_activation("h1+h2"), seed)
         z = rng.standard_normal((n, d))
         z *= np.sqrt(d) / np.linalg.norm(z, axis=1, keepdims=True)
-        k = fmap.prepare(z).gram()
+        k = dense_gram(fmap.prepare(z).gram())
         cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         assert cache.condition > 5e5
         b = rng.standard_normal(n)
@@ -249,8 +270,8 @@ class TestFactorInPlace:
         _, k = _wishart_gram(n)
         chol = np.linalg.cholesky(k)
         cache = linops.KernelSolveCache.factor(k)
-        assert np.shares_memory(cache.chol, k)
-        assert np.array_equal(cache.chol, chol)
+        assert np.shares_memory(cache.chol.panels[0], k)
+        assert np.array_equal(dense_lower(cache.chol), chol)
         assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(chol))
 
     @pytest.mark.parametrize("n", [P + 1, 2 * P + 1, 2 * P + B + 5, 4 * P + B + 5])
@@ -258,9 +279,10 @@ class TestFactorInPlace:
         _, k = _wishart_gram(n)
         chol = np.linalg.cholesky(k)
         cache = linops.KernelSolveCache.factor(k)
-        assert np.linalg.norm(cache.chol - chol) <= 1e-14 * np.linalg.norm(chol)
-        assert not np.any(np.triu(cache.chol, 1))
-        assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(cache.chol))
+        l = dense_lower(cache.chol)
+        assert np.linalg.norm(l - chol) <= 1e-14 * np.linalg.norm(chol)
+        assert not np.any(np.triu(l, 1))
+        assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(l))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_breakdown_in_the_second_panel_raises(self, seed):
@@ -270,7 +292,7 @@ class TestFactorInPlace:
         z = np.random.default_rng(seed).standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         fmap = sample_map("rf", P + 26, d, get_activation("h1+h2"), seed)
-        k = fmap.prepare(z).gram()
+        k = dense_gram(fmap.prepare(z).gram())
         np.linalg.cholesky(k[:P, :P])
         with pytest.raises(SingularKernel, match="not positive definite"):
             linops.KernelSolveCache.factor(k, p=fmap.n_params)
@@ -281,7 +303,7 @@ class TestFactorInPlace:
         z = np.random.default_rng(1).standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         prepared = sample_map("ntk", 64, d, get_activation("h1+h2"), 2).prepare(z)
-        k = prepared.gram()
+        k = dense_gram(prepared.gram())
         whole = (prepared.rows @ prepared.rows.T) * (prepared.derivs @ prepared.derivs.T)
         if n <= P:
             assert np.array_equal(k, whole) and np.array_equal(k, k.T)
@@ -290,13 +312,31 @@ class TestFactorInPlace:
             # in the last bit
             assert np.max(np.abs(k - whole)) <= 1e-15 * np.max(np.abs(whole))
 
+    @pytest.mark.parametrize("kind", ["rf", "ntk"])
+    def test_dense_array_factors_as_its_row_panels(self, kind):
+        n, d = 2 * P + 276, 64
+        z = np.random.default_rng(4).standard_normal((n, d))
+        z *= np.sqrt(d) / np.linalg.norm(z, axis=1, keepdims=True)
+        k = 2 * n if kind == "rf" else 64
+        fmap = sample_map(kind, k, d, get_activation("h1+h2"), 5)
+        prepared = fmap.prepare(z)
+        dense = dense_gram(prepared.gram())
+        from_dense = linops.KernelSolveCache.factor(dense, p=fmap.n_params)
+        from_panels = linops.KernelSolveCache.factor(prepared.gram(), p=fmap.n_params)
+        assert all(np.shares_memory(panel, dense) for panel in from_dense.chol.panels)
+        for a, b in zip(from_dense.chol.panels, from_panels.chol.panels, strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(from_dense.diag_inv, from_panels.diag_inv)
+        assert from_dense.min_eig == from_panels.min_eig
+
     def test_matrix_is_formed_on_read_and_kept(self):
         _, k = _wishart_gram(B + 5)
         cache = linops.KernelSolveCache.factor(k.copy())
         assert cache._matrix is None
         matrix = cache.matrix
         assert cache.matrix is matrix
-        assert np.array_equal(matrix, cache.chol @ cache.chol.T)
+        l = dense_lower(cache.chol)
+        assert np.array_equal(matrix, l @ l.T)
         assert np.linalg.norm(matrix - k) <= 1e-14 * np.linalg.norm(k)
 
     def test_build_holds_one_gram_sized_buffer(self):
@@ -336,6 +376,26 @@ class TestFactorInPlace:
         assert peak <= 8 * (n * n + P * n + 2 * n * B) + rows
 
 
+    def test_build_holds_the_lower_panels_and_one_panel(self):
+        # past six panels: the Gram's lower row panels, at most n (n + P) / 2
+        # floats, one P x n panel of D D^T while the Gram is built, and 2 n B
+        # floats for the diagonal-block inverses and the temporaries that
+        # compute them; an N x N array and one P x N panel would not fit
+        n, d = 6 * P + 5, 256
+        bound = 8 * (n * (n + P) // 2 + P * n + 2 * n * B)
+        assert bound < 8 * (n * n + P * n)
+        z = np.random.default_rng(6).standard_normal((n, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        fmap = sample_map("ntk", 64, d, get_activation("h0+h1"), 7)
+        tracemalloc.start()
+        try:
+            system = linops.KernelSystem.build(fmap, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound + system.prepared.derivs.nbytes
+
+
 class TestResidualNormBound:
     def test_first_row_residual_keeps_min_eigenvalue(self):
         for seed in range(50):
@@ -356,7 +416,7 @@ def _kernel_gram(kind, n, seed=0):
         fmap = sample_map("rf", 2 * n + 40, d, get_activation("h1+h2"), seed + 1)
     else:
         fmap = sample_map("ntk", 30, d, get_activation("h0+h1"), seed + 1)
-    return fmap, fmap.prepare(z).gram()
+    return fmap, dense_gram(fmap.prepare(z).gram())
 
 
 def _with_spectrum(eigs, seed=0):
@@ -376,6 +436,36 @@ def _assert_spectrum_close(cache, k, rel=1e-9, eig_err=0.0):
     assert abs(cache.max_eig - exact[-1]) <= rel * exact[-1] + slack
 
 
+def _lanczos_with_basis_list(apply, n):
+    """``linops._top_eigenvalue`` as it was written with a list of Lanczos
+    vectors, stacked anew at each step: the reference its bits must match."""
+    q = np.random.default_rng(linops.LANCZOS_SEED).standard_normal(n)
+    basis = [q / np.linalg.norm(q)]
+    alphas, betas = [], []
+    settled = False
+    while True:
+        q = basis[-1]
+        w = apply(q)
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        if betas:
+            w -= betas[-1] * basis[-2]
+        stacked = np.array(basis)
+        w -= stacked.T @ (stacked @ w)
+        beta = float(np.linalg.norm(w))
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta = float(ritz[-1])
+        r = beta * abs(float(vecs[-1, -1]))
+        gap = theta - float(ritz[-2]) if len(ritz) > 1 else 0.0
+        bound = min(r, r * r / gap) if gap > 0.0 else r
+        converged = bound <= linops.LANCZOS_TOL * theta
+        if beta <= linops.LANCZOS_TOL * theta or len(basis) == n or (converged and settled):
+            return theta
+        settled = converged
+        betas.append(beta)
+        basis.append(w / beta)
+
+
 class TestSpectrumEstimate:
     @pytest.mark.parametrize("kind", ["rf", "ntk"])
     @pytest.mark.parametrize("n", [1, 2, 3, B - 1, B, B + 1, 300])
@@ -389,7 +479,7 @@ class TestSpectrumEstimate:
         fmap = sample_map("rf", n + 5, d, get_activation("h1+h2"), 0)
         z = np.random.default_rng(0).standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        k = fmap.prepare(z).gram()
+        k = dense_gram(fmap.prepare(z).gram())
         cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         assert cache.condition > 1e7
         _assert_spectrum_close(cache, k, eig_err=1e-12)
@@ -412,13 +502,35 @@ class TestSpectrumEstimate:
         a = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         b = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
         assert (a.min_eig, a.max_eig, a.tol) == (b.min_eig, b.max_eig, b.tol)
-        assert np.array_equal(a.chol, b.chol) and np.array_equal(a.diag_inv, b.diag_inv)
+        l = dense_lower(a.chol)
+        assert np.array_equal(l, dense_lower(b.chol)) and np.array_equal(a.diag_inv, b.diag_inv)
         # lambda_max is read late, and gives the bits of an eager run on L L^T
-        l = a.chol
         top = linops._top_eigenvalue(lambda v: l @ (l.T @ v), len(k))
         assert a.max_eig == top
         assert a.tol == linops.rank_tolerance(top, len(k), fmap.n_params)
         assert a.condition == top / a.min_eig
+
+    @pytest.mark.parametrize("kind, n", [("ntk", 3000), ("rf", 1500), ("rf", 199)])
+    def test_basis_array_gives_the_bits_of_a_basis_list(self, kind, n):
+        # the sweeps' NTK and RF Grams and covariance-rf's, on the operators of
+        # lambda_min (solves) and lambda_max (products)
+        d = 256 if kind == "ntk" else 400
+        z = np.random.default_rng(n).standard_normal((n, d))
+        z *= (1.0 if kind == "ntk" else np.sqrt(d)) / np.linalg.norm(z, axis=1, keepdims=True)
+        k, activation = (64, "h0+h1") if kind == "ntk" else (4000, "h1+h2")
+        fmap = sample_map(kind, k, d, get_activation(activation), 1)
+        cache = linops.KernelSystem.build(fmap, z).cache
+        for apply in (cache.solve, cache._product):
+            assert linops._top_eigenvalue(apply, n) == _lanczos_with_basis_list(apply, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_basis_array_on_small_and_invariant_spaces(self, n):
+        # n = 1 and 2 stop when the space is exhausted; the identity breaks
+        # down at step one
+        a = np.random.default_rng(n).standard_normal((n, n))
+        for matrix in (a @ a.T + np.eye(n), np.eye(n)):
+            apply = matrix.__matmul__
+            assert linops._top_eigenvalue(apply, n) == _lanczos_with_basis_list(apply, n)
 
     @pytest.fixture
     def lanczos_sizes(self, monkeypatch):
@@ -484,7 +596,8 @@ class TestSpectrumEstimate:
         k = _with_spectrum(np.concatenate([[low, 1.0], bulk]), seed)
         chol = np.linalg.cholesky(k)
         eager = linops.KernelSolveCache(
-            chol=chol, diag_inv=linops._diagonal_inverses(chol), min_eig=0.0, p=p
+            chol=linops.RowPanels.of(chol), diag_inv=linops._diagonal_inverses(chol),
+            min_eig=0.0, p=p,
         )
         min_eig = 1.0 / linops._top_eigenvalue(eager.solve, n)
         max_eig = linops._top_eigenvalue(lambda v: chol @ (chol.T @ v), n)
