@@ -77,17 +77,14 @@ def sample_teacher(d_x: int, seed: int) -> TeacherVector:
     return TeacherVector(u=u / np.linalg.norm(u))
 
 
-def _check_dim(dim: int) -> None:
+def _onto_sphere(rows: np.ndarray, rng_of) -> np.ndarray:
+    """Gaussian rows scaled onto the sphere of radius sqrt(dim), for dim >= 1;
+    each all-zero row (measure zero) is first redrawn from the generator
+    ``rng_of(i)``, rather than divided by 0."""
+    dim = rows.shape[1]
     if dim < 1:
         # an empty row has norm 0 however often it is redrawn
         raise ValueError(f"sphere dimension must be >= 1, got {dim}")
-
-
-def _onto_sphere(rows: np.ndarray, rng_of) -> np.ndarray:
-    """Gaussian rows scaled onto the sphere of radius sqrt(dim); each all-zero
-    row (measure zero) is first redrawn from the generator ``rng_of(i)``,
-    rather than divided by 0."""
-    dim = rows.shape[1]
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     while np.any(norms == 0.0):
         for i in np.flatnonzero(norms[:, 0] == 0.0):
@@ -98,7 +95,6 @@ def _onto_sphere(rows: np.ndarray, rng_of) -> np.ndarray:
 
 def _sphere_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """n rows uniform on the sphere of radius sqrt(dim), for dim >= 1."""
-    _check_dim(dim)
     return _onto_sphere(rng.standard_normal((n, dim)), lambda i: rng)
 
 
@@ -134,8 +130,8 @@ def attacked_pairs(
     """
     _check_mask(mask)
     widths = (d_x, d_y, d_x) if mask == "resample" else (d_x, d_y)
-    for dim in widths:
-        _check_dim(dim)
+    if min(widths) < 1:
+        raise ValueError(f"sphere dimension must be >= 1, got {min(widths)}")
     # one draw per trial: the normals of its blocks' draws, in order
     rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
     width = sum(widths)

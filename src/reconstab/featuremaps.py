@@ -51,7 +51,8 @@ def _lower_panel(x: np.ndarray, s: int, e: int) -> np.ndarray:
     diagonal block is exactly symmetric.
     """
     out = np.empty((e - s, e))
-    np.matmul(x[s:e], x[:s].T, out=out[:, :s])
+    if s:
+        np.matmul(x[s:e], x[:s].T, out=out[:, :s])
     np.matmul(x[s:e], x[s:e].T, out=out[:, s:])
     return out
 

@@ -221,9 +221,9 @@ def _cholesky_in_place(a: RowPanels) -> np.ndarray:
     each row panel at or below it by one product with the columns already
     factored, its diagonal block is factored by LAPACK, and each panel below
     solves against that block by the forward substitution of ``solve``. Only
-    the lower triangle of ``a`` is read. The transient memory is
-    the update of one panel's block, at most _SOLVE_PANEL x _SOLVE_PANEL, and
-    LAPACK's two copies of one diagonal block, 2 MB each.
+    the lower triangle of ``a`` is read. The transient memory is the update
+    of one panel's block, at most _SOLVE_PANEL x _SOLVE_PANEL, and LAPACK's
+    two copies of one diagonal block, 2 MB each.
     """
     n = a.n
     diag_inv = np.empty(((n + SOLVE_BLOCK - 1) // SOLVE_BLOCK, SOLVE_BLOCK, SOLVE_BLOCK))
@@ -387,13 +387,13 @@ class KernelSolveCache:
         are one product per panel; those inside a panel, one per diagonal
         block.
         """
-        inv = self.diag_inv
+        inv, panels = self.diag_inv, list(self.chol)
         y = np.array(b, dtype=float)
-        for ps, pe, panel in self.chol:
+        for ps, pe, panel in panels:
             if ps:
                 y[ps:pe] -= panel[:, :ps] @ y[:ps]
             _forward_blocks(panel, inv, y[ps:pe], ps)
-        for ps, pe, panel in reversed(list(self.chol)):
+        for ps, pe, panel in reversed(panels):
             for s in reversed(range(ps, pe, SOLVE_BLOCK)):
                 e = min(s + SOLVE_BLOCK, pe)
                 y[s:e] = inv[s // SOLVE_BLOCK, : e - s, : e - s].T @ y[s:e]
