@@ -317,8 +317,8 @@ class TestFactorInPlace:
         n, d = 2 * P + 276, 64
         z = np.random.default_rng(4).standard_normal((n, d))
         z *= np.sqrt(d) / np.linalg.norm(z, axis=1, keepdims=True)
-        k = 2 * n if kind == "rf" else 64
-        fmap = sample_map(kind, k, d, get_activation("h1+h2"), 5)
+        width = 2 * n if kind == "rf" else 64
+        fmap = sample_map(kind, width, d, get_activation("h1+h2"), 5)
         prepared = fmap.prepare(z)
         dense = dense_gram(prepared.gram())
         from_dense = linops.KernelSolveCache.factor(dense, p=fmap.n_params)
