@@ -17,7 +17,7 @@ from .alignment import AlignmentSolver, attacked_instance, sample_alignments
 from .data import LabeledDataset, mask_rows, sign_readout
 from .errors import DimensionMismatch
 from .hermite import ActivationSpec
-from .trainer import TrainedModel, fit_min_norm
+from .trainer import Predictor, TrainedModel, fit_min_norm
 
 
 def build_query_batch(dataset: LabeledDataset, mask: str, seed: int) -> np.ndarray:
@@ -25,7 +25,7 @@ def build_query_batch(dataset: LabeledDataset, mask: str, seed: int) -> np.ndarr
     return mask_rows(dataset.z, dataset.d_x, mask, seed)
 
 
-def run_attack(model: TrainedModel, queries: np.ndarray, labels: np.ndarray) -> float:
+def run_attack(model: Predictor | TrainedModel, queries: np.ndarray, labels: np.ndarray) -> float:
     """Attack accuracy: the fraction of the +-1 training labels read off the masked queries."""
     labels = np.asarray(labels)
     n = len(queries)

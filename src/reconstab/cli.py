@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: fit, gamma, hermite, sweep, verify. ``fit`` runs one
-``harness.run_instance`` with the seed's own roles, where a sweep row runs it
-with its (N index, trial) prefix.
+``harness.fit_instance`` and ``harness.score_instance`` with the seed's own
+roles, where a sweep row runs them with its (N index, trial) prefix; like a
+row, it reads lambda_min and the condition number before it scores.
 Exit codes: 0 success, 1 verification failure, 2 configuration error: an
 invalid command-line value, rejected while parsing, or an invalid config.
 """
@@ -16,7 +17,7 @@ from . import verify as verifymod
 from .alignment import compare_gamma_theory, estimate_gamma
 from .data import MASKS
 from .errors import ConfigError, ReconstabError
-from .harness import parse_config, run_instance, run_sweep, write_rows
+from .harness import fit_instance, parse_config, run_sweep, score_instance, write_rows
 from .hermite import activation_names, get_activation, hermite_coefficients
 
 
@@ -44,16 +45,22 @@ def _add_instance_args(parser, min_n=1):
 
 
 def _cmd_fit(args) -> int:
-    dataset, model, evaluation, attack_acc = run_instance(
+    dataset, model = fit_instance(
         args.model, args.k, args.dx, args.dy, get_activation(args.activation), args.n,
-        args.test_size, args.mask, args.seed,
+        args.seed,
     )
-    cache = model.system.cache
-    print(
+    fit_line = (
         f"n={dataset.n} alpha={dataset.alpha:.4g} max_residual={model.report.max_residual:.3e} "
-        f"lambda_min_over_scale={cache.min_eig / model.map.n_params:.4g} "
-        f"condition={cache.condition:.3e} "
-        f"test_error={evaluation.error:.4g} test_acc={evaluation.accuracy:.4f} "
+        f"lambda_min_over_scale={model.system.cache.min_eig / model.map.n_params:.4g} "
+        f"condition={model.system.cache.condition:.3e}"
+    )
+    predictor = model.predictor()
+    del model  # frees the factor and the prepared rows before scoring
+    evaluation, attack_acc = score_instance(
+        predictor, dataset, args.test_size, args.mask, args.seed
+    )
+    print(
+        f"{fit_line} test_error={evaluation.error:.4g} test_acc={evaluation.accuracy:.4f} "
         f"attack_acc={attack_acc:.4f}"
     )
     return 0

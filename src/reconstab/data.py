@@ -78,9 +78,10 @@ def sample_teacher(d_x: int, seed: int) -> TeacherVector:
 
 
 def _onto_sphere(rows: np.ndarray, rng_of) -> np.ndarray:
-    """Gaussian rows scaled onto the sphere of radius sqrt(dim), for dim >= 1;
-    each all-zero row (measure zero) is first redrawn from the generator
-    ``rng_of(i)``, rather than divided by 0."""
+    """Gaussian rows scaled onto the sphere of radius sqrt(dim), for dim >= 1,
+    in place: it overwrites ``rows`` and returns them. Each all-zero row
+    (measure zero) is first redrawn from the generator ``rng_of(i)``, rather
+    than divided by 0."""
     dim = rows.shape[1]
     if dim < 1:
         # an empty row has norm 0 however often it is redrawn
@@ -90,7 +91,9 @@ def _onto_sphere(rows: np.ndarray, rng_of) -> np.ndarray:
         for i in np.flatnonzero(norms[:, 0] == 0.0):
             rows[i] = rng_of(i).standard_normal(dim)
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return rows / norms * np.sqrt(dim)
+    rows /= norms
+    rows *= np.sqrt(dim)
+    return rows
 
 
 def _sphere_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -152,7 +155,8 @@ def mask_rows(z: np.ndarray, d_x: int, mask: str, seed: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or not 1 <= d_x <= z.shape[1]:
         raise ValueError(f"z must be rows of length >= d_x={d_x} >= 1, got shape {z.shape}")
-    out = z.copy()
+    out = np.empty(z.shape)
+    out[:, d_x:] = z[:, d_x:]
     if mask == "zero":
         out[:, :d_x] = 0.0
     else:

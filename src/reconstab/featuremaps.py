@@ -199,16 +199,18 @@ class _PreparedNTK:
 
     def gram(self) -> RowPanels:
         """(Z Z^T) * (D D^T), D = act'(Z W^T), as its lower row panels: each
-        panel of Z Z^T is multiplied by the same panel of D D^T, formed
-        beside it (at most 512 x N floats, 12 MB at N = 3000), so neither
-        factor is ever formed above the diagonal or whole. Each panel is one
-        GEMM and one syrk per factor, so a Gram of at most one panel is the
+        panel of Z Z^T is multiplied in place by the matching blocks of
+        D D^T, formed one _SOLVE_PANEL x _SOLVE_PANEL block at a time (2 MB),
+        so the only temporary is one block and neither factor is ever formed
+        above the diagonal or whole. Blocks left of the diagonal are GEMMs
+        and the diagonal block a syrk, so a Gram of at most one panel is the
         product of the two syrks bit for bit.
         """
         panels = []
         for s, e in RowPanels.spans(self.n):
             panel = _lower_panel(self.rows, s, e)
-            panel *= _lower_panel(self.derivs, s, e)
+            for cs, ce in RowPanels.spans(e):
+                panel[:, cs:ce] *= self.derivs[s:e] @ self.derivs[cs:ce].T
             panels.append(panel)
         return RowPanels(self.n, panels)
 

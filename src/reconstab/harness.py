@@ -7,11 +7,14 @@ digits of gamma_mean, gamma_std and lambda_min_over_scale. Rows may be
 computed concurrently but are always emitted in (N, trial) order, so the CSV
 bytes do not depend on the worker count.
 
-A row is one ``run_instance``, the instance ``reconstab fit`` runs too, plus
-the alignment trials. The fit sees the training rows in dataset order, and
-the background system of the alignment trials is every training row but the
-last: the leading block of the fit's system, so a row factors one Gram. The
-rows are exchangeable, so which one is held out does not matter. The
+A row runs in two phases, as ``reconstab fit`` does. ``fit_instance`` draws
+the instance and fits its training rows in dataset order. The row then reads
+the fit's system: lambda_min, and the alignment trials, whose background
+system is every training row but the last, the leading block of the fit's
+system, so a row factors one Gram. The rows are exchangeable, so which one is
+held out does not matter. Only then does ``score_instance`` draw the test set
+and the masked queries, on the fit's weights alone: the factor and the
+prepared rows are freed first, so a row's memory peaks at its fit. The
 alignment trials mask their attacked samples with the config's mask, as the
 attack does, so gamma and attack_acc describe the same query.
 """
@@ -28,7 +31,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from .alignment import estimate_gamma_on_instance
 from .attack import build_query_batch, run_attack
-from .data import MASKS, generate_synthetic, sample_teacher
+from .data import MASKS, LabeledDataset, generate_synthetic, sample_teacher
 from .errors import ConfigError, ReconstabError
 from .featuremaps import sample_map
 from .hermite import ActivationSpec, get_activation
@@ -41,7 +44,7 @@ from .seeding import (
     ROLE_TEST,
     derive_seed,
 )
-from .trainer import fit_min_norm, generalization_error
+from .trainer import Predictor, fit_min_norm, generalization_error
 
 _INTEGERS = ("k", "d_x", "d_y", "trials", "test_size", "gamma_trials", "master_seed")
 
@@ -202,30 +205,46 @@ def write_rows(rows, stream) -> None:
         writer.writerow([_format_cell(getattr(row, name)) for name in RESULT_COLUMNS])
 
 
-def run_instance(
+def fit_instance(
     kind: str, k: int, d_x: int, d_y: int, activation: ActivationSpec, n: int,
-    test_size: int, mask: str, master_seed: int, prefix: tuple[int, ...] = (),
+    master_seed: int, prefix: tuple[int, ...] = (),
 ):
-    """Draw one instance, fit its n rows in dataset order, evaluate the fit on
-    a test draw and attack it with the masked queries of its training rows.
+    """Draw one instance and fit its n rows in dataset order.
 
     The teacher comes from [ROLE_TEACHER] of the master seed, so every
-    instance of a seed shares it; the rows, map, test set and mask come from
-    [*prefix, role]. Returns (dataset, model, evaluation, attack accuracy);
-    the model holds its map.
+    instance of a seed shares it; the rows and map come from
+    [*prefix, role]. Returns (dataset, model); the model holds its map.
     """
     teacher = sample_teacher(d_x, derive_seed(master_seed, [ROLE_TEACHER]))
+    dataset = generate_synthetic(
+        n, d_x, d_y, teacher, derive_seed(master_seed, [*prefix, ROLE_DATA])
+    )
+    fmap = sample_map(
+        kind, k, d_x + d_y, activation, derive_seed(master_seed, [*prefix, ROLE_MAP])
+    )
+    return dataset, fit_min_norm(fmap, dataset)
 
-    def seed(role: int) -> int:
-        return derive_seed(master_seed, [*prefix, role])
 
-    dataset = generate_synthetic(n, d_x, d_y, teacher, seed(ROLE_DATA))
-    fmap = sample_map(kind, k, d_x + d_y, activation, seed(ROLE_MAP))
-    model = fit_min_norm(fmap, dataset)
-    test = generate_synthetic(test_size, d_x, d_y, teacher, seed(ROLE_TEST))
-    evaluation = generalization_error(model, test)
-    queries = build_query_batch(dataset, mask, seed(ROLE_MASK))
-    return dataset, model, evaluation, run_attack(model, queries, dataset.g)
+def score_instance(
+    predictor: Predictor, dataset: LabeledDataset, test_size: int, mask: str,
+    master_seed: int, prefix: tuple[int, ...] = (),
+):
+    """Evaluate the fit of ``fit_instance`` on a test draw and attack it with
+    the masked queries of its training rows; the test set and mask come from
+    [*prefix, role]. Returns (evaluation, attack accuracy).
+
+    It reads the predictor's map and weights alone, so a caller that passes
+    ``TrainedModel.predictor()`` and drops the model scores without the
+    factor or the prepared rows.
+    """
+    teacher = sample_teacher(dataset.d_x, derive_seed(master_seed, [ROLE_TEACHER]))
+    test = generate_synthetic(
+        test_size, dataset.d_x, dataset.d_y, teacher,
+        derive_seed(master_seed, [*prefix, ROLE_TEST]),
+    )
+    evaluation = generalization_error(predictor, test)
+    queries = build_query_batch(dataset, mask, derive_seed(master_seed, [*prefix, ROLE_MASK]))
+    return evaluation, run_attack(predictor, queries, dataset.g)
 
 
 def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
@@ -241,14 +260,19 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
 
     started = time.perf_counter()
     try:
-        _, model, evaluation, attack_acc = run_instance(
+        dataset, model = fit_instance(
             config.model, config.k, config.d_x, config.d_y,
-            get_activation(config.activation), n, config.test_size, config.mask, master,
-            (n_idx, trial),
+            get_activation(config.activation), n, master, (n_idx, trial),
         )
         gamma_mean, gamma_std = estimate_gamma_on_instance(
             model.system.leading(n - 1), config.d_x, config.gamma_trials,
             derive_seed(master, [n_idx, trial, ROLE_GAMMA]), config.mask,
+        )
+        lambda_min_over_scale = model.system.cache.min_eig / model.map.n_params
+        predictor = model.predictor()
+        del model  # frees the factor and the prepared rows before scoring
+        evaluation, attack_acc = score_instance(
+            predictor, dataset, config.test_size, config.mask, master, (n_idx, trial)
         )
     except (ReconstabError, MemoryError, ValueError) as exc:
         return ResultRow(**identity, error=f"{type(exc).__name__}: {exc}")
@@ -265,7 +289,7 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
         attack_acc=attack_acc,
         gamma_mean=gamma_mean,
         gamma_std=gamma_std,
-        lambda_min_over_scale=model.system.cache.min_eig / model.map.n_params,
+        lambda_min_over_scale=lambda_min_over_scale,
     )
 
 

@@ -12,8 +12,9 @@ on the fit path. Each Gram is factored once, by Cholesky, and that is the
 only O(N^3) step. ``KernelSolveCache.factor`` consumes the panels it is given
 and writes the factor over them, block column by block column, and no copy of
 the Gram is kept beside the factor. Beside the panels a fit's temporaries
-stay within one panel of _SOLVE_PANEL = 512 rows: the update of a block
-column is one 512 x 512 product per row panel, and LAPACK copies a 512 x 512
+are 512 x 512 blocks (_SOLVE_PANEL = 512; 2 MB each): the tangent Gram is
+multiplied by D D^T one such block at a time, the update of a block column
+is one 512 x 512 product per row panel, and LAPACK copies a 512 x 512
 diagonal block twice (4 MB). The extreme eigenvalues come from Lanczos on the
 factored matrix L L^T, not from a dense eigensolver, and each is paid for
 only where it is needed. lambda_min (solves against the factor) is computed
@@ -61,7 +62,8 @@ SOLVE_BLOCK = 64
 # held (``RowPanels``) and the width of the block columns of the
 # factorization, so a Gram of up to _SOLVE_PANEL rows is one panel, built by
 # one syrk and factored by one LAPACK Cholesky, bit for bit as it would be
-# without panels; no temporary of a fit is larger than _SOLVE_PANEL x N.
+# without panels; no temporary of the Gram's build or of its factorization is
+# larger than _SOLVE_PANEL x _SOLVE_PANEL.
 # Medians of 15 interleaved runs on a 2-core Xeon with 2 BLAS threads, at
 # widths 256 / 512 / 1024: the factor of the sweep's RF Gram (N = 1500) took
 # 45 / 53 / 65 ms and of its NTK Gram (N = 3000) 254 / 252 / 279 ms; that NTK

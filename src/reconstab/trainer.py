@@ -12,12 +12,14 @@ the primal weights w = Phi^T c (O(N p)), a k-vector for random features and a
 d x k matrix for tangent features, and measures its interpolation by the
 residual Phi w - g of those weights on the training rows (O(N p)).
 Predictions are the map's outputs at those weights, O(n p) for n queries,
-with no n x N cross kernel; alignments still run in kernel space, on the
-KernelSystem. For random features a model holds its N x k training features
-once, and a prediction of n rows needs O(block k) transient memory, not the
-n x k features of its queries. No ridge term is ever added: a singular kernel
-is a hard error because every downstream identity presumes exact
-interpolation.
+with no n x N cross kernel, so they need neither the factor nor the prepared
+rows. Alignments and the spectrum are read off the KernelSystem; a caller
+that has read them scores on ``TrainedModel.predictor``, the map and weights
+alone, and drops the model, so the factor is freed before the queries are
+drawn. A prediction of n rows needs O(block k) transient memory, not the
+n x k features of its queries. For random features a model holds its N x k
+training features once. No ridge term is ever added: a singular kernel is a
+hard error because every downstream identity presumes exact interpolation.
 """
 
 from __future__ import annotations
@@ -52,6 +54,22 @@ class EvalReport:
 
 
 @dataclass(eq=False)
+class Predictor:
+    """The fitted function f(z) = phi(z) . w alone: the map, the primal
+    weights and the number of rows they were fitted on. It holds no training
+    rows and no factor, so it outlives the KernelSystem of its fit.
+    """
+
+    map: object
+    weights: np.ndarray
+    n_train: int
+
+    def predict(self, rows: np.ndarray) -> np.ndarray:
+        """Model outputs as a 1-D array, one per row; a 1-D row is a batch of one."""
+        return self.map.outputs(rows, self.weights)
+
+
+@dataclass(eq=False)
 class TrainedModel:
     """Interpolating fit: predictions are f(z) = phi(z) . w with the primal
     weights w = Phi^T c, which equals k_z . c.
@@ -81,9 +99,14 @@ class TrainedModel:
     def n_train(self) -> int:
         return self.system.n
 
+    def predictor(self) -> Predictor:
+        """This fit's predictor, which keeps neither the factor nor the
+        prepared rows alive."""
+        return Predictor(self.map, self.weights, self.n_train)
+
     def predict(self, rows: np.ndarray) -> np.ndarray:
         """Model outputs as a 1-D array, one per row; a 1-D row is a batch of one."""
-        return self.map.outputs(rows, self.weights)
+        return self.predictor().predict(rows)
 
 
 def fit_min_norm(fmap, dataset: LabeledDataset) -> TrainedModel:
@@ -105,7 +128,7 @@ def fit_min_norm(fmap, dataset: LabeledDataset) -> TrainedModel:
     return TrainedModel(system=system, dual_coefs=coefs, weights=weights, report=report)
 
 
-def generalization_error(model: TrainedModel, test: LabeledDataset) -> EvalReport:
+def generalization_error(model: Predictor | TrainedModel, test: LabeledDataset) -> EvalReport:
     """Mean squared residual and sign-readout accuracy on an independent test draw."""
     outputs = model.predict(test.z)
     labels = np.asarray(test.g, dtype=float)

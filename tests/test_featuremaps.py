@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from reconstab.errors import DimensionMismatch
-from reconstab.featuremaps import _ROW_BLOCK, sample_map
-from reconstab.hermite import _hermite_matrix, get_activation
+from reconstab.featuremaps import _ROW_BLOCK, _lower_panel, sample_map
+from reconstab.hermite import ACTIVATION_CHUNK, _hermite_matrix, get_activation
+from reconstab.linops import _SOLVE_PANEL as P
 
 from panels import dense_gram
 
@@ -255,3 +256,33 @@ class TestRfRowBlocks:
         rows = np.random.default_rng(20).standard_normal((n, 8))
         w = np.random.default_rng(21).standard_normal(k)
         assert _traced_peak(lambda: m.outputs(rows, w)) < 1.5 * _ROW_BLOCK * k * 8
+
+
+def _ntk_prepared(n):
+    z = np.random.default_rng(n).standard_normal((n, 256))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return sample_map("ntk", 64, 256, get_activation("h0+h1"), 31).prepare(z)
+
+
+class TestNtkGramBlocks:
+    """The tangent Gram multiplies each row panel of Z Z^T by D D^T one
+    P x P block at a time, with the entries of whole panel products."""
+
+    @pytest.mark.parametrize("n", [P, P + 1, 3 * P + 5])
+    def test_lower_triangles_equal_the_panel_products(self, n):
+        prepared = _ntk_prepared(n)
+        for s, e, panel in prepared.gram():
+            whole = _lower_panel(prepared.rows, s, e) * _lower_panel(prepared.derivs, s, e)
+            assert np.array_equal(np.tril(panel, s), np.tril(whole, s))
+
+    def test_build_holds_one_block_beside_its_panels(self):
+        # a P x n panel of D D^T, 6.3 MB in the third panel, would exceed it
+        prepared = _ntk_prepared(3 * P + 5)
+        tracemalloc.start()
+        try:
+            gram = prepared.gram()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        panels = sum(panel.nbytes for panel in gram.panels)
+        assert peak <= panels + 8 * (P * P + ACTIVATION_CHUNK)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -438,6 +439,56 @@ class TestNoGramBesideTheFactor:
         assert main(["fit", "--model", model, "--k", "60", "--dx", "8", "--dy", "8",
                      "--n", "12", "--test-size", "20"]) == 0
         assert "max_residual=" in capsys.readouterr().out
+
+
+class TestSystemReleasedBeforeScoring:
+    """A row and ``fit`` read the fit's system (gamma, lambda_min, the
+    condition number) before they score, and score on the weights alone:
+    every KernelSystem built so far is dead when the test draw is evaluated
+    and when the attack runs."""
+
+    @pytest.fixture
+    def scoring_stages(self, monkeypatch):
+        systems = []
+        real = linops.KernelSystem.build.__func__
+
+        def recording(cls, fmap, rows):
+            system = real(cls, fmap, rows)
+            systems.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(linops.KernelSystem, "build", classmethod(recording))
+        stages = []
+
+        def observed(stage, fn):
+            def wrapper(*args, **kwargs):
+                alive = sum(ref() is not None for ref in systems)
+                stages.append((stage, len(systems), alive))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for stage in ("generalization_error", "run_attack"):
+            monkeypatch.setattr(harness, stage, observed(stage, getattr(harness, stage)))
+        return stages
+
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
+    def test_sweep(self, doc, scoring_stages):
+        rows = run_sweep(parse_config(dict(doc)))
+        assert all(row.error == "" for row in rows)
+        expected = [
+            (stage, i + 1, 0)
+            for i in range(len(rows))
+            for stage in ("generalization_error", "run_attack")
+        ]
+        assert scoring_stages == expected
+
+    @pytest.mark.parametrize("model", ["rf", "ntk"])
+    def test_fit(self, model, scoring_stages, capsys):
+        assert main(["fit", "--model", model, "--k", "60", "--dx", "8", "--dy", "8",
+                     "--n", "12", "--test-size", "20"]) == 0
+        assert "condition=" in capsys.readouterr().out
+        assert scoring_stages == [("generalization_error", 1, 0), ("run_attack", 1, 0)]
 
 
 class TestNoDenseEigensolverOrLU:
