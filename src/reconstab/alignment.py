@@ -57,10 +57,10 @@ class AlignmentSolver:
     def alignment_parts(self, z: np.ndarray, z1: np.ndarray) -> tuple[float, float]:
         """phi(z) . P_perp phi(z1) and ||P_perp phi(z1)||^2 for single rows,
         from the pair [z1; z] prepared once: the lower triangle of its 2 x 2
-        Gram, one panel, and its cross block.
+        Gram, one lone diagonal block, and its cross block.
         """
         pair = self.map.prepare(np.vstack([z1, z]))
-        (own,) = pair.gram().panels
+        (own,) = pair.gram().diags
         scale = float(own[0, 0])
         k1, kz = self.system.cross(pair)
         solved = self.system.solve(k1)

@@ -77,6 +77,22 @@ def sample_teacher(d_x: int, seed: int) -> TeacherVector:
     return TeacherVector(u=u / np.linalg.norm(u))
 
 
+# Entries per block of rows whose norms are taken at once: np.linalg.norm
+# forms the squares of its input, so a block bounds them to 512 KB.
+_NORM_BLOCK = 2**16
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row, as an (n, 1) column: the bits of
+    ``np.linalg.norm(rows, axis=1, keepdims=True)``, taken over blocks of
+    rows so that no n x dim array of squares is formed."""
+    step = max(1, _NORM_BLOCK // rows.shape[1])
+    norms = np.empty((len(rows), 1))
+    for s in range(0, len(rows), step):
+        norms[s : s + step] = np.linalg.norm(rows[s : s + step], axis=1, keepdims=True)
+    return norms
+
+
 def _onto_sphere(rows: np.ndarray, rng_of) -> np.ndarray:
     """Gaussian rows scaled onto the sphere of radius sqrt(dim), for dim >= 1,
     in place: it overwrites ``rows`` and returns them. Each all-zero row
@@ -86,11 +102,11 @@ def _onto_sphere(rows: np.ndarray, rng_of) -> np.ndarray:
     if dim < 1:
         # an empty row has norm 0 however often it is redrawn
         raise ValueError(f"sphere dimension must be >= 1, got {dim}")
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms = _row_norms(rows)
     while np.any(norms == 0.0):
         for i in np.flatnonzero(norms[:, 0] == 0.0):
             rows[i] = rng_of(i).standard_normal(dim)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        norms = _row_norms(rows)
     rows /= norms
     rows *= np.sqrt(dim)
     return rows

@@ -4,8 +4,8 @@ alignments, primal weights for model outputs.
 Every entry point takes rows: an (n, d) array, where a 1-D row of length d is
 a batch of one. ``prepare`` is the only code that turns rows into features;
 every Gram, kernel block and output is read off the prepared rows it returns:
-their ``gram``, built as its lower row panels (``linops.RowPanels``) and never
-as an N x N array, ``cross(queries)`` against prepared queries, ``outputs(theta)``
+their ``gram``, built as its packed row panels (``linops.RowPanels``, about
+N (N + 1) / 2 floats) and never as an N x N array, ``cross(queries)`` against prepared queries, ``outputs(theta)``
 phi(z) . theta for a parameter in the map's weight layout, and ``weights(c)``,
 the dual coefficients in that layout, Phi^T c, at O(N p) once; outputs then
 cost O(n p), without an n x N cross kernel. ``head(m)`` is the first m rows,
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .hermite import ActivationSpec
-from .linops import RowPanels
+from .linops import _SOLVE_PANEL, RowPanels
 
 # Rows per block when a map turns rows into outputs; an RF block holds
 # _ROW_BLOCK * k floats once, its activations written over its
@@ -43,18 +43,6 @@ from .linops import RowPanels
 # 50 ms (relu) at 256, against 66 and 45 ms unblocked, 68 and 46 ms at 512 for
 # twice the memory, and 76 and 55 ms at 128.
 _ROW_BLOCK = 256
-
-
-def _lower_panel(x: np.ndarray, s: int, e: int) -> np.ndarray:
-    """Rows s:e and columns :e of x x^T: one GEMM left of the diagonal block
-    and a syrk on it, which numpy fills in one triangle and mirrors, so the
-    diagonal block is exactly symmetric.
-    """
-    out = np.empty((e - s, e))
-    if s:
-        np.matmul(x[s:e], x[:s].T, out=out[:, :s])
-    np.matmul(x[s:e], x[s:e].T, out=out[:, s:])
-    return out
 
 
 def _as_rows(rows: np.ndarray, d: int) -> np.ndarray:
@@ -162,11 +150,18 @@ class _PreparedRF:
         return self.phi @ weights
 
     def gram(self) -> RowPanels:
-        """Phi Phi^T as its lower row panels, one GEMM and one syrk per panel,
-        so a Gram of at most one panel is the syrk Phi Phi^T bit for bit.
+        """Phi Phi^T as its packed row panels, about N (N + 1) / 2 floats: a
+        GEMM for each rectangle left of a diagonal block and a syrk for each
+        diagonal block, so a Gram of at most one panel is the syrk Phi Phi^T
+        bit for bit.
         """
-        spans = RowPanels.spans(self.n)
-        return RowPanels(self.n, [_lower_panel(self.phi, s, e) for s, e in spans])
+        gram = RowPanels.empty(self.n)
+        for s, e, rect, diag in gram:
+            x = self.phi[s:e]
+            if s:
+                np.matmul(x, self.phi[:s].T, out=rect)
+            gram.write(diag, x @ x.T)
+        return gram
 
     def cross(self, queries: "_PreparedRF") -> np.ndarray:
         """Kernel evaluations of each prepared query row against each row here."""
@@ -198,21 +193,29 @@ class _PreparedNTK:
         return np.einsum("nk,nk->n", self.derivs, self.rows @ weights)
 
     def gram(self) -> RowPanels:
-        """(Z Z^T) * (D D^T), D = act'(Z W^T), as its lower row panels: each
-        panel of Z Z^T is multiplied in place by the matching blocks of
-        D D^T, formed one _SOLVE_PANEL x _SOLVE_PANEL block at a time (2 MB),
-        so the only temporary is one block and neither factor is ever formed
-        above the diagonal or whole. Blocks left of the diagonal are GEMMs
-        and the diagonal block a syrk, so a Gram of at most one panel is the
-        product of the two syrks bit for bit.
+        """(Z Z^T) * (D D^T), D = act'(Z W^T), as its packed row panels,
+        about N (N + 1) / 2 floats. Each rectangle of Z Z^T is multiplied in
+        place by D D^T's, formed in strips of whole rows of at most
+        _SOLVE_PANEL^2 entries (2 MB); each diagonal block is written from
+        Z Z^T's block, then D D^T's is multiplied in. So the only temporary
+        is one such strip or block, and neither factor is ever formed above
+        the diagonal or whole. Rectangles are GEMMs and diagonal blocks
+        syrks, so a Gram of at most one panel is the product of the two
+        syrks bit for bit.
         """
-        panels = []
-        for s, e in RowPanels.spans(self.n):
-            panel = _lower_panel(self.rows, s, e)
-            for cs, ce in RowPanels.spans(e):
-                panel[:, cs:ce] *= self.derivs[s:e] @ self.derivs[cs:ce].T
-            panels.append(panel)
-        return RowPanels(self.n, panels)
+        gram = RowPanels.empty(self.n)
+        z, dv = self.rows, self.derivs
+        for s, e, rect, diag in gram:
+            if s:
+                np.matmul(z[s:e], z[:s].T, out=rect)
+                # whole rows of the rectangle are contiguous, so numpy
+                # multiplies them in place without buffering
+                h = max(1, _SOLVE_PANEL**2 // s)
+                for a in range(s, e, h):
+                    rect[a - s : a - s + h] *= dv[a : min(a + h, e)] @ dv[:s].T
+            gram.write(diag, z[s:e] @ z[s:e].T)
+            gram.write(diag, dv[s:e] @ dv[s:e].T, np.multiply)
+        return gram
 
     def cross(self, queries: "_PreparedNTK") -> np.ndarray:
         """Kernel evaluations of each prepared query row against each row here."""

@@ -5,8 +5,8 @@ Predictions take rows: an (n, d) array, where a 1-D row is a batch of one.
 Test accuracy is the sign readout of those outputs, a 0 output read as +1.
 Every fit starts from the zero function and its weights live in the row span
 of the training features, so a model is its KernelSystem (prepared training
-rows and the Cholesky factor of their Gram, held as its lower row panels in
-about N (N + 512) / 2 floats, with no copy of the Gram) plus
+rows and the Cholesky factor of their Gram, held as its packed row panels
+in about N (N + 1) / 2 floats, with no copy of the Gram) plus
 the dual coefficients c = K^{-1} g of the labels g. The fit turns c once into
 the primal weights w = Phi^T c (O(N p)), a k-vector for random features and a
 d x k matrix for tangent features, and measures its interpolation by the

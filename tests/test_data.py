@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from reconstab.data import (
     MASKS,
     TeacherVector,
     _onto_sphere,
+    _row_norms,
     _sphere_rows,
     attacked_pairs,
     generate_synthetic,
@@ -110,6 +113,32 @@ class TestMaskSample:
         # and zeroing it leaves the query equal to the training row
         with pytest.raises(ValueError, match="d_x=0"):
             mask_rows(np.zeros((2, 4)), 0, mask, 0)
+
+
+class TestSphereRows:
+    @pytest.mark.parametrize("n, dim", [(1, 1), (7, 3), (3000, 128), (2, 70_000)])
+    def test_row_norms_are_the_bits_of_one_norm(self, n, dim):
+        rows = np.random.default_rng(n).standard_normal((n, dim))
+        assert np.array_equal(_row_norms(rows), np.linalg.norm(rows, axis=1, keepdims=True))
+
+    def test_row_norms_of_split_blocks(self):
+        # attacked_pairs' blocks: strided column splits of one draw per trial
+        draws = np.random.default_rng(1).standard_normal((300, 328))
+        for block in np.split(draws, [100, 228], axis=1):
+            assert np.array_equal(_row_norms(block), np.linalg.norm(block, axis=1, keepdims=True))
+
+    def test_sphere_rows_form_no_array_of_squares(self):
+        # the rows and their norms, and 1 MiB for one block's squares and the
+        # reduction's temporaries; the 3000 x 128 squares (2.9 MB) do not fit
+        n, dim = 3000, 128
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            _sphere_rows(rng, n, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * dim + n) + 2**20
 
 
 class TestAttackedPairs:

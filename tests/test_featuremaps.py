@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from reconstab.errors import DimensionMismatch
-from reconstab.featuremaps import _ROW_BLOCK, _lower_panel, sample_map
+from reconstab.featuremaps import _ROW_BLOCK, sample_map
 from reconstab.hermite import ACTIVATION_CHUNK, _hermite_matrix, get_activation
 from reconstab.linops import _SOLVE_PANEL as P
 
-from panels import dense_gram
+from panels import dense_gram, held_bytes
 
 
 def _features(fmap, z):
@@ -258,6 +258,16 @@ class TestRfRowBlocks:
         assert _traced_peak(lambda: m.outputs(rows, w)) < 1.5 * _ROW_BLOCK * k * 8
 
 
+def _lower_panel(x, s, e):
+    """Rows s:e and columns :e of x x^T, as whole row panels of it were
+    built: one GEMM left of the diagonal block and a syrk on it."""
+    out = np.empty((e - s, e))
+    if s:
+        np.matmul(x[s:e], x[:s].T, out=out[:, :s])
+    np.matmul(x[s:e], x[s:e].T, out=out[:, s:])
+    return out
+
+
 def _ntk_prepared(n):
     z = np.random.default_rng(n).standard_normal((n, 256))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -268,12 +278,13 @@ class TestNtkGramBlocks:
     """The tangent Gram multiplies each row panel of Z Z^T by D D^T one
     P x P block at a time, with the entries of whole panel products."""
 
-    @pytest.mark.parametrize("n", [P, P + 1, 3 * P + 5])
+    @pytest.mark.parametrize("n", [P, P + 1, 2 * P, 2 * P + 1, 3 * P + 5])
     def test_lower_triangles_equal_the_panel_products(self, n):
         prepared = _ntk_prepared(n)
-        for s, e, panel in prepared.gram():
+        for s, e, rect, diag in prepared.gram():
             whole = _lower_panel(prepared.rows, s, e) * _lower_panel(prepared.derivs, s, e)
-            assert np.array_equal(np.tril(panel, s), np.tril(whole, s))
+            assert np.array_equal(rect, whole[:, :s])
+            assert np.array_equal(np.tril(diag), np.tril(whole[:, s:]))
 
     def test_build_holds_one_block_beside_its_panels(self):
         # a P x n panel of D D^T, 6.3 MB in the third panel, would exceed it
@@ -284,5 +295,4 @@ class TestNtkGramBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        panels = sum(panel.nbytes for panel in gram.panels)
-        assert peak <= panels + 8 * (P * P + ACTIVATION_CHUNK)
+        assert peak <= held_bytes(gram) + 8 * (P * P + ACTIVATION_CHUNK)

@@ -89,7 +89,7 @@ def test_leading_view_equals_system_on_leading_rows(kind, m, monkeypatch):
         patched.setattr(KernelSolveCache, "factor", forbidden)
         view = full.leading(m)
     assert view.n == m and view.map is fmap
-    assert m == 0 or np.shares_memory(view.cache.chol.panels[0], full.cache.chol.panels[0])
+    assert m == 0 or np.shares_memory(view.cache.chol.diags[0], full.cache.chol.diags[0])
     assert np.shares_memory(view.cache.diag_inv, full.cache.diag_inv) or m == 0
     # the view has no spectrum of its own
     assert np.isnan(view.cache.min_eig) and np.isnan(view.cache.max_eig)

@@ -10,7 +10,7 @@ from reconstab.errors import SingularKernel
 from reconstab.featuremaps import sample_map
 from reconstab.hermite import get_activation
 
-from panels import dense_gram, dense_lower
+from panels import dense_gram, dense_lower, packed
 
 
 def _instance(seed, n=None, p=None):
@@ -28,14 +28,14 @@ class TestGram:
         rf = sample_map("rf", 2 * n, 12, get_activation("h1+h2"), n)
         ntk = sample_map("ntk", n, 12, get_activation("h0+h1"), n)
         for fmap in (rf, ntk):
-            (k,) = fmap.prepare(rows).gram().panels
+            (k,) = fmap.prepare(rows).gram().diags
             assert np.array_equal(k, k.T)
 
 
 def _project_rowspace(a, v):
     """P_A v = A^T (A A^T)^{-1} A v through the factored Gram: the kernel-space
     projector the alignment solver applies to the background rows."""
-    cache = linops.KernelSolveCache.factor(a @ a.T, p=a.shape[1])
+    cache = linops.KernelSolveCache.factor(packed(a @ a.T), p=a.shape[1])
     return a.T @ cache.solve(a @ v)
 
 
@@ -109,7 +109,7 @@ class TestKernelSolveCache:
         rng = np.random.default_rng(15)
         a = rng.standard_normal((6, 9))
         k = a @ a.T
-        cache = linops.KernelSolveCache.factor(k.copy())
+        cache = linops.KernelSolveCache.factor(packed(k))
         l = dense_lower(cache.chol)
         rebuilt = l @ l.T
         assert np.linalg.norm(rebuilt - k) <= 1e-10 * np.linalg.norm(k)
@@ -119,7 +119,7 @@ class TestKernelSolveCache:
         rng = np.random.default_rng(16)
         a = rng.standard_normal((8, 12))
         k = a @ a.T
-        cache = linops.KernelSolveCache.factor(k.copy())
+        cache = linops.KernelSolveCache.factor(packed(k))
         b = rng.standard_normal(8)
         x = cache.solve(b)
         assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -162,7 +162,7 @@ class TestBlockedSolve:
     def test_matches_dense_solve(self, n, width):
         rng, k = _wishart_gram(n)
         b = rng.standard_normal(n if width is None else (n, width))
-        cache = linops.KernelSolveCache.factor(k.copy())
+        cache = linops.KernelSolveCache.factor(packed(k))
         x = cache.solve(b)
         oracle = np.linalg.solve(k, b) if n else np.zeros_like(b)
         assert x.shape == b.shape
@@ -188,22 +188,25 @@ class TestBlockedSolve:
         # views on either side of the first and second panel edges; n - 1
         # rows, the view every sweep row takes, cuts the last panel
         rng, k = _wishart_gram(4 * P + B + 5)
-        view = linops.KernelSolveCache.factor(k.copy()).leading(m)
-        direct = linops.KernelSolveCache.factor(k[:m, :m].copy())
+        view = linops.KernelSolveCache.factor(packed(k)).leading(m)
+        direct = linops.KernelSolveCache.factor(packed(k[:m, :m]))
         b = rng.standard_normal((m, 2))
         for rhs in (b, b[:, 0]):
             x, oracle = view.solve(rhs), direct.solve(rhs)
             assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
-    @pytest.mark.parametrize("m", [P - 1, P, P + 1, 4 * P + B + 4])
+    @pytest.mark.parametrize("m", [P - 1, P, P + 1, 2 * P, 2 * P + 1, 4 * P + B + 4])
     def test_leading_view_shares_the_factor(self, m):
         rng, k = _wishart_gram(4 * P + B + 5)
-        full = linops.KernelSolveCache.factor(k.copy())
+        full = linops.KernelSolveCache.factor(packed(k))
         view = full.leading(m)
-        assert view.n == m and len(view.chol.panels) == len(linops.RowPanels.spans(m))
-        for part, whole in zip(view.chol.panels, full.chol.panels):
+        spans = linops.RowPanels.spans(m)
+        assert view.n == m and len(view.chol.rects) == len(view.chol.diags) == len(spans)
+        for part, whole in zip(view.chol.rects, full.chol.rects):
+            assert part.size == 0 or np.shares_memory(part, whole)
+        for part, whole in zip(view.chol.diags, full.chol.diags):
             assert np.shares_memory(part, whole)
-        direct = linops.KernelSolveCache.factor(k[:m, :m].copy())
+        direct = linops.KernelSolveCache.factor(packed(k[:m, :m]))
         b = rng.standard_normal(m)
         x, oracle = view.solve(b), direct.solve(b)
         if m % P == 0:
@@ -219,7 +222,7 @@ class TestBlockedSolve:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         fmap = sample_map("ntk", 64, d, get_activation("h0+h1"), 2)
         k = dense_gram(fmap.prepare(z).gram())
-        cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
+        cache = linops.KernelSolveCache.factor(packed(k), p=fmap.n_params)
         b = np.random.default_rng(3).standard_normal(n)
         oracle = np.linalg.solve(k, b)
         assert np.linalg.norm(cache.solve(b) - oracle) <= 1e-10 * np.linalg.norm(oracle)
@@ -233,7 +236,7 @@ class TestBlockedSolve:
         z = rng.standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         k = dense_gram(fmap.prepare(z).gram())
-        cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
+        cache = linops.KernelSolveCache.factor(packed(k), p=fmap.n_params)
         assert cache.condition > 1e7
         b = rng.standard_normal(n)
         resid = np.linalg.norm(k @ cache.solve(b) - b)
@@ -252,7 +255,7 @@ class TestBlockedSolve:
         z = rng.standard_normal((n, d))
         z *= np.sqrt(d) / np.linalg.norm(z, axis=1, keepdims=True)
         k = dense_gram(fmap.prepare(z).gram())
-        cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
+        cache = linops.KernelSolveCache.factor(packed(k), p=fmap.n_params)
         assert cache.condition > 5e5
         b = rng.standard_normal(n)
         x = cache.solve(b)
@@ -269,19 +272,23 @@ class TestFactorInPlace:
     def test_one_panel_is_lapack_bit_for_bit(self, n):
         _, k = _wishart_gram(n)
         chol = np.linalg.cholesky(k)
-        cache = linops.KernelSolveCache.factor(k)
-        assert np.shares_memory(cache.chol.panels[0], k)
-        assert np.array_equal(dense_lower(cache.chol), chol)
+        gram = packed(k)
+        cache = linops.KernelSolveCache.factor(gram)
+        assert cache.chol.diags[0] is gram.diags[0]
+        assert np.array_equal(cache.chol.diags[0], chol)
         assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(chol))
 
-    @pytest.mark.parametrize("n", [P + 1, 2 * P + 1, 2 * P + B + 5, 4 * P + B + 5])
+    @pytest.mark.parametrize("n", [P + 1, 2 * P, 2 * P + 1, 2 * P + B + 5, 4 * P + B + 5])
     def test_block_columns_match_lapack(self, n):
         _, k = _wishart_gram(n)
         chol = np.linalg.cholesky(k)
-        cache = linops.KernelSolveCache.factor(k)
+        cache = linops.KernelSolveCache.factor(packed(k))
         l = dense_lower(cache.chol)
         assert np.linalg.norm(l - chol) <= 1e-14 * np.linalg.norm(chol)
-        assert not np.any(np.triu(l, 1))
+        # a lone last block, which products read whole, holds zeros above its
+        # diagonal; a paired one holds its partner's entries there
+        last = cache.chol.diags[-1]
+        assert not (last.flags.owndata and np.any(np.triu(last, 1)))
         assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(l))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -295,7 +302,7 @@ class TestFactorInPlace:
         k = dense_gram(fmap.prepare(z).gram())
         np.linalg.cholesky(k[:P, :P])
         with pytest.raises(SingularKernel, match="not positive definite"):
-            linops.KernelSolveCache.factor(k, p=fmap.n_params)
+            linops.KernelSolveCache.factor(packed(k), p=fmap.n_params)
 
     @pytest.mark.parametrize("n", [P, P + 276, 2 * P, 2 * P + 276])
     def test_ntk_gram_by_row_panels(self, n):
@@ -312,26 +319,9 @@ class TestFactorInPlace:
             # in the last bit
             assert np.max(np.abs(k - whole)) <= 1e-15 * np.max(np.abs(whole))
 
-    @pytest.mark.parametrize("kind", ["rf", "ntk"])
-    def test_dense_array_factors_as_its_row_panels(self, kind):
-        n, d = 2 * P + 276, 64
-        z = np.random.default_rng(4).standard_normal((n, d))
-        z *= np.sqrt(d) / np.linalg.norm(z, axis=1, keepdims=True)
-        width = 2 * n if kind == "rf" else 64
-        fmap = sample_map(kind, width, d, get_activation("h1+h2"), 5)
-        prepared = fmap.prepare(z)
-        dense = dense_gram(prepared.gram())
-        from_dense = linops.KernelSolveCache.factor(dense, p=fmap.n_params)
-        from_panels = linops.KernelSolveCache.factor(prepared.gram(), p=fmap.n_params)
-        assert all(np.shares_memory(panel, dense) for panel in from_dense.chol.panels)
-        for a, b in zip(from_dense.chol.panels, from_panels.chol.panels, strict=True):
-            assert np.array_equal(a, b)
-        assert np.array_equal(from_dense.diag_inv, from_panels.diag_inv)
-        assert from_dense.min_eig == from_panels.min_eig
-
     def test_matrix_is_formed_on_read_and_kept(self):
         _, k = _wishart_gram(B + 5)
-        cache = linops.KernelSolveCache.factor(k.copy())
+        cache = linops.KernelSolveCache.factor(packed(k))
         assert cache._matrix is None
         matrix = cache.matrix
         assert cache.matrix is matrix
@@ -387,6 +377,28 @@ class TestFactorInPlace:
         z = np.random.default_rng(6).standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         fmap = sample_map("ntk", 64, d, get_activation("h0+h1"), 7)
+        tracemalloc.start()
+        try:
+            system = linops.KernelSystem.build(fmap, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound + system.prepared.derivs.nbytes
+
+    def test_build_holds_the_packed_panels(self):
+        # past six panels: the packed Gram, N (N + 1) / 2 floats and one P x P
+        # block more for a partial pair or a lone block; the larger of the
+        # transients the tests above allow, one P x P block and LAPACK's two
+        # copies of a diagonal block, which never coexist; 2 N B floats for
+        # the diagonal-block inverses; and the prepared rows. Row panels of
+        # N (N + P) / 2 floats with the same transients would not fit.
+        n, d = 6 * P + 5, 256
+        transients = 2 * P * P + 2 * n * B
+        bound = 8 * (n * (n + 1) // 2 + P * P + transients)
+        assert 8 * (n * (n + P) // 2 + transients) > bound
+        z = np.random.default_rng(8).standard_normal((n, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        fmap = sample_map("ntk", 64, d, get_activation("h0+h1"), 9)
         tracemalloc.start()
         try:
             system = linops.KernelSystem.build(fmap, z)
@@ -471,7 +483,7 @@ class TestSpectrumEstimate:
     @pytest.mark.parametrize("n", [1, 2, 3, B - 1, B, B + 1, 300])
     def test_matches_eigvalsh_on_kernel_grams(self, kind, n):
         fmap, k = _kernel_gram(kind, n)
-        _assert_spectrum_close(linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params), k)
+        _assert_spectrum_close(linops.KernelSolveCache.factor(packed(k), p=fmap.n_params), k)
 
     def test_ill_conditioned_rf_gram(self):
         # the Gram of TestBlockedSolve.test_ill_conditioned_rf_gram: k = N + 5
@@ -480,7 +492,7 @@ class TestSpectrumEstimate:
         z = np.random.default_rng(0).standard_normal((n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         k = dense_gram(fmap.prepare(z).gram())
-        cache = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
+        cache = linops.KernelSolveCache.factor(packed(k), p=fmap.n_params)
         assert cache.condition > 1e7
         _assert_spectrum_close(cache, k, eig_err=1e-12)
 
@@ -493,14 +505,14 @@ class TestSpectrumEstimate:
 
         assert linops._top_eigenvalue(apply, 50) == pytest.approx(1.0, rel=1e-15)
         assert len(calls) == 1
-        cache = linops.KernelSolveCache.factor(np.eye(50))
+        cache = linops.KernelSolveCache.factor(packed(np.eye(50)))
         assert cache.min_eig == pytest.approx(1.0, rel=1e-15)
         assert cache.max_eig == pytest.approx(1.0, rel=1e-15)
 
     def test_two_factors_give_the_same_bits(self):
         fmap, k = _kernel_gram("ntk", 200)
-        a = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
-        b = linops.KernelSolveCache.factor(k.copy(), p=fmap.n_params)
+        a = linops.KernelSolveCache.factor(packed(k), p=fmap.n_params)
+        b = linops.KernelSolveCache.factor(packed(k), p=fmap.n_params)
         assert (a.min_eig, a.max_eig, a.tol) == (b.min_eig, b.max_eig, b.tol)
         l = dense_lower(a.chol)
         assert np.array_equal(l, dense_lower(b.chol)) and np.array_equal(a.diag_inv, b.diag_inv)
@@ -547,7 +559,7 @@ class TestSpectrumEstimate:
 
     def test_spectrum_beyond_lambda_min_is_read_once_and_only_on_demand(self, lanczos_sizes):
         fmap, k = _kernel_gram("rf", 100)
-        cache = linops.KernelSolveCache.factor(k, p=fmap.n_params)
+        cache = linops.KernelSolveCache.factor(packed(k), p=fmap.n_params)
         assert lanczos_sizes == [100]
         view = cache.leading(60)
         assert np.isnan(view.max_eig) and np.isnan(view.tol) and np.isnan(view.condition)
@@ -563,7 +575,7 @@ class TestSpectrumEstimate:
         tol = linops.rank_tolerance(1.0, n, n)
         k = _with_spectrum(np.linspace(2.0 * tol, 1.0, n), seed=1)
         trace = np.trace(k)
-        cache = linops.KernelSolveCache.factor(k)
+        cache = linops.KernelSolveCache.factor(packed(k))
         assert lanczos_sizes == [n, n]
         assert cache.tol < cache.min_eig < linops.rank_tolerance(trace, n, n)
 
@@ -574,7 +586,7 @@ class TestSpectrumEstimate:
         k = _with_spectrum(eigs, seed=1)
         np.linalg.cholesky(k)  # positive definite: only the estimate can reject it
         with pytest.raises(SingularKernel, match="below tolerance"):
-            linops.KernelSolveCache.factor(k)
+            linops.KernelSolveCache.factor(packed(k))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -596,14 +608,14 @@ class TestSpectrumEstimate:
         k = _with_spectrum(np.concatenate([[low, 1.0], bulk]), seed)
         chol = np.linalg.cholesky(k)
         eager = linops.KernelSolveCache(
-            chol=linops.RowPanels.of(chol), diag_inv=linops._diagonal_inverses(chol),
+            chol=packed(chol), diag_inv=linops._diagonal_inverses(chol),
             min_eig=0.0, p=p,
         )
         min_eig = 1.0 / linops._top_eigenvalue(eager.solve, n)
         max_eig = linops._top_eigenvalue(lambda v: chol @ (chol.T @ v), n)
         accepted = min_eig > linops.rank_tolerance(max_eig, n, p)
         try:
-            linops.KernelSolveCache.factor(k, p=p)
+            linops.KernelSolveCache.factor(packed(k), p=p)
         except SingularKernel:
             assert not accepted
         else:
@@ -612,13 +624,13 @@ class TestSpectrumEstimate:
     def test_indefinite_raises_on_the_cholesky_path(self):
         k = _with_spectrum(np.linspace(-1.0, 1.0, 40), seed=2)
         with pytest.raises(SingularKernel, match="not positive definite"):
-            linops.KernelSolveCache.factor(k)
+            linops.KernelSolveCache.factor(packed(k))
 
     def test_lands_inside_a_cluster_of_smallest_eigenvalues(self):
         n = 120
         cluster = 1.0 + 1e-7 * np.linspace(0.0, 1.0, 5)
         eigs = np.concatenate([cluster, np.linspace(2.0, 50.0, n - 5)])
-        cache = linops.KernelSolveCache.factor(_with_spectrum(eigs, seed=3))
+        cache = linops.KernelSolveCache.factor(packed(_with_spectrum(eigs, seed=3)))
         # roundoff of the factored matrix: eps * condition, far inside the cluster
         slack = 1e-12
         assert cluster[0] * (1 - slack) <= cache.min_eig <= cluster[-1] * (1 + slack)
@@ -631,7 +643,7 @@ class TestSpectrumEstimate:
         n = 110
         eigs = np.concatenate([[1.0, 2.03125], np.full(n - 2, 1.015625)])
         k = _with_spectrum(eigs, seed=263)
-        _assert_spectrum_close(linops.KernelSolveCache.factor(k.copy()), k)
+        _assert_spectrum_close(linops.KernelSolveCache.factor(packed(k)), k)
 
     def test_top_of_a_tight_cluster_needs_reorthogonalization(self):
         # five eigenvalues within 1e-4 relative at the top, one far below: the
@@ -641,7 +653,7 @@ class TestSpectrumEstimate:
         eigs = np.concatenate([[1.0], 100.0 * (1.0 + 1e-4 * np.arange(5) / 4)])
         k = _with_spectrum(eigs, seed=3)
         top = np.linalg.eigvalsh(k)[-1]
-        assert abs(linops.KernelSolveCache.factor(k).max_eig - top) <= 1e-10 * top
+        assert abs(linops.KernelSolveCache.factor(packed(k)).max_eig - top) <= 1e-10 * top
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -663,4 +675,4 @@ class TestSpectrumEstimate:
         else:
             eigs = np.concatenate([[1.0, top], rng.uniform(lo, hi, n - 2)])
         k = _with_spectrum(eigs, seed)
-        _assert_spectrum_close(linops.KernelSolveCache.factor(k.copy()), k, eig_err=1e-12)
+        _assert_spectrum_close(linops.KernelSolveCache.factor(packed(k)), k, eig_err=1e-12)
