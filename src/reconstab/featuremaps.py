@@ -2,28 +2,29 @@
 alignments, primal weights for model outputs.
 
 Every entry point takes rows: an (n, d) array, where a 1-D row of length d is
-a batch of one. ``prepare`` is the only code that turns rows into features;
-every Gram, kernel block and output is read off the prepared rows it returns:
-their ``gram``, built as its packed row panels (``linops.RowPanels``, about
-N (N + 1) / 2 floats) and never as an N x N array, ``cross(queries)`` against prepared queries, ``outputs(theta)``
-phi(z) . theta for a parameter in the map's weight layout, and ``weights(c)``,
-the dual coefficients in that layout, Phi^T c, at O(N p) once; outputs then
-cost O(n p), without an n x N cross kernel. ``head(m)`` is the first m rows,
-without copying. A map's ``outputs(rows, theta)`` prepares rows block by
-block, ``kernel(z, zp)`` is the one-row cross kernel, ``feature_matrix`` the
-(n, p) features. ``sample_map`` is the one place a map kind picks its class
-and draws its weights.
+a batch of one. ``prepare`` is the only code that turns rows into features.
+It keeps them as the factor matrices of the map's kernel: (Phi,) for random
+features, Phi = act(Z W^T), with K = Phi Phi^T; and (Z, D) for tangent
+features z (x) act'(W z), D = act'(Z W^T), with K = (Z Z^T) * (D D^T). A
+feature row is the Kronecker product of its factor rows (``feature_matrix``,
+index i*k + j for tangent features), and is never formed otherwise, so
+tangent rows of dimension k*d cost n (k + d) floats. Every Gram, kernel block
+and output is read off the prepared rows: their ``gram``, built by
+``linops.RowPanels`` as its packed row panels and never as an N x N array,
+``cross(queries)`` against prepared queries, ``outputs(theta)`` phi(z) . theta
+for a parameter in the map's weight layout, and ``weights(c)``, the dual
+coefficients in that layout, Phi^T c (for tangent rows the d x k matrix
+Z^T (c * D)), at O(N p) once; outputs then cost O(n p), without an n x N
+cross kernel. ``head(m)`` is the first m rows, without copying. A map's
+``outputs(rows, theta)`` prepares rows block by block, and ``kernel(z, zp)``
+is the one-row cross kernel. ``sample_map`` is the one place a map kind picks
+its class and draws its weights.
 
-Random features act(W z), and tangent derivatives act'(W z), are built in
-place: the activation overwrites the pre-activations Z W^T, one
-hermite.ACTIVATION_CHUNK at a time, so n prepared rows hold one n x k buffer
-and no second one. ``outputs`` holds one block of rows at a time, with
-O(block k) transient memory and never the n x k features of its queries.
-
-Tangent features z (x) act'(W z) have dimension k*d. Prepared tangent rows
-keep the two factors and never materialize them, because every kernel entry
-factorizes as (z . z') * (act'(W z) . act'(W z')); their weights are the
-d x k matrix Z^T (c * act'(Z W^T)), entry (i, j) at feature index i*k + j.
+Phi and D are built in place: the activation overwrites the pre-activations
+Z W^T, one hermite.ACTIVATION_CHUNK at a time, so n prepared rows hold one
+n x k buffer and no second one. ``outputs`` holds one block of rows at a
+time, with O(block k) transient memory and never the n x k features of its
+queries.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .hermite import ActivationSpec
-from .linops import _SOLVE_PANEL, RowPanels
+from .linops import RowPanels
 
 # Rows per block when a map turns rows into outputs; an RF block holds
 # _ROW_BLOCK * k floats once, its activations written over its
@@ -69,7 +70,17 @@ class _FeatureMap:
         return self.w.shape[1]
 
     def kernel(self, z: np.ndarray, zp: np.ndarray) -> float:
+        """The one-row cross kernel, kept for bench/tracing.py's alignment.trial observer."""
         return float(self.prepare(zp).cross(self.prepare(z))[0, 0])
+
+    def feature_matrix(self, rows: np.ndarray) -> np.ndarray:
+        """The (n, p) features, row by row the Kronecker product of the
+        factors' rows; materialized tangent features are for desk-scale sizes
+        only."""
+        out, *rest = self.factors(rows)
+        for f in rest:
+            out = np.einsum("ni,nj->nij", out, f).reshape(len(out), -1)
+        return out
 
     def outputs(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """phi(z) . theta for each row, with theta in the map's weight layout,
@@ -91,14 +102,14 @@ class RFMap(_FeatureMap):
     def n_params(self) -> int:
         return self.k
 
-    def feature_matrix(self, rows: np.ndarray) -> np.ndarray:
-        """The (n, k) features act(Z W^T), written by the activation over the
-        pre-activations: one n x k array, plus the activation's chunk buffers.
-        """
-        return self.activation.in_place(_as_rows(rows, self.d) @ self.w.T)
+    def factors(self, rows: np.ndarray) -> tuple[np.ndarray]:
+        """(Phi,): the (n, k) features act(Z W^T), written by the activation
+        over the pre-activations."""
+        return (self.activation.in_place(_as_rows(rows, self.d) @ self.w.T),)
 
-    def prepare(self, rows: np.ndarray) -> "_PreparedRF":
-        return _PreparedRF(self, self.feature_matrix(rows))
+    def prepare(self, rows: np.ndarray) -> "_Prepared":
+        """On each map class for bench/tracing.py's featuremaps.prepare entry point."""
+        return _Prepared(self, self.factors(rows))
 
 
 class NTKMap(_FeatureMap):
@@ -111,115 +122,53 @@ class NTKMap(_FeatureMap):
     def n_params(self) -> int:
         return self.k * self.d
 
-    def _derivs(self, rows: np.ndarray) -> np.ndarray:
-        """act'(W z) for each of the (already checked) rows, written over the
-        pre-activations."""
-        return self.activation.in_place(rows @ self.w.T)
-
-    def feature_matrix(self, rows: np.ndarray) -> np.ndarray:
-        """Materialized N x (k d) features, index i*k + j; desk-scale sizes only."""
+    def factors(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, D): the checked rows and D = act'(Z W^T), written by the
+        activation over the pre-activations."""
         rows = _as_rows(rows, self.d)
-        return np.einsum("ni,nj->nij", rows, self._derivs(rows)).reshape(len(rows), self.n_params)
+        return rows, self.activation.in_place(rows @ self.w.T)
 
-    def prepare(self, rows: np.ndarray) -> "_PreparedNTK":
-        rows = _as_rows(rows, self.d)
-        return _PreparedNTK(self, rows, self._derivs(rows))
+    def prepare(self, rows: np.ndarray) -> "_Prepared":
+        """On each map class for bench/tracing.py's featuremaps.prepare entry point."""
+        return _Prepared(self, self.factors(rows))
 
 
-class _PreparedRF:
-    """Rows prepared by an RF map, kept as their feature matrix only."""
+class _Prepared:
+    """Rows prepared by a map, kept as the factor matrices of its kernel."""
 
-    def __init__(self, fmap: RFMap, phi: np.ndarray):
+    def __init__(self, fmap: RFMap | NTKMap, factors: tuple[np.ndarray, ...]):
         self.map = fmap
-        self.phi = phi
+        self.factors = factors
 
     @property
     def n(self) -> int:
-        return self.phi.shape[0]
+        return self.factors[0].shape[0]
 
-    def head(self, m: int) -> "_PreparedRF":
+    def head(self, m: int) -> "_Prepared":
         """The first m rows, sharing this object's arrays."""
-        return _PreparedRF(self.map, self.phi[:m])
+        return _Prepared(self.map, tuple(f[:m] for f in self.factors))
 
     def weights(self, coefs: np.ndarray) -> np.ndarray:
-        """Phi^T c, of length k."""
-        return self.phi.T @ coefs
+        """Phi^T c: of length k, or for tangent rows the d x k matrix Z^T (c * D)."""
+        first, *rest = self.factors
+        return first.T @ (coefs[:, None] * rest[0] if rest else coefs)
 
     def outputs(self, weights: np.ndarray) -> np.ndarray:
-        """phi(z) . w for each row, with w of length k."""
-        return self.phi @ weights
+        """phi(z) . theta for each row, with theta of length k, or d x k."""
+        first, *rest = self.factors
+        out = first @ weights
+        return np.einsum("nk,nk->n", rest[0], out) if rest else out
 
     def gram(self) -> RowPanels:
-        """Phi Phi^T as its packed row panels, about N (N + 1) / 2 floats: a
-        GEMM for each rectangle left of a diagonal block and a syrk for each
-        diagonal block, so a Gram of at most one panel is the syrk Phi Phi^T
-        bit for bit.
-        """
-        gram = RowPanels.empty(self.n)
-        for s, e, rect, diag in gram:
-            x = self.phi[s:e]
-            if s:
-                np.matmul(x, self.phi[:s].T, out=rect)
-            gram.write(diag, x @ x.T)
-        return gram
+        """The Gram of these rows as its packed row panels."""
+        return RowPanels.gram(self.factors)
 
-    def cross(self, queries: "_PreparedRF") -> np.ndarray:
+    def cross(self, queries: "_Prepared") -> np.ndarray:
         """Kernel evaluations of each prepared query row against each row here."""
-        return queries.phi @ self.phi.T
-
-
-class _PreparedNTK:
-    """Rows prepared by a tangent map, kept in factorized (rows, derivs) form."""
-
-    def __init__(self, fmap: NTKMap, rows: np.ndarray, derivs: np.ndarray):
-        self.map = fmap
-        self.rows = rows
-        self.derivs = derivs
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    def head(self, m: int) -> "_PreparedNTK":
-        """The first m rows, sharing this object's arrays."""
-        return _PreparedNTK(self.map, self.rows[:m], self.derivs[:m])
-
-    def weights(self, coefs: np.ndarray) -> np.ndarray:
-        """Phi^T c as the d x k matrix Z^T (c * D), D = act'(Z W^T)."""
-        return self.rows.T @ (coefs[:, None] * self.derivs)
-
-    def outputs(self, weights: np.ndarray) -> np.ndarray:
-        """phi(z) . vec(W) for each row, with W of shape d x k."""
-        return np.einsum("nk,nk->n", self.derivs, self.rows @ weights)
-
-    def gram(self) -> RowPanels:
-        """(Z Z^T) * (D D^T), D = act'(Z W^T), as its packed row panels,
-        about N (N + 1) / 2 floats. Each rectangle of Z Z^T is multiplied in
-        place by D D^T's, formed in strips of whole rows of at most
-        _SOLVE_PANEL^2 entries (2 MB); each diagonal block is written from
-        Z Z^T's block, then D D^T's is multiplied in. So the only temporary
-        is one such strip or block, and neither factor is ever formed above
-        the diagonal or whole. Rectangles are GEMMs and diagonal blocks
-        syrks, so a Gram of at most one panel is the product of the two
-        syrks bit for bit.
-        """
-        gram = RowPanels.empty(self.n)
-        z, dv = self.rows, self.derivs
-        for s, e, rect, diag in gram:
-            if s:
-                np.matmul(z[s:e], z[:s].T, out=rect)
-                # whole rows of the rectangle are contiguous, so numpy
-                # multiplies them in place without buffering
-                h = max(1, _SOLVE_PANEL**2 // s)
-                for a in range(s, e, h):
-                    rect[a - s : a - s + h] *= dv[a : min(a + h, e)] @ dv[:s].T
-            gram.write(diag, z[s:e] @ z[s:e].T)
-            gram.write(diag, dv[s:e] @ dv[s:e].T, np.multiply)
-        return gram
-
-    def cross(self, queries: "_PreparedNTK") -> np.ndarray:
-        """Kernel evaluations of each prepared query row against each row here."""
-        return (queries.rows @ self.rows.T) * (queries.derivs @ self.derivs.T)
+        out = queries.factors[0] @ self.factors[0].T
+        for q, f in zip(queries.factors[1:], self.factors[1:]):
+            out *= q @ f.T
+        return out
 
 
 def sample_map(kind: str, k: int, d: int, activation: ActivationSpec, seed: int) -> RFMap | NTKMap:

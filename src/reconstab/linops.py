@@ -10,25 +10,28 @@ s = i * _SOLVE_PANEL to e = s + _SOLVE_PANEL in rectangular full packed form
 triangles of two diagonal blocks packed into one (_SOLVE_PANEL + 1) x
 _SOLVE_PANEL array, about N (N + 1) / 2 floats in all (36.3 MB at N = 3000,
 against 72 MB for an N x N array), and no N x N array is allocated on the
-fit path. Each Gram is factored once, by Cholesky, and that is the
-only O(N^3) step. ``KernelSolveCache.factor`` consumes the panels it is given
-and writes the factor over them, block column by block column, and no copy of
-the Gram is kept beside the factor. Beside the panels a fit's temporaries
-are at most 512 x 512 floats each (_SOLVE_PANEL = 512; 2 MB): the tangent
-Gram is multiplied by D D^T one such strip or block at a time, the update
-of a block column is one 512 x 512 product per row panel, and LAPACK copies
-a 512 x 512 diagonal block twice (4 MB). The extreme eigenvalues come from Lanczos on the
-factored matrix L L^T, not from a dense eigensolver, and each is paid for
-only where it is needed. lambda_min (solves against the factor) is computed
-by every factorization, because the rank guard needs it. lambda_max
-(products v -> L (L^T v), over the row panels) is computed on first read, and
-the rank guard reads it only when the trace, read before the factor
-overwrites the diagonal, cannot settle the verdict: a positive definite Gram
-has trace >= lambda_max, so a lambda_min above the tolerance of the trace is
-above the tolerance of lambda_max too. Solves against the factor are blocked
-triangular substitutions over two levels: the row panels, whose off-diagonal
-products are threaded BLAS matrix products, and small diagonal blocks inside
-each panel, multiplied by their inverses, computed once per factor as it is
+fit path. ``RowPanels.gram`` builds every Gram, from the factor matrices of
+prepared rows, and this module is the only one that knows the packed layout.
+Each Gram is factored once, by Cholesky, and that is the only O(N^3) step.
+``KernelSolveCache.factor`` consumes the panels it is given and writes the
+factor over them, block column by block column, and no copy of the Gram is
+kept beside the factor. Beside the panels a fit's temporaries are at most
+512 x 512 floats each (_SOLVE_PANEL = 512; 2 MB): a Gram of two factors, the
+tangent one, has the second factor's products multiplied in one such strip
+or block at a time, the update of a block column is one 512 x 512 product
+per row panel, and LAPACK copies a 512 x 512 diagonal block twice (4 MB).
+The extreme eigenvalues come from Lanczos on the factored matrix L L^T, not
+from a dense eigensolver, and each is paid for only where it is needed.
+lambda_min (solves against the factor) is computed by every factorization,
+because the rank guard needs it. lambda_max (products v -> L (L^T v), over
+the row panels) is computed on first read, and the rank guard reads it only
+when the trace, read before the factor overwrites the diagonal, cannot
+settle the verdict: a positive definite Gram has trace >= lambda_max, so a
+lambda_min above the tolerance of the trace is above the tolerance of
+lambda_max too. Solves against the factor are blocked triangular
+substitutions over two levels: the row panels, whose off-diagonal products
+are threaded BLAS matrix products, and small diagonal blocks inside each
+panel, multiplied by their inverses, computed once per factor as it is
 built. So no N x N system is ever handed to a general LU. The factor of a
 leading principal block is the leading block of the factor, so the system on
 the first m training rows is a view of the full system
@@ -112,8 +115,9 @@ class RowPanels:
     of at most P rows. In all this is about N (N + 1) / 2 floats plus at most
     one P x P block (36.3 MB at N = 3000, against 72 MB for an N x N array).
 
-    ``write`` is the one writer, and it writes lower triangles only, but a
-    lone block whole. Every reader stays on or below the diagonal.
+    ``gram`` builds every Gram. ``write`` is the one writer, and it writes
+    lower triangles only, but a lone block whole. Every reader stays on or
+    below the diagonal.
     """
 
     n: int
@@ -139,6 +143,34 @@ class RowPanels:
                 r = spans[t][1] - spans[t][0]
                 diags.append(np.empty((r, r)))
         return cls(n, [np.empty((e - s, s)) for s, e in spans], diags)
+
+    @classmethod
+    def gram(cls, factors) -> "RowPanels":
+        """The Gram (F_1 F_1^T) * (F_2 F_2^T) * ... of the row factors F_i,
+        entrywise, as its packed row panels. The first factor gives a GEMM for
+        each rectangle left of a diagonal block and a syrk for each diagonal
+        block. Each further factor's products are multiplied in place: a
+        rectangle's in strips of whole rows of at most _SOLVE_PANEL^2 entries
+        (2 MB), a diagonal block's whole. So the only temporary is one such
+        strip or block, no product is ever formed above the diagonal or
+        whole, and a Gram of at most one panel is the product of the syrks
+        bit for bit.
+        """
+        first, *rest = factors
+        gram = cls.empty(len(first))
+        for s, e, rect, diag in gram:
+            if s:
+                np.matmul(first[s:e], first[:s].T, out=rect)
+                # whole rows of the rectangle are contiguous, so numpy
+                # multiplies them in place without buffering
+                h = max(1, _SOLVE_PANEL**2 // s)
+                for f in rest:
+                    for a in range(s, e, h):
+                        rect[a - s : a - s + h] *= f[a : min(a + h, e)] @ f[:s].T
+            gram.write(diag, first[s:e] @ first[s:e].T)
+            for f in rest:
+                gram.write(diag, f[s:e] @ f[s:e].T, np.multiply)
+        return gram
 
     @staticmethod
     def write(diag: np.ndarray, block: np.ndarray, ufunc=None) -> None:

@@ -213,7 +213,8 @@ class TestRfRowBlocks:
     def test_prepared_features_equal_unblocked_activation(self, activation, n):
         m = sample_map("rf", 40, 6, get_activation(activation), seed=25)
         rows = np.random.default_rng(n).standard_normal((n, 6))
-        assert np.array_equal(m.prepare(rows).phi, m.activation(rows @ m.w.T))
+        (phi,) = m.prepare(rows).factors
+        assert np.array_equal(phi, m.activation(rows @ m.w.T))
 
     @pytest.mark.parametrize("shape", [(0, 6), (1, 6), (6,), (2 * _ROW_BLOCK + 5, 6)])
     def test_outputs_match_feature_matrix(self, shape):
@@ -268,27 +269,39 @@ def _lower_panel(x, s, e):
     return out
 
 
-def _ntk_prepared(n):
+def _prepared(n, kind="ntk"):
     z = np.random.default_rng(n).standard_normal((n, 256))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return sample_map("ntk", 64, 256, get_activation("h0+h1"), 31).prepare(z)
+    activation = get_activation("h0+h1" if kind == "ntk" else "h1+h2")
+    return sample_map(kind, 64, 256, activation, 31).prepare(z)
+
+
+_PANEL_SIZES = [P, P + 1, 2 * P, 2 * P + 1, 3 * P + 5]
 
 
 class TestNtkGramBlocks:
-    """The tangent Gram multiplies each row panel of Z Z^T by D D^T one
-    P x P block at a time, with the entries of whole panel products."""
+    """One builder serves both maps: it multiplies each row panel of the
+    first factor's product by the next factor's, D D^T for tangent rows,
+    one P x P block at a time, with the entries of whole panel products.
+    Random-feature rows have the one factor Phi."""
 
-    @pytest.mark.parametrize("n", [P, P + 1, 2 * P, 2 * P + 1, 3 * P + 5])
-    def test_lower_triangles_equal_the_panel_products(self, n):
-        prepared = _ntk_prepared(n)
+    @pytest.mark.parametrize(
+        "kind, n",
+        [pytest.param("ntk", n, id=str(n)) for n in _PANEL_SIZES]
+        + [pytest.param("rf", n, id=f"rf-{n}") for n in _PANEL_SIZES],
+    )
+    def test_lower_triangles_equal_the_panel_products(self, kind, n):
+        prepared = _prepared(n, kind)
         for s, e, rect, diag in prepared.gram():
-            whole = _lower_panel(prepared.rows, s, e) * _lower_panel(prepared.derivs, s, e)
+            whole = 1.0
+            for f in prepared.factors:
+                whole = whole * _lower_panel(f, s, e)
             assert np.array_equal(rect, whole[:, :s])
             assert np.array_equal(np.tril(diag), np.tril(whole[:, s:]))
 
     def test_build_holds_one_block_beside_its_panels(self):
         # a P x n panel of D D^T, 6.3 MB in the third panel, would exceed it
-        prepared = _ntk_prepared(3 * P + 5)
+        prepared = _prepared(3 * P + 5)
         tracemalloc.start()
         try:
             gram = prepared.gram()

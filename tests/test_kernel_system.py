@@ -130,16 +130,15 @@ def test_alignment_makes_one_cross_call_per_pair(kind, monkeypatch):
         calls.append(queries.n)
         return real(self, queries)
 
-    # the pair's rows become features once: its Gram and cross block share them
-    producer = "feature_matrix" if kind == "rf" else "_derivs"
-    real_features = getattr(type(fmap), producer)
+    # the pair's rows become features once: its own kernel and cross block share them
+    real_features = type(fmap).factors
 
     def counting_features(self, rows):
         features.append(len(rows))
         return real_features(self, rows)
 
     monkeypatch.setattr(KernelSystem, "cross", counting)
-    monkeypatch.setattr(type(fmap), producer, counting_features)
+    monkeypatch.setattr(type(fmap), "factors", counting_features)
     solver = AlignmentSolver(system)
     for z, (expected_num, expected_den) in zip(probes, expected):
         num, den = solver.alignment_parts(z, z1)

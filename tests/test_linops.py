@@ -311,7 +311,8 @@ class TestFactorInPlace:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         prepared = sample_map("ntk", 64, d, get_activation("h1+h2"), 2).prepare(z)
         k = dense_gram(prepared.gram())
-        whole = (prepared.rows @ prepared.rows.T) * (prepared.derivs @ prepared.derivs.T)
+        rows, dv = prepared.factors
+        whole = (rows @ rows.T) * (dv @ dv.T)
         if n <= P:
             assert np.array_equal(k, whole) and np.array_equal(k, k.T)
         else:
@@ -342,7 +343,7 @@ class TestFactorInPlace:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        rows = system.prepared.derivs.nbytes
+        rows = system.prepared.factors[1].nbytes
         unit = n * n * 8
         assert (held - rows) / unit <= 1.2
         assert (peak - rows) / unit <= 1.9
@@ -362,7 +363,7 @@ class TestFactorInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows = system.prepared.derivs.nbytes
+        rows = system.prepared.factors[1].nbytes
         assert peak <= 8 * (n * n + P * n + 2 * n * B) + rows
 
 
@@ -383,7 +384,7 @@ class TestFactorInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound + system.prepared.derivs.nbytes
+        assert peak <= bound + system.prepared.factors[1].nbytes
 
     def test_build_holds_the_packed_panels(self):
         # past six panels: the packed Gram, N (N + 1) / 2 floats and one P x P
@@ -405,7 +406,7 @@ class TestFactorInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound + system.prepared.derivs.nbytes
+        assert peak <= bound + system.prepared.factors[1].nbytes
 
 
 class TestResidualNormBound:

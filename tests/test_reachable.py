@@ -65,3 +65,25 @@ def test_every_import_is_used_in_its_module():
         used = _used_names(tree)
         unused.extend(f"{path.name}:{name}" for name in _imported_names(tree) if name not in used)
     assert unused == []
+
+
+# RowPanels' parts, its strip reader, its writer and its uninitialized
+# constructor: the packed layout of a Gram and its factor
+_PACKED_LAYOUT = {"rects", "diags", "lower_strips", "write", "empty"}
+
+
+def test_only_linops_knows_the_packed_layout():
+    """No module but linops reads or writes packed row panels, or imports the
+    panel width they are cut by; ``np.empty`` is numpy's, not the layout's."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linops.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in _PACKED_LAYOUT:
+                if not (isinstance(node.value, ast.Name) and node.value.id == "np"):
+                    offenders.append(f"{path.name}:{node.lineno}:.{node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                if any(a.name == "_SOLVE_PANEL" for a in node.names):
+                    offenders.append(f"{path.name}:{node.lineno}:_SOLVE_PANEL")
+    assert offenders == []

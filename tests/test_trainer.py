@@ -268,8 +268,7 @@ class TestPrimalPrediction:
         def forbidden(*args, **kwargs):
             raise AssertionError("predictions must go through the primal weights")
 
-        monkeypatch.setattr(featuremaps._PreparedRF, "cross", forbidden)
-        monkeypatch.setattr(featuremaps._PreparedNTK, "cross", forbidden)
+        monkeypatch.setattr(featuremaps._Prepared, "cross", forbidden)
         test = generate_synthetic(50, dataset.d_x, dataset.d_y, teacher, 78)
         assert 0.0 <= generalization_error(model, test).accuracy <= 1.0
         queries = build_query_batch(dataset, "resample", 79)
