@@ -4,8 +4,9 @@ Subcommands: fit, gamma, hermite, sweep, verify. ``fit`` runs one
 ``harness.fit_instance`` and ``harness.score_instance`` with the seed's own
 roles, where a sweep row runs them with its (N index, trial) prefix; like a
 row, it reads lambda_min and the condition number before it scores.
-Exit codes: 0 success, 1 verification failure, 2 configuration error: an
-invalid command-line value, rejected while parsing, or an invalid config.
+Exit codes: 0 success, 1 a failed check or an error (one ``error:`` line),
+2 configuration error: an invalid command-line value, rejected while
+parsing, or an invalid config.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ReconstabError, OSError, ValueError) as exc:
+    except (ReconstabError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

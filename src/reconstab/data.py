@@ -151,10 +151,12 @@ def attacked_pairs(
     widths = (d_x, d_y, d_x) if mask == "resample" else (d_x, d_y)
     if min(widths) < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {min(widths)}")
-    # one draw per trial: the normals of its blocks' draws, in order
+    # one draw per trial, the normals of its blocks' draws in order, into an
+    # array allocated first: an unallocatable trial count fails at once
+    draws = np.empty((trials, sum(widths)))
     rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
-    width = sum(widths)
-    draws = np.array([rng.standard_normal(width) for rng in rngs]).reshape(trials, width)
+    for rng, row in zip(rngs, draws):
+        rng.standard_normal(len(row), out=row)
     x1, y1, *fresh = (
         _onto_sphere(block, lambda i: rngs[i])
         for block in np.split(draws, np.cumsum(widths)[:-1], axis=1)

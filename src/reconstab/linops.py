@@ -7,11 +7,11 @@ no p x p matrix is ever formed).
 A Gram and its Cholesky factor are held by row panels of rows
 s = i * _SOLVE_PANEL to e = s + _SOLVE_PANEL in rectangular full packed form
 (``RowPanels``): each panel's block left of the diagonal, and the lower
-triangles of two diagonal blocks packed into one (_SOLVE_PANEL + 1) x
-_SOLVE_PANEL array, about N (N + 1) / 2 floats in all (36.3 MB at N = 3000,
-against 72 MB for an N x N array), and no N x N array is allocated on the
-fit path. ``RowPanels.gram`` builds every Gram, from the factor matrices of
-prepared rows, and this module is the only one that knows the packed layout.
+triangles of the diagonal blocks, all of one shape, two to an (h + 1) x h
+array, about N (N + 1) / 2 floats in all (36.3 MB at N = 3000, against 72 MB
+for an N x N array), and no N x N array is allocated on the fit path.
+``RowPanels.gram`` builds every Gram, from the factor matrices of prepared
+rows, and this module is the only one that knows the packed layout.
 Each Gram is factored once, by Cholesky, and that is the only O(N^3) step.
 ``KernelSolveCache.factor`` consumes the panels it is given and writes the
 factor over them, block column by block column, and no copy of the Gram is
@@ -24,11 +24,11 @@ The extreme eigenvalues come from Lanczos on the factored matrix L L^T, not
 from a dense eigensolver, and each is paid for only where it is needed.
 lambda_min (solves against the factor) is computed by every factorization,
 because the rank guard needs it. lambda_max (products v -> L (L^T v), over
-the row panels) is computed on first read, and the rank guard reads it only
-when the trace, read before the factor overwrites the diagonal, cannot
-settle the verdict: a positive definite Gram has trace >= lambda_max, so a
-lambda_min above the tolerance of the trace is above the tolerance of
-lambda_max too. Solves against the factor are blocked triangular
+the row panels and the stacked diagonal tiles) is computed on first read,
+and the rank guard reads it only when the trace, read before the factor
+overwrites the diagonal, cannot settle the verdict: a positive definite Gram
+has trace >= lambda_max, so a lambda_min above the tolerance of the trace is
+above the tolerance of lambda_max too. Solves against the factor are blocked triangular
 substitutions over two levels: the row panels, whose off-diagonal products
 are threaded BLAS matrix products, and small diagonal blocks inside each
 panel, multiplied by their inverses, computed once per factor as it is
@@ -106,18 +106,17 @@ class RowPanels:
     - ``diags[i]``, an (e - s) x (e - s) view whose lower triangle is the
       diagonal block [s:e, s:e].
 
-    Diagonal blocks 2t and 2t + 1 share one (P + 1) x P array, P =
-    _SOLVE_PANEL: block 2t is its rows 1:, whose lower triangle is the
-    array's strict lower triangle, and block 2t + 1, of r rows, is the
-    transpose of its leading r x r block, whose lower triangle is the array's
-    upper one. So above its diagonal a paired view holds its partner's
-    entries. A lone last block owns its r x r array, and so does every Gram
-    of at most P rows. In all this is about N (N + 1) / 2 floats plus at most
-    one P x P block (36.3 MB at N = 3000, against 72 MB for an N x N array).
+    Every diagonal block is a view of one shape. Block 2t, of h rows, is
+    rows 1: of an (h + 1) x h array, so its lower triangle is the array's
+    strict lower triangle; block 2t + 1, of r <= h rows, if there is one,
+    is the transpose of that array's leading r x r block, so its lower
+    triangle is the array's upper one. Above its diagonal a block holds its
+    partner's entries, or entries never written. In all this is
+    N (N + 1) / 2 floats plus at most P (P + 1) / 2, P = _SOLVE_PANEL
+    (36.3 MB at N = 3000, against 72 MB for an N x N array).
 
-    ``gram`` builds every Gram. ``write`` is the one writer, and it writes
-    lower triangles only, but a lone block whole. Every reader stays on or
-    below the diagonal.
+    ``gram`` builds every Gram. ``write`` is the one writer, and every
+    reader stays on or below the diagonal.
     """
 
     n: int
@@ -135,13 +134,12 @@ class RowPanels:
         spans = cls.spans(n)
         diags = []
         for t in range(0, len(spans), 2):
+            h = spans[t][1] - spans[t][0]
+            pair = np.empty((h + 1, h))
+            diags.append(pair[1:])
             if t + 1 < len(spans):
                 r = spans[t + 1][1] - spans[t + 1][0]
-                pair = np.empty((_SOLVE_PANEL + 1, _SOLVE_PANEL))
-                diags += [pair[1:], pair[:r, :r].T]
-            else:
-                r = spans[t][1] - spans[t][0]
-                diags.append(np.empty((r, r)))
+                diags.append(pair[:r, :r].T)
         return cls(n, [np.empty((e - s, s)) for s, e in spans], diags)
 
     @classmethod
@@ -175,10 +173,10 @@ class RowPanels:
     @staticmethod
     def write(diag: np.ndarray, block: np.ndarray, ufunc=None) -> None:
         """Write the lower triangle of the square ``block`` over that of the
-        diagonal block ``diag``, or ufunc(diag, block) there; a lone block,
-        one that owns its array, whole. A shared one goes in SOLVE_BLOCK-wide
-        tiles, masked on the diagonal: numpy buffers a ufunc on strided views
-        at up to 24 bytes per entry, so a tile bounds that to 96 KB.
+        diagonal block ``diag``, or ufunc(diag, block) there, in
+        SOLVE_BLOCK-wide tiles masked on the diagonal: numpy buffers a ufunc
+        on strided views at up to 24 bytes per entry, so a tile bounds that
+        to 96 KB.
         """
 
         def put(out, x, where=True):
@@ -187,31 +185,12 @@ class RowPanels:
             else:
                 ufunc(out, x, out=out, where=where)
 
-        if diag.flags.owndata:
-            put(diag, block)
-            return
         tri = np.tri(SOLVE_BLOCK, dtype=bool)
         for s in range(0, len(diag), SOLVE_BLOCK):
             e = min(s + SOLVE_BLOCK, len(diag))
             for c in range(0, s, SOLVE_BLOCK):
                 put(diag[s:e, c : c + SOLVE_BLOCK], block[s:e, c : c + SOLVE_BLOCK])
             put(diag[s:e, s:e], block[s:e, s:e], tri[: e - s, : e - s])
-
-    @staticmethod
-    def lower_strips(diag: np.ndarray):
-        """(a, b, left, tri) for each strip of rows a:b of a factor's diagonal
-        block: left is diag[a:b, :a] and tri the lower triangle of
-        diag[a:b, a:b], a SOLVE_BLOCK x SOLVE_BLOCK copy. A lone block is one
-        strip, read whole as it is written whole: in a factor it holds zeros
-        above its diagonal.
-        """
-        if diag.flags.owndata:
-            yield 0, len(diag), diag[:, :0], diag
-            return
-        tri = np.tri(SOLVE_BLOCK, dtype=bool)
-        for a in range(0, len(diag), SOLVE_BLOCK):
-            b = min(a + SOLVE_BLOCK, len(diag))
-            yield a, b, diag[a:b, :a], np.where(tri[: b - a, : b - a], diag[a:b, a:b], 0.0)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -288,32 +267,23 @@ def _top_eigenvalue(apply, n: int) -> float:
         basis[j] = w / beta
 
 
-def _diagonal_inverses(chol: np.ndarray) -> np.ndarray:
-    """Inverses of the SOLVE_BLOCK-wide diagonal blocks of the lower triangle
-    of the square ``chol`` (nothing above its diagonal is read), stacked. The
-    last, partial block is padded with the identity, so block i of the
-    inverse of the leading r x r block is ``[i, :r, :r]``.
-    """
+def _diagonal_tiles(chol: np.ndarray) -> np.ndarray:
+    """The lower triangles of the SOLVE_BLOCK-wide diagonal blocks of the
+    square ``chol``, stacked, the last padded with the identity: block i of
+    the leading r x r block is ``[i, :r, :r]``."""
     n = chol.shape[0]
     starts = range(0, n, SOLVE_BLOCK)
-    blocks = np.tile(np.eye(SOLVE_BLOCK), (len(starts), 1, 1))
+    tiles = np.tile(np.eye(SOLVE_BLOCK), (len(starts), 1, 1))
     for i, s in enumerate(starts):
         e = min(s + SOLVE_BLOCK, n)
-        blocks[i, : e - s, : e - s] = np.tril(chol[s:e, s:e])
-    return np.linalg.inv(blocks)
+        tiles[i, : e - s, : e - s] = np.tril(chol[s:e, s:e])
+    return tiles
 
 
-def _forward_blocks(diag: np.ndarray, inv: np.ndarray, y: np.ndarray, ps: int) -> None:
-    """y <- L[ps:pe, ps:pe]^{-1} y, in place, for the lower triangle ``diag``
-    of L's diagonal block at row ps and its pe - ps rows of ``y``, by forward
-    substitution over SOLVE_BLOCK-wide blocks; block i of ``inv`` is the
-    inverse of L's diagonal block that starts at row i * SOLVE_BLOCK.
-    """
-    for s in range(0, len(y), SOLVE_BLOCK):
-        e = min(s + SOLVE_BLOCK, len(y))
-        if s:
-            y[s:e] -= diag[s:e, :s] @ y[:s]
-        y[s:e] = inv[(ps + s) // SOLVE_BLOCK, : e - s, : e - s] @ y[s:e]
+def _diagonal_inverses(chol: np.ndarray) -> np.ndarray:
+    """The inverses of ``_diagonal_tiles(chol)``: block i of the inverse of
+    the leading r x r block of the lower triangle is ``[i, :r, :r]``."""
+    return np.linalg.inv(_diagonal_tiles(chol))
 
 
 def _cholesky_in_place(a: RowPanels) -> np.ndarray:
@@ -376,13 +346,15 @@ class KernelSolveCache:
 
     ``factor`` computes min_eig. ``max_eig``, and with it ``tol`` and
     ``condition``, is computed on first read, by Lanczos on v -> L (L^T v),
-    and kept; it starts from the same fixed vector whenever it runs, so a late
-    read gives the same bits as an eager one. The rank guard accepts a Gram at
-    once when min_eig clears the tolerance of (1 + n eps) trace(K): trace(K) >=
-    lambda_max >= theta_max, and the pad covers the roundoff of the trace's n
-    positive terms. Otherwise it reads max_eig and applies the rule
-    min_eig > tol(max_eig), so the verdict is that of the eager rule for every
-    Gram.
+    and kept. Its operator stacks the factor's diagonal tiles for the read
+    (N x SOLVE_BLOCK floats, freed afterwards) and reads the rest of the
+    lower triangle where it lies. The run starts from the same fixed vector
+    whenever it runs, so a late read gives the same bits as an eager one.
+    The rank guard accepts a Gram at once when min_eig clears the tolerance
+    of (1 + n eps) trace(K): trace(K) >= lambda_max >= theta_max, and the
+    pad covers the roundoff of the trace's n positive terms. Otherwise it
+    reads max_eig and applies the rule min_eig > tol(max_eig), so the
+    verdict is that of the eager rule for every Gram.
 
     Solves are one blocked forward and one back substitution. Cholesky is
     backward stable, so a refinement pass in working precision would not
@@ -425,23 +397,36 @@ class KernelSolveCache:
     def max_eig(self) -> float:
         """Lanczos estimate of lambda_max, computed on first read."""
         if self._max_eig is None:
-            self._max_eig = _top_eigenvalue(self._product, self.n)
+            self._max_eig = _top_eigenvalue(self._product(), self.n)
         return self._max_eig
 
-    def _product(self, v: np.ndarray) -> np.ndarray:
-        """L (L^T v), reading only the factor's lower triangle."""
-        u = np.zeros(self.n)
-        out = np.empty(self.n)
+    def _product(self):
+        """The operator v -> L (L^T v), reading only the factor's lower
+        triangle: its SOLVE_BLOCK-wide diagonal tiles, stacked once for the
+        operator in N x SOLVE_BLOCK floats and multiplied in one batched
+        product per pass, and the rectangles and the strips left of each tile
+        where they lie, as ``solve`` reads them."""
+        n, tiles, parts = self.n, [], []
         for s, e, rect, diag in self.chol:
-            u[:s] += rect.T @ v[s:e]
-            for a, b, left, tri in self.chol.lower_strips(diag):
-                u[s : s + a] += left.T @ v[s + a : s + b]
-                u[s + a : s + b] += tri.T @ v[s + a : s + b]
-        for s, e, rect, diag in self.chol:
-            out[s:e] = rect @ u[:s]
-            for a, b, left, tri in self.chol.lower_strips(diag):
-                out[s + a : s + b] += left @ u[s : s + a] + tri @ u[s + a : s + b]
-        return out
+            tiles.append(_diagonal_tiles(diag))
+            parts.append((slice(s, e), slice(0, s), rect))
+            for a in range(SOLVE_BLOCK, e - s, SOLVE_BLOCK):
+                strip = diag[a : a + SOLVE_BLOCK, :a]
+                parts.append((slice(s + a, s + a + len(strip)), slice(s, s + a), strip))
+        tiles = np.concatenate(tiles)
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            x = np.zeros((len(tiles), SOLVE_BLOCK))  # v, padded to whole tiles
+            x.reshape(-1)[:n] = v
+            u = np.einsum("ikj,ik->ij", tiles, x).reshape(-1)
+            for rows, cols, block in parts:
+                u[cols] += block.T @ v[rows]
+            out = np.einsum("ijk,ik->ij", tiles, u.reshape(-1, SOLVE_BLOCK)).reshape(-1)[:n]
+            for rows, cols, block in parts:
+                out[rows] += block @ u[cols]
+            return out
+
+        return apply
 
     @property
     def matrix(self) -> np.ndarray:
@@ -507,7 +492,12 @@ class KernelSolveCache:
         for ps, pe, rect, diag in panels:
             if ps:
                 y[ps:pe] -= rect @ y[:ps]
-            _forward_blocks(diag, inv, y[ps:pe], ps)
+            yp = y[ps:pe]
+            for s in range(0, pe - ps, SOLVE_BLOCK):
+                e = min(s + SOLVE_BLOCK, pe - ps)
+                if s:
+                    yp[s:e] -= diag[s:e, :s] @ yp[:s]
+                yp[s:e] = inv[(ps + s) // SOLVE_BLOCK, : e - s, : e - s] @ yp[s:e]
         for ps, pe, rect, diag in reversed(panels):
             yp = y[ps:pe]
             for s in reversed(range(0, pe - ps, SOLVE_BLOCK)):

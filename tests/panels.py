@@ -23,8 +23,8 @@ def dense_gram(panels):
 
 
 def packed(a):
-    """The N x N array ``a`` packed as row panels through the layout's own
-    writer: its lower triangle, and a lone diagonal block whole."""
+    """The lower triangle of the N x N array ``a`` packed as row panels
+    through the layout's own writer."""
     out = RowPanels.empty(len(a))
     for s, e, rect, diag in out:
         rect[...] = a[s:e, :s]

@@ -250,3 +250,16 @@ def test_verify_exits_one_when_a_check_fails(monkeypatch, capsys):
     monkeypatch.setattr(verify, "quick_checks", lambda: checks)
     assert main(["verify", "--level", "quick"]) == 1
     assert capsys.readouterr().out == "PASS good: ok\nFAIL bad: off\n"
+
+
+@pytest.mark.parametrize("command_line", [
+    "fit --k 1099511627776 --n 20 --test-size 10",
+    "gamma --n 1099511627776 --k 20 --dx 4 --dy 4 --trials 3",
+    "hermite --activation h1+h2 --order 1099511627776",
+], ids=["fit", "gamma", "hermite"])
+def test_unallocatable_size_exits_1_with_one_error_line(command_line, capsys):
+    # numpy refuses each of these arrays in malloc, before touching memory
+    assert main(command_line.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1

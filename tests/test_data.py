@@ -185,6 +185,25 @@ class TestAttackedPairs:
         with pytest.raises(ValueError, match="mask"):
             attacked_pairs(0, 2, 3, 3, "blur")
 
+    @pytest.mark.parametrize("mask", MASKS)
+    def test_unallocatable_trial_count_fails_before_the_generators(self, mask, monkeypatch):
+        # 2**61 trials of six or more normals each exceed numpy's index
+        # range; a generator per trial made before the draws would fill
+        # memory first, so the stub stops that loop after 1,000 generators
+        made = []
+        real = np.random.default_rng
+
+        def counting(seed):
+            made.append(seed)
+            if len(made) > 1000:
+                raise AssertionError("1,000 generators made before any allocation")
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        with pytest.raises(ValueError):
+            attacked_pairs(0, 2**61, 3, 3, mask)
+        assert made == []
+
     @pytest.mark.parametrize("d_x, d_y", [(3, 0), (0, 3)], ids=["empty-y", "empty-x"])
     def test_empty_block_rejected(self, d_x, d_y):
         with pytest.raises(ValueError, match="dimension"):

@@ -27,9 +27,14 @@ class TestGram:
         rows = rng.standard_normal((n, 12))
         rf = sample_map("rf", 2 * n, 12, get_activation("h1+h2"), n)
         ntk = sample_map("ntk", n, 12, get_activation("h0+h1"), n)
+        # the syrk product is exactly symmetric, so the packed Gram, which
+        # keeps only its lower triangle, loses nothing
         for fmap in (rf, ntk):
-            (k,) = fmap.prepare(rows).gram().diags
-            assert np.array_equal(k, k.T)
+            prepared = fmap.prepare(rows)
+            whole = np.prod([f @ f.T for f in prepared.factors], axis=0)
+            assert np.array_equal(whole, whole.T)
+            (k,) = prepared.gram().diags
+            assert np.array_equal(np.tril(k), np.tril(whole))
 
 
 def _project_rowspace(a, v):
@@ -275,7 +280,7 @@ class TestFactorInPlace:
         gram = packed(k)
         cache = linops.KernelSolveCache.factor(gram)
         assert cache.chol.diags[0] is gram.diags[0]
-        assert np.array_equal(cache.chol.diags[0], chol)
+        assert np.array_equal(np.tril(cache.chol.diags[0]), chol)
         assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(chol))
 
     @pytest.mark.parametrize("n", [P + 1, 2 * P, 2 * P + 1, 2 * P + B + 5, 4 * P + B + 5])
@@ -285,10 +290,6 @@ class TestFactorInPlace:
         cache = linops.KernelSolveCache.factor(packed(k))
         l = dense_lower(cache.chol)
         assert np.linalg.norm(l - chol) <= 1e-14 * np.linalg.norm(chol)
-        # a lone last block, which products read whole, holds zeros above its
-        # diagonal; a paired one holds its partner's entries there
-        last = cache.chol.diags[-1]
-        assert not (last.flags.owndata and np.any(np.triu(last, 1)))
         assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(l))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -319,6 +320,17 @@ class TestFactorInPlace:
             # a panel is a GEMM, the whole product a syrk: they may differ
             # in the last bit
             assert np.max(np.abs(k - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("n", [1, B + 1, P + 1, 2 * P + B + 5])
+    def test_product_operator_is_l_times_l_transpose(self, n):
+        # lambda_max's operator on one row, two tiles of one panel, a
+        # packed pair with a one-row partner, and a pair and a lone block
+        _, k = _wishart_gram(n)
+        cache = linops.KernelSolveCache.factor(packed(k))
+        l = dense_lower(cache.chol)
+        v = np.random.default_rng(n).standard_normal(n)
+        dense = l @ (l.T @ v)
+        assert np.linalg.norm(cache._product()(v) - dense) <= 1e-14 * np.linalg.norm(dense)
 
     def test_matrix_is_formed_on_read_and_kept(self):
         _, k = _wishart_gram(B + 5)
@@ -486,6 +498,22 @@ class TestSpectrumEstimate:
         fmap, k = _kernel_gram(kind, n)
         _assert_spectrum_close(linops.KernelSolveCache.factor(packed(k), p=fmap.n_params), k)
 
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("spectrum", P + 1), ("spectrum", P + B + 5), ("spectrum", 2 * P + B + 5),
+         ("ntk", P + 1), ("ntk", P + B + 5)],
+    )
+    def test_matches_eigvalsh_past_a_panel_edge(self, kind, n):
+        # a packed pair, whose second block is a transposed view, and at
+        # 2 P + B + 5 a lone block after it; RF Grams on d = 40 inputs are
+        # singular at these sizes
+        if kind == "spectrum":
+            p, k = None, _with_spectrum(np.geomspace(1.0, 1e4, n))
+        else:
+            fmap, k = _kernel_gram(kind, n)
+            p = fmap.n_params
+        _assert_spectrum_close(linops.KernelSolveCache.factor(packed(k), p=p), k)
+
     def test_ill_conditioned_rf_gram(self):
         # the Gram of TestBlockedSolve.test_ill_conditioned_rf_gram: k = N + 5
         n, d = 300, 30
@@ -533,7 +561,7 @@ class TestSpectrumEstimate:
         k, activation = (64, "h0+h1") if kind == "ntk" else (4000, "h1+h2")
         fmap = sample_map(kind, k, d, get_activation(activation), 1)
         cache = linops.KernelSystem.build(fmap, z).cache
-        for apply in (cache.solve, cache._product):
+        for apply in (cache.solve, cache._product()):
             assert linops._top_eigenvalue(apply, n) == _lanczos_with_basis_list(apply, n)
 
     @pytest.mark.parametrize("n", [1, 2, 50])

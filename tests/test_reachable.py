@@ -67,9 +67,9 @@ def test_every_import_is_used_in_its_module():
     assert unused == []
 
 
-# RowPanels' parts, its strip reader, its writer and its uninitialized
-# constructor: the packed layout of a Gram and its factor
-_PACKED_LAYOUT = {"rects", "diags", "lower_strips", "write", "empty"}
+# RowPanels' parts, its writer and its uninitialized constructor: the
+# packed layout of a Gram and its factor
+_PACKED_LAYOUT = {"rects", "diags", "write", "empty"}
 
 
 def test_only_linops_knows_the_packed_layout():
