@@ -23,19 +23,22 @@ per row panel, and LAPACK copies a 512 x 512 diagonal block twice (4 MB).
 The extreme eigenvalues come from Lanczos on the factored matrix L L^T, not
 from a dense eigensolver, and each is paid for only where it is needed.
 lambda_min (solves against the factor) is computed by every factorization,
-because the rank guard needs it. lambda_max (products v -> L (L^T v), over
-the row panels and the stacked diagonal tiles) is computed on first read,
-and the rank guard reads it only when the trace, read before the factor
-overwrites the diagonal, cannot settle the verdict: a positive definite Gram
-has trace >= lambda_max, so a lambda_min above the tolerance of the trace is
-above the tolerance of lambda_max too. Solves against the factor are blocked triangular
-substitutions over two levels: the row panels, whose off-diagonal products
-are threaded BLAS matrix products, and small diagonal blocks inside each
-panel, multiplied by their inverses, computed once per factor as it is
-built. So no N x N system is ever handed to a general LU. The factor of a
-leading principal block is the leading block of the factor, so the system on
-the first m training rows is a view of the full system
-(``KernelSystem.leading``), not a second factorization.
+because the rank guard needs it. lambda_max (products v -> L (L^T v)) is
+computed on first read, and the rank guard reads it only when the trace,
+read before the factor overwrites the diagonal, cannot settle the verdict: a
+positive definite Gram has trace >= lambda_max, so a lambda_min above the
+tolerance of the trace is above the tolerance of lambda_max too.
+
+The factor is read one way: the blocks of ``RowPanels.blocks`` in row order,
+each with the SOLVE_BLOCK-wide diagonal tile it ends at and that tile's
+inverse, computed once per factor as it is built. A solve is one forward pass
+over that walk and one back pass over it reversed, the factorization solves
+the rectangles below each diagonal block by the forward pass, and
+lambda_max's operator multiplies by the same blocks. So no N x N system is
+ever handed to a general LU. The factor of a leading principal block is the
+leading block of the factor, so the system on the first m training rows is a
+view of the full system (``KernelSystem.leading``), not a second
+factorization.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ RANK_TOL_FACTOR = 1e-10
 SOLVE_BLOCK = 64
 # Width of the row panels of the triangular solves, a multiple of SOLVE_BLOCK.
 # A panel's off-diagonal product L[S:E, :S] @ y[:S] is one BLAS call that
-# OpenBLAS threads; inside the panel the SOLVE_BLOCK loop runs as before, so a
-# system of at most _SOLVE_PANEL rows is solved exactly as without panels.
+# OpenBLAS threads; inside the panel the walk goes tile by tile, so a system
+# of at most _SOLVE_PANEL rows is solved exactly as without panels.
 # It is also the height of the row panels in which a Gram and its factor are
 # held (``RowPanels``) and the width of the block columns of the
 # factorization, so a Gram of up to _SOLVE_PANEL rows is one panel, built by
@@ -201,6 +204,20 @@ class RowPanels:
         spans = self.spans(self.n)
         return ((s, e, r, d) for (s, e), r, d in zip(spans, self.rects, self.diags))
 
+    def blocks(self) -> list[tuple[slice, slice, np.ndarray]]:
+        """(rows, cols, block) for each stored block off the SOLVE_BLOCK-wide
+        diagonal tiles, in row order: each panel's rectangle [s:e, :s], then
+        the strip left of each of its tiles but the first, from the panel's
+        first column to the tile's. Each block ends at the tile that starts
+        at rows.start, so block i ends at tile i."""
+        out = []
+        for s, e, rect, diag in self:
+            out.append((slice(s, e), slice(0, s), rect))
+            for a in range(SOLVE_BLOCK, e - s, SOLVE_BLOCK):
+                strip = diag[a : a + SOLVE_BLOCK, :a]
+                out.append((slice(s + a, s + a + len(strip)), slice(s, s + a), strip))
+        return out
+
     def trace(self) -> float:
         """The sum of the diagonal, added as np.trace adds it."""
         return float(np.sum(np.concatenate([np.zeros(0), *map(np.diagonal, self.diags)])))
@@ -280,49 +297,34 @@ def _diagonal_tiles(chol: np.ndarray) -> np.ndarray:
     return tiles
 
 
-def _diagonal_inverses(chol: np.ndarray) -> np.ndarray:
-    """The inverses of ``_diagonal_tiles(chol)``: block i of the inverse of
-    the leading r x r block of the lower triangle is ``[i, :r, :r]``."""
-    return np.linalg.inv(_diagonal_tiles(chol))
-
-
-def _cholesky_in_place(a: RowPanels) -> np.ndarray:
-    """Overwrite the SPD matrix ``a`` with its lower Cholesky factor and
-    return the inverses of the factor's diagonal blocks (as
-    ``_diagonal_inverses``).
+def _cholesky_in_place(a: RowPanels, diag_inv: np.ndarray, walk: list) -> None:
+    """Overwrite the SPD matrix ``a`` with its lower Cholesky factor, and
+    ``diag_inv`` with the inverses of its diagonal tiles (``_diagonal_tiles``),
+    through ``walk``, the factor's ``KernelSolveCache._walk``.
 
     Left-looking over _SOLVE_PANEL-wide block columns (Golub & Van Loan,
-    Matrix Computations, 4th ed., section 4.2). Block column j is updated
-    from the columns already factored: by a GEMM in each rectangle below it,
-    and by the syrk of its own rectangle in the lower triangle of its
-    diagonal block. LAPACK factors that block, and each rectangle below
-    solves against it row by row, X <- X L^{-T}, over SOLVE_BLOCK-wide strips
-    of the block and their inverses. Only lower triangles are read or
-    written. The transient memory is one _SOLVE_PANEL x _SOLVE_PANEL product
-    and LAPACK's two copies of one diagonal block, 2 MB each.
+    Matrix Computations, 4th ed., section 4.2). Block column j's diagonal
+    block takes the syrk of its own rectangle and LAPACK factors it. Each
+    rectangle X below takes the forward pass over block row j's steps from
+    the right, X[:, s:e] <- (X[:, s:e] - X[:, :s] L[s:e, :s]^T) L[s:e, s:e]^{-T}:
+    the first step is the GEMM update from the columns already factored.
+    Only lower triangles are read or written. The transient memory is one
+    _SOLVE_PANEL x _SOLVE_PANEL product and LAPACK's two copies of one
+    diagonal block, 2 MB each.
     """
-    n = a.n
-    diag_inv = np.empty(((n + SOLVE_BLOCK - 1) // SOLVE_BLOCK, SOLVE_BLOCK, SOLVE_BLOCK))
     panels = list(a)
     for j, (s, e, top, diag) in enumerate(panels):
-        if s:
-            for _, _, rect, _ in panels[j + 1 :]:
-                rect[:, s:e] -= rect[:, :s] @ top.T
-            a.write(diag, top @ top.T, np.subtract)
+        a.write(diag, top @ top.T, np.subtract)
         try:
             a.write(diag, np.linalg.cholesky(diag))
         except np.linalg.LinAlgError as exc:
             raise SingularKernel("Gram matrix is not positive definite") from exc
-        diag_inv[s // SOLVE_BLOCK : (e + SOLVE_BLOCK - 1) // SOLVE_BLOCK] = _diagonal_inverses(diag)
-        # the rectangles below: L[r, s:e] = A[r, s:e] L[s:e, s:e]^{-T}
-        for _, _, rect, _ in panels[j + 1 :]:
-            x = rect[:, s:e]
-            for bs in range(0, e - s, SOLVE_BLOCK):
-                be = min(bs + SOLVE_BLOCK, e - s)
-                if bs:
-                    x[:, bs:be] -= x[:, :bs] @ diag[bs:be, :bs].T
-                x[:, bs:be] = x[:, bs:be] @ diag_inv[(s + bs) // SOLVE_BLOCK, : be - bs, : be - bs].T
-    return diag_inv
+        row = slice(s // SOLVE_BLOCK, (e + SOLVE_BLOCK - 1) // SOLVE_BLOCK)
+        diag_inv[row] = np.linalg.inv(_diagonal_tiles(diag))
+        for _, _, x, _ in panels[j + 1 :]:
+            for rows, cols, block, tile, inv in walk[row]:
+                x[:, rows] -= x[:, cols] @ block.T
+                x[:, tile] = x[:, tile] @ inv.T
 
 
 @dataclass
@@ -348,7 +350,7 @@ class KernelSolveCache:
     ``condition``, is computed on first read, by Lanczos on v -> L (L^T v),
     and kept. Its operator stacks the factor's diagonal tiles for the read
     (N x SOLVE_BLOCK floats, freed afterwards) and reads the rest of the
-    lower triangle where it lies. The run starts from the same fixed vector
+    lower triangle through the walk. The run starts from the same fixed vector
     whenever it runs, so a late read gives the same bits as an eager one.
     The rank guard accepts a Gram at once when min_eig clears the tolerance
     of (1 + n eps) trace(K): trace(K) >= lambda_max >= theta_max, and the
@@ -356,11 +358,15 @@ class KernelSolveCache:
     reads max_eig and applies the rule min_eig > tol(max_eig), so the
     verdict is that of the eager rule for every Gram.
 
-    Solves are one blocked forward and one back substitution. Cholesky is
-    backward stable, so a refinement pass in working precision would not
-    reduce the forward error (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 12); on RF and NTK Grams of condition up to 5.6e5
-    it did not move alignments closer to the SVD-projector oracle. A leading
+    ``solve``, ``_product`` and the factorization read the factor through
+    one walk, ``_walk``, planned once per factor and once per leading view:
+    each block of ``RowPanels.blocks`` with the diagonal tile it ends at and
+    that tile's inverse. Solves are one forward pass over it and one back
+    pass over it reversed. Cholesky is backward stable, so a refinement pass
+    in working precision would not reduce the forward error (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 12); on RF and NTK
+    Grams of condition up to 5.6e5 it did not move alignments closer to the
+    SVD-projector oracle. A leading
     view (``leading``) shares the factor's memory and has no spectrum of its
     own: its eigenvalue fields are NaN and reading them runs no Lanczos.
     """
@@ -371,6 +377,13 @@ class KernelSolveCache:
     p: int
     _max_eig: float | None = field(default=None, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
+    _walk: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._walk = []
+        for (rows, cols, block), inv in zip(self.chol.blocks(), self.diag_inv):
+            r = min(SOLVE_BLOCK, rows.stop - rows.start)
+            self._walk.append((rows, cols, block, slice(rows.start, rows.start + r), inv[:r, :r]))
 
     @classmethod
     def factor(cls, k: RowPanels, p: int | None = None) -> "KernelSolveCache":
@@ -382,7 +395,9 @@ class KernelSolveCache:
         # trace(K) >= lambda_max: only a lambda_min below the tolerance of the
         # trace needs lambda_max for the verdict
         trace_bound = (1.0 + n * np.finfo(float).eps) * k.trace()
-        cache = cls(chol=k, diag_inv=_cholesky_in_place(k), min_eig=0.0, p=p)
+        diag_inv = np.empty(((n + SOLVE_BLOCK - 1) // SOLVE_BLOCK, SOLVE_BLOCK, SOLVE_BLOCK))
+        cache = cls(chol=k, diag_inv=diag_inv, min_eig=0.0, p=p)
+        _cholesky_in_place(k, diag_inv, cache._walk)
         if n == 0:
             cache._max_eig = 0.0
             return cache
@@ -404,25 +419,18 @@ class KernelSolveCache:
         """The operator v -> L (L^T v), reading only the factor's lower
         triangle: its SOLVE_BLOCK-wide diagonal tiles, stacked once for the
         operator in N x SOLVE_BLOCK floats and multiplied in one batched
-        product per pass, and the rectangles and the strips left of each tile
-        where they lie, as ``solve`` reads them."""
-        n, tiles, parts = self.n, [], []
-        for s, e, rect, diag in self.chol:
-            tiles.append(_diagonal_tiles(diag))
-            parts.append((slice(s, e), slice(0, s), rect))
-            for a in range(SOLVE_BLOCK, e - s, SOLVE_BLOCK):
-                strip = diag[a : a + SOLVE_BLOCK, :a]
-                parts.append((slice(s + a, s + a + len(strip)), slice(s, s + a), strip))
-        tiles = np.concatenate(tiles)
+        product per pass, and the blocks of the walk where they lie."""
+        n, walk = self.n, self._walk
+        tiles = np.concatenate([_diagonal_tiles(diag) for _, _, _, diag in self.chol])
 
         def apply(v: np.ndarray) -> np.ndarray:
             x = np.zeros((len(tiles), SOLVE_BLOCK))  # v, padded to whole tiles
             x.reshape(-1)[:n] = v
             u = np.einsum("ikj,ik->ij", tiles, x).reshape(-1)
-            for rows, cols, block in parts:
+            for rows, cols, block, _, _ in walk:
                 u[cols] += block.T @ v[rows]
             out = np.einsum("ijk,ik->ij", tiles, u.reshape(-1, SOLVE_BLOCK)).reshape(-1)[:n]
-            for rows, cols, block in parts:
+            for rows, cols, block, _, _ in walk:
                 out[rows] += block @ u[cols]
             return out
 
@@ -461,7 +469,7 @@ class KernelSolveCache:
         the block clears the rank tolerance whenever this matrix does. The
         inverse of a leading block of a lower-triangular matrix is the leading
         block of its inverse, so the stored diagonal-block inverses serve the
-        view as they are.
+        view as they are. The view plans its own walk over them.
         """
         if not 0 <= m <= self.n:
             raise ValueError(f"leading block of {m} rows out of range for n={self.n}")
@@ -478,37 +486,22 @@ class KernelSolveCache:
         return 1.0 if self.n == 0 else self.max_eig / self.min_eig
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """K^{-1} b = (L L^T)^{-1} b by forward then back substitution over
-        row panels, and over diagonal blocks inside each panel.
+        """K^{-1} b = (L L^T)^{-1} b: forward substitution over the walk,
+        then back substitution over it reversed.
 
-        Both passes read only the rectangles and the lower triangles of the
-        diagonal blocks: the back substitution subtracts each solved block's
-        contribution from the rows above it instead of gathering the columns
-        below. Contributions across panels are one product per rectangle;
-        those inside a panel, one per SOLVE_BLOCK-wide diagonal block.
+        Forward, each block's product with the solved rows left of it is
+        subtracted, then the tile it ends at is multiplied by its inverse.
+        Back, the tile is multiplied by its inverse's transpose, then the
+        block's transposed product with its solved rows is subtracted from
+        the rows left of it: both passes read the same blocks.
         """
-        inv, panels = self.diag_inv, list(self.chol)
         y = np.array(b, dtype=float)
-        for ps, pe, rect, diag in panels:
-            if ps:
-                y[ps:pe] -= rect @ y[:ps]
-            yp = y[ps:pe]
-            for s in range(0, pe - ps, SOLVE_BLOCK):
-                e = min(s + SOLVE_BLOCK, pe - ps)
-                if s:
-                    yp[s:e] -= diag[s:e, :s] @ yp[:s]
-                yp[s:e] = inv[(ps + s) // SOLVE_BLOCK, : e - s, : e - s] @ yp[s:e]
-        for ps, pe, rect, diag in reversed(panels):
-            yp = y[ps:pe]
-            for s in reversed(range(0, pe - ps, SOLVE_BLOCK)):
-                e = min(s + SOLVE_BLOCK, pe - ps)
-                yp[s:e] = inv[(ps + s) // SOLVE_BLOCK, : e - s, : e - s].T @ yp[s:e]
-                if s:
-                    yp[:s] -= diag[s:e, :s].T @ yp[s:e]
-            if ps:
-                # as y^T L rather than L^T y: with 20 right-hand sides at
-                # N = 3000 the back substitution took 14 ms that way, 11 this
-                y[:ps] -= (yp.T @ rect).T
+        for rows, cols, block, tile, inv in self._walk:
+            y[rows] -= block @ y[cols]
+            y[tile] = inv @ y[tile]
+        for rows, cols, block, tile, inv in reversed(self._walk):
+            y[tile] = inv.T @ y[tile]
+            y[cols] -= block.T @ y[rows]
         return y
 
 

@@ -269,6 +269,34 @@ class TestBlockedSolve:
         assert backward <= n * np.finfo(float).eps
 
 
+class TestBlockWalk:
+    """``RowPanels.blocks`` with the diagonal tiles is the lower triangle."""
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(n, n) for n in (1, B - 1, B, B + 1, P, P + 1, 2 * P + 1, 2 * P + B + 5)]
+        + [(2 * P + B + 5, 2 * P + B // 2)],
+    )
+    def test_blocks_and_tiles_cover_the_lower_triangle_once(self, n, m):
+        # the last case is a leading view that cuts a tile and a panel
+        panels = packed(np.random.default_rng(n).standard_normal((n, n))).leading(m)
+        blocks = panels.blocks()
+        # in row order, each starting at a tile: block i ends at tile i
+        assert [rows.start for rows, _, _ in blocks] == list(range(0, m, B))
+        out, count = np.zeros((m, m)), np.zeros((m, m), dtype=int)
+        for rows, cols, block in blocks:
+            assert cols.stop == rows.start
+            out[rows, cols] += block
+            count[rows, cols] += 1
+        for s, e, _, diag in panels:
+            for a, tile in zip(range(s, e, B), linops._diagonal_tiles(diag)):
+                r = min(B, e - a)
+                out[a : a + r, a : a + r] += np.tril(tile[:r, :r])
+                count[a : a + r, a : a + r] += np.tri(r, dtype=int)
+        assert np.array_equal(out, dense_lower(panels))
+        assert np.array_equal(count, np.tri(m, dtype=int))
+
+
 class TestFactorInPlace:
     """The factor is written over the Gram, one block column of P rows at a
     time; a Gram of at most P rows is one LAPACK Cholesky."""
@@ -281,7 +309,7 @@ class TestFactorInPlace:
         cache = linops.KernelSolveCache.factor(gram)
         assert cache.chol.diags[0] is gram.diags[0]
         assert np.array_equal(np.tril(cache.chol.diags[0]), chol)
-        assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(chol))
+        assert np.array_equal(cache.diag_inv, np.linalg.inv(linops._diagonal_tiles(chol)))
 
     @pytest.mark.parametrize("n", [P + 1, 2 * P, 2 * P + 1, 2 * P + B + 5, 4 * P + B + 5])
     def test_block_columns_match_lapack(self, n):
@@ -290,7 +318,7 @@ class TestFactorInPlace:
         cache = linops.KernelSolveCache.factor(packed(k))
         l = dense_lower(cache.chol)
         assert np.linalg.norm(l - chol) <= 1e-14 * np.linalg.norm(chol)
-        assert np.array_equal(cache.diag_inv, linops._diagonal_inverses(l))
+        assert np.array_equal(cache.diag_inv, np.linalg.inv(linops._diagonal_tiles(l)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_breakdown_in_the_second_panel_raises(self, seed):
@@ -545,11 +573,15 @@ class TestSpectrumEstimate:
         assert (a.min_eig, a.max_eig, a.tol) == (b.min_eig, b.max_eig, b.tol)
         l = dense_lower(a.chol)
         assert np.array_equal(l, dense_lower(b.chol)) and np.array_equal(a.diag_inv, b.diag_inv)
-        # lambda_max is read late, and gives the bits of an eager run on L L^T
-        top = linops._top_eigenvalue(lambda v: l @ (l.T @ v), len(k))
+        # lambda_max is read late, and gives the bits of an eager run of its
+        # operator on the other factor
+        top = linops._top_eigenvalue(b._product(), len(k))
         assert a.max_eig == top
         assert a.tol == linops.rank_tolerance(top, len(k), fmap.n_params)
         assert a.condition == top / a.min_eig
+        # and the top eigenvalue of L L^T, up to the order of the sums
+        dense = linops._top_eigenvalue(lambda v: l @ (l.T @ v), len(k))
+        assert abs(top - dense) <= 1e-14 * dense
 
     @pytest.mark.parametrize("kind, n", [("ntk", 3000), ("rf", 1500), ("rf", 199)])
     def test_basis_array_gives_the_bits_of_a_basis_list(self, kind, n):
@@ -637,7 +669,7 @@ class TestSpectrumEstimate:
         k = _with_spectrum(np.concatenate([[low, 1.0], bulk]), seed)
         chol = np.linalg.cholesky(k)
         eager = linops.KernelSolveCache(
-            chol=packed(chol), diag_inv=linops._diagonal_inverses(chol),
+            chol=packed(chol), diag_inv=np.linalg.inv(linops._diagonal_tiles(chol)),
             min_eig=0.0, p=p,
         )
         min_eig = 1.0 / linops._top_eigenvalue(eager.solve, n)

@@ -67,9 +67,9 @@ def test_every_import_is_used_in_its_module():
     assert unused == []
 
 
-# RowPanels' parts, its writer and its uninitialized constructor: the
-# packed layout of a Gram and its factor
-_PACKED_LAYOUT = {"rects", "diags", "write", "empty"}
+# RowPanels' parts, its writer, its uninitialized constructor and its block
+# list: the packed layout of a Gram and its factor
+_PACKED_LAYOUT = {"rects", "diags", "write", "empty", "blocks"}
 
 
 def test_only_linops_knows_the_packed_layout():
