@@ -2,8 +2,10 @@
 
 Subcommands: fit, gamma, hermite, sweep, verify. ``fit`` runs one
 ``harness.fit_instance`` and ``harness.score_instance`` with the seed's own
-roles, where a sweep row runs them with its (N index, trial) prefix; like a
-row, it reads lambda_min and the condition number before it scores.
+roles, where a sweep row runs them with its (N index, trial) prefix; it reads
+lambda_min and the condition number before it scores, which a sweep row does
+not. ``sweep --trace FILE`` writes the sweep's trace (``harness.run_sweep``)
+to FILE as JSON lines, and only then does a row compute its lambda_min.
 Exit codes: 0 success, 1 a failed check or an error (one ``error:`` line),
 2 configuration error: an invalid command-line value, rejected while
 parsing, or an invalid config.
@@ -12,13 +14,22 @@ parsing, or an invalid config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
+from . import trace
 from . import verify as verifymod
 from .alignment import compare_gamma_theory, estimate_gamma
 from .data import MASKS
 from .errors import ConfigError, ReconstabError
-from .harness import fit_instance, parse_config, run_sweep, score_instance, write_rows
+from .harness import (
+    fit_instance,
+    parse_config,
+    run_sweep,
+    score_instance,
+    write_rows,
+    write_trace,
+)
 from .hermite import activation_names, get_activation, hermite_coefficients
 
 
@@ -99,7 +110,11 @@ def _cmd_hermite(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    rows = run_sweep(config, workers=args.workers)
+    with trace.recording() if args.trace else contextlib.nullcontext() as notes:
+        rows = run_sweep(config, workers=args.workers)
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as f:
+            write_trace(notes["sweep.rows"], f)
     if args.out:
         with open(args.out, "w", newline="") as f:
             write_rows(rows, f)
@@ -148,6 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="threads computing rows; the CSV does not depend on it. "
                               "Each row also runs threaded BLAS, so keep workers times "
                               "OPENBLAS_NUM_THREADS/OMP_NUM_THREADS at most the cores")
+    p_sweep.add_argument("--trace", default="",
+                         help="also write one JSON line per row to this file: its "
+                              "n_idx, trial, seed, lambda_min_over_scale and row_ms")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the identity/theory suites")

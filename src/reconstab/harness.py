@@ -3,24 +3,32 @@
 Every row is a pure function of (config, master seed), for a fixed BLAS
 library and thread count: data, map, test draw, mask, and alignment trials all
 get independent derived seeds. Another BLAS thread count can change the last
-digits of gamma_mean, gamma_std and lambda_min_over_scale. Rows may be
-computed concurrently but are always emitted in (N, trial) order, so the CSV
-bytes do not depend on the worker count.
+digits of gamma_mean and gamma_std. Rows may be computed concurrently but are
+always emitted in (N, trial) order, so the CSV bytes do not depend on the
+worker count.
 
 A row runs in two phases, as ``reconstab fit`` does. ``fit_instance`` draws
 the instance and fits its training rows in dataset order. The row then reads
-the fit's system: lambda_min, and the alignment trials, whose background
-system is every training row but the last, the leading block of the fit's
-system, so a row factors one Gram. The rows are exchangeable, so which one is
-held out does not matter. Only then does ``score_instance`` draw the test set
-and the masked queries, on the fit's weights alone: the factor and the
-prepared rows are freed first, so a row's memory peaks at its fit. The
-alignment trials mask their attacked samples with the config's mask, as the
-attack does, so gamma and attack_acc describe the same query.
+the fit's system for the alignment trials, whose background system is every
+training row but the last, the leading block of the fit's system, so a row
+factors one Gram. The rows are exchangeable, so which one is held out does
+not matter. Only then does ``score_instance`` draw the test set and the
+masked queries, on the fit's weights alone: the factor and the prepared rows
+are freed first, so a row's memory peaks at its fit. The alignment trials
+mask their attacked samples with the config's mask, as the attack does, so
+gamma and attack_acc describe the same query.
+
+The numerics' health and the row's wall time are kept apart from the CSV, in
+a trace (``reconstab.trace``): under a recorder, ``run_sweep`` notes one line
+per row, in CSV order, keyed by the row's N index, trial and data seed, with
+lambda_min(K)/p of the row's Gram and the row's wall time in ms. A row reads
+lambda_min only then, since it costs the rest of the rank guard's Lanczos run
+(``linops.KernelSolveCache``).
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import json
 import sys
@@ -29,6 +37,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
+from . import trace
 from .alignment import estimate_gamma_on_instance
 from .attack import build_query_batch, run_attack
 from .data import MASKS, LabeledDataset, generate_synthetic, sample_teacher
@@ -182,7 +191,6 @@ class ResultRow:
     attack_acc: float | None = None
     gamma_mean: float | None = None
     gamma_std: float | None = None
-    lambda_min_over_scale: float | None = None
     error: str = ""
 
 
@@ -203,6 +211,11 @@ def write_rows(rows, stream) -> None:
     writer.writerow(RESULT_COLUMNS)
     for row in rows:
         writer.writerow([_format_cell(getattr(row, name)) for name in RESULT_COLUMNS])
+
+
+def write_trace(lines, stream) -> None:
+    """The trace lines of ``run_sweep``, one JSON object per line."""
+    stream.writelines(json.dumps(line) + "\n" for line in lines)
 
 
 def fit_instance(
@@ -258,7 +271,6 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
         trial=trial, seed=derive_seed(master, [n_idx, trial, ROLE_DATA]),
     )
 
-    started = time.perf_counter()
     try:
         dataset, model = fit_instance(
             config.model, config.k, config.d_x, config.d_y,
@@ -268,7 +280,8 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
             model.system.leading(n - 1), config.d_x, config.gamma_trials,
             derive_seed(master, [n_idx, trial, ROLE_GAMMA]), config.mask,
         )
-        lambda_min_over_scale = model.system.cache.min_eig / model.map.n_params
+        trace.note("lambda_min_over_scale",
+                   lambda: model.system.cache.min_eig / model.map.n_params)
         predictor = model.predictor()
         del model  # frees the factor and the prepared rows before scoring
         evaluation, attack_acc = score_instance(
@@ -276,27 +289,36 @@ def _run_point(config: ExperimentConfig, n_idx: int, trial: int) -> ResultRow:
         )
     except (ReconstabError, MemoryError, ValueError) as exc:
         return ResultRow(**identity, error=f"{type(exc).__name__}: {exc}")
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    print(
-        f"n={n} trial={trial} done in {elapsed_ms:.0f} ms",
-        file=sys.stderr,
-    )
-    # wall time is reported on stderr only; the CSV must be a pure function
-    # of the config bytes
     return ResultRow(
         **identity,
         test_acc=evaluation.accuracy,
         attack_acc=attack_acc,
         gamma_mean=gamma_mean,
         gamma_std=gamma_std,
-        lambda_min_over_scale=lambda_min_over_scale,
     )
 
 
+def _traced_point(config: ExperimentConfig, n_idx: int, trial: int):
+    """The row, and its trace line when the caller records (else None).
+    lambda_min_over_scale is None for a row that failed before reading it.
+    """
+    if not trace.active():
+        return _run_point(config, n_idx, trial), None
+    started = time.perf_counter()
+    with trace.recording() as notes:
+        row = _run_point(config, n_idx, trial)
+    # wall time goes to the trace alone: the CSV must be a pure function of
+    # the config bytes
+    row_ms = (time.perf_counter() - started) * 1000.0
+    return row, dict(n_idx=n_idx, trial=trial, seed=row.seed,
+                     lambda_min_over_scale=notes.get("lambda_min_over_scale"), row_ms=row_ms)
+
+
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
-    """All (N, trial) rows in (N, trial) order, which ``pool.map`` keeps
-    whatever the worker count; row errors, allocation failures included, are
-    recorded in the error column and never abort the sweep.
+    """All (N, trial) rows in (N, trial) order, whatever the worker count;
+    row errors, allocation failures included, are recorded in the error
+    column and never abort the sweep. Under a recorder it also notes
+    ``sweep.rows``, the rows' trace lines in the same order.
     """
     points = [
         (n_idx, trial)
@@ -305,5 +327,14 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     ]
     if workers > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda p: _run_point(config, *p), points))
-    return [_run_point(config, *point) for point in points]
+            # each row runs in a copy of this context, so it sees the
+            # caller's recorder
+            futures = [
+                pool.submit(contextvars.copy_context().run, _traced_point, config, *point)
+                for point in points
+            ]
+            results = [future.result() for future in futures]
+    else:
+        results = [_traced_point(config, *point) for point in points]
+    trace.note("sweep.rows", [line for _, line in results])
+    return [row for row, _ in results]

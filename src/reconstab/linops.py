@@ -21,13 +21,17 @@ tangent one, has the second factor's products multiplied in one such strip
 or block at a time, the update of a block column is one 512 x 512 product
 per row panel, and LAPACK copies a 512 x 512 diagonal block twice (4 MB).
 The extreme eigenvalues come from Lanczos on the factored matrix L L^T, not
-from a dense eigensolver, and each is paid for only where it is needed.
-lambda_min (solves against the factor) is computed by every factorization,
-because the rank guard needs it. lambda_max (products v -> L (L^T v)) is
-computed on first read, and the rank guard reads it only when the trace,
-read before the factor overwrites the diagonal, cannot settle the verdict: a
-positive definite Gram has trace >= lambda_max, so a lambda_min above the
-tolerance of the trace is above the tolerance of lambda_max too.
+from a dense eigensolver, and each is paid for only where it is read.
+lambda_min is not computed by every factorization: the rank guard runs
+Lanczos on K^{-1} (solves against the factor) only until a random-start
+certificate (``_certified``) shows that lambda_min clears the tolerance of
+the trace, read before the factor overwrites the diagonal, and runs it to
+convergence only when the certificate cannot hold. A first read of
+lambda_min resumes that run to its end. lambda_max (products
+v -> L (L^T v)) is computed on first read, and the rank guard reads it only
+when the trace cannot settle the verdict: a positive definite Gram has
+trace >= lambda_max, so a lambda_min above the tolerance of the trace is
+above the tolerance of lambda_max too.
 
 The factor is read one way: the blocks of ``RowPanels.blocks`` in row order,
 each with the SOLVE_BLOCK-wide diagonal tile it ends at and that tile's
@@ -43,6 +47,7 @@ factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,8 +95,14 @@ _SOLVE_PANEL = 512
 # eigenvalue falls below this fraction of that Ritz value.
 LANCZOS_TOL = 1e-10
 # Seed of the Lanczos start vector: a fixed generator, not the global one, so
-# an estimate (and the sweep CSV that reports it) depends on the matrix alone.
+# an estimate (and the sweep trace that reports it) depends on the matrix alone.
 LANCZOS_SEED = 0
+# The rank guard accepts a Gram before its lambda_min run converges once the
+# chance of a wrong acceptance is at most this at each step (``_certified``).
+# It stops the run on the benchmark's Grams at seed 0, NTK N = 3000 and RF
+# N = 1500 and 199, after 17, 17 and 16 steps, where it converges in 65, 33
+# and 25.
+GUARD_MISS = 1e-12
 
 
 def rank_tolerance(max_eig: float, n: int, p: int) -> float:
@@ -229,16 +240,17 @@ class RowPanels:
         return RowPanels(m, rects, [d[: e - s, : e - s] for (s, e), d in zip(spans, self.diags)])
 
 
-def _top_eigenvalue(apply, n: int) -> float:
-    """Largest eigenvalue of the symmetric positive definite operator ``apply``
-    on R^n, by Lanczos with full reorthogonalization.
+class _Lanczos:
+    """A Lanczos run for the largest eigenvalue of a symmetric positive
+    definite operator on R^n, with full reorthogonalization, that can stop
+    and resume.
 
     Let theta be the top Ritz value of the j-step tridiagonal T_j, s its unit
     eigenvector and beta the next off-diagonal. Then r = beta |s_j| bounds the
     distance from theta to an eigenvalue, and so does r^2 / gap, with gap the
     distance from theta to the next Ritz value (Parlett, The Symmetric
     Eigenvalue Problem, SIAM 1998, sections 11-13). The gap form needs two Ritz
-    values, so it is used from step 2 on. Iteration stops at breakdown
+    values, so it is used from step 2 on. The run ends at breakdown
     (beta <= LANCZOS_TOL * theta: the Krylov space is invariant), after n
     steps, or when the smaller bound is at most LANCZOS_TOL * theta at two
     consecutive steps. The bounds place theta near some eigenvalue, not
@@ -247,41 +259,79 @@ def _top_eigenvalue(apply, n: int) -> float:
     step can meet the bound on the second eigenvalue just before the Krylov
     space is exhausted and the top one surfaces. In exact arithmetic theta
     never exceeds the largest eigenvalue.
+
+    The start vector is drawn from LANCZOS_SEED, uniform on the unit sphere.
+    A run stopped early keeps its tridiagonal and its basis and goes on from
+    the next step when ``advance`` is called again, so where it ends, and its
+    value there, are those of a run never stopped.
     """
-    q = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
-    # the Lanczos vectors are the rows of one array, grown by doubling
-    basis = np.empty((min(n, 16), n))
-    basis[0] = q / np.linalg.norm(q)
-    alphas: list[float] = []
-    betas: list[float] = []
-    settled = False
-    j = 0
-    while True:
-        q = basis[j]
-        w = apply(q)
-        alphas.append(float(q @ w))
-        w -= alphas[-1] * q
-        if betas:
-            w -= betas[-1] * basis[j - 1]
-        stacked = basis[: j + 1]
-        w -= stacked.T @ (stacked @ w)
-        beta = float(np.linalg.norm(w))
-        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-        theta = float(ritz[-1])
-        r = beta * abs(float(vecs[-1, -1]))
-        gap = theta - float(ritz[-2]) if len(ritz) > 1 else 0.0
-        bound = min(r, r * r / gap) if gap > 0.0 else r
-        converged = bound <= LANCZOS_TOL * theta
-        if beta <= LANCZOS_TOL * theta or j + 1 == n or (converged and settled):
-            return theta
-        settled = converged
-        betas.append(beta)
-        j += 1
-        if j == len(basis):
-            grown = np.empty((min(2 * j, n), n))
-            grown[:j] = basis
-            basis = grown
-        basis[j] = w / beta
+
+    def __init__(self, n: int):
+        q = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+        # the Lanczos vectors are the rows of one array, grown by doubling
+        self.basis = np.empty((min(n, 16), n))
+        self.basis[0] = q / np.linalg.norm(q)
+        self.alphas: list[float] = []
+        self.betas: list[float] = []
+        self.settled = False
+        self.done = False
+
+    def advance(self, apply, stop=None) -> float:
+        """Step until the run ends, which sets ``done``, or until
+        ``stop(theta, steps)`` holds after a step; return the top Ritz value
+        of the last step."""
+        alphas, betas = self.alphas, self.betas
+        n = self.basis.shape[1]
+        while True:
+            j = len(alphas)
+            q = self.basis[j]
+            w = apply(q)
+            alphas.append(float(q @ w))
+            w -= alphas[-1] * q
+            if betas:
+                w -= betas[-1] * self.basis[j - 1]
+            stacked = self.basis[: j + 1]
+            w -= stacked.T @ (stacked @ w)
+            beta = float(np.linalg.norm(w))
+            ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            theta = float(ritz[-1])
+            r = beta * abs(float(vecs[-1, -1]))
+            gap = theta - float(ritz[-2]) if len(ritz) > 1 else 0.0
+            bound = min(r, r * r / gap) if gap > 0.0 else r
+            converged = bound <= LANCZOS_TOL * theta
+            if beta <= LANCZOS_TOL * theta or j + 1 == n or (converged and self.settled):
+                self.done = True
+                return theta
+            self.settled = converged
+            betas.append(beta)
+            if j + 1 == len(self.basis):
+                grown = np.empty((min(2 * (j + 1), n), n))
+                grown[: j + 1] = self.basis
+                self.basis = grown
+            self.basis[j + 1] = w / beta
+            if stop is not None and stop(theta, j + 1):
+                return theta
+
+
+def _top_eigenvalue(apply, n: int) -> float:
+    """Largest eigenvalue of the symmetric positive definite operator ``apply``
+    on R^n: the value where a ``_Lanczos`` run ends."""
+    return _Lanczos(n).advance(apply)
+
+
+def _certified(theta: float, steps: int, n: int, tol: float) -> bool:
+    """Whether the top Ritz value ``theta`` of K^{-1} after ``steps`` Lanczos
+    steps from a start uniform on the unit sphere certifies
+    lambda_min(K) > ``tol``. Kuczynski & Wozniakowski bound the chance that
+    j steps leave theta below (1 - eps) lambda_max, for a fixed eps, by
+    1.648 sqrt(n) exp(-sqrt(eps) (2 j - 1)); the test asks that bound at
+    eps = 1 - theta tol to be at most GUARD_MISS. ``KernelSolveCache`` states
+    what a pass guarantees.
+    """
+    eps = 1.0 - theta * tol
+    return eps > 0.0 and (
+        1.648 * math.sqrt(n) * math.exp(-math.sqrt(eps) * (2 * steps - 1)) <= GUARD_MISS
+    )
 
 
 def _diagonal_tiles(chol: np.ndarray) -> np.ndarray:
@@ -336,8 +386,8 @@ class KernelSolveCache:
     floats (``RowPanels``) and no copy of the Gram. A caller that needs the
     Gram afterwards passes a copy.
 
-    ``min_eig`` and ``max_eig`` are Lanczos estimates (``_top_eigenvalue``) on
-    the factored matrix L L^T, each within about LANCZOS_TOL relative of the
+    ``min_eig`` and ``max_eig`` are Lanczos estimates (``_Lanczos``) on the
+    factored matrix L L^T, each within about LANCZOS_TOL relative of the
     exact eigenvalue of that matrix. lambda_min also carries the
     factorization's roundoff, at most of order n * eps * lambda_max, because
     its Lanczos runs on (L L^T)^{-1}; on an RF Gram of condition 3e7 it differs
@@ -346,17 +396,37 @@ class KernelSolveCache:
     min_eig, the reciprocal of the top eigenvalue of K^{-1}, an upper bound
     (1/theta >= lambda_min).
 
-    ``factor`` computes min_eig. ``max_eig``, and with it ``tol`` and
-    ``condition``, is computed on first read, by Lanczos on v -> L (L^T v),
-    and kept. Its operator stacks the factor's diagonal tiles for the read
-    (N x SOLVE_BLOCK floats, freed afterwards) and reads the rest of the
-    lower triangle through the walk. The run starts from the same fixed vector
-    whenever it runs, so a late read gives the same bits as an eager one.
-    The rank guard accepts a Gram at once when min_eig clears the tolerance
-    of (1 + n eps) trace(K): trace(K) >= lambda_max >= theta_max, and the
-    pad covers the roundoff of the trace's n positive terms. Otherwise it
-    reads max_eig and applies the rule min_eig > tol(max_eig), so the
-    verdict is that of the eager rule for every Gram.
+    Both are computed on first read and kept, and each run starts from the
+    same fixed vector, so a late read gives the bits of an eager run.
+    ``max_eig``, and with it ``tol`` and ``condition``, runs Lanczos on
+    v -> L (L^T v); its operator stacks the factor's diagonal tiles for the
+    read (N x SOLVE_BLOCK floats, freed afterwards) and reads the rest of the
+    lower triangle through the walk. ``min_eig`` is where the rank guard's
+    run on K^{-1} ends: if the guard stopped the run early, the first read
+    resumes it. Until then the stopped run, its tridiagonal and a basis of
+    max(16, 2 j) x N floats after j steps, lives on the cache and is freed
+    with it.
+
+    The rank guard. Let T be the tolerance of (1 + n eps) trace(K):
+    trace(K) >= lambda_max >= theta_max, and the pad covers the roundoff of
+    the trace's n positive terms. At step j the guard accepts the Gram once
+    theta_j T < 1 and 1.648 sqrt(n) exp(-sqrt(1 - theta_j T) (2 j - 1)) is at
+    most GUARD_MISS (``_certified``; Kuczynski & Wozniakowski, SIAM J. Matrix
+    Anal. Appl. 13(4), 1992). That is its failure mode. Let e_j be the value
+    of 1 - theta_j T at which that bound is GUARD_MISS: a pass needs
+    1 - theta_j T >= e_j, so it accepts a Gram whose lambda_min is at or
+    below T only if theta_j <= (1 - e_j) lambda_max(K^{-1}), and in exact
+    arithmetic the chance of that is at most GUARD_MISS at each step, so at
+    most n GUARD_MISS per factorization. The chance is over a start vector
+    uniform on the unit sphere. LANCZOS_SEED fixes that start independently
+    of every data seed, so for Grams built from data it is a chance over the
+    one draw of that vector: a matrix built against the fixed vector can
+    defeat it. When the certificate does not hold, the run goes on to
+    convergence and the eager rule decides on its value: it accepts at once
+    when min_eig clears T; otherwise it reads max_eig and applies
+    min_eig > tol(max_eig). So every rejection, and every lambda_min read,
+    is what the converged run gives, with the miss that ``_Lanczos``
+    describes.
 
     ``solve``, ``_product`` and the factorization read the factor through
     one walk, ``_walk``, planned once per factor and once per leading view:
@@ -373,9 +443,10 @@ class KernelSolveCache:
 
     chol: RowPanels
     diag_inv: np.ndarray
-    min_eig: float
     p: int
+    _min_eig: float | None = field(default=None, repr=False)
     _max_eig: float | None = field(default=None, repr=False)
+    _lanczos: _Lanczos | None = field(default=None, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _walk: list = field(init=False, repr=False)
 
@@ -394,19 +465,33 @@ class KernelSolveCache:
         p = n if p is None else p
         # trace(K) >= lambda_max: only a lambda_min below the tolerance of the
         # trace needs lambda_max for the verdict
-        trace_bound = (1.0 + n * np.finfo(float).eps) * k.trace()
+        trace_tol = rank_tolerance((1.0 + n * np.finfo(float).eps) * k.trace(), n, p)
         diag_inv = np.empty(((n + SOLVE_BLOCK - 1) // SOLVE_BLOCK, SOLVE_BLOCK, SOLVE_BLOCK))
-        cache = cls(chol=k, diag_inv=diag_inv, min_eig=0.0, p=p)
+        cache = cls(chol=k, diag_inv=diag_inv, p=p)
         _cholesky_in_place(k, diag_inv, cache._walk)
         if n == 0:
-            cache._max_eig = 0.0
+            cache._min_eig = cache._max_eig = 0.0
             return cache
-        cache.min_eig = 1.0 / _top_eigenvalue(cache.solve, n)
-        if cache.min_eig <= rank_tolerance(trace_bound, n, p) and cache.min_eig <= cache.tol:
+        run = _Lanczos(n)
+        theta = run.advance(cache.solve, lambda t, j: _certified(t, j, n, trace_tol))
+        if not run.done:
+            cache._lanczos = run  # certified: min_eig resumes the run when read
+            return cache
+        cache._min_eig = 1.0 / theta
+        if cache.min_eig <= trace_tol and cache.min_eig <= cache.tol:
             raise SingularKernel(
                 f"smallest eigenvalue {cache.min_eig:.3e} below tolerance {cache.tol:.3e}"
             )
         return cache
+
+    @property
+    def min_eig(self) -> float:
+        """Lanczos estimate of lambda_min: 1 / theta where the guard's run on
+        K^{-1} ends, the run resumed on first read if the guard stopped it."""
+        if self._min_eig is None:
+            run, self._lanczos = self._lanczos, None
+            self._min_eig = 1.0 / run.advance(self.solve)
+        return self._min_eig
 
     @property
     def max_eig(self) -> float:
@@ -477,7 +562,7 @@ class KernelSolveCache:
         return KernelSolveCache(
             chol=self.chol.leading(m),
             diag_inv=self.diag_inv[: (m + SOLVE_BLOCK - 1) // SOLVE_BLOCK],
-            min_eig=nan, p=self.p, _max_eig=nan,
+            p=self.p, _min_eig=nan, _max_eig=nan,
         )
 
     @property

@@ -154,6 +154,29 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert payload.count(b"\r\n") == 1 + 4
 
 
+def test_sweep_trace_writes_one_json_line_per_row(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(SWEEP_CONFIG))
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(["sweep", "--config", str(config_path), "--trace", str(trace_path)]) == 0
+    csv_out = capsys.readouterr().out
+    assert csv_out.startswith("model,n,alpha,activation,trial,seed,test_acc,attack_acc,"
+                              "gamma_mean,gamma_std,error\r\n")
+    # the CSV does not depend on the trace
+    assert main(["sweep", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().out == csv_out
+    lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    rows = [line.split(",") for line in csv_out.splitlines()[1:]]
+    assert [list(line) for line in lines] == [
+        ["n_idx", "trial", "seed", "lambda_min_over_scale", "row_ms"]
+    ] * len(rows)
+    assert [(line["n_idx"], line["trial"], str(line["seed"])) for line in lines] == [
+        (SWEEP_CONFIG["n_grid"].index(int(n)), int(trial), seed)
+        for _, n, _, _, trial, seed, *_ in rows
+    ]
+    assert all(line["lambda_min_over_scale"] > 0 and line["row_ms"] > 0 for line in lines)
+
+
 def test_sweep_bad_config_exits_2(tmp_path):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(dict(SWEEP_CONFIG, bogus=1)))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reconstab import harness, linops, verify
+from reconstab import harness, linops, trace, verify
 from reconstab.alignment import AlignmentEstimate, AlignmentSolver, estimate_gamma_on_instance
 from reconstab.attack import run_attack
 from reconstab.cli import main
@@ -63,6 +63,13 @@ def rows_to_csv_bytes(rows) -> bytes:
     buf = io.StringIO()
     write_rows(rows, buf)
     return buf.getvalue().encode()
+
+
+def traced_sweep(config, workers=1):
+    """The rows of ``run_sweep`` under a recorder, and its trace lines."""
+    with trace.recording() as notes:
+        rows = run_sweep(config, workers=workers)
+    return rows, notes["sweep.rows"]
 
 
 class TestDeriveSeed:
@@ -229,6 +236,21 @@ class TestRunSweep:
         threaded = rows_to_csv_bytes(run_sweep(config, workers=4))
         assert serial == threaded
 
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
+    def test_trace_lines_do_not_depend_on_the_worker_count(self, doc):
+        config = parse_config(dict(doc))
+        untraced = rows_to_csv_bytes(run_sweep(config))
+        traced = []
+        for workers in (1, 2):
+            rows, lines = traced_sweep(config, workers=workers)
+            assert rows_to_csv_bytes(rows) == untraced
+            assert all(line.pop("row_ms") > 0.0 for line in lines)
+            traced.append(lines)
+        assert traced[0] == traced[1]
+        assert [(line["n_idx"], line["trial"], line["seed"]) for line in traced[0]] == [
+            (config.n_grid.index(row.n), row.trial, row.seed) for row in rows
+        ]
+
     def test_rows_in_grid_then_trial_order(self):
         config = parse_config(dict(SMALL_CONFIG))
         rows = run_sweep(config)
@@ -283,12 +305,13 @@ class TestRunSweep:
     def test_singular_rows_record_the_error_and_no_numbers(self, doc):
         with pytest.warns(UserWarning, match="singular"):
             config = parse_config(dict(doc))
-        rows = run_sweep(config)
+        rows, lines = traced_sweep(config)
         assert len(rows) == len(config.n_grid) * config.trials
-        numeric = ("test_acc", "attack_acc", "gamma_mean", "gamma_std", "lambda_min_over_scale")
-        for row in rows:
+        numeric = ("test_acc", "attack_acc", "gamma_mean", "gamma_std")
+        for row, line in zip(rows, lines, strict=True):
             assert row.error.startswith("SingularKernel: ")
             assert all(getattr(row, name) is None for name in numeric)
+            assert line["lambda_min_over_scale"] is None
         parsed = list(csv.reader(io.StringIO(rows_to_csv_bytes(rows).decode())))
         for cells in parsed[1:]:
             assert all(cells[RESULT_COLUMNS.index(name)] == "" for name in numeric)
@@ -342,7 +365,7 @@ class TestOneFactorPerRow:
     )
     def test_row_scores_the_fit_on_its_dataset_in_order(self, doc):
         config = parse_config(dict(doc))
-        for row in run_sweep(config):
+        for row, line in zip(*traced_sweep(config), strict=True):
             seed, teacher, dataset, fmap = _row_instance(config, row)
             model = fit_min_norm(fmap, dataset)
             test = generate_synthetic(
@@ -351,14 +374,14 @@ class TestOneFactorPerRow:
             queries = mask_rows(dataset.z, config.d_x, config.mask, seed[ROLE_MASK])
             assert row.test_acc == generalization_error(model, test).accuracy
             assert row.attack_acc == run_attack(model, queries, dataset.g)
-            assert row.lambda_min_over_scale == model.system.cache.min_eig / fmap.n_params
+            assert line["lambda_min_over_scale"] == model.system.cache.min_eig / fmap.n_params
 
     @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
     def test_one_row_grid_point_aligns_against_no_background(self, doc):
         # at N = 1 the background is the empty leading(0) view, so each
         # alignment is K(q_t, z1_t) / K(z1_t, z1_t)
         config = parse_config(dict(doc, n_grid=[1, 2], trials=1))
-        rows = run_sweep(config)
+        rows, lines = traced_sweep(config)
         assert [row.error for row in rows] == ["", ""]
         row = rows[0]
         seed, _, dataset, fmap = _row_instance(config, row)
@@ -372,7 +395,7 @@ class TestOneFactorPerRow:
         assert row.gamma_std == pytest.approx(np.std(gammas, ddof=1), rel=1e-12, abs=0)
         train = fmap.prepare(dataset.z)
         scale = float(train.cross(train)[0, 0]) / fmap.n_params
-        assert row.lambda_min_over_scale == pytest.approx(scale, rel=1e-12, abs=0)
+        assert lines[0]["lambda_min_over_scale"] == pytest.approx(scale, rel=1e-12, abs=0)
 
     def test_one_factorization_per_row(self, monkeypatch):
         calls = []
@@ -389,21 +412,44 @@ class TestOneFactorPerRow:
         assert calls == [(row.n, row.n) for row in rows]
 
 
+# large enough for the rank guard to stop a Lanczos run before it converges
+_GUARDED_CONFIG = dict(SMALL_CONFIG, d_x=20, d_y=20, n_grid=[200, 300], trials=1, gamma_trials=3)
+
+
 class TestSpectrumPaidWhereRead:
-    """A sweep row reads lambda_min alone, so its factor runs one Lanczos;
-    ``fit`` also prints the condition number, which costs a lambda_max run."""
+    """A sweep row reads no spectrum, so its factor runs one Lanczos on
+    K^{-1}, which the rank guard stops at its certificate; a trace reads
+    lambda_min and ``fit`` also prints the condition number, so each resumes
+    that run to its end, and ``fit`` pays a lambda_max run too."""
 
     @pytest.fixture
     def lanczos_sizes(self, monkeypatch):
+        """The sizes of the Lanczos runs started while the test runs."""
         sizes = []
-        real = linops._top_eigenvalue
+        real = linops._Lanczos.__init__
 
-        def counting(apply, n):
+        def counting(run, n):
             sizes.append(n)
-            return real(apply, n)
+            real(run, n)
 
-        monkeypatch.setattr(linops, "_top_eigenvalue", counting)
+        monkeypatch.setattr(linops._Lanczos, "__init__", counting)
         return sizes
+
+    @pytest.fixture
+    def lanczos_steps(self, monkeypatch):
+        """(n, operator applications, whether the run ended) of each
+        ``_Lanczos.advance`` call made while the test runs."""
+        calls = []
+        real = linops._Lanczos.advance
+
+        def counting(run, apply, stop=None):
+            before = len(run.alphas)
+            theta = real(run, apply, stop)
+            calls.append((run.basis.shape[1], len(run.alphas) - before, run.done))
+            return theta
+
+        monkeypatch.setattr(linops._Lanczos, "advance", counting)
+        return calls
 
     @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
     def test_one_lanczos_run_per_sweep_row(self, doc, lanczos_sizes):
@@ -417,6 +463,58 @@ class TestSpectrumPaidWhereRead:
                      "--n", "12", "--test-size", "20"]) == 0
         assert "condition=" in capsys.readouterr().out
         assert lanczos_sizes == [12, 12]
+
+    @staticmethod
+    def _full_run(config, row):
+        """Solves of a converged eager run on the row's Gram, and the step by
+        which the guard's certificate holds once the Ritz value reaches the
+        converged one (in exact arithmetic the Ritz values rise to it)."""
+        _, _, dataset, fmap = _row_instance(config, row)
+        gram = fmap.prepare(dataset.z).gram()
+        n, p = row.n, fmap.n_params
+        tol = linops.rank_tolerance((1.0 + n * np.finfo(float).eps) * gram.trace(), n, p)
+        run = linops._Lanczos(n)
+        theta = run.advance(linops.KernelSolveCache.factor(gram, p=p).solve)
+        log_ratio = np.log(1.648 * np.sqrt(n) / linops.GUARD_MISS)
+        return len(run.alphas), int(np.ceil((log_ratio / np.sqrt(1.0 - theta * tol) + 1) / 2))
+
+    @pytest.mark.parametrize("model, k", [("rf", 1200), ("ntk", 16)])
+    def test_untraced_row_stops_at_the_certificate(self, model, k, lanczos_steps):
+        config = parse_config(dict(_GUARDED_CONFIG, model=model, k=k))
+        rows = run_sweep(config)
+        assert all(row.error == "" for row in rows)
+        guarded = list(lanczos_steps)
+        assert [(n, done) for n, _, done in guarded] == [(n, False) for n in config.n_grid]
+        for row, (_, steps, _) in zip(rows, guarded, strict=True):
+            full, certified_by = self._full_run(config, row)
+            assert steps <= certified_by < full
+
+    @pytest.mark.parametrize("model, k", [("rf", 1200), ("ntk", 16)])
+    def test_traced_row_runs_the_full_count(self, model, k, lanczos_steps):
+        config = parse_config(dict(_GUARDED_CONFIG, model=model, k=k))
+        rows, _ = traced_sweep(config)
+        assert all(row.error == "" for row in rows)
+        calls = list(lanczos_steps)
+        # the guard's run, then its resumption to the end, for each row
+        assert [(n, done) for n, _, done in calls] == [
+            (n, done) for n in config.n_grid for done in (False, True)
+        ]
+        for i, row in enumerate(rows):
+            full, _ = self._full_run(config, row)
+            assert calls[2 * i][1] + calls[2 * i + 1][1] == full
+
+    def test_fit_runs_the_full_count(self, lanczos_steps, capsys):
+        assert main(["fit", "--k", "1200", "--dx", "20", "--dy", "20", "--n", "300",
+                     "--test-size", "20", "--seed", "3"]) == 0
+        assert "condition=" in capsys.readouterr().out
+        guard, resumed, top = lanczos_steps
+        assert (guard[0], guard[2], resumed[0], resumed[2], top[0], top[2]) == (
+            300, False, 300, True, 300, True
+        )
+        _, model = harness.fit_instance("rf", 1200, 20, 20, get_activation("h1+h2"), 300, 3)
+        run = linops._Lanczos(300)
+        run.advance(model.system.cache.solve)
+        assert guard[1] + resumed[1] == len(run.alphas)
 
 
 class TestNoGramBesideTheFactor:
@@ -442,10 +540,10 @@ class TestNoGramBesideTheFactor:
 
 
 class TestSystemReleasedBeforeScoring:
-    """A row and ``fit`` read the fit's system (gamma, lambda_min, the
-    condition number) before they score, and score on the weights alone:
-    every KernelSystem built so far is dead when the test draw is evaluated
-    and when the attack runs."""
+    """A row and ``fit`` read the fit's system (gamma; for ``fit`` also
+    lambda_min and the condition number) before they score, and score on the
+    weights alone: every KernelSystem built so far is dead when the test draw
+    is evaluated and when the attack runs."""
 
     @pytest.fixture
     def scoring_stages(self, monkeypatch):

@@ -519,6 +519,83 @@ def _lanczos_with_basis_list(apply, n):
         basis.append(w / beta)
 
 
+def _eager_verdict(k, p):
+    """Whether the eager rule accepts the Gram ``k``: lambda_min and
+    lambda_max from converged Lanczos runs on its factor, and
+    lambda_min > tol(lambda_max)."""
+    n = len(k)
+    chol = np.linalg.cholesky(k)
+    eager = linops.KernelSolveCache(
+        chol=packed(chol), diag_inv=np.linalg.inv(linops._diagonal_tiles(chol)), p=p,
+    )
+    min_eig = 1.0 / linops._top_eigenvalue(eager.solve, n)
+    max_eig = linops._top_eigenvalue(lambda v: chol @ (chol.T @ v), n)
+    return min_eig > linops.rank_tolerance(max_eig, n, p)
+
+
+def _sphere_gram(kind, n):
+    """An RF (k = 3 n) or NTK (k d = 2048) Gram of n rows on the sphere
+    of radius sqrt(d), d = 64, as packed panels, with its map."""
+    d = 64
+    z = np.random.default_rng(n).standard_normal((n, d))
+    z *= np.sqrt(d) / np.linalg.norm(z, axis=1, keepdims=True)
+    if kind == "rf":
+        fmap = sample_map("rf", 3 * n, d, get_activation("h1+h2"), 1)
+    else:
+        fmap = sample_map("ntk", 32, d, get_activation("h0+h1"), 1)
+    return fmap, fmap.prepare(z).gram()
+
+
+class TestRankGuard:
+    """The guard accepts on the random-start certificate of ``_certified``
+    when it can, runs to convergence otherwise, and the lambda_min it leaves
+    unread is the eager run's when read."""
+
+    @pytest.mark.parametrize("kind", ["rf", "ntk"])
+    @pytest.mark.parametrize("n", [1, 513, 1093])
+    def test_late_lambda_min_is_the_eager_run(self, kind, n):
+        fmap, gram = _sphere_gram(kind, n)
+        cache = linops.KernelSolveCache.factor(gram, p=fmap.n_params)
+        # at n = 1 the run ends at its one step, before any certificate
+        assert (cache._lanczos is None) == (n == 1)
+        min_eig = 1.0 / linops._top_eigenvalue(cache.solve, n)
+        max_eig = linops._top_eigenvalue(cache._product(), n)
+        assert cache.min_eig == min_eig
+        assert cache.condition == max_eig / min_eig
+        assert cache.tol == linops.rank_tolerance(max_eig, n, fmap.n_params)
+        assert cache._lanczos is None
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 2.0, 1e4])
+    def test_verdict_is_the_eager_rule_around_the_trace_tolerance(self, ratio, monkeypatch):
+        # lambda_min = ratio * tol(trace); the rest of the spectrum but
+        # lambda_max = 1 sits 1% to 3x above lambda_min, so the run on K^{-1}
+        # converges slowly and the trace is lambda_max to 1e-6
+        n = 80
+        a = linops.RANK_TOL_FACTOR * n * (1.0 + n * np.finfo(float).eps)
+        shape = np.concatenate([[1.0], np.linspace(1.01, 3.0, n - 2)])
+        low = ratio * a / (1.0 - ratio * a * shape.sum())  # trace = 1 + low * sum(shape)
+        k = _with_spectrum(np.concatenate([[1.0], low * shape]), seed=5)
+        accepted = _eager_verdict(k, n)
+        assert accepted == (ratio > 1.0)
+        solves = []
+        real = linops.KernelSolveCache.solve
+
+        def counting(cache, b):
+            solves.append(len(b))
+            return real(cache, b)
+
+        monkeypatch.setattr(linops.KernelSolveCache, "solve", counting)
+        if not accepted:
+            with pytest.raises(SingularKernel, match="below tolerance"):
+                linops.KernelSolveCache.factor(packed(k))
+            return
+        cache = linops.KernelSolveCache.factor(packed(k))
+        if ratio == 1e4:
+            assert cache._lanczos is not None and len(solves) <= 20
+        if ratio <= 1.01:
+            assert cache._lanczos is None
+
+
 class TestSpectrumEstimate:
     @pytest.mark.parametrize("kind", ["rf", "ntk"])
     @pytest.mark.parametrize("n", [1, 2, 3, B - 1, B, B + 1, 300])
@@ -607,15 +684,15 @@ class TestSpectrumEstimate:
 
     @pytest.fixture
     def lanczos_sizes(self, monkeypatch):
-        """The sizes of the Lanczos runs made while the test runs."""
+        """The sizes of the Lanczos runs started while the test runs."""
         sizes = []
-        real = linops._top_eigenvalue
+        real = linops._Lanczos.__init__
 
-        def counting(apply, n):
+        def counting(run, n):
             sizes.append(n)
-            return real(apply, n)
+            real(run, n)
 
-        monkeypatch.setattr(linops, "_top_eigenvalue", counting)
+        monkeypatch.setattr(linops._Lanczos, "__init__", counting)
         return sizes
 
     def test_spectrum_beyond_lambda_min_is_read_once_and_only_on_demand(self, lanczos_sizes):
@@ -667,14 +744,7 @@ class TestSpectrumEstimate:
         rng = np.random.default_rng(seed)
         bulk = np.full(n - 2, low) if bulk_at_bottom else rng.uniform(low, 1.0, n - 2)
         k = _with_spectrum(np.concatenate([[low, 1.0], bulk]), seed)
-        chol = np.linalg.cholesky(k)
-        eager = linops.KernelSolveCache(
-            chol=packed(chol), diag_inv=np.linalg.inv(linops._diagonal_tiles(chol)),
-            min_eig=0.0, p=p,
-        )
-        min_eig = 1.0 / linops._top_eigenvalue(eager.solve, n)
-        max_eig = linops._top_eigenvalue(lambda v: chol @ (chol.T @ v), n)
-        accepted = min_eig > linops.rank_tolerance(max_eig, n, p)
+        accepted = _eager_verdict(k, p)
         try:
             linops.KernelSolveCache.factor(packed(k), p=p)
         except SingularKernel:
