@@ -110,17 +110,18 @@ def _cmd_hermite(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    with trace.recording() if args.trace else contextlib.nullcontext() as notes:
+    with contextlib.ExitStack() as files:
+        # opened before any row runs, so a path that cannot be opened fails at once
+        out = files.enter_context(open(args.out, "w", newline="")) if args.out else sys.stdout
+        if args.trace:
+            traced = files.enter_context(open(args.trace, "w", encoding="utf-8"))
+            notes = files.enter_context(trace.recording())
         rows = run_sweep(config, workers=args.workers)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as f:
-            write_trace(notes["sweep.rows"], f)
+        if args.trace:
+            write_trace(notes["sweep.rows"], traced)
+        write_rows(rows, out)
     if args.out:
-        with open(args.out, "w", newline="") as f:
-            write_rows(rows, f)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
-    else:
-        write_rows(rows, sys.stdout)
     return 0
 
 

@@ -22,8 +22,8 @@ The numerics' health and the row's wall time are kept apart from the CSV, in
 a trace (``reconstab.trace``): under a recorder, ``run_sweep`` notes one line
 per row, in CSV order, keyed by the row's N index, trial and data seed, with
 lambda_min(K)/p of the row's Gram and the row's wall time in ms. A row reads
-lambda_min only then, since it costs the rest of the rank guard's Lanczos run
-(``linops.KernelSolveCache``).
+lambda_min only then, since it costs a Lanczos run to convergence, where the
+rank guard stops its own run early (``linops.KernelSolveCache``).
 """
 
 from __future__ import annotations

@@ -26,12 +26,12 @@ lambda_min is not computed by every factorization: the rank guard runs
 Lanczos on K^{-1} (solves against the factor) only until a random-start
 certificate (``_certified``) shows that lambda_min clears the tolerance of
 the trace, read before the factor overwrites the diagonal, and runs it to
-convergence only when the certificate cannot hold. A first read of
-lambda_min resumes that run to its end. lambda_max (products
-v -> L (L^T v)) is computed on first read, and the rank guard reads it only
-when the trace cannot settle the verdict: a positive definite Gram has
-trace >= lambda_max, so a lambda_min above the tolerance of the trace is
-above the tolerance of lambda_max too.
+convergence only when the certificate cannot hold. Where the guard stopped
+early, a first read of lambda_min is one fresh run from the same start.
+lambda_max (products v -> L (L^T v)) is computed on first read, and the rank
+guard reads it only when the trace cannot settle the verdict: a positive
+definite Gram has trace >= lambda_max, so a lambda_min above the tolerance
+of the trace is above the tolerance of lambda_max too.
 
 The factor is read one way: the blocks of ``RowPanels.blocks`` in row order,
 each with the SOLVE_BLOCK-wide diagonal tile it ends at and that tile's
@@ -208,6 +208,7 @@ class RowPanels:
 
     @property
     def shape(self) -> tuple[int, int]:
+        """(n, n), read by the benchmark's tracer alone, by ``np.shape``."""
         return (self.n, self.n)
 
     def __iter__(self):
@@ -240,10 +241,10 @@ class RowPanels:
         return RowPanels(m, rects, [d[: e - s, : e - s] for (s, e), d in zip(spans, self.diags)])
 
 
-class _Lanczos:
-    """A Lanczos run for the largest eigenvalue of a symmetric positive
-    definite operator on R^n, with full reorthogonalization, that can stop
-    and resume.
+def _top_eigenvalue(apply, n: int, stop=None) -> float | None:
+    """Largest eigenvalue of the symmetric positive definite operator ``apply``
+    on R^n, by Lanczos with full reorthogonalization; None if
+    ``stop(theta, steps)`` holds after a step before the run ends.
 
     Let theta be the top Ritz value of the j-step tridiagonal T_j, s its unit
     eigenvector and beta the next off-diagonal. Then r = beta |s_j| bounds the
@@ -260,63 +261,45 @@ class _Lanczos:
     space is exhausted and the top one surfaces. In exact arithmetic theta
     never exceeds the largest eigenvalue.
 
-    The start vector is drawn from LANCZOS_SEED, uniform on the unit sphere.
-    A run stopped early keeps its tridiagonal and its basis and goes on from
-    the next step when ``advance`` is called again, so where it ends, and its
-    value there, are those of a run never stopped.
+    The start is drawn from LANCZOS_SEED, uniform on the unit sphere, so a
+    run that ``stop`` ends takes the first steps of the run without it.
     """
-
-    def __init__(self, n: int):
-        q = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
-        # the Lanczos vectors are the rows of one array, grown by doubling
-        self.basis = np.empty((min(n, 16), n))
-        self.basis[0] = q / np.linalg.norm(q)
-        self.alphas: list[float] = []
-        self.betas: list[float] = []
-        self.settled = False
-        self.done = False
-
-    def advance(self, apply, stop=None) -> float:
-        """Step until the run ends, which sets ``done``, or until
-        ``stop(theta, steps)`` holds after a step; return the top Ritz value
-        of the last step."""
-        alphas, betas = self.alphas, self.betas
-        n = self.basis.shape[1]
-        while True:
-            j = len(alphas)
-            q = self.basis[j]
-            w = apply(q)
-            alphas.append(float(q @ w))
-            w -= alphas[-1] * q
-            if betas:
-                w -= betas[-1] * self.basis[j - 1]
-            stacked = self.basis[: j + 1]
-            w -= stacked.T @ (stacked @ w)
-            beta = float(np.linalg.norm(w))
-            ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-            theta = float(ritz[-1])
-            r = beta * abs(float(vecs[-1, -1]))
-            gap = theta - float(ritz[-2]) if len(ritz) > 1 else 0.0
-            bound = min(r, r * r / gap) if gap > 0.0 else r
-            converged = bound <= LANCZOS_TOL * theta
-            if beta <= LANCZOS_TOL * theta or j + 1 == n or (converged and self.settled):
-                self.done = True
-                return theta
-            self.settled = converged
-            betas.append(beta)
-            if j + 1 == len(self.basis):
-                grown = np.empty((min(2 * (j + 1), n), n))
-                grown[: j + 1] = self.basis
-                self.basis = grown
-            self.basis[j + 1] = w / beta
-            if stop is not None and stop(theta, j + 1):
-                return theta
-
-
-def _top_eigenvalue(apply, n: int) -> float:
-    """Largest eigenvalue of the symmetric positive definite operator ``apply``
-    on R^n: the value where a ``_Lanczos`` run ends."""
-    return _Lanczos(n).advance(apply)
+    q = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    # the Lanczos vectors are the rows of one array, grown by doubling
+    basis = np.empty((min(n, 16), n))
+    basis[0] = q / np.linalg.norm(q)
+    alphas: list[float] = []
+    betas: list[float] = []
+    settled = False
+    j = 0
+    while True:
+        q = basis[j]
+        w = apply(q)
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        if betas:
+            w -= betas[-1] * basis[j - 1]
+        stacked = basis[: j + 1]
+        w -= stacked.T @ (stacked @ w)
+        beta = float(np.linalg.norm(w))
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta = float(ritz[-1])
+        r = beta * abs(float(vecs[-1, -1]))
+        gap = theta - float(ritz[-2]) if len(ritz) > 1 else 0.0
+        bound = min(r, r * r / gap) if gap > 0.0 else r
+        converged = bound <= LANCZOS_TOL * theta
+        if beta <= LANCZOS_TOL * theta or j + 1 == n or (converged and settled):
+            return theta
+        settled = converged
+        betas.append(beta)
+        j += 1
+        if stop is not None and stop(theta, j):
+            return None
+        if j == len(basis):
+            grown = np.empty((min(2 * j, n), n))
+            grown[:j] = basis
+            basis = grown
+        basis[j] = w / beta
 
 
 def _certified(theta: float, steps: int, n: int, tol: float) -> bool:
@@ -386,8 +369,8 @@ class KernelSolveCache:
     floats (``RowPanels``) and no copy of the Gram. A caller that needs the
     Gram afterwards passes a copy.
 
-    ``min_eig`` and ``max_eig`` are Lanczos estimates (``_Lanczos``) on the
-    factored matrix L L^T, each within about LANCZOS_TOL relative of the
+    ``min_eig`` and ``max_eig`` are Lanczos estimates (``_top_eigenvalue``)
+    on the factored matrix L L^T, each within about LANCZOS_TOL relative of the
     exact eigenvalue of that matrix. lambda_min also carries the
     factorization's roundoff, at most of order n * eps * lambda_max, because
     its Lanczos runs on (L L^T)^{-1}; on an RF Gram of condition 3e7 it differs
@@ -396,16 +379,15 @@ class KernelSolveCache:
     min_eig, the reciprocal of the top eigenvalue of K^{-1}, an upper bound
     (1/theta >= lambda_min).
 
-    Both are computed on first read and kept, and each run starts from the
-    same fixed vector, so a late read gives the bits of an eager run.
-    ``max_eig``, and with it ``tol`` and ``condition``, runs Lanczos on
-    v -> L (L^T v); its operator stacks the factor's diagonal tiles for the
-    read (N x SOLVE_BLOCK floats, freed afterwards) and reads the rest of the
-    lower triangle through the walk. ``min_eig`` is where the rank guard's
-    run on K^{-1} ends: if the guard stopped the run early, the first read
-    resumes it. Until then the stopped run, its tridiagonal and a basis of
-    max(16, 2 j) x N floats after j steps, lives on the cache and is freed
-    with it.
+    Each is computed once and kept, and every run starts from the same fixed
+    vector, so a late read gives the bits of an eager run. ``max_eig``, and
+    with it ``tol`` and ``condition``, runs Lanczos on v -> L (L^T v) on
+    first read; its operator stacks the factor's diagonal tiles for the read
+    (N x SOLVE_BLOCK floats, freed afterwards) and reads the rest of the
+    lower triangle through the walk. ``min_eig`` runs Lanczos on K^{-1}
+    (solves). The rank guard's run sets it if it converges; a run the guard
+    stops early leaves nothing on the cache, and a first read is a fresh
+    run, which repeats the guard's steps on its way to the end.
 
     The rank guard. Let T be the tolerance of (1 + n eps) trace(K):
     trace(K) >= lambda_max >= theta_max, and the pad covers the roundoff of
@@ -425,7 +407,7 @@ class KernelSolveCache:
     convergence and the eager rule decides on its value: it accepts at once
     when min_eig clears T; otherwise it reads max_eig and applies
     min_eig > tol(max_eig). So every rejection, and every lambda_min read,
-    is what the converged run gives, with the miss that ``_Lanczos``
+    is what the converged run gives, with the miss that ``_top_eigenvalue``
     describes.
 
     ``solve``, ``_product`` and the factorization read the factor through
@@ -446,7 +428,6 @@ class KernelSolveCache:
     p: int
     _min_eig: float | None = field(default=None, repr=False)
     _max_eig: float | None = field(default=None, repr=False)
-    _lanczos: _Lanczos | None = field(default=None, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _walk: list = field(init=False, repr=False)
 
@@ -472,11 +453,9 @@ class KernelSolveCache:
         if n == 0:
             cache._min_eig = cache._max_eig = 0.0
             return cache
-        run = _Lanczos(n)
-        theta = run.advance(cache.solve, lambda t, j: _certified(t, j, n, trace_tol))
-        if not run.done:
-            cache._lanczos = run  # certified: min_eig resumes the run when read
-            return cache
+        theta = _top_eigenvalue(cache.solve, n, lambda t, j: _certified(t, j, n, trace_tol))
+        if theta is None:
+            return cache  # certified: min_eig is computed when read
         cache._min_eig = 1.0 / theta
         if cache.min_eig <= trace_tol and cache.min_eig <= cache.tol:
             raise SingularKernel(
@@ -486,11 +465,10 @@ class KernelSolveCache:
 
     @property
     def min_eig(self) -> float:
-        """Lanczos estimate of lambda_min: 1 / theta where the guard's run on
-        K^{-1} ends, the run resumed on first read if the guard stopped it."""
+        """Lanczos estimate of lambda_min, 1 / theta on K^{-1}, computed on
+        first read unless the rank guard's run computed it."""
         if self._min_eig is None:
-            run, self._lanczos = self._lanczos, None
-            self._min_eig = 1.0 / run.advance(self.solve)
+            self._min_eig = 1.0 / _top_eigenvalue(self.solve, self.n)
         return self._min_eig
 
     @property
@@ -531,7 +509,7 @@ class KernelSolveCache:
         direction 1) and this property goes.
         """
         if self._matrix is None:
-            l = np.zeros(self.chol.shape)
+            l = np.zeros((self.n, self.n))
             for s, e, rect, diag in self.chol:
                 l[s:e, :s] = rect
                 l[s:e, s:e] = np.tril(diag)

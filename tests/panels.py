@@ -9,7 +9,7 @@ from reconstab.linops import RowPanels
 def dense_lower(panels):
     """The N x N lower triangle of the panels: a factor L, with zeros above
     the diagonal."""
-    out = np.zeros(panels.shape)
+    out = np.zeros((panels.n, panels.n))
     for s, e, rect, diag in panels:
         out[s:e, :s] = rect
         out[s:e, s:e] = np.tril(diag)

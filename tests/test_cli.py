@@ -177,6 +177,26 @@ def test_sweep_trace_writes_one_json_line_per_row(tmp_path, capsys):
     assert all(line["lambda_min_over_scale"] > 0 and line["row_ms"] > 0 for line in lines)
 
 
+@pytest.mark.parametrize("missing", ["--out", "--trace"])
+def test_sweep_output_that_cannot_be_opened_fails_before_any_row(
+    tmp_path, missing, monkeypatch, capsys
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a row ran before the output files were opened")
+
+    monkeypatch.setattr(cli, "run_sweep", forbidden)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(SWEEP_CONFIG))
+    paths = {"--out": tmp_path / "rows.csv", "--trace": tmp_path / "trace.jsonl"}
+    paths[missing] = tmp_path / "missing" / "file"
+    argv = ["sweep", "--config", str(config_path)]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_sweep_bad_config_exits_2(tmp_path):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(dict(SWEEP_CONFIG, bogus=1)))

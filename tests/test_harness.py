@@ -316,6 +316,21 @@ class TestRunSweep:
         for cells in parsed[1:]:
             assert all(cells[RESULT_COLUMNS.index(name)] == "" for name in numeric)
 
+    def test_a_row_that_fails_while_scoring_keeps_its_lambda_min(self):
+        # a test draw numpy cannot allocate fails the row after its fit read
+        # lambda_min, which does not depend on the test draw; at N = 16 > k
+        # the fit fails first, with SingularKernel
+        doc = dict(SMALL_CONFIG, k=12, n_grid=[8, 16], trials=1)
+        with pytest.warns(UserWarning, match="singular"):
+            failing = parse_config(dict(doc, test_size=2305843009213693952))
+            scored = parse_config(dict(doc, test_size=40))
+        rows, lines = traced_sweep(failing)
+        clean, expected = traced_sweep(scored)
+        assert rows[0].error.startswith("ValueError: ") and clean[0].error == ""
+        assert all(row.error.startswith("SingularKernel: ") for row in (rows[1], clean[1]))
+        assert lines[0]["lambda_min_over_scale"] == expected[0]["lambda_min_over_scale"] > 0
+        assert lines[1]["lambda_min_over_scale"] is expected[1]["lambda_min_over_scale"] is None
+
     def test_csv_parses_back_with_rfc4180_reader(self):
         config = parse_config(dict(SMALL_CONFIG))
         payload = rows_to_csv_bytes(run_sweep(config))
@@ -402,14 +417,14 @@ class TestOneFactorPerRow:
         real = linops.KernelSolveCache.factor.__func__
 
         def counting(cls, k, p=None):
-            calls.append(np.shape(k))
+            calls.append(k.n)
             return real(cls, k, p)
 
         monkeypatch.setattr(linops.KernelSolveCache, "factor", classmethod(counting))
         config = parse_config(dict(SMALL_CONFIG))
         rows = run_sweep(config)
         assert all(row.error == "" for row in rows)
-        assert calls == [(row.n, row.n) for row in rows]
+        assert calls == [row.n for row in rows]
 
 
 # large enough for the rank guard to stop a Lanczos run before it converges
@@ -419,50 +434,23 @@ _GUARDED_CONFIG = dict(SMALL_CONFIG, d_x=20, d_y=20, n_grid=[200, 300], trials=1
 class TestSpectrumPaidWhereRead:
     """A sweep row reads no spectrum, so its factor runs one Lanczos on
     K^{-1}, which the rank guard stops at its certificate; a trace reads
-    lambda_min and ``fit`` also prints the condition number, so each resumes
-    that run to its end, and ``fit`` pays a lambda_max run too."""
-
-    @pytest.fixture
-    def lanczos_sizes(self, monkeypatch):
-        """The sizes of the Lanczos runs started while the test runs."""
-        sizes = []
-        real = linops._Lanczos.__init__
-
-        def counting(run, n):
-            sizes.append(n)
-            real(run, n)
-
-        monkeypatch.setattr(linops._Lanczos, "__init__", counting)
-        return sizes
-
-    @pytest.fixture
-    def lanczos_steps(self, monkeypatch):
-        """(n, operator applications, whether the run ended) of each
-        ``_Lanczos.advance`` call made while the test runs."""
-        calls = []
-        real = linops._Lanczos.advance
-
-        def counting(run, apply, stop=None):
-            before = len(run.alphas)
-            theta = real(run, apply, stop)
-            calls.append((run.basis.shape[1], len(run.alphas) - before, run.done))
-            return theta
-
-        monkeypatch.setattr(linops._Lanczos, "advance", counting)
-        return calls
+    lambda_min and ``fit`` also prints the condition number, so each runs one
+    fresh Lanczos on K^{-1} to its end, and ``fit`` pays a lambda_max run
+    too."""
 
     @pytest.mark.parametrize("doc", [SMALL_CONFIG, NTK_CONFIG], ids=["rf", "ntk"])
-    def test_one_lanczos_run_per_sweep_row(self, doc, lanczos_sizes):
+    def test_one_lanczos_run_per_sweep_row(self, doc, lanczos_runs):
         rows = run_sweep(parse_config(dict(doc)))
         assert all(row.error == "" for row in rows)
-        assert lanczos_sizes == [row.n for row in rows]
+        assert [n for n, _, _ in lanczos_runs] == [row.n for row in rows]
 
     @pytest.mark.parametrize("model", ["rf", "ntk"])
-    def test_fit_runs_two(self, model, lanczos_sizes, capsys):
+    def test_fit_runs_two(self, model, lanczos_runs, capsys):
+        # n = 12 rows end the guard's run before any certificate can hold
         assert main(["fit", "--model", model, "--k", "60", "--dx", "8", "--dy", "8",
                      "--n", "12", "--test-size", "20"]) == 0
         assert "condition=" in capsys.readouterr().out
-        assert lanczos_sizes == [12, 12]
+        assert [(n, ended) for n, _, ended in lanczos_runs] == [(12, True), (12, True)]
 
     @staticmethod
     def _full_run(config, row):
@@ -473,48 +461,51 @@ class TestSpectrumPaidWhereRead:
         gram = fmap.prepare(dataset.z).gram()
         n, p = row.n, fmap.n_params
         tol = linops.rank_tolerance((1.0 + n * np.finfo(float).eps) * gram.trace(), n, p)
-        run = linops._Lanczos(n)
-        theta = run.advance(linops.KernelSolveCache.factor(gram, p=p).solve)
+        solve = linops.KernelSolveCache.factor(gram, p=p).solve
+        solves = []
+        theta = linops._top_eigenvalue(lambda v: solves.append(v) or solve(v), n)
         log_ratio = np.log(1.648 * np.sqrt(n) / linops.GUARD_MISS)
-        return len(run.alphas), int(np.ceil((log_ratio / np.sqrt(1.0 - theta * tol) + 1) / 2))
+        return len(solves), int(np.ceil((log_ratio / np.sqrt(1.0 - theta * tol) + 1) / 2))
 
     @pytest.mark.parametrize("model, k", [("rf", 1200), ("ntk", 16)])
-    def test_untraced_row_stops_at_the_certificate(self, model, k, lanczos_steps):
+    def test_untraced_row_stops_at_the_certificate(self, model, k, lanczos_runs):
         config = parse_config(dict(_GUARDED_CONFIG, model=model, k=k))
         rows = run_sweep(config)
         assert all(row.error == "" for row in rows)
-        guarded = list(lanczos_steps)
-        assert [(n, done) for n, _, done in guarded] == [(n, False) for n in config.n_grid]
+        guarded = list(lanczos_runs)
+        assert [(n, ended) for n, _, ended in guarded] == [(n, False) for n in config.n_grid]
         for row, (_, steps, _) in zip(rows, guarded, strict=True):
             full, certified_by = self._full_run(config, row)
             assert steps <= certified_by < full
 
     @pytest.mark.parametrize("model, k", [("rf", 1200), ("ntk", 16)])
-    def test_traced_row_runs_the_full_count(self, model, k, lanczos_steps):
+    def test_traced_row_runs_the_full_count(self, model, k, lanczos_runs):
         config = parse_config(dict(_GUARDED_CONFIG, model=model, k=k))
         rows, _ = traced_sweep(config)
         assert all(row.error == "" for row in rows)
-        calls = list(lanczos_steps)
-        # the guard's run, then its resumption to the end, for each row
-        assert [(n, done) for n, _, done in calls] == [
-            (n, done) for n in config.n_grid for done in (False, True)
+        calls = list(lanczos_runs)
+        # the guard's run, stopped at its certificate, then one fresh run to
+        # the end, for each row
+        assert [(n, ended) for n, _, ended in calls] == [
+            (n, ended) for n in config.n_grid for ended in (False, True)
         ]
         for i, row in enumerate(rows):
-            full, _ = self._full_run(config, row)
-            assert calls[2 * i][1] + calls[2 * i + 1][1] == full
+            full, certified_by = self._full_run(config, row)
+            assert calls[2 * i][1] <= certified_by < full
+            assert calls[2 * i + 1][1] == full
 
-    def test_fit_runs_the_full_count(self, lanczos_steps, capsys):
+    def test_fit_runs_the_full_count(self, lanczos_runs, capsys):
         assert main(["fit", "--k", "1200", "--dx", "20", "--dy", "20", "--n", "300",
                      "--test-size", "20", "--seed", "3"]) == 0
         assert "condition=" in capsys.readouterr().out
-        guard, resumed, top = lanczos_steps
-        assert (guard[0], guard[2], resumed[0], resumed[2], top[0], top[2]) == (
+        guard, fresh, top = lanczos_runs
+        assert (guard[0], guard[2], fresh[0], fresh[2], top[0], top[2]) == (
             300, False, 300, True, 300, True
         )
         _, model = harness.fit_instance("rf", 1200, 20, 20, get_activation("h1+h2"), 300, 3)
-        run = linops._Lanczos(300)
-        run.advance(model.system.cache.solve)
-        assert guard[1] + resumed[1] == len(run.alphas)
+        solves = []
+        linops._top_eigenvalue(lambda v: solves.append(v) or model.system.cache.solve(v), 300)
+        assert guard[1] < fresh[1] == len(solves)
 
 
 class TestNoGramBesideTheFactor:

@@ -10,7 +10,7 @@ from reconstab.errors import SingularKernel
 from reconstab.featuremaps import sample_map
 from reconstab.hermite import get_activation
 
-from panels import dense_gram, dense_lower, packed
+from panels import dense_gram, dense_lower, held_bytes, packed
 
 
 def _instance(seed, n=None, p=None):
@@ -557,13 +557,32 @@ class TestRankGuard:
         fmap, gram = _sphere_gram(kind, n)
         cache = linops.KernelSolveCache.factor(gram, p=fmap.n_params)
         # at n = 1 the run ends at its one step, before any certificate
-        assert (cache._lanczos is None) == (n == 1)
+        assert (cache._min_eig is None) == (n != 1)
         min_eig = 1.0 / linops._top_eigenvalue(cache.solve, n)
         max_eig = linops._top_eigenvalue(cache._product(), n)
         assert cache.min_eig == min_eig
         assert cache.condition == max_eig / min_eig
         assert cache.tol == linops.rank_tolerance(max_eig, n, fmap.n_params)
-        assert cache._lanczos is None
+        assert cache._min_eig == min_eig
+
+    @pytest.mark.parametrize("kind", ["rf", "ntk"])
+    def test_a_certified_factor_keeps_nothing_of_the_guard_run(self, kind):
+        # the guard stops after about 17 steps: a basis kept from its run
+        # would be at least 16 n floats (140 KB), beside diag_inv's 590 KB
+        n, slack = 1093, 64 * 1024
+        fmap, gram = _sphere_gram(kind, n)
+        tracemalloc.start()
+        try:
+            cache = linops.KernelSolveCache.factor(gram, p=fmap.n_params)
+            added = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert cache._min_eig is None
+        # the factor is written over the Gram's panels, allocated untraced
+        assert cache.chol is gram
+        assert held_bytes(cache.chol) + added <= (
+            held_bytes(gram) + cache.diag_inv.nbytes + slack
+        )
 
     @pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 2.0, 1e4])
     def test_verdict_is_the_eager_rule_around_the_trace_tolerance(self, ratio, monkeypatch):
@@ -591,9 +610,9 @@ class TestRankGuard:
             return
         cache = linops.KernelSolveCache.factor(packed(k))
         if ratio == 1e4:
-            assert cache._lanczos is not None and len(solves) <= 20
+            assert cache._min_eig is None and len(solves) <= 20
         if ratio <= 1.01:
-            assert cache._lanczos is None
+            assert cache._min_eig is not None
 
 
 class TestSpectrumEstimate:
@@ -682,31 +701,22 @@ class TestSpectrumEstimate:
             apply = matrix.__matmul__
             assert linops._top_eigenvalue(apply, n) == _lanczos_with_basis_list(apply, n)
 
-    @pytest.fixture
-    def lanczos_sizes(self, monkeypatch):
-        """The sizes of the Lanczos runs started while the test runs."""
-        sizes = []
-        real = linops._Lanczos.__init__
-
-        def counting(run, n):
-            sizes.append(n)
-            real(run, n)
-
-        monkeypatch.setattr(linops._Lanczos, "__init__", counting)
-        return sizes
-
-    def test_spectrum_beyond_lambda_min_is_read_once_and_only_on_demand(self, lanczos_sizes):
+    def test_spectrum_beyond_lambda_min_is_read_once_and_only_on_demand(self, lanczos_runs):
         fmap, k = _kernel_gram("rf", 100)
         cache = linops.KernelSolveCache.factor(packed(k), p=fmap.n_params)
-        assert lanczos_sizes == [100]
+        # the guard's run, stopped at its certificate
+        guard = [(100, False)]
+        assert [(n, ended) for n, _, ended in lanczos_runs] == guard
         view = cache.leading(60)
         assert np.isnan(view.max_eig) and np.isnan(view.tol) and np.isnan(view.condition)
-        assert lanczos_sizes == [100]
+        assert np.isnan(view.min_eig)
+        assert [(n, ended) for n, _, ended in lanczos_runs] == guard
         first = (cache.max_eig, cache.tol, cache.condition)
         assert (cache.max_eig, cache.tol, cache.condition) == first
-        assert lanczos_sizes == [100, 100]
+        # one run for lambda_max and one for lambda_min, each to its end
+        assert [(n, ended) for n, _, ended in lanczos_runs] == guard + [(100, True)] * 2
 
-    def test_between_the_two_tolerances_accepts_after_the_lambda_max_run(self, lanczos_sizes):
+    def test_between_the_two_tolerances_accepts_after_the_lambda_max_run(self, lanczos_runs):
         # lambda_min = 2 tol(lambda_max) sits below tol(trace) = tol(40.5), so
         # only lambda_max settles the verdict
         n = 80
@@ -714,7 +724,7 @@ class TestSpectrumEstimate:
         k = _with_spectrum(np.linspace(2.0 * tol, 1.0, n), seed=1)
         trace = np.trace(k)
         cache = linops.KernelSolveCache.factor(packed(k))
-        assert lanczos_sizes == [n, n]
+        assert [(size, ended) for size, _, ended in lanczos_runs] == [(n, True), (n, True)]
         assert cache.tol < cache.min_eig < linops.rank_tolerance(trace, n, n)
 
     def test_below_tolerance_raises_on_the_lanczos_path(self):
